@@ -1,6 +1,7 @@
 """The ``.calc`` text format: a self-contained, round-trippable calculus.
 
-The file embeds the signature, Skolem function declarations, the blocking
+The file embeds the signature (the directives of a ``.spec`` file, read and
+written by ``parser``), Skolem function declarations, the blocking
 configuration and (for internalized calculi) the rewrite context, followed by
 one ``rule`` line per rule.  Zero denominators print as ``/ false``.
 """
@@ -8,28 +9,18 @@ one ``rule`` line per rule.  Zero denominators print as ``/ false``.
 from __future__ import annotations
 
 from . import syntax as sx
-from .parser import Elaborator, SpecSyntaxError, TreeParser, tokenize
+from .parser import (Elaborator, SignatureBlock, SpecSyntaxError, TreeParser,
+                     print_signature, read_directives, tokenize)
 from .synth import Calculus, TableauRule, UbConfig
 
 
 def print_calculus(calc):
-    sig = calc.signature
     out = ["calculus %s" % calc.name, "mode %s" % calc.mode]
     if calc.refined:
         out.append("refined yes")
     if calc.spec_name:
         out.append("spec %s" % calc.spec_name)
-    out.append("sorts %d" % sig.n_lsorts)
-    for s in range(sig.n_lsorts):
-        if sig.var_prefixes[s]:
-            out.append("vars %d %s" % (s, " ".join(sig.var_prefixes[s])))
-        if sig.const_prefixes[s]:
-            out.append("consts %d %s" % (s, " ".join(sig.const_prefixes[s])))
-    for c in sig.conns.values():
-        args = (" " + " ".join(str(a) for a in c.arg_sorts)) if c.arg_sorts else ""
-        out.append("connective %s%s -> %d" % (c.name, args, c.res_sort))
-    for p, a in sig.preds.items():
-        out.append("predicate %s %d" % (p, a))
+    out.extend(print_signature(calc.signature))
     for fn in calc.skolems.values():
         ls = " ".join(str(s) for s in fn.lsorts)
         out.append("skolem %s %s/ %d" % (fn.name, ls + " " if ls else "", fn.n_dom))
@@ -87,75 +78,37 @@ def _parse_rule_line(el, rest, lineno):
 
 
 def parse_calculus(text):
-    name, mode, spec_name = "calculus", "base", None
-    refined = False
-    n_sorts = None
-    var_pfx, const_pfx, conns, preds = {}, {}, [], {}
-    skolems = {}
-    blocking = None
-    ctx_lines = []
-    rule_lines = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        word, _, rest = line.strip().partition(" ")
-        rest = rest.strip()
-        try:
-            if word == "calculus":
-                name = rest
-            elif word == "mode":
-                mode = rest
-            elif word == "refined":
-                refined = rest == "yes"
-            elif word == "spec":
-                spec_name = rest
-            elif word == "sorts":
-                n_sorts = int(rest)
-            elif word in ("vars", "consts"):
-                parts = rest.split()
-                s = int(parts[0])
-                tgt = var_pfx if word == "vars" else const_pfx
-                tgt.setdefault(s, [])
-                tgt[s].extend(parts[1:])
-            elif word == "connective":
-                head, _, res = rest.partition("->")
-                parts = head.split()
-                conns.append(sx.Conn(parts[0], tuple(int(p) for p in parts[1:]),
-                                     int(res.strip())))
-            elif word == "predicate":
-                pname, arity = rest.split()
-                preds[pname] = int(arity)
-            elif word == "skolem":
-                sig_part, _, ndom = rest.partition("/")
-                parts = sig_part.split()
-                fn = sx.FnSym(parts[0], tuple(int(p) for p in parts[1:]),
-                              int(ndom.strip()))
-                skolems[fn.name] = fn
-            elif word == "blocking":
-                if rest == "off":
-                    blocking = None
-                else:
-                    parts = rest.split()
-                    depth = int(parts[parts.index("depth") + 1]) \
-                        if "depth" in parts else 0
-                    blocking = UbConfig(True, depth)
-            elif word == "ctx":
-                ctx_lines.append(rest)
-            elif word == "rule":
-                rule_lines.append((rest, lineno))
-            else:
-                raise SpecSyntaxError("unknown directive %r" % word, lineno)
-        except (ValueError, IndexError):
-            raise SpecSyntaxError("malformed %r directive" % word, lineno)
-    if n_sorts is None:
-        raise SpecSyntaxError("missing 'sorts' directive")
-    sig = sx.LSignature(n_sorts, conns, var_pfx, const_pfx, preds)
+    block, head, skolems, ctx_lines, rule_lines = SignatureBlock(), {}, {}, [], []
+
+    def directive(lineno, word, rest):
+        if block.read(word, rest):
+            return
+        if word in ("calculus", "mode", "refined", "spec"):
+            head[word] = rest
+        elif word == "skolem":
+            sig_part, _, ndom = rest.partition("/")
+            name, *lsorts = sig_part.split()
+            skolems[name] = sx.FnSym(name, tuple(int(s) for s in lsorts), int(ndom))
+        elif word == "blocking":
+            parts = rest.split()
+            depth = int(parts[parts.index("depth") + 1]) if "depth" in parts else 0
+            head["blocking"] = None if rest == "off" else UbConfig(True, depth)
+        elif word == "ctx":
+            ctx_lines.append(rest)
+        elif word == "rule":
+            rule_lines.append((rest, lineno))
+        else:
+            raise SpecSyntaxError("unknown directive %r" % word, lineno)
+
+    read_directives(text, directive)
+    sig = block.signature()
     ctx = None
     if ctx_lines:
         from .refine import parse_context
         ctx = parse_context("\n".join(ctx_lines), sig, skolems)
     el = Elaborator(sig, skolems)
     rules = [_parse_rule_line(el, rest, lineno) for rest, lineno in rule_lines]
-    return Calculus(name, sig, rules, skolems, blocking, mode, ctx,
-                    spec_name=spec_name, refined=refined or mode != "base")
+    mode = head.get("mode", "base")
+    return Calculus(head.get("calculus", "calculus"), sig, rules, skolems,
+                    head.get("blocking"), mode, ctx, spec_name=head.get("spec"),
+                    refined=head.get("refined") == "yes" or mode != "base")

@@ -9,13 +9,14 @@ input.
 from __future__ import annotations
 
 import argparse
+import re
 import shutil
 import subprocess
 import sys
 
 from . import calcfile, engine, models, normalize, refine, specfile, synth, tptp
 from . import syntax as sx
-from .parser import SpecSyntaxError, TreeParser, tokenize, Elaborator
+from .parser import Elaborator, SpecSyntaxError, TreeParser, content_lines, tokenize
 
 EXIT_SAT = 0
 EXIT_OK = 0
@@ -37,22 +38,20 @@ def _load_spec(args):
 def _load_problem(sig, skolems, path):
     """One concept per line; a not(...) line whose not is no connective of
     the signature roots the negated literal instead."""
-    inputs = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            el = Elaborator(sig, skolems)
-            tp = TreeParser(tokenize(line, lineno))
-            tree = tp.tree()
-            if not tp.at_end():
-                raise SpecSyntaxError("trailing input", lineno)
-            if tree[0] == "app" and tree[1] == "not" \
-                    and "not" not in sig.conns and len(tree[2]) == 1:
-                inputs.append((el.lexpr(tree[2][0], 1), False))
-            else:
-                inputs.append((el.lexpr(tree, 1), True))
+        text = fh.read()
+    el = Elaborator(sig, skolems)
+    inputs = []
+    for lineno, line in content_lines(text):
+        tp = TreeParser(tokenize(line, lineno))
+        tree = tp.tree()
+        if not tp.at_end():
+            raise SpecSyntaxError("trailing input", lineno)
+        if tree[0] == "app" and tree[1] == "not" \
+                and "not" not in sig.conns and len(tree[2]) == 1:
+            inputs.append((el.lexpr(tree[2][0], 1), False))
+        else:
+            inputs.append((el.lexpr(tree, 1), True))
     return inputs
 
 
@@ -64,7 +63,7 @@ def cmd_synth(args):
             return EXIT_ERROR
         ns = normalize.normalize(spec)
         calc = synth.synthesize(ns, assume_well_founded=args.assume_well_founded)
-    except sx.TabError as e:
+    except (OSError, sx.TabError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_ERROR
     text = calcfile.print_calculus(calc)
@@ -89,7 +88,7 @@ def cmd_refine(args):
             ctx = refine.load_context(args.ctx, calc.signature, calc.skolems)
         calc, log = refine.apply_script(calc, steps, ctx=ctx,
                                         unsafe=args.unsafe_refine)
-    except sx.TabError as e:
+    except (OSError, sx.TabError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_ERROR
     warning = getattr(calc, "completeness_warning", None)
@@ -180,8 +179,8 @@ def cmd_checkwd(args):
             try:
                 res = subprocess.run(cmd, capture_output=True, text=True,
                                      timeout=args.prover_timeout)
-                out = res.stdout + res.stderr
-                if "Theorem" in out or "Unsatisfiable" in out:
+                status = re.search(r"SZS status (\w+)", res.stdout + res.stderr)
+                if status and status.group(1) in ("Theorem", "Unsatisfiable"):
                     print("%s: proved" % ob.name)
                 else:
                     print("%s: not proved (exit %d)" % (ob.name, res.returncode))

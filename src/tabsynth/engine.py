@@ -73,11 +73,6 @@ class BaseMode:
             return (a.args[0], a.args[1])
         return None
 
-    def ub_binding(self, rule, t1, t2):
-        v1 = next(iter(_literal_vars(rule.premises[0])))
-        v2 = next(iter(_literal_vars(rule.premises[1])))
-        return {v1: t1, v2: t2}
-
 
 class InternalizedMode:
     name = "internalized"
@@ -115,10 +110,13 @@ class InternalizedMode:
             return (m[0], m[1])
         return None
 
-    def ub_binding(self, rule, t1, t2):
-        v1 = next(iter(_literal_vars(rule.premises[0])))
-        v2 = next(iter(_literal_vars(rule.premises[1])))
-        return {v1: t1, v2: t2}
+
+def ub_binding(rule, t1, t2):
+    """The blocking rule's binding conjecturing ``t1 = t2``: each of its two
+    premises carries one variable."""
+    v1 = next(iter(_literal_vars(rule.premises[0])))
+    v2 = next(iter(_literal_vars(rule.premises[1])))
+    return {v1: t1, v2: t2}
 
 
 def _literal_vars(lit):
@@ -239,11 +237,9 @@ class Branch:
 
 
 class Tableau:
-    def __init__(self, calc, root_branch, inputs, limits):
+    def __init__(self, calc, root_branch):
         self.calc = calc
         self.root = root_branch
-        self.inputs = inputs
-        self.limits = limits
         self.next_bid = root_branch.bid + 1
 
 
@@ -313,8 +309,7 @@ class Engine:
             a0 = sx.dconst("a0")
             for c, pos in signed:
                 self._add(root, sx.literal(pos, sx.atom(sx.nu(1), [c, a0])))
-        return Tableau(self.calc, root, signed,
-                       {"nodes": self.node_budget, "secs": self.time_budget})
+        return Tableau(self.calc, root)
 
     def _add(self, branch, lit):
         added = branch.add(lit, self.mode)
@@ -386,9 +381,6 @@ class Engine:
                     yield from rec(i + 1, b2, matched, used_new or is_new)
                     matched.pop()
 
-        if n == 0:
-            yield from rec(0, {}, [], False) if new_from == 0 else iter(())
-            return
         yield from rec(0, {}, [], False)
 
     def _ub_instances(self, rule, branch):
@@ -396,7 +388,7 @@ class Engine:
         terms = sorted(branch.markers, key=lambda t: branch.term_birth[t])
         for i in range(len(terms)):
             for j in range(i + 1, len(terms)):
-                binding = self.mode.ub_binding(rule, terms[i], terms[j])
+                binding = ub_binding(rule, terms[i], terms[j])
                 fp = _fingerprint(rule.id, binding)
                 if fp not in branch.applied:
                     yield fp, binding, []
@@ -431,20 +423,15 @@ class Engine:
         push = heapq.heappush
         for rule in self.calc.rules:
             if rule.kind == "blocking":
-                for fp, binding, _ in self._ub_instances(rule, branch):
-                    if fp not in branch.pending and fp not in branch.applied:
-                        branch.pending[fp] = (branch.seen_next, rule, binding, ())
-                        push(branch.heap, (self._priority(rule, branch),
-                                           branch.seen_next, fp))
-                        branch.seen_next += 1
-                continue
-            if new_from and not rule.free_vars \
+                instances = self._ub_instances(rule, branch)
+            elif new_from and not rule.free_vars \
                     and not any(_has_new_candidate(branch, p, new_from)
                                 for p in rule.premises):
                 continue
+            else:
+                instances = self._match_rule(rule, branch, new_from)
             prio = self._priority(rule, branch)
-            for fp, binding, matched in self._match_rule(rule, branch,
-                                                         new_from):
+            for fp, binding, matched in instances:
                 if fp in branch.pending:
                     continue
                 terms = ()
@@ -530,36 +517,21 @@ class Engine:
             branch.tp_count += 1
         if rule.is_closure():
             branch.closed = True
-            if self.trace_enabled:
-                self._trace("apply %s {%s} den#0 branch#%d -> branch#%d"
-                            % (rule.id, _binding_text(binding), branch.bid,
-                               branch.bid))
-                self._trace("close branch#%d" % branch.bid)
+            self._trace_step(rule, binding, 0, branch, branch)
             return []
         if rule.branching_factor == 1 or only_den is not None:
             j = only_den or 0
             for lit in rule.denominators[j]:
                 self._add(branch, sx.instantiate_literal(lit, binding))
-            if self.trace_enabled:
-                self._trace("apply %s {%s} den#%d branch#%d -> branch#%d"
-                            % (rule.id, _binding_text(binding), j, branch.bid,
-                               branch.bid))
-                if branch.closed:
-                    self._trace("close branch#%d" % branch.bid)
+            self._trace_step(rule, binding, j, branch, branch)
             return [branch]
         out = []
-        src_bid = branch.bid
         for j, den in enumerate(rule.denominators):
             child = branch.clone(tableau.next_bid)
             tableau.next_bid += 1
             for lit in den:
                 self._add(child, sx.instantiate_literal(lit, binding))
-            if self.trace_enabled:
-                self._trace("apply %s {%s} den#%d branch#%d -> branch#%d"
-                            % (rule.id, _binding_text(binding), j, src_bid,
-                               child.bid))
-                if child.closed:
-                    self._trace("close branch#%d" % child.bid)
+            self._trace_step(rule, binding, j, branch, child)
             out.append(child)
         return out
 
@@ -569,34 +541,35 @@ class Engine:
         branch.pending.pop(fp, None)
         self.applications += 1
         branch.closed = True
-        if self.trace_enabled:
-            self._trace("apply %s {%s} den#x branch#%d -> branch#%d"
-                        % (rule.id, _binding_text(binding), branch.bid,
-                           branch.bid))
-            self._trace("close branch#%d" % branch.bid)
+        self._trace_step(rule, binding, "x", branch, branch)
+
+    def _trace_step(self, rule, binding, den, src, dst):
+        """Trace one application of denominator ``den`` from branch ``src``
+        into ``dst``, and the closing of ``dst`` if it closed."""
+        if not self.trace_enabled:
+            return
+        self.trace.append("apply %s {%s} den#%s branch#%d -> branch#%d"
+                          % (rule.id, _binding_text(binding), den, src.bid, dst.bid))
+        if dst.closed:
+            self.trace.append("close branch#%d" % dst.bid)
 
     # -- search --------------------------------------------------------------
     def expand(self, tableau):
         start = time.monotonic()
         work = [tableau.root]
         while work:
-            if self.applications >= self.node_budget:
-                return Verdict("limit", stats=self.stats())
-            if self.time_budget is not None and \
-                    time.monotonic() - start > self.time_budget:
-                return Verdict("limit", stats=self.stats())
             branch = work.pop(0) if self.search == "bfs" else work.pop()
             while True:
-                if self.applications >= self.node_budget:
-                    return Verdict("limit", stats=self.stats())
-                if self.time_budget is not None and \
+                if self.applications >= self.node_budget or \
+                        self.time_budget is not None and \
                         time.monotonic() - start > self.time_budget:
                     return Verdict("limit", stats=self.stats())
                 if branch.closed:
                     break
                 best = self.collect(branch)
                 if best is None:
-                    self._trace("saturated branch#%d" % branch.bid)
+                    if self.trace_enabled:
+                        self.trace.append("saturated branch#%d" % branch.bid)
                     return Verdict("sat", branch=branch, stats=self.stats())
                 kind, rule, fp, binding, extra = best
                 if kind == "exhausted":
@@ -624,10 +597,6 @@ class Engine:
         return {"applications": self.applications,
                 "subexpr_violations": list(self.subexpr_violations),
                 "c1_violations": list(self.c1_violations)}
-
-    def _trace(self, line):
-        if self.trace_enabled:
-            self.trace.append(line)
 
 
 def _has_new_candidate(branch, pat, new_from):

@@ -20,10 +20,6 @@ class BranchClosed(sx.TabError):
     pass
 
 
-class NotSaturated(sx.TabError):
-    pass
-
-
 class UnassignedVariable(sx.TabError):
     pass
 
@@ -212,28 +208,19 @@ def detranslate(literals, ctx, skolems=None):
             emit(lit)
             continue
         c = lit.atom.args[0]
-        for key, tpl in ctx.d_plus.items():
-            m = tpl.match(c)
-            if m:
-                args = [term_of(e) for e in m]
-                a = sx.atom(sx.EQ, args) if key == "eq" else sx.atom(sx.pred(key), args)
-                emit(sx.pos_lit(a))
-        for key, tpl in ctx.d_minus.items():
-            m = tpl.match(c)
-            if m:
-                args = [term_of(e) for e in m]
-                a = sx.atom(sx.EQ, args) if key == "eq" else sx.atom(sx.pred(key), args)
-                emit(sx.neg_lit(a))
-        for n, tpl in ctx.c_plus.items():
-            m = tpl.match(c)
-            if m:
-                emit(sx.pos_lit(sx.atom(sx.nu(n), [m[0]] + [term_of(e)
-                                                            for e in m[1:]])))
-        for n, tpl in ctx.c_minus.items():
-            m = tpl.match(c)
-            if m:
-                emit(sx.neg_lit(sx.atom(sx.nu(n), [m[0]] + [term_of(e)
-                                                            for e in m[1:]])))
+        for templates, pos in ((ctx.d_plus, True), (ctx.d_minus, False),
+                               (ctx.c_plus, True), (ctx.c_minus, False)):
+            for key, tpl in templates.items():
+                m = tpl.match(c)
+                if not m:
+                    continue
+                if isinstance(key, int):
+                    # c templates, keyed by sort: an expression, then individuals
+                    a = sx.atom(sx.nu(key), [m[0]] + [term_of(e) for e in m[1:]])
+                else:
+                    pred = sx.EQ if key == "eq" else sx.pred(key)
+                    a = sx.atom(pred, [term_of(e) for e in m])
+                emit(sx.literal(pos, a))
     return out
 
 
@@ -323,15 +310,15 @@ def extract_model(branch, ns, ctx=None, skolems=None):
         elif a.pred[0] == "pred":
             elems = tuple(m.term_class[t] for t in a.args)
             m.preds.setdefault(a.pred[1], set()).add(elems)
-    if ctx is not None:
-        # individuals buried inside concepts also need nu0 entries so that
-        # singleton concepts over them can be evaluated
-        for lit in literals:
-            for e in sx.lexprs_of_atom(lit.atom):
-                if e.sort == 0 and e not in m.nu0:
-                    t = individual_term(e, ctx, skolems)
-                    if t in m.term_class:
-                        m.nu0[e] = m.term_class[t]
+    # individuals buried inside concepts also need nu0 entries so that
+    # singleton concepts over them can be evaluated.  One that no branch term
+    # places (it occurs only in a disjunct the branch satisfied otherwise)
+    # goes to the anchor's element 0, the class of the first input's term.
+    for lit in literals:
+        for e in sx.lexprs_of_atom(lit.atom):
+            if e.sort == 0 and e not in m.nu0:
+                t = sx.nu0(e) if ctx is None else individual_term(e, ctx, skolems)
+                m.nu0[e] = m.term_class.get(t, 0)
     return m
 
 

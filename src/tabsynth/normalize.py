@@ -175,21 +175,6 @@ class InducedOrdering:
                     todo.append(e2)
         return seen
 
-    def is_below(self, e2, e, strict=True):
-        if e2 is e and not strict:
-            return True
-        todo = [e]
-        visited = set()
-        while todo:
-            cur = todo.pop()
-            for nxt in self.direct_lower(cur):
-                if nxt is e2:
-                    return True
-                if id(nxt) not in visited:
-                    visited.add(id(nxt))
-                    todo.append(nxt)
-        return False
-
 
 def induced_ordering(ns: NormalizedSpec) -> InducedOrdering:
     pairs = []

@@ -342,3 +342,92 @@ def parse_term(sig, text, skolems=None, line_offset=1):
 
 def parse_rule_literal(sig, text, skolems=None, line_offset=1):
     return _parse_with(text, Elaborator(sig, skolems).rule_literal, line_offset)
+
+
+# ---------------------------------------------------------------------------
+# line-oriented files (.spec, .calc, .ctx, .refine, problems)
+
+def content_lines(text):
+    """``(lineno, line)`` for every line left non-blank once its ``#``
+    comment is cut off."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def read_directives(text, handle, errors=None):
+    """Call ``handle(lineno, word, rest)`` for every directive line.
+
+    A ValueError or IndexError from the handler (a missing field, a number
+    that is none) reports the directive as malformed at its line.  Errors
+    propagate at once, or are collected in ``errors`` when a list is given.
+    """
+    for lineno, line in content_lines(text):
+        word, _, rest = line.partition(" ")
+        try:
+            try:
+                handle(lineno, word, rest.strip())
+            except (ValueError, IndexError):
+                raise SpecSyntaxError("malformed %r directive" % word, lineno)
+        except sx.TabError as e:
+            if errors is None:
+                raise
+            errors.append(e)
+
+
+def parse_connective(rest):
+    """A connective directive's ``name s1 .. sn -> s``."""
+    head, _, res = rest.partition("->")
+    name, *arg_sorts = head.split()
+    return sx.Conn(name, tuple(int(s) for s in arg_sorts), int(res))
+
+
+def connective_text(c):
+    sorts = "".join(" %d" % s for s in c.arg_sorts)
+    return "connective %s%s -> %d" % (c.name, sorts, c.res_sort)
+
+
+class SignatureBlock:
+    """The ``sorts``/``vars``/``consts``/``connective``/``predicate``
+    directives that ``.spec`` and ``.calc`` files share, read one at a time."""
+
+    def __init__(self):
+        self.n_sorts = None
+        self.prefixes = {"vars": {}, "consts": {}}
+        self.conns, self.preds = [], {}
+
+    def read(self, word, rest):
+        """Take one directive; False when it is no signature directive."""
+        if word == "sorts":
+            self.n_sorts = int(rest)
+        elif word in self.prefixes:
+            sort, *names = rest.split()
+            self.prefixes[word].setdefault(int(sort), []).extend(names)
+        elif word == "connective":
+            self.conns.append(parse_connective(rest))
+        elif word == "predicate":
+            name, arity = rest.split()
+            self.preds[name] = int(arity)
+        else:
+            return False
+        return True
+
+    def signature(self):
+        if self.n_sorts is None:
+            raise SpecSyntaxError("missing 'sorts' directive")
+        return sx.LSignature(self.n_sorts, self.conns, self.prefixes["vars"],
+                             self.prefixes["consts"], self.preds)
+
+
+def print_signature(sig):
+    """The signature directives of ``sig``, one line each."""
+    out = ["sorts %d" % sig.n_lsorts]
+    for s in range(sig.n_lsorts):
+        for word, prefixes in (("vars", sig.var_prefixes),
+                               ("consts", sig.const_prefixes)):
+            if prefixes[s]:
+                out.append("%s %d %s" % (word, s, " ".join(prefixes[s])))
+    out.extend(connective_text(c) for c in sig.conns.values())
+    out.extend("predicate %s %d" % item for item in sig.preds.items())
+    return out

@@ -14,7 +14,8 @@ from __future__ import annotations
 import itertools
 
 from . import syntax as sx
-from .parser import Elaborator, SpecSyntaxError, TreeParser, tokenize
+from .parser import (Elaborator, SpecSyntaxError, TreeParser, connective_text,
+                     parse_connective, read_directives, tokenize)
 from .synth import Calculus, TableauRule, UbConfig
 
 
@@ -172,19 +173,14 @@ class TrContext:
 
 
 def parse_context(text, sig, skolems):
+    """Read a context in two passes: the connective and function
+    declarations first, then the templates over the extended signature."""
     new_conns, fn_conns = [], {}
-    template_lines = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        word, _, rest = line.partition(" ")
-        rest = rest.strip()
+    templates = {"c+": {}, "c-": {}, "d+": {}, "d-": {}}
+
+    def declaration(lineno, word, rest):
         if word == "connective":
-            head, _, res = rest.partition("->")
-            parts = head.split()
-            new_conns.append(sx.Conn(parts[0], tuple(int(p) for p in parts[1:]),
-                                     int(res.strip())))
+            new_conns.append(parse_connective(rest))
         elif word == "function":
             fname, _, cname = rest.partition("->")
             fname, cname = fname.strip(), cname.strip()
@@ -194,14 +190,16 @@ def parse_context(text, sig, skolems):
             conn = sx.Conn(cname, fn.lsorts + (0,) * fn.n_dom, 0)
             new_conns.append(conn)
             fn_conns[fname] = conn
-        elif word in ("c+", "c-", "d+", "d-"):
-            template_lines.append((word, rest, lineno))
-        else:
+        elif word not in templates:
             raise SpecSyntaxError("unknown context directive %r" % word, lineno)
+
+    read_directives(text, declaration)
     ext = sig.extended(new_conns)
     el = Elaborator(ext)
-    c_plus, c_minus, d_plus, d_minus = {}, {}, {}, {}
-    for word, rest, lineno in template_lines:
+
+    def template(lineno, word, rest):
+        if word not in templates:
+            return
         key_txt, _, body = rest.partition("=")
         key_parts = key_txt.split("(", 1)
         key = key_parts[0].strip()
@@ -219,14 +217,11 @@ def parse_context(text, sig, skolems):
         expr = el.lexpr(tp.tree(), 1)
         if not tp.at_end():
             raise SpecSyntaxError("trailing input in template", lineno)
-        tpl = Template(params, expr)
         if word in ("c+", "c-"):
-            n = int(key)
-            want = [n] + [0] * n
-            if [p.sort for p in params] != want:
+            key = int(key)
+            if [p.sort for p in params] != [key] + [0] * key:
                 raise SpecSyntaxError("c%s %d takes a sort-%d variable then %d "
-                                      "individuals" % (word[1], n, n, n), lineno)
-            (c_plus if word == "c+" else c_minus)[n] = tpl
+                                      "individuals" % (word[1], key, key, key), lineno)
         else:
             arity = 2 if key == "eq" else sig.preds.get(key)
             if arity is None:
@@ -234,8 +229,11 @@ def parse_context(text, sig, skolems):
             if [p.sort for p in params] != [0] * arity:
                 raise SpecSyntaxError("d%s %s takes %d individuals"
                                       % (word[1], key, arity), lineno)
-            (d_plus if word == "d+" else d_minus)[key] = tpl
-    return TrContext(new_conns, fn_conns, c_plus, c_minus, d_plus, d_minus)
+        templates[word][key] = Template(params, expr)
+
+    read_directives(text, template)
+    return TrContext(new_conns, fn_conns, templates["c+"], templates["c-"],
+                     templates["d+"], templates["d-"])
 
 
 def print_context(ctx):
@@ -244,8 +242,7 @@ def print_context(ctx):
     for c in ctx.new_conns:
         if c.name in fn_conn_names:
             continue
-        args = (" " + " ".join(str(a) for a in c.arg_sorts)) if c.arg_sorts else ""
-        out.append("connective %s%s -> %d" % (c.name, args, c.res_sort))
+        out.append(connective_text(c))
     for fname, conn in ctx.fn_conns.items():
         out.append("function %s -> %s" % (fname, conn.name))
 
@@ -546,32 +543,28 @@ class RefineStep:
 
 def parse_script(text):
     steps = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "rf":
-            if len(parts) < 4 or parts[2] != "fold":
+
+    def directive(lineno, word, rest):
+        parts = rest.split()
+        if word == "rf":
+            if len(parts) < 3 or parts[1] != "fold":
                 raise SpecSyntaxError("rf <rule> fold <i>... [drop-dp]", lineno)
             drop = parts[-1] == "drop-dp"
-            nums = parts[3:-1] if drop else parts[3:]
+            nums = parts[2:-1] if drop else parts[2:]
             try:
                 fold = [int(n) for n in nums]
             except ValueError:
                 raise SpecSyntaxError("fold indices must be integers", lineno)
-            steps.append(RefineStep("rf", rule_id=parts[1], fold=fold, drop_dp=drop))
-        elif parts[0] == "tr":
-            steps.append(RefineStep("tr"))
-        elif parts[0] == "simplify":
-            steps.append(RefineStep("simplify"))
-        elif parts[0] == "ub":
-            depth = 0
-            if len(parts) == 3 and parts[1] == "depth":
-                depth = int(parts[2])
+            steps.append(RefineStep("rf", rule_id=parts[0], fold=fold, drop_dp=drop))
+        elif word in ("tr", "simplify"):
+            steps.append(RefineStep(word))
+        elif word == "ub":
+            depth = int(parts[1]) if len(parts) == 2 and parts[0] == "depth" else 0
             steps.append(RefineStep("ub", depth=depth))
         else:
-            raise SpecSyntaxError("unknown refinement step %r" % parts[0], lineno)
+            raise SpecSyntaxError("unknown refinement step %r" % word, lineno)
+
+    read_directives(text, directive)
     return steps
 
 

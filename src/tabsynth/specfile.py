@@ -24,7 +24,8 @@ from __future__ import annotations
 import importlib.resources
 
 from . import syntax as sx
-from .parser import SpecSyntaxError, TreeParser, Elaborator, tokenize
+from .parser import (Elaborator, SignatureBlock, SpecSyntaxError, TreeParser,
+                     print_signature, read_directives, tokenize)
 
 
 class UndefinedConnective(sx.TabError):
@@ -144,50 +145,22 @@ def _head_shape(at, line):
 def parse_spec(text, name="spec"):
     """Parse and validate a specification document."""
     errors = []
-    n_sorts = None
-    var_pfx, const_pfx, conns, preds = {}, {}, [], {}
+    block = SignatureBlock()
     body_lines = []  # (kind, rest-of-line, lineno)
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        word, _, rest = line.partition(" ")
-        rest = rest.strip()
-        try:
-            if word == "sorts":
-                n_sorts = int(rest)
-            elif word in ("vars", "consts"):
-                parts = rest.split()
-                s = int(parts[0])
-                tgt = var_pfx if word == "vars" else const_pfx
-                tgt.setdefault(s, [])
-                tgt[s].extend(parts[1:])
-            elif word == "connective":
-                head, _, res = rest.partition("->")
-                parts = head.split()
-                cname, arg_sorts = parts[0], tuple(int(p) for p in parts[1:])
-                conns.append(sx.Conn(cname, arg_sorts, int(res.strip())))
-            elif word == "predicate":
-                pname, arity = rest.split()
-                preds[pname] = int(arity)
-            elif word in ("define", "define+", "define-", "axiom"):
-                body_lines.append((word, rest, lineno))
-            else:
-                errors.append(SpecSyntaxError("unknown directive %r" % word, lineno))
-        except (ValueError, IndexError):
-            errors.append(SpecSyntaxError("malformed %r directive" % word, lineno))
-        except sx.TabError as e:
-            errors.append(e)
-    if n_sorts is None:
-        errors.append(SpecSyntaxError("missing 'sorts' directive"))
-    if errors:
-        raise SpecErrors(errors)
+    def directive(lineno, word, rest):
+        if word in ("define", "define+", "define-", "axiom"):
+            body_lines.append((word, rest, lineno))
+        elif not block.read(word, rest):
+            raise SpecSyntaxError("unknown directive %r" % word, lineno)
 
+    read_directives(text, directive, errors)
+    if errors and block.n_sorts is not None:
+        raise SpecErrors(errors)
     try:
-        sig = sx.LSignature(n_sorts, conns, var_pfx, const_pfx, preds)
+        sig = block.signature()
     except sx.TabError as e:
-        raise SpecErrors([e])
+        raise SpecErrors(errors + [e])
 
     el = Elaborator(sig)
     definitions, axioms, directed = [], [], []
@@ -261,19 +234,7 @@ def parse_spec(text, name="spec"):
 
 def print_spec(spec):
     """Canonical text of a specification; parse(print(s)) == s."""
-    sig = spec.signature
-    out = ["sorts %d" % sig.n_lsorts]
-    for s in range(sig.n_lsorts):
-        if sig.var_prefixes[s]:
-            out.append("vars %d %s" % (s, " ".join(sig.var_prefixes[s])))
-    for s in range(sig.n_lsorts):
-        if sig.const_prefixes[s]:
-            out.append("consts %d %s" % (s, " ".join(sig.const_prefixes[s])))
-    for c in sig.conns.values():
-        args = (" " + " ".join(str(a) for a in c.arg_sorts)) if c.arg_sorts else ""
-        out.append("connective %s%s -> %d" % (c.name, args, c.res_sort))
-    for p, a in sig.preds.items():
-        out.append("predicate %s %d" % (p, a))
+    out = print_signature(spec.signature)
     for d in spec.definitions:
         pre = "".join("forall %s. " % v.name for v in d.dom_vars)
         out.append("define %s%s <-> %s"

@@ -191,9 +191,6 @@ class LExpr:
             return self.conn.name
         return "%s(%s)" % (self.conn.name, ", ".join(a.text() for a in self.args))
 
-    def is_atomic(self):
-        return self.kind != "app"
-
     def subexprs(self):
         """All subexpressions including self, no duplicates, preorder."""
         out, seen, stack = [], set(), [self]
@@ -361,7 +358,6 @@ def term_is_ground(t):
 # ---------------------------------------------------------------------------
 # atoms, literals, formulae
 
-NU = tuple  # predicate tags are plain tuples; see helpers below
 EQ = ("eq",)
 FALSUM = ("false",)
 HOLDS = ("holds",)
@@ -575,10 +571,6 @@ def lexprs_of_formula(f):
     for g in subformulas(f):
         if isinstance(g, Atom):
             yield from lexprs_of_atom(g)
-
-
-def lvars_of_expr(e):
-    return [x for x in e.subexprs() if x.kind == "var"]
 
 
 def dvars_of_term(t):

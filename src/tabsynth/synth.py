@@ -19,10 +19,6 @@ from . import syntax as sx
 from .normalize import NormalizedSpec, check_well_founded, induced_ordering
 
 
-class NonFirstOrderShape(sx.TabError):
-    pass
-
-
 class DnfTooLarge(sx.TabError):
     pass
 
@@ -74,10 +70,6 @@ class TableauRule:
                              for d in self.denominators)
         star = "*" if self.produces_terms else ""
         return "rule %s [%s]%s: %s / %s" % (self.id, self.kind, star, prem, den)
-
-
-def _vtext(v):
-    return v.text() if isinstance(v, sx.LExpr) else v.name
 
 
 def _vars_of_literals(lits):

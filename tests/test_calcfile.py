@@ -1,6 +1,6 @@
 import re
 
-from tabsynth import calcfile, synth
+from tabsynth import calcfile, normalize, specfile, synth
 
 
 def test_roundtrip_generated(so_calc):
@@ -51,3 +51,18 @@ def test_stable_rule_order(so_calc):
     decomp_ids = [r.id for r in so_calc.rules if r.kind.startswith("decomp")]
     assert decomp_ids == ["exists_pos", "exists_neg", "not_pos", "not_neg",
                           "one_pos", "one_neg", "or_pos", "or_neg"]
+
+
+def test_roundtrip_consts_in_two_sorts():
+    text = specfile.preset_text("so").replace("vars 0 l\n", "vars 0 l\nconsts 0 o\n") \
+        .replace("vars 1 p q\n", "vars 1 p q\nconsts 1 k\n")
+    spec = specfile.parse_spec(text, name="so")
+    printed = specfile.print_spec(spec)
+    assert "vars 0 l\nconsts 0 o\nvars 1 p q\nconsts 1 k\nvars 2 r\n" in printed
+    assert specfile.print_spec(specfile.parse_spec(printed, name="so")) == printed
+    calc = synth.synthesize(normalize.normalize(spec))
+    ctext = calcfile.print_calculus(calc)
+    assert "vars 0 l\nconsts 0 o\nvars 1 p q\nconsts 1 k\nvars 2 r\n" in ctext
+    again = calcfile.parse_calculus(ctext)
+    assert again.signature.const_prefixes == {0: ("o",), 1: ("k",), 2: ()}
+    assert calcfile.print_calculus(again) == ctext

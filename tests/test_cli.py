@@ -7,6 +7,10 @@ import pytest
 from tabsynth import cli
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+PRESETS = os.path.join(os.path.dirname(cli.__file__), "presets")
+
+
 def run_cli(args):
     return cli.main(args)
 
@@ -18,13 +22,12 @@ def work(tmp_path_factory):
                     "-o", str(d / "so.calc")]) == 0
     assert run_cli(["synth", "--preset", "ipc",
                     "-o", str(d / "ipc.calc")]) == 0
-    presets = os.path.join(os.path.dirname(cli.__file__), "presets")
     assert run_cli(["refine", "--calc", str(d / "so.calc"),
-                    "--refine-script", os.path.join(presets, "so.refine"),
-                    "--ctx", os.path.join(presets, "so.ctx"),
+                    "--refine-script", os.path.join(PRESETS, "so.refine"),
+                    "--ctx", os.path.join(PRESETS, "so.ctx"),
                     "-o", str(d / "so_refined.calc")]) == 0
     assert run_cli(["refine", "--calc", str(d / "ipc.calc"),
-                    "--refine-script", os.path.join(presets, "ipc.refine"),
+                    "--refine-script", os.path.join(PRESETS, "ipc.refine"),
                     "-o", str(d / "ipc_refined.calc")]) == 0
     return d
 
@@ -100,6 +103,56 @@ def test_synth_deterministic_bytes(work, tmp_path):
     out2 = str(tmp_path / "so2.calc")
     assert run_cli(["synth", "--preset", "so", "-o", out2]) == 0
     assert open(out2, "rb").read() == open(work / "so.calc", "rb").read()
+
+
+@pytest.mark.parametrize("made, golden", [
+    ("so.calc", "so_generated.calc"), ("ipc.calc", "ipc_generated.calc"),
+    ("so_refined.calc", "so_refined.calc"), ("ipc_refined.calc", "ipc_refined.calc")])
+def test_cli_output_is_golden_bytes(work, made, golden):
+    with open(work / made, "rb") as fh:
+        got = fh.read()
+    with open(os.path.join(GOLDEN, golden), "rb") as fh:
+        assert got == fh.read()
+
+
+BAD_FILES = [
+    ("missing.spec", None, ["synth", "--spec", "{f}"]),
+    ("missing.calc", None,
+     ["refine", "--calc", "{f}", "--refine-script", "{so_refine}"]),
+    ("bad.ctx", "connective colon a 1 -> 1\n",
+     ["refine", "--calc", "{work}/so.calc", "--refine-script", "{so_refine}",
+      "--ctx", "{f}"]),
+    ("bad.calc", "sorts 2\nvars 1 p\nctx connective colon a 1 -> 1\n",
+     ["prove", "--calc", "{f}", "{work}/none.txt"]),
+    ("bad.refine", "ub depth x\n",
+     ["refine", "--calc", "{work}/so.calc", "--refine-script", "{f}"])]
+
+
+@pytest.mark.parametrize("name, text, args", BAD_FILES, ids=[c[0] for c in BAD_FILES])
+def test_bad_file_is_error_without_traceback(work, tmp_path, name, text, args):
+    path = tmp_path / name
+    if text is not None:
+        _write(path, text)
+    fields = {"f": path, "work": work, "so_refine": os.path.join(PRESETS, "so.refine")}
+    proc = subprocess.run([sys.executable, "-m", "tabsynth.cli"]
+                          + [a.format(**fields) for a in args],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("status, outcome", [
+    ("CounterSatisfiable", "not proved (exit 0)"), ("Theorem", "proved")])
+def test_checkwd_prover_reads_szs_status(tmp_path, capsys, status, outcome):
+    prover = tmp_path / "fake_prover"
+    _write(prover, '#!/bin/sh\necho "%% SZS status %s for $1"\n' % status)
+    prover.chmod(0o755)
+    # the obligation paths name "Theorem"; only the status word may count
+    outdir = str(tmp_path / "Theorem")
+    assert run_cli(["check-wd", "--preset", "ipc", "--outdir", outdir,
+                    "--prover", str(prover)]) == 0
+    assert "wd1: %s" % outcome in capsys.readouterr().out.splitlines()
 
 
 def test_ipc_validity_pipeline(work):

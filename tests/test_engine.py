@@ -82,7 +82,7 @@ def test_applied_instances_are_excluded(so_calc):
     b = _branch_with(eng, [lit])
     rule = so_calc.rule("or_pos")
     fp, binding, _ = next(iter(eng.applicable_instances(rule, b)))
-    tab = engine.Tableau(so_calc, b, [], {})
+    tab = engine.Tableau(so_calc, b)
     eng.apply(tab, b, rule, fp, binding)
     assert list(eng.applicable_instances(rule, b)) == []
 
@@ -113,7 +113,7 @@ def test_apply_closure_closes(so_calc):
     b = _branch_with(eng, lits)
     rule = so_calc.rule("closure_nu1")
     fp, binding, _ = next(iter(eng.applicable_instances(rule, b)))
-    tab = engine.Tableau(so_calc, b, [], {})
+    tab = engine.Tableau(so_calc, b)
     assert eng.apply(tab, b, rule, fp, binding) == []
     assert b.closed
 
@@ -128,7 +128,7 @@ def test_apply_ub_two_successors(ipc_calc):
     rule = blocked.rule("ub")
     insts = list(eng.applicable_instances(rule, b))
     assert len(insts) == 1  # birth-ordered pair a0 < b0, once
-    tab = engine.Tableau(blocked, b, [], {})
+    tab = engine.Tableau(blocked, b)
     fp, binding, _ = insts[0]
     succ = eng.apply(tab, b, rule, fp, binding)
     assert [l.text() for l in succ[0].literals[-1:]] == ["eq(a0, b0)"]

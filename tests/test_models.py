@@ -103,6 +103,24 @@ def test_reflection_passes_on_saturated_branches(so_blocked, so_ns):
                                     skolems=so_blocked.skolems) == []
 
 
+@pytest.mark.parametrize("calc_name", ["so_blocked", "so_calc"])
+@pytest.mark.parametrize("problem", [["or(one(l0), p0)", "p0"],
+                                     ["or(or(one(l0), p0), or(p0, q0))", "p0"]])
+def test_reflection_places_undecomposed_individuals(request, so_ns, calc_name,
+                                                    problem):
+    # l0 occurs only in a disjunct the branch satisfies through p0, so no
+    # branch term places it; one(l0) still needs nu0(l0) to evaluate
+    calc = request.getfixturevalue(calc_name)
+    v = engine.prove(calc, [pc(calc, t) for t in problem], ns=so_ns,
+                     node_budget=200000)
+    assert v.kind == "sat"
+    m = models.extract_model(v.branch, so_ns, ctx=calc.ctx, skolems=calc.skolems)
+    assert m.size == 1
+    assert m.nu0[pc(calc, "l0", 0)] == 0
+    assert models.verify_reflection(m, v.branch, ctx=calc.ctx,
+                                    skolems=calc.skolems) == []
+
+
 def test_reflection_detects_missing_fact(so_ns, so_spec):
     a0 = sx.dconst("a0")
     p0 = pc(so_spec, "p0")
