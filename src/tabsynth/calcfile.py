@@ -78,7 +78,7 @@ def _parse_rule_line(el, rest, lineno):
 
 
 def parse_calculus(text):
-    block, head, skolems, ctx_lines, rule_lines = SignatureBlock(), {}, {}, [], []
+    block, head, skolems, ctx_lines, rule_lines = SignatureBlock(), {}, {}, {}, []
 
     def directive(lineno, word, rest):
         if block.read(word, rest):
@@ -94,7 +94,7 @@ def parse_calculus(text):
             depth = int(parts[parts.index("depth") + 1]) if "depth" in parts else 0
             head["blocking"] = None if rest == "off" else UbConfig(True, depth)
         elif word == "ctx":
-            ctx_lines.append(rest)
+            ctx_lines[lineno] = rest
         elif word == "rule":
             rule_lines.append((rest, lineno))
         else:
@@ -105,7 +105,11 @@ def parse_calculus(text):
     ctx = None
     if ctx_lines:
         from .refine import parse_context
-        ctx = parse_context("\n".join(ctx_lines), sig, skolems)
+        # blank lines keep every ctx line at its line number in this file,
+        # which is the one context errors name
+        ctx = parse_context("\n".join(ctx_lines.get(n, "")
+                                      for n in range(1, max(ctx_lines) + 1)),
+                            sig, skolems)
     el = Elaborator(sig, skolems)
     rules = [_parse_rule_line(el, rest, lineno) for rest, lineno in rule_lines]
     mode = head.get("mode", "base")

@@ -35,6 +35,21 @@ def _load_spec(args):
     return None
 
 
+def _save(path, text):
+    """Write ``text`` to ``path``, or to standard output when ``path`` is
+    None; False once an unwritable path is reported."""
+    try:
+        if path is None:
+            sys.stdout.write(text)
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except OSError as e:
+        print("error: %s" % e, file=sys.stderr)
+        return False
+    return True
+
+
 def _load_problem(sig, skolems, path):
     """One concept per line; a not(...) line whose not is no connective of
     the signature roots the negated literal instead."""
@@ -66,12 +81,8 @@ def cmd_synth(args):
     except (OSError, sx.TabError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_ERROR
-    text = calcfile.print_calculus(calc)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    if not _save(args.out, calcfile.print_calculus(calc)):
+        return EXIT_ERROR
     for kind, n in sorted(calc.counts_by_kind().items()):
         print("%s: %d" % (kind, n), file=sys.stderr)
     return EXIT_OK
@@ -91,17 +102,13 @@ def cmd_refine(args):
     except (OSError, sx.TabError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_ERROR
+    if not _save(args.out, calcfile.print_calculus(calc)):
+        return EXIT_ERROR
     warning = getattr(calc, "completeness_warning", None)
     if warning:
         print("warning: %s" % warning, file=sys.stderr)
     for entry in log:
         print(entry, file=sys.stderr)
-    text = calcfile.print_calculus(calc)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -132,9 +139,8 @@ def cmd_prove(args):
         print("input error: %s" % e, file=sys.stderr)
         return EXIT_BAD_INPUT
     verdict = eng.expand(tab)
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(eng.trace) + "\n")
+    if args.trace and not _save(args.trace, "\n".join(eng.trace) + "\n"):
+        return EXIT_ERROR
     if verdict.kind == "unsat":
         print("UNSAT")
         return EXIT_UNSAT
@@ -148,8 +154,8 @@ def cmd_prove(args):
             return EXIT_ERROR
         m = models.extract_model(verdict.branch, ns, ctx=calc.ctx,
                                  skolems=calc.skolems)
-        with open(args.model, "w", encoding="utf-8") as fh:
-            fh.write(m.format())
+        if not _save(args.model, m.format()):
+            return EXIT_ERROR
     return EXIT_SAT
 
 
@@ -210,9 +216,8 @@ def cmd_oracle(args):
         return EXIT_UNKNOWN
     if res == "sat":
         print("SAT")
-        if args.model:
-            with open(args.model, "w", encoding="utf-8") as fh:
-                fh.write(m.format())
+        if args.model and not _save(args.model, m.format()):
+            return EXIT_ERROR
         return EXIT_SAT
     print("UNSAT")
     return EXIT_UNSAT

@@ -30,47 +30,22 @@ class EmptyInput(sx.TabError):
     pass
 
 
-class UnknownTerm(sx.TabError):
-    pass
-
-
 # ---------------------------------------------------------------------------
-# mode adapters: what counts as a term, a marker, an equality
+# mode adapters: what counts as a term and an equality
 
 class BaseMode:
     name = "base"
 
     def terms_in_literal(self, lit):
-        out = []
-        for t in lit.atom.args:
-            self._terms(t, out)
-        return out
+        return sx.ground_terms(lit)
 
-    def _terms(self, t, out):
-        if isinstance(t, sx.LExpr):
-            return
-        if t.kind in ("dconst", "nu0", "fun") and sx.term_is_ground(t):
-            if t not in out:
-                out.append(t)
-        if t.kind == "fun":
-            for a in t.args:
-                self._terms(a, out)
-
-    def marker_term(self, lit):
-        """The term t when ``lit`` is the domain marker t = t."""
+    def eq_pair(self, lit):
+        """(t, t') when ``lit`` is a positive equality between ground
+        domain terms; t is t' for the domain marker t = t."""
         a = lit.atom
-        if lit.pos and a.pred[0] == "eq" and a.args[0] is a.args[1] \
-                and sx.is_domain_term(a.args[0]) and sx.term_is_ground(a.args[0]):
-            return a.args[0]
-        return None
-
-    def equality(self, lit):
-        """(t, t') for a positive equality between distinct ground terms."""
-        a = lit.atom
-        if lit.pos and a.pred[0] == "eq" and a.args[0] is not a.args[1] \
-                and sx.is_domain_term(a.args[0]) and sx.is_domain_term(a.args[1]) \
+        if lit.pos and a.pred[0] == "eq" and sx.is_domain_term(a.args[0]) \
                 and sx.term_is_ground(a.args[0]) and sx.term_is_ground(a.args[1]):
-            return (a.args[0], a.args[1])
+            return a.args
         return None
 
 
@@ -94,41 +69,10 @@ class InternalizedMode:
                 out.append(e)
         return out
 
-    def marker_term(self, lit):
+    def eq_pair(self, lit):
         if lit.atom.pred[0] != "holds" or self.deq_plus is None:
             return None
-        m = self.deq_plus.match(lit.atom.args[0])
-        if m and m[0] is m[1]:
-            return m[0]
-        return None
-
-    def equality(self, lit):
-        if lit.atom.pred[0] != "holds" or self.deq_plus is None:
-            return None
-        m = self.deq_plus.match(lit.atom.args[0])
-        if m and m[0] is not m[1]:
-            return (m[0], m[1])
-        return None
-
-
-def ub_binding(rule, t1, t2):
-    """The blocking rule's binding conjecturing ``t1 = t2``: each of its two
-    premises carries one variable."""
-    v1 = next(iter(_literal_vars(rule.premises[0])))
-    v2 = next(iter(_literal_vars(rule.premises[1])))
-    return {v1: t1, v2: t2}
-
-
-def _literal_vars(lit):
-    out = []
-    for t in lit.atom.args:
-        for e in sx.lexprs_of_term(t):
-            if e.kind == "var" and e not in out:
-                out.append(e)
-        for v in sx.dvars_of_term(t):
-            if v not in out:
-                out.append(v)
-    return out
+        return self.deq_plus.match(lit.atom.args[0])
 
 
 # ---------------------------------------------------------------------------
@@ -206,19 +150,21 @@ class Branch:
         for t in mode.terms_in_literal(lit):
             if t not in self.term_birth:
                 self.term_birth[t] = len(self.term_birth)
-        mt = mode.marker_term(lit)
-        if mt is not None and mt not in self.markers:
-            self.markers.append(mt)
         a = lit.atom
         if lit.pos and a.pred[0] == "eq" and a.args[0] is a.args[1] \
                 and isinstance(a.args[0], sx.LExpr):
             bucket = self.lmarkers.setdefault(a.args[0].sort, [])
             if a.args[0] not in bucket:
                 bucket.append(a.args[0])
-        eq = mode.equality(lit)
-        if eq is not None and eq not in self.eqs:
-            self.eqs.add(eq)
-            t1, t2 = eq
+        pair = mode.eq_pair(lit)
+        if pair is None:
+            return True
+        t1, t2 = pair
+        if t1 is t2:
+            if t1 not in self.markers:
+                self.markers.append(t1)
+        elif pair not in self.eqs:
+            self.eqs.add(pair)
             b1 = self.term_birth.get(t1)
             b2 = self.term_birth.get(t2)
             if b1 is not None and b2 is not None and b1 != b2:
@@ -228,12 +174,6 @@ class Branch:
     def candidates_with_index(self, pattern):
         key = _head_key(pattern) or _coarse_key(pattern)
         return self.index.get(key, [])
-
-    def term_order(self, t1, t2):
-        if t1 not in self.term_birth or t2 not in self.term_birth:
-            raise UnknownTerm("term not on this branch")
-        a, b = self.term_birth[t1], self.term_birth[t2]
-        return "eq-term" if a == b else ("lt" if a < b else "gt")
 
 
 class Tableau:
@@ -386,9 +326,11 @@ class Engine:
     def _ub_instances(self, rule, branch):
         # conjecture pairs in birth order over marked terms only
         terms = sorted(branch.markers, key=lambda t: branch.term_birth[t])
+        # each of the rule's two premises carries one variable
+        v1, v2 = [(sx.lvars(p) + sx.dvars(p))[0] for p in rule.premises]
         for i in range(len(terms)):
             for j in range(i + 1, len(terms)):
-                binding = ub_binding(rule, terms[i], terms[j])
+                binding = {v1: terms[i], v2: terms[j]}
                 fp = _fingerprint(rule.id, binding)
                 if fp not in branch.applied:
                     yield fp, binding, []
@@ -448,7 +390,7 @@ class Engine:
         survive on this branch."""
         open_idx = []
         for i, den in enumerate(rule.denominators):
-            lits = [sx.instantiate_literal(l, binding) for l in den]
+            lits = [sx.substitute_literal(l, binding) for l in den]
             if all(l in branch.present for l in lits):
                 return True, []
             if any(l.negate() in branch.present for l in lits):
@@ -509,7 +451,7 @@ class Engine:
                 # online check of the blocking discipline: no term-producing
                 # step may touch a term already equated with an older one
                 for prem in rule.premises:
-                    lit = sx.instantiate_literal(prem, binding)
+                    lit = sx.substitute_literal(prem, binding)
                     for t in self.mode.terms_in_literal(lit):
                         if t in branch.blocked:
                             self.c1_violations.append(
@@ -522,7 +464,7 @@ class Engine:
         if rule.branching_factor == 1 or only_den is not None:
             j = only_den or 0
             for lit in rule.denominators[j]:
-                self._add(branch, sx.instantiate_literal(lit, binding))
+                self._add(branch, sx.substitute_literal(lit, binding))
             self._trace_step(rule, binding, j, branch, branch)
             return [branch]
         out = []
@@ -530,7 +472,7 @@ class Engine:
             child = branch.clone(tableau.next_bid)
             tableau.next_bid += 1
             for lit in den:
-                self._add(child, sx.instantiate_literal(lit, binding))
+                self._add(child, sx.substitute_literal(lit, binding))
             self._trace_step(rule, binding, j, branch, child)
             out.append(child)
         return out
@@ -675,7 +617,7 @@ def replay_trace(calc, concepts, trace_text, ns=None):
         if den_tok == "x":
             # closure by exhaustion: every denominator must be contradicted
             for den in rule.denominators:
-                lits = [sx.instantiate_literal(l, binding) for l in den]
+                lits = [sx.substitute_literal(l, binding) for l in den]
                 if not any(l.negate() in src.present for l in lits):
                     raise sx.TabError("exhaustion close not justified: %s" % line)
             src.closed = True
@@ -685,7 +627,7 @@ def replay_trace(calc, concepts, trace_text, ns=None):
             j = int(den_tok)
             child = src if dst_bid == src_bid else src.clone(dst_bid)
             for lit in rule.denominators[j]:
-                child.add(sx.instantiate_literal(lit, binding), eng.mode)
+                child.add(sx.substitute_literal(lit, binding), eng.mode)
             branches[dst_bid] = child
         steps += 1
     return steps

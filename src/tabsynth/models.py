@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 
 from . import syntax as sx
-from .normalize import induced_ordering
+from .normalize import induced_ordering, occurring_preds
 
 
 class BranchClosed(sx.TabError):
@@ -268,12 +268,7 @@ def extract_model(branch, ns, ctx=None, skolems=None):
     if ctx is not None:
         literals = detranslate(literals, ctx, skolems)
 
-    terms = []
-    for lit in literals:
-        for t in lit.atom.args:
-            for g in _ground_domain_terms(t):
-                if g not in terms:
-                    terms.append(g)
+    terms = sx.ground_terms(literals)
     if not terms:
         terms.append(sx.dconst("a0"))
     uf = _UnionFind()
@@ -314,23 +309,11 @@ def extract_model(branch, ns, ctx=None, skolems=None):
     # singleton concepts over them can be evaluated.  One that no branch term
     # places (it occurs only in a disjunct the branch satisfied otherwise)
     # goes to the anchor's element 0, the class of the first input's term.
-    for lit in literals:
-        for e in sx.lexprs_of_atom(lit.atom):
-            if e.sort == 0 and e not in m.nu0:
-                t = sx.nu0(e) if ctx is None else individual_term(e, ctx, skolems)
-                m.nu0[e] = m.term_class.get(t, 0)
+    for e in sx.lexprs_of_formula(literals):
+        if e.sort == 0 and e not in m.nu0:
+            t = sx.nu0(e) if ctx is None else individual_term(e, ctx, skolems)
+            m.nu0[e] = m.term_class.get(t, 0)
     return m
-
-
-def _ground_domain_terms(t):
-    if isinstance(t, sx.LExpr):
-        return
-    if not sx.term_is_ground(t):
-        return
-    yield t
-    if t.kind == "fun":
-        for a in t.args:
-            yield from _ground_domain_terms(a)
 
 
 def verify_reflection(m, branch, ctx=None, skolems=None):
@@ -403,20 +386,11 @@ def brute_force_sat(ns, inputs, max_size, carrier_cap=64):
             atoms_by_sort.setdefault(e.sort, []).append(e)
     for s in atoms_by_sort:
         atoms_by_sort[s] = sorted(set(atoms_by_sort[s]), key=lambda e: e.text())
-    pred_names = sorted({g.pred[1]
-                         for f in ns.sb for g in sx.subformulas(f)
-                         if isinstance(g, sx.Atom) and g.pred[0] == "pred"})
-    for f in [xi.body for xi in ns.s_plus + ns.s_minus]:
-        for g in sx.subformulas(f):
-            if isinstance(g, sx.Atom) and g.pred[0] == "pred" \
-                    and g.pred[1] not in pred_names:
-                pred_names.append(g.pred[1])
-    pred_names.sort()
+    pred_names = occurring_preds(ns)
 
     no_var, one_var, multi_var = [], [], []
     for f in ns.sb:
-        lvs = sorted({e for e in sx.lexprs_of_formula(f) if e.kind == "var"},
-                     key=lambda e: e.text())
+        lvs = sorted(sx.lvars(f), key=lambda e: e.text())
         mentions_l = any(True for _ in sx.lexprs_of_formula(f))
         if not lvs and not mentions_l:
             no_var.append(f)  # a pure frame condition, filters predicates
@@ -537,8 +511,7 @@ def _search_valuations(base, ns, atoms_by_sort, one_var, rel_cache, signed,
         # final full gate: instantiate the background theory (and any
         # non-definitional sentences) over the whole carrier
         for f in [g for g, _ in one_var] + [g for g, _ in multi_var] + extra:
-            lvs = sorted({e for e in sx.lexprs_of_formula(f) if e.kind == "var"},
-                         key=lambda e: e.text())
+            lvs = sorted(sx.lvars(f), key=lambda e: e.text())
             for combo in itertools.product(*[
                     [e for e in carrier if e.sort == v.sort] for v in lvs]):
                 inst = sx.substitute_formula(f, dict(zip(lvs, combo)))

@@ -33,11 +33,7 @@ class Xi:
 
     def head_lvars(self):
         """Head expression variables in first-occurrence order."""
-        out = []
-        for e in self.head_expr.subexprs():
-            if e.kind == "var" and e not in out:
-                out.append(e)
-        return out
+        return sx.lvars(self.head_expr)
 
     def sentence(self):
         f = sx.Implies(self.head_atom, self.body) if self.polarity == "+" \
@@ -60,6 +56,17 @@ class NormalizedSpec:
         return all(x.definitional for x in self.s_plus + self.s_minus)
 
 
+def occurring_preds(ns):
+    """Names of the domain predicates the sentences mention, sorted."""
+    seen = []
+    for f in [xi.sentence() for xi in ns.s_plus + ns.s_minus] + list(ns.sb):
+        for g in sx.subformulas(f):
+            if isinstance(g, sx.Atom) and g.pred[0] == "pred" \
+                    and g.pred[1] not in seen:
+                seen.append(g.pred[1])
+    return sorted(seen)
+
+
 def _head_key(xi):
     """Canonical rendering of a head pattern, for merging."""
     names = {}
@@ -77,20 +84,11 @@ def _head_key(xi):
 
 
 def _rename_onto(xi_from, xi_to):
-    """Variable map sending xi_from's head onto xi_to's head."""
-    m = {}
-
-    def walk(a, b):
-        if a.kind == "var":
-            m[a] = b
-            return
-        for x, y in zip(a.args, b.args):
-            walk(x, y)
-
-    walk(xi_from.head_expr, xi_to.head_expr)
-    d = {u: v for u, v in zip(xi_from.dom_vars, xi_to.dom_vars)}
-    lsub = {k: v for k, v in m.items()}
-    return lsub, d
+    """Variable map sending xi_from's head onto xi_to's head (the two heads
+    have the same ``_head_key``)."""
+    m = dict(zip(xi_from.head_lvars(), xi_to.head_lvars()))
+    m.update(zip(xi_from.dom_vars, xi_to.dom_vars))
+    return m
 
 
 def normalize(spec: SemanticSpec) -> NormalizedSpec:
@@ -105,9 +103,9 @@ def normalize(spec: SemanticSpec) -> NormalizedSpec:
         (plus if ds.polarity == "+" else minus).append(xi)
 
     for xi in plus + minus:
-        head_vars = set(xi.head_lvars())
-        for e in sx.lexprs_of_formula(xi.body):
-            if e.kind == "var" and e not in head_vars:
+        head_vars = xi.head_lvars()
+        for e in sx.lvars(xi.body):
+            if e not in head_vars:
                 raise sx.TabError("body variable %s does not occur in the head %s"
                                   % (e.text(), xi.head_expr.text()))
 
@@ -121,8 +119,7 @@ def normalize(spec: SemanticSpec) -> NormalizedSpec:
                 order.append(k)
             else:
                 base = by_key[k]
-                lsub, dsub = _rename_onto(xi, base)
-                body2 = sx.substitute_formula(xi.body, lsub, dsub)
+                body2 = sx.substitute_formula(xi.body, _rename_onto(xi, base))
                 merged = combine(base.body, body2)
                 by_key[k] = Xi(base.polarity, base.head_atom, merged,
                                base.dom_vars, base.definitional and xi.definitional)
@@ -260,15 +257,6 @@ class Obligation:
         self.status = status            # free-form comment, e.g. "trivial"
 
 
-def _close_lvars(f):
-    """Free L-variables of a sentence, first occurrence order."""
-    out = []
-    for e in sx.lexprs_of_formula(f):
-        if e.kind == "var" and e not in out:
-            out.append(e)
-    return out
-
-
 def emit_wd_obligations(ns: NormalizedSpec):
     """One entailment problem for the definitional adequacy of the whole
     specification, plus one per connective relating the directed sentences
@@ -286,8 +274,8 @@ def emit_wd_obligations(ns: NormalizedSpec):
         if ns.definitional_only else ""
     obligations.append(Obligation(
         "wd1",
-        [(n, f, _close_lvars(f)) for n, f in s0_sentences + sb_sentences],
-        ("goal", conj, _close_lvars(conj)),
+        [(n, f, sx.lvars(f)) for n, f in s0_sentences + sb_sentences],
+        ("goal", conj, sx.lvars(conj)),
         status=status))
 
     ordering = induced_ordering(ns)
@@ -307,9 +295,9 @@ def emit_wd_obligations(ns: NormalizedSpec):
         status = "tautology" if phi_plus == [d.body] and phi_minus == [d.body] else ""
         obligations.append(Obligation(
             "wd3_%s" % d.conn.name,
-            [(n, g, _close_lvars(g)) for n, g in s0_sentences]
-            + [("bg_inst_%d" % i, g, _close_lvars(g)) for i, g in enumerate(bg_insts)],
-            ("goal", f, _close_lvars(f)),
+            [(n, g, sx.lvars(g)) for n, g in s0_sentences]
+            + [("bg_inst_%d" % i, g, sx.lvars(g)) for i, g in enumerate(bg_insts)],
+            ("goal", f, sx.lvars(f)),
             status=status))
     return obligations
 
@@ -322,8 +310,8 @@ def _matching_bodies(xis, head, dom_vars):
         binding = {}
         if not sx.match_expr(xi.head_expr, head, binding):
             continue
-        dsub = {u: v for u, v in zip(xi.dom_vars, dom_vars)}
-        out.append(sx.substitute_formula(xi.body, binding, dsub))
+        binding.update(zip(xi.dom_vars, dom_vars))
+        out.append(sx.substitute_formula(xi.body, binding))
     return out
 
 

@@ -357,17 +357,18 @@ def content_lines(text):
 
 
 def read_directives(text, handle, errors=None):
-    """Call ``handle(lineno, word, rest)`` for every directive line.
+    """Call ``handle(lineno, word, rest)`` for every directive line; the
+    first run of whitespace separates the word from the rest.
 
     A ValueError or IndexError from the handler (a missing field, a number
     that is none) reports the directive as malformed at its line.  Errors
     propagate at once, or are collected in ``errors`` when a list is given.
     """
     for lineno, line in content_lines(text):
-        word, _, rest = line.partition(" ")
+        word, *rest = line.split(None, 1)
         try:
             try:
-                handle(lineno, word, rest.strip())
+                handle(lineno, word, rest[0] if rest else "")
             except (ValueError, IndexError):
                 raise SpecSyntaxError("malformed %r directive" % word, lineno)
         except sx.TabError as e:

@@ -49,17 +49,6 @@ def _is_dp(lit):
             or sx.is_domain_term(lit.atom.args[0]) and lit.atom.args[0].kind == "dvar")
 
 
-def _var_occurs(v, lit):
-    for t in lit.atom.args:
-        if isinstance(v, sx.LExpr):
-            if any(e is v for e in sx.lexprs_of_term(t)):
-                return True
-        else:
-            if any(d is v for d in sx.dvars_of_term(t)):
-                return True
-    return False
-
-
 def fold_whitelisted(rule, folded_lits, signature):
     """Folds that are harmless by construction: theory rules (their
     denominators only mention atomic expressions), and folds whose literals
@@ -107,7 +96,8 @@ def refine_rule(calc, rule_id, fold, drop_dp=False, unsafe=False):
                 if _is_dp(p):
                     v = p.atom.args[0]
                     others = premises[:k] + premises[k + 1:]
-                    if any(_var_occurs(v, o) and not (_is_dp(o) and o.atom.args[0] is v)
+                    if any(v in sx.lvars(o) + sx.dvars(o)
+                           and not (_is_dp(o) and o.atom.args[0] is v)
                            for o in others):
                         continue
                 keptp.append(p)
@@ -269,30 +259,13 @@ def load_context(path, sig, skolems):
 # ---------------------------------------------------------------------------
 # internalization
 
-def _rule_sort0_names(rule):
-    used = set()
-    for lits in (rule.premises,) + rule.denominators:
-        for l in lits:
-            for t in l.atom.args:
-                for e in sx.lexprs_of_term(t):
-                    if e.kind == "var" and e.sort == 0:
-                        used.add(e.name)
-    return used
-
-
 def _epsilon_for_rule(rule, sig):
     """Injective map from the rule's domain variables to fresh individuals."""
-    dvs = []
-    for lits in (rule.premises,) + rule.denominators:
-        for l in lits:
-            for t in l.atom.args:
-                for v in sx.dvars_of_term(t):
-                    if v not in dvs:
-                        dvs.append(v)
+    lits = (rule.premises,) + rule.denominators
     pfx = (sig.var_prefixes[0] or ("l",))[0]
-    used = _rule_sort0_names(rule)
+    used = {e.name for e in sx.lvars(lits) if e.sort == 0}
     eps, k = {}, 0
-    for v in dvs:
+    for v in sx.dvars(lits):
         while True:
             name = pfx if k == 0 else "%s%d" % (pfx, k)
             k += 1

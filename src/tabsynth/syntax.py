@@ -551,36 +551,67 @@ def subformulas(f):
 # ---------------------------------------------------------------------------
 # traversals
 
-def lexprs_of_term(t):
-    if isinstance(t, LExpr):
-        yield from t.subexprs()
-    elif t.kind == "nu0":
-        yield from t.ind.subexprs()
-    elif t.kind == "fun":
-        for a in t.args:
-            yield from lexprs_of_term(a)
+def _walk(x):
+    """The domain terms inside ``x`` and its outermost object expressions,
+    in preorder with repeats.  ``x`` is an expression, term, atom, literal,
+    formula, or a list or tuple (nested or not) of those."""
+    out, stack = [], [x]
+    while stack:
+        y = stack.pop()
+        t = type(y)
+        if t is LExpr:
+            out.append(y)
+        elif t is _Term:
+            out.append(y)
+            if y.kind == "fun":
+                stack.extend(reversed(y.args))
+            elif y.kind == "nu0":
+                stack.append(y.ind)
+        elif t is Literal:
+            stack.append(y.atom)
+        elif t is Atom:
+            stack.extend(reversed(y.args))
+        elif t is Not:
+            stack.append(y.sub)
+        elif t is And or t is Or:
+            stack.extend(reversed(y.subs))
+        elif t is Implies or t is Equiv:
+            stack += [y.rhs, y.lhs]
+        elif t is Forall or t is Exists:
+            stack.append(y.body)
+        elif t is list or t is tuple:
+            stack.extend(reversed(y))
+        else:
+            raise TypeError("cannot walk %r" % (y,))
+    return out
 
 
-def lexprs_of_atom(a):
-    for t in a.args:
-        yield from lexprs_of_term(t)
+def lexprs_of_formula(x):
+    """All object-language expressions occurring in ``x`` (anything
+    ``_walk`` takes), nested included."""
+    return [s for e in _walk(x) if isinstance(e, LExpr) for s in e.subexprs()]
 
 
-def lexprs_of_formula(f):
-    """All object-language expressions occurring in ``f``, nested included."""
-    for g in subformulas(f):
-        if isinstance(g, Atom):
-            yield from lexprs_of_atom(g)
+lexprs_of_term = lexprs_of_atom = lexprs_of_formula
 
 
-def dvars_of_term(t):
-    if isinstance(t, LExpr):
-        return
-    if t.kind == "dvar":
-        yield t
-    elif t.kind == "fun":
-        for a in t.args:
-            yield from dvars_of_term(a)
+def lvars(x):
+    """Object variables of ``x``, in order of first occurrence."""
+    return list(dict.fromkeys(e for e in lexprs_of_formula(x) if e.kind == "var"))
+
+
+def dvars(x):
+    """Domain variables of ``x``, bound ones included, in order of first
+    occurrence."""
+    return list(dict.fromkeys(t for t in _walk(x)
+                              if isinstance(t, _Term) and t.kind == "dvar"))
+
+
+def ground_terms(x):
+    """Ground domain terms of ``x``, nested ones included, in order of first
+    occurrence."""
+    return list(dict.fromkeys(t for t in _walk(x)
+                              if isinstance(t, _Term) and term_is_ground(t)))
 
 
 def free_dvars(f, bound=frozenset()):
@@ -589,10 +620,9 @@ def free_dvars(f, bound=frozenset()):
 
     def go(g, bnd):
         if isinstance(g, Atom):
-            for t in g.args:
-                for v in dvars_of_term(t):
-                    if v not in bnd and v not in out:
-                        out.append(v)
+            for v in dvars(g):
+                if v not in bnd and v not in out:
+                    out.append(v)
         elif isinstance(g, Not):
             go(g.sub, bnd)
         elif isinstance(g, (And, Or)):
@@ -620,9 +650,12 @@ def is_l_open_sentence(f):
 # ---------------------------------------------------------------------------
 # substitution (uniform, simultaneous)
 
-def substitute_expr(e, lsub):
+# ``sub`` maps object variables to expressions and domain variables to
+# domain terms, as one binding of the matcher below does.
+
+def substitute_expr(e, sub):
     if e.kind == "var":
-        r = lsub.get(e)
+        r = sub.get(e)
         if r is not None:
             if r.sort != e.sort:
                 raise SortMismatch("cannot substitute sort-%d expression for %s"
@@ -631,55 +664,50 @@ def substitute_expr(e, lsub):
         return e
     if e.kind == "const":
         return e
-    return lapp(e.conn, [substitute_expr(a, lsub) for a in e.args])
+    return lapp(e.conn, [substitute_expr(a, sub) for a in e.args])
 
 
-def substitute_term(t, lsub, dsub=None):
-    dsub = dsub or {}
+def substitute_term(t, sub):
     if isinstance(t, LExpr):
-        return substitute_expr(t, lsub)
+        return substitute_expr(t, sub)
     if t.kind == "dvar":
-        return dsub.get(t, t)
+        return sub.get(t, t)
     if t.kind == "dconst":
         return t
     if t.kind == "nu0":
-        r = substitute_expr(t.ind, lsub)
-        return nu0(r)
-    return funapp(t.fn, [substitute_term(a, lsub, dsub) for a in t.args])
+        return nu0(substitute_expr(t.ind, sub))
+    return funapp(t.fn, [substitute_term(a, sub) for a in t.args])
 
 
-def substitute_atom(a, lsub, dsub=None):
-    return atom(a.pred, [substitute_term(t, lsub, dsub) for t in a.args])
+def substitute_atom(a, sub):
+    return atom(a.pred, [substitute_term(t, sub) for t in a.args])
 
 
-def substitute_literal(l, lsub, dsub=None):
-    return literal(l.pos, substitute_atom(l.atom, lsub, dsub))
+def substitute_literal(l, sub):
+    return literal(l.pos, substitute_atom(l.atom, sub))
 
 
-def substitute_formula(f, lsub, dsub=None):
-    """Substitute L-expressions for L-variables; domain variables untouched
-    unless ``dsub`` is given (which never touches bound ones)."""
-    dsub = dsub or {}
+def substitute_formula(f, sub):
+    """Substitute free variables of both kinds; a quantifier shields the
+    domain variable it binds."""
     if isinstance(f, Atom):
-        return substitute_atom(f, lsub, dsub)
+        return substitute_atom(f, sub)
     if isinstance(f, Not):
-        return Not(substitute_formula(f.sub, lsub, dsub))
+        return Not(substitute_formula(f.sub, sub))
     if isinstance(f, And):
-        return And(tuple(substitute_formula(s, lsub, dsub) for s in f.subs))
+        return And(tuple(substitute_formula(s, sub) for s in f.subs))
     if isinstance(f, Or):
-        return Or(tuple(substitute_formula(s, lsub, dsub) for s in f.subs))
+        return Or(tuple(substitute_formula(s, sub) for s in f.subs))
     if isinstance(f, Implies):
-        return Implies(substitute_formula(f.lhs, lsub, dsub),
-                       substitute_formula(f.rhs, lsub, dsub))
+        return Implies(substitute_formula(f.lhs, sub),
+                       substitute_formula(f.rhs, sub))
     if isinstance(f, Equiv):
-        return Equiv(substitute_formula(f.lhs, lsub, dsub),
-                     substitute_formula(f.rhs, lsub, dsub))
-    if isinstance(f, Forall):
-        inner = {k: v for k, v in dsub.items() if k != f.var}
-        return Forall(f.var, substitute_formula(f.body, lsub, inner))
-    if isinstance(f, Exists):
-        inner = {k: v for k, v in dsub.items() if k != f.var}
-        return Exists(f.var, substitute_formula(f.body, lsub, inner))
+        return Equiv(substitute_formula(f.lhs, sub),
+                     substitute_formula(f.rhs, sub))
+    if isinstance(f, (Forall, Exists)):
+        if f.var in sub:
+            sub = {k: v for k, v in sub.items() if k is not f.var}
+        return type(f)(f.var, substitute_formula(f.body, sub))
     raise TypeError("not a formula: %r" % (f,))
 
 
@@ -689,10 +717,7 @@ def restrict(sentences, x_set):
     x_set = list(dict.fromkeys(x_set))
     out = []
     for f in sentences:
-        fvars = []
-        for e in lexprs_of_formula(f):
-            if e.kind == "var" and e not in fvars:
-                fvars.append(e)
+        fvars = lvars(f)
         choices = [[x for x in x_set if x.sort == v.sort] for v in fvars]
         if any(not c for c in choices):
             continue
@@ -768,9 +793,3 @@ def match_literal(pattern, value, binding):
         return False
     return all(match_term(p, v, binding)
                for p, v in zip(pattern.atom.args, value.atom.args))
-
-
-def instantiate_literal(l, binding):
-    lsub = {k: v for k, v in binding.items() if isinstance(k, LExpr)}
-    dsub = {k: v for k, v in binding.items() if not isinstance(k, LExpr)}
-    return substitute_literal(l, lsub, dsub)

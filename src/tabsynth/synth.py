@@ -16,7 +16,8 @@ from __future__ import annotations
 import re
 
 from . import syntax as sx
-from .normalize import NormalizedSpec, check_well_founded, induced_ordering
+from .normalize import (NormalizedSpec, check_well_founded, induced_ordering,
+                        occurring_preds)
 
 
 class DnfTooLarge(sx.TabError):
@@ -46,13 +47,10 @@ class TableauRule:
         # variables the premises do not bind instantiate by enumeration over
         # the branch's domain (they arise when the domain-predication
         # premises are disabled)
-        prem_vars = _vars_of_literals(self.premises)
-        free = []
-        for d in self.denominators:
-            for v in _vars_of_literals(d):
-                if v not in prem_vars and v not in free:
-                    free.append(v)
-        self.free_vars = tuple(free)
+        prem_vars = sx.lvars(self.premises) + sx.dvars(self.premises)
+        self.free_vars = tuple(
+            v for v in sx.lvars(self.denominators) + sx.dvars(self.denominators)
+            if v not in prem_vars)
 
     @property
     def branching_factor(self):
@@ -70,18 +68,6 @@ class TableauRule:
                              for d in self.denominators)
         star = "*" if self.produces_terms else ""
         return "rule %s [%s]%s: %s / %s" % (self.id, self.kind, star, prem, den)
-
-
-def _vars_of_literals(lits):
-    out = set()
-    for l in lits:
-        for t in l.atom.args:
-            for e in sx.lexprs_of_term(t):
-                if e.kind == "var":
-                    out.add(e)
-            for v in sx.dvars_of_term(t):
-                out.add(v)
-    return out
 
 
 class UbConfig:
@@ -161,7 +147,6 @@ class _SkolemNamer:
 
     def __init__(self):
         self.used = set()
-        self.created = []
 
     def fresh(self, origin_slug, j):
         name = "sk_%s_%d" % (origin_slug, j)
@@ -172,17 +157,17 @@ class _SkolemNamer:
         return name
 
 
-def _tree_subst(tree, dsub):
+def _tree_subst(tree, sub):
     if isinstance(tree, sx.Literal):
-        return sx.substitute_literal(tree, {}, dsub)
+        return sx.substitute_literal(tree, sub)
     if tree[0] in ("and", "or"):
-        return (tree[0], tuple(_tree_subst(s, dsub) for s in tree[1]))
+        return (tree[0], tuple(_tree_subst(s, sub) for s in tree[1]))
     kind, var, body = tree
-    inner = {k: v for k, v in dsub.items() if k != var}
+    inner = {k: v for k, v in sub.items() if k != var}
     return (kind, var, _tree_subst(body, inner))
 
 
-def _skolemize(tree, head_lvars, scope, namer, slug, counter, sig):
+def _skolemize(tree, head_lvars, scope, namer, slug, counter):
     """Remove quantifiers from an NNF tree: existentials become Skolem terms
     over (head L-variables, enclosing universals); universals become free
     variables, renamed apart from everything already in scope."""
@@ -191,7 +176,7 @@ def _skolemize(tree, head_lvars, scope, namer, slug, counter, sig):
     if tree[0] in ("and", "or"):
         subs, fns = [], []
         for s in tree[1]:
-            s2, f2 = _skolemize(s, head_lvars, scope, namer, slug, counter, sig)
+            s2, f2 = _skolemize(s, head_lvars, scope, namer, slug, counter)
             subs.append(s2)
             fns.extend(f2)
         return (tree[0], tuple(subs)), fns
@@ -202,7 +187,7 @@ def _skolemize(tree, head_lvars, scope, namer, slug, counter, sig):
         counter[0] += 1
         term = sx.funapp(fn, list(head_lvars) + list(scope))
         body2 = _tree_subst(body, {var: term})
-        t, fns = _skolemize(body2, head_lvars, scope, namer, slug, counter, sig)
+        t, fns = _skolemize(body2, head_lvars, scope, namer, slug, counter)
         return t, [fn] + fns
     # universal: strip, keeping the variable free (renamed apart if clashing)
     v = var
@@ -214,7 +199,7 @@ def _skolemize(tree, head_lvars, scope, namer, slug, counter, sig):
         v2 = sx.dvar("%s%d" % (base, k))
         body = _tree_subst(body, {var: v2})
         v = v2
-    return _skolemize(body, head_lvars, scope + [v], namer, slug, counter, sig)
+    return _skolemize(body, head_lvars, scope + [v], namer, slug, counter)
 
 
 def _dnf(tree, cap=DNF_LITERAL_CAP):
@@ -271,7 +256,7 @@ def head_slug(xi):
     return re.sub(r"[^a-zA-Z0-9]+", "_", e.text()).strip("_")
 
 
-def implicational_form(xi, namer=None, sig=None, cap=DNF_LITERAL_CAP):
+def implicational_form(xi, namer=None, cap=DNF_LITERAL_CAP):
     """(head literal, DNF matrix, fresh Skolem functions) for one sentence."""
     namer = namer or _SkolemNamer()
     head_lit = sx.pos_lit(xi.head_atom) if xi.polarity == "+" \
@@ -280,23 +265,17 @@ def implicational_form(xi, namer=None, sig=None, cap=DNF_LITERAL_CAP):
     tree = _nnf(body, True)
     counter = [0]
     tree, fns = _skolemize(tree, xi.head_lvars(), list(xi.dom_vars), namer,
-                           head_slug(xi), counter, sig)
+                           head_slug(xi), counter)
     matrix = _clean_matrix(_dnf(tree, cap))
     return head_lit, matrix, fns
 
 
-def make_decomposition_rule(xi, namer=None, sig=None, cap=DNF_LITERAL_CAP,
+def make_decomposition_rule(xi, namer=None, cap=DNF_LITERAL_CAP,
                             domain_predication=True):
-    head_lit, matrix, fns = implicational_form(xi, namer, sig, cap)
+    head_lit, matrix, fns = implicational_form(xi, namer, cap)
     extra = []
     if domain_predication:
-        head_dvs = set(xi.dom_vars)
-        for conj in matrix:
-            for l in conj:
-                for t in l.atom.args:
-                    for v in sx.dvars_of_term(t):
-                        if v not in head_dvs and v not in extra:
-                            extra.append(v)
+        extra = [v for v in sx.dvars(matrix) if v not in xi.dom_vars]
     premises = [head_lit] + [sx.pos_lit(sx.atom(sx.EQ, [v, v])) for v in extra]
     rid = head_slug(xi) + ("_pos" if xi.polarity == "+" else "_neg")
     kind = "decomposition+" if xi.polarity == "+" else "decomposition-"
@@ -305,32 +284,22 @@ def make_decomposition_rule(xi, namer=None, sig=None, cap=DNF_LITERAL_CAP,
                        provenance="sentence %s" % sx.formula_text(xi.sentence()))
 
 
-def make_theory_rule(idx, sentence, namer=None, sig=None, cap=DNF_LITERAL_CAP,
+def make_theory_rule(idx, sentence, namer=None, cap=DNF_LITERAL_CAP,
                      domain_predication=True):
     for e in sx.lexprs_of_formula(sentence):
         if e.kind == "app":
             from .normalize import NonAtomicBackground
             raise NonAtomicBackground(e.text())
-    lvars = []
-    for e in sx.lexprs_of_formula(sentence):
-        if e.kind == "var" and e not in lvars:
-            lvars.append(e)
+    lvars = sx.lvars(sentence)
     namer = namer or _SkolemNamer()
     tree = _nnf(sentence, True)
     counter = [0]
-    tree, fns = _skolemize(tree, lvars, [], namer, "bg%d" % idx, counter, sig)
+    tree, fns = _skolemize(tree, lvars, [], namer, "bg%d" % idx, counter)
     matrix = _clean_matrix(_dnf(tree, cap))
     premises = []
     if domain_predication:
-        dvs = []
-        for conj in matrix:
-            for l in conj:
-                for t in l.atom.args:
-                    for v in sx.dvars_of_term(t):
-                        if v not in dvs:
-                            dvs.append(v)
-        premises = [sx.pos_lit(sx.atom(sx.EQ, [v, v])) for v in lvars] + \
-                   [sx.pos_lit(sx.atom(sx.EQ, [v, v])) for v in dvs]
+        premises = [sx.pos_lit(sx.atom(sx.EQ, [v, v]))
+                    for v in lvars + sx.dvars(matrix)]
     return TableauRule("theory_%d" % idx, "theory", premises, matrix, fns,
                        produces_terms=bool(fns),
                        provenance="background %s" % sx.formula_text(sentence))
@@ -364,16 +333,6 @@ class _RuleVars:
         return sx.lvar(sort, "%s%d" % (pfx[i % len(pfx)], i // len(pfx)))
 
 
-def _occurring_preds(ns):
-    seen = []
-    for f in [xi.sentence() for xi in ns.s_plus + ns.s_minus] + list(ns.sb):
-        for g in sx.subformulas(f):
-            if isinstance(g, sx.Atom) and g.pred[0] == "pred" \
-                    and g.pred[1] not in seen:
-                seen.append(g.pred[1])
-    return sorted(seen)
-
-
 def _occurring_nu_sorts(ns):
     seen = {1}  # the primary sort is always exercised by the input layer
     for f in [xi.sentence() for xi in ns.s_plus + ns.s_minus] + list(ns.sb):
@@ -399,7 +358,7 @@ def default_equality_rules(sig, ns, skolems=()):
     representative, and blocking would suppress the only rule able to close
     the branch."""
     rules = []
-    preds = ["eq"] + _occurring_preds(ns)
+    preds = ["eq"] + occurring_preds(ns)
     nus = _occurring_nu_sorts(ns)
 
     def parg(pname):
@@ -503,7 +462,7 @@ def closure_rules(sig, ns):
         rules.append(TableauRule("closure_nu%d" % n, "closure",
                                  [sx.pos_lit(a), sx.neg_lit(a)], [],
                                  provenance="contradiction on nu%d" % n))
-    for pname in _occurring_preds(ns):
+    for pname in occurring_preds(ns):
         rv = _RuleVars(sig)
         xs = [rv.dv() for _ in range(sig.preds[pname])]
         a = sx.atom(sx.pred(pname), xs)
@@ -532,15 +491,15 @@ def synthesize(ns: NormalizedSpec, assume_well_founded=False,
     dp = domain_predication
     decomp = []
     for xi in sorted(ns.s_plus, key=lambda x: head_slug(x)):
-        decomp.append(make_decomposition_rule(xi, namer, sig, cap, dp))
+        decomp.append(make_decomposition_rule(xi, namer, cap, dp))
         for xim in ns.s_minus:
             if _same_head(xim, xi):
-                decomp.append(make_decomposition_rule(xim, namer, sig, cap, dp))
+                decomp.append(make_decomposition_rule(xim, namer, cap, dp))
     # negative sentences whose head has no positive partner
     for xim in sorted(ns.s_minus, key=lambda x: head_slug(x)):
         if not any(_same_head(xim, xip) for xip in ns.s_plus):
-            decomp.append(make_decomposition_rule(xim, namer, sig, cap, dp))
-    theory = [make_theory_rule(i, ax, namer, sig, cap, dp)
+            decomp.append(make_decomposition_rule(xim, namer, cap, dp))
+    theory = [make_theory_rule(i, ax, namer, cap, dp)
               for i, ax in enumerate(ns.sb)]
     skolems = []
     for r in decomp + theory:

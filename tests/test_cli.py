@@ -115,30 +115,50 @@ def test_cli_output_is_golden_bytes(work, made, golden):
         assert got == fh.read()
 
 
+# (name, text of the file {f} or None, arguments, what the error must name);
+# {nodir} is a directory that does not exist
 BAD_FILES = [
-    ("missing.spec", None, ["synth", "--spec", "{f}"]),
+    ("missing.spec", None, ["synth", "--spec", "{f}"], "{f}"),
     ("missing.calc", None,
-     ["refine", "--calc", "{f}", "--refine-script", "{so_refine}"]),
+     ["refine", "--calc", "{f}", "--refine-script", "{so_refine}"], "{f}"),
     ("bad.ctx", "connective colon a 1 -> 1\n",
      ["refine", "--calc", "{work}/so.calc", "--refine-script", "{so_refine}",
-      "--ctx", "{f}"]),
+      "--ctx", "{f}"], "at 1:?"),
     ("bad.calc", "sorts 2\nvars 1 p\nctx connective colon a 1 -> 1\n",
-     ["prove", "--calc", "{f}", "{work}/none.txt"]),
+     ["prove", "--calc", "{f}", "{work}/none.txt"], "at 3:?"),
     ("bad.refine", "ub depth x\n",
-     ["refine", "--calc", "{work}/so.calc", "--refine-script", "{f}"])]
+     ["refine", "--calc", "{work}/so.calc", "--refine-script", "{f}"], "at 1:?"),
+    ("synth-out", None, ["synth", "--preset", "so", "-o", "{nodir}/x.calc"],
+     "{nodir}"),
+    ("refine-out", "simplify\n",
+     ["refine", "--calc", "{work}/so.calc", "--refine-script", "{f}",
+      "-o", "{nodir}/x.calc"], "{nodir}"),
+    ("prove-trace", "exists(r0, p0)\n",
+     ["prove", "--calc", "{work}/so_refined.calc", "--preset", "so", "--ub",
+      "--trace", "{nodir}/t.txt", "{f}"], "{nodir}"),
+    ("prove-model", "exists(r0, p0)\n",
+     ["prove", "--calc", "{work}/so_refined.calc", "--preset", "so", "--ub",
+      "--model", "{nodir}/m.txt", "{f}"], "{nodir}"),
+    ("oracle-model", "p0\n",
+     ["oracle", "--preset", "so", "--max-size", "2", "--model", "{nodir}/m.txt",
+      "{f}"], "{nodir}")]
 
 
-@pytest.mark.parametrize("name, text, args", BAD_FILES, ids=[c[0] for c in BAD_FILES])
-def test_bad_file_is_error_without_traceback(work, tmp_path, name, text, args):
+@pytest.mark.parametrize("name, text, args, names", BAD_FILES,
+                         ids=[c[0] for c in BAD_FILES])
+def test_bad_file_is_error_without_traceback(work, tmp_path, name, text, args,
+                                             names):
     path = tmp_path / name
     if text is not None:
         _write(path, text)
-    fields = {"f": path, "work": work, "so_refine": os.path.join(PRESETS, "so.refine")}
+    fields = {"f": path, "work": work, "nodir": tmp_path / "nodir",
+              "so_refine": os.path.join(PRESETS, "so.refine")}
     proc = subprocess.run([sys.executable, "-m", "tabsynth.cli"]
                           + [a.format(**fields) for a in args],
                           capture_output=True, text=True)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ")
+    assert names.format(**fields) in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from tabsynth import engine, models, parser, refine, synth
@@ -145,11 +149,49 @@ def test_term_order(so_calc, so_ns):
     b = v.branch
     terms = sorted(b.term_birth, key=lambda t: b.term_birth[t])
     assert len(terms) >= 2
-    assert b.term_order(terms[0], terms[1]) == "lt"
-    assert b.term_order(terms[1], terms[0]) == "gt"
-    assert b.term_order(terms[0], terms[0]) == "eq-term"
-    with pytest.raises(engine.UnknownTerm):
-        b.term_order(terms[0], sx.dconst("zz9"))
+    # births number the branch's terms 0, 1, ... in order of arrival
+    assert [b.term_birth[t] for t in terms] == list(range(len(terms)))
+
+
+# -- determinism ---------------------------------------------------------------
+
+HEAP_PROBE = """
+import sys
+
+
+class Pad:  # as large as a term or an expression, so it shifts their addresses
+    __slots__ = ("kind", "name", "fn", "args", "ind")
+
+
+pad = [Pad() for _ in range(int(sys.argv[1]))]
+from tabsynth import engine, normalize, parser, refine, specfile, synth
+ns = normalize.normalize(specfile.preset("ipc"))
+calc = refine.attach_ub(synth.synthesize(ns, domain_predication=False),
+                        synth.UbConfig(True, 0))
+c = parser.parse_lexpr(calc.signature, "or(impl(p0, q0), impl(q0, p0))", 1)
+eng = engine.Engine(calc, ns=ns, node_budget=300, trace=True)
+eng.expand(eng.init([(c, False)]))
+print("\\n".join(eng.trace))
+"""
+
+
+def test_derivation_independent_of_heap_layout(so_ns, ipc_ns):
+    """Rule variables come in order of first occurrence, never in the order
+    of heap addresses, so every process derives the same way."""
+    for ns, rid, names in ((so_ns, "theory_0", ["r", "x", "y", "z"]),
+                           (ipc_ns, "theory_3", ["p", "x", "y"])):
+        calc = synth.synthesize(ns, domain_predication=False)
+        assert [v.name for v in calc.rule(rid).free_vars] == names
+    # the processes differ only in how many objects precede the import; when
+    # free variables came in heap-address order, 14 of 15 triples disagreed
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(engine.__file__)))
+    traces = [subprocess.run([sys.executable, "-c", HEAP_PROBE, str(n)],
+                             capture_output=True, text=True, env=env,
+                             check=True).stdout
+              for n in (0, 3, 13)]
+    assert traces[0].startswith("apply ")
+    assert traces[1] == traces[0] and traces[2] == traces[0]
 
 
 # -- verdicts ------------------------------------------------------------------
@@ -240,7 +282,7 @@ def test_blocking_suppresses_blocked_term_production(so_blocked):
             break
         if rule.produces_terms:
             for prem in rule.premises:
-                lit = sx.instantiate_literal(prem, binding)
+                lit = sx.substitute_literal(prem, binding)
                 assert blocked_term not in eng.mode.terms_in_literal(lit)
         eng.apply(tab, eq_branch, rule, fp, binding,
                   only_den=extra if kind == "unit" else None)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from tabsynth import specfile
@@ -42,6 +44,14 @@ def test_roundtrip_print_parse(name):
     assert [d.sentence() for d in again.definitions] == \
         [d.sentence() for d in spec.definitions]
     assert again.axioms == spec.axioms
+
+
+def test_tab_separates_directive_word(so_spec):
+    text = specfile.preset_text("so")
+    tabbed = re.sub(r"^(\S+) ", "\\1\t", text, flags=re.M)
+    assert "sorts\t3" in tabbed
+    again = specfile.parse_spec(tabbed, name="so")
+    assert specfile.print_spec(again) == specfile.print_spec(so_spec)
 
 
 def test_every_sentence_is_l_open(so_spec, ipc_spec):

@@ -163,7 +163,7 @@ def test_match_literal_one_way(so_spec):
     data = parser.parse_rule_literal(sig, "nu1(or(p0, q0), x)")
     # the branch side is never treated as a pattern, so its domain variable
     # must first be made ground for a match
-    lit = sx.substitute_literal(data, {}, {sx.dvar("x"): sx.dconst("a0")})
+    lit = sx.substitute_literal(data, {sx.dvar("x"): sx.dconst("a0")})
     binding = {}
     assert sx.match_literal(pat, lit, binding)
     assert binding[sx.lvar(1, "p")].text() == "p0"

@@ -316,7 +316,7 @@ def _rule_locally_sound(m, rule, carrier):
             for e in sx.lexprs_of_term(t):
                 if e.kind == "var" and e not in lvars:
                     lvars.append(e)
-            for v in sx.dvars_of_term(t):
+            for v in sx.dvars(t):
                 if v not in dvars:
                     dvars.append(v)
     lchoice = [[e for e in carrier if e.sort == v.sort] for v in lvars]
