@@ -113,6 +113,9 @@ def cmd_refine(args):
 
 
 def cmd_prove(args):
+    if args.model and not (args.spec or args.preset):
+        print("error: --model needs --spec or --preset", file=sys.stderr)
+        return EXIT_ERROR
     try:
         with open(args.calc, encoding="utf-8") as fh:
             calc = calcfile.parse_calculus(fh.read())
@@ -149,9 +152,6 @@ def cmd_prove(args):
         return EXIT_UNKNOWN
     print("SAT")
     if args.model:
-        if ns is None:
-            print("error: --model needs --spec or --preset", file=sys.stderr)
-            return EXIT_ERROR
         m = models.extract_model(verdict.branch, ns, ctx=calc.ctx,
                                  skolems=calc.skolems)
         if not _save(args.model, m.format()):

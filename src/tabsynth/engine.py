@@ -20,7 +20,6 @@ workers; this driver explores them sequentially.
 from __future__ import annotations
 
 import heapq
-import itertools
 import time
 
 from . import syntax as sx
@@ -96,7 +95,7 @@ def _head_key(lit):
 class Branch:
     __slots__ = ("bid", "literals", "present", "index", "term_birth", "applied",
                  "seen_next", "tp_count", "closed", "eqs", "blocked",
-                 "markers", "lmarkers", "pending", "heap", "scan_upto")
+                 "markers", "pending", "heap", "scan_upto")
 
     def __init__(self, bid):
         self.bid = bid
@@ -111,7 +110,6 @@ class Branch:
         self.eqs = set()       # positive ground equalities (t, t')
         self.blocked = set()   # younger terms equated to an older one
         self.markers = []      # terms with their reflexive marker present
-        self.lmarkers = {}     # object sort -> expressions with e = e present
         self.pending = {}      # fingerprint -> (seen, rule, binding, terms)
         self.heap = []         # (priority, seen, fingerprint), lazily pruned
         self.scan_upto = 0     # literals before this index are fully matched
@@ -129,7 +127,6 @@ class Branch:
         b.eqs = self.eqs.copy()
         b.blocked = self.blocked.copy()
         b.markers = self.markers.copy()
-        b.lmarkers = {k: v.copy() for k, v in self.lmarkers.items()}
         b.pending = self.pending.copy()
         b.heap = self.heap.copy()
         b.scan_upto = self.scan_upto
@@ -150,12 +147,6 @@ class Branch:
         for t in mode.terms_in_literal(lit):
             if t not in self.term_birth:
                 self.term_birth[t] = len(self.term_birth)
-        a = lit.atom
-        if lit.pos and a.pred[0] == "eq" and a.args[0] is a.args[1] \
-                and isinstance(a.args[0], sx.LExpr):
-            bucket = self.lmarkers.setdefault(a.args[0].sort, [])
-            if a.args[0] not in bucket:
-                bucket.append(a.args[0])
         pair = mode.eq_pair(lit)
         if pair is None:
             return True
@@ -274,35 +265,13 @@ class Engine:
 
     def _match_rule(self, rule, branch, new_from):
         """Instances where at least one premise matches a literal appended at
-        or after index ``new_from`` (0 enumerates everything).  Variables the
-        premises leave unbound enumerate over the branch's marked terms and
-        expressions (rules built without domain predication)."""
+        or after index ``new_from`` (0 enumerates everything)."""
         premises = list(rule.premises)
         n = len(premises)
-        if rule.free_vars and new_from:
-            # new markers extend the enumeration, so rescan from scratch
-            new_from = 0
-
-        def expand_free(binding, matched):
-            spaces = []
-            for v in rule.free_vars:
-                if isinstance(v, sx.LExpr):
-                    spaces.append(branch.lmarkers.get(v.sort, ()))
-                else:
-                    spaces.append(branch.markers)
-            for combo in itertools.product(*spaces):
-                b2 = dict(binding)
-                b2.update(zip(rule.free_vars, combo))
-                fp = _fingerprint(rule.id, b2)
-                if fp not in branch.applied:
-                    yield fp, b2, list(matched)
 
         def rec(i, binding, matched, used_new):
             if i == n:
                 if used_new or new_from == 0:
-                    if rule.free_vars:
-                        yield from expand_free(binding, matched)
-                        return
                     fp = _fingerprint(rule.id, binding)
                     if fp not in branch.applied:
                         yield fp, dict(binding), list(matched)
@@ -366,9 +335,8 @@ class Engine:
         for rule in self.calc.rules:
             if rule.kind == "blocking":
                 instances = self._ub_instances(rule, branch)
-            elif new_from and not rule.free_vars \
-                    and not any(_has_new_candidate(branch, p, new_from)
-                                for p in rule.premises):
+            elif new_from and not any(_has_new_candidate(branch, p, new_from)
+                                      for p in rule.premises):
                 continue
             else:
                 instances = self._match_rule(rule, branch, new_from)
@@ -556,12 +524,8 @@ def _vname(v):
 
 
 def _binding_text(binding):
-    parts = []
-    for k in sorted(binding, key=_vname):
-        v = binding[k]
-        parts.append("%s:=%s" % (k.name if isinstance(k, sx.LExpr) else k.name,
-                                 sx.term_text(v)))
-    return "; ".join(parts)
+    return "; ".join("%s:=%s" % (k.name, sx.term_text(binding[k]))
+                     for k in sorted(binding, key=_vname))
 
 
 def prove(calc, concepts, ns=None, node_budget=10 ** 6, time_budget=None,

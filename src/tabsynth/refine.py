@@ -16,7 +16,7 @@ import itertools
 from . import syntax as sx
 from .parser import (Elaborator, SpecSyntaxError, TreeParser, connective_text,
                      parse_connective, read_directives, tokenize)
-from .synth import Calculus, TableauRule, UbConfig
+from .synth import Calculus, TableauRule, UbConfig, UnboundVariable
 
 
 class NoSuchRule(sx.TabError):
@@ -352,17 +352,18 @@ class _Internalizer:
             denominators.append(nd)
         if not premises:
             return None
-        out = TableauRule(r.id, r.kind, premises, denominators,
-                          r.fresh_functions, r.produces_terms,
-                          provenance=r.provenance)
-        if out.free_vars:
+        try:
+            return TableauRule(r.id, r.kind, premises, denominators,
+                               r.fresh_functions, r.produces_terms,
+                               provenance=r.provenance)
+        except UnboundVariable:
             # an object-sort predication premise was load bearing: nothing in
             # the object language can express it, so the rule must be folded
             # into a form whose remaining premises carry its variables first
             raise IncompleteContext(
                 "rule %s instantiates over object-sort predication the "
-                "context cannot express; fold it before internalizing" % r.id)
-        return out
+                "context cannot express; fold it before internalizing"
+                % r.id) from None
 
 
 def internalize(calc, ctx):

@@ -133,12 +133,6 @@ def _head_shape(at, line):
             raise SpecSyntaxError("head positions must be distinct domain variables",
                                   line)
         seen.append(v)
-    lvars = []
-    for x in e.subexprs():
-        if x.kind == "var" and x not in lvars:
-            lvars.append(x)
-    if len(set(lvars)) != len(lvars):
-        raise SpecSyntaxError("head expression variables must be distinct", line)
     return e, seen
 
 
@@ -201,6 +195,9 @@ def parse_spec(text, name="spec"):
                     raise SpecSyntaxError("define head must apply a connective", lineno)
                 if any(a.kind != "var" for a in e.args):
                     raise SpecSyntaxError("define head arguments must be variables",
+                                          lineno)
+                if len(set(e.args)) != len(e.args):
+                    raise SpecSyntaxError("define head variables must be distinct",
                                           lineno)
                 if sent_free:
                     raise NotLOpen("free domain variable %s in definition body"

@@ -31,6 +31,10 @@ class NotWellFounded(sx.TabError):
 DNF_LITERAL_CAP = 4096
 
 
+class UnboundVariable(sx.TabError):
+    pass
+
+
 class TableauRule:
     def __init__(self, rid, kind, premises, denominators, fresh_functions=(),
                  produces_terms=False, provenance=""):
@@ -44,13 +48,11 @@ class TableauRule:
         self.provenance = provenance
         if not self.premises and kind not in ("theory",):
             raise sx.TabError("rule %s has no premises" % rid)
-        # variables the premises do not bind instantiate by enumeration over
-        # the branch's domain (they arise when the domain-predication
-        # premises are disabled)
-        prem_vars = sx.lvars(self.premises) + sx.dvars(self.premises)
-        self.free_vars = tuple(
-            v for v in sx.lvars(self.denominators) + sx.dvars(self.denominators)
-            if v not in prem_vars)
+        bound = sx.lvars(self.premises) + sx.dvars(self.premises)
+        for v in sx.lvars(self.denominators) + sx.dvars(self.denominators):
+            if v not in bound:
+                raise UnboundVariable("rule %s: no premise binds %s"
+                                      % (rid, v.name))
 
     @property
     def branching_factor(self):
@@ -270,13 +272,10 @@ def implicational_form(xi, namer=None, cap=DNF_LITERAL_CAP):
     return head_lit, matrix, fns
 
 
-def make_decomposition_rule(xi, namer=None, cap=DNF_LITERAL_CAP,
-                            domain_predication=True):
+def make_decomposition_rule(xi, namer=None, cap=DNF_LITERAL_CAP):
     head_lit, matrix, fns = implicational_form(xi, namer, cap)
-    extra = []
-    if domain_predication:
-        extra = [v for v in sx.dvars(matrix) if v not in xi.dom_vars]
-    premises = [head_lit] + [sx.pos_lit(sx.atom(sx.EQ, [v, v])) for v in extra]
+    premises = [head_lit] + [_eq(v, v) for v in sx.dvars(matrix)
+                             if v not in xi.dom_vars]
     rid = head_slug(xi) + ("_pos" if xi.polarity == "+" else "_neg")
     kind = "decomposition+" if xi.polarity == "+" else "decomposition-"
     return TableauRule(rid, kind, premises, matrix, fns,
@@ -284,8 +283,7 @@ def make_decomposition_rule(xi, namer=None, cap=DNF_LITERAL_CAP,
                        provenance="sentence %s" % sx.formula_text(xi.sentence()))
 
 
-def make_theory_rule(idx, sentence, namer=None, cap=DNF_LITERAL_CAP,
-                     domain_predication=True):
+def make_theory_rule(idx, sentence, namer=None, cap=DNF_LITERAL_CAP):
     for e in sx.lexprs_of_formula(sentence):
         if e.kind == "app":
             from .normalize import NonAtomicBackground
@@ -296,10 +294,7 @@ def make_theory_rule(idx, sentence, namer=None, cap=DNF_LITERAL_CAP,
     counter = [0]
     tree, fns = _skolemize(tree, lvars, [], namer, "bg%d" % idx, counter)
     matrix = _clean_matrix(_dnf(tree, cap))
-    premises = []
-    if domain_predication:
-        premises = [sx.pos_lit(sx.atom(sx.EQ, [v, v]))
-                    for v in lvars + sx.dvars(matrix)]
+    premises = [_eq(v, v) for v in lvars + sx.dvars(matrix)]
     return TableauRule("theory_%d" % idx, "theory", premises, matrix, fns,
                        produces_terms=bool(fns),
                        provenance="background %s" % sx.formula_text(sentence))
@@ -346,10 +341,27 @@ def _eq(a, b):
     return sx.pos_lit(sx.atom(sx.EQ, [a, b]))
 
 
+def _families(sig, ns):
+    """The predicate families the default rules are written over: (name,
+    predicate, sort of the leading object argument or None, number of domain
+    arguments) for eq, each occurring predicate and each occurring
+    holds-predicate nu_n."""
+    return ([("eq", sx.EQ, None, 2)]
+            + [(p, sx.pred(p), None, sig.preds[p]) for p in occurring_preds(ns)]
+            + [("nu%d" % n, sx.nu(n), n, n) for n in _occurring_nu_sorts(ns)])
+
+
+def _fresh_args(sig, lead, k):
+    """A fresh variable supply, the leading object variable drawn from it (as
+    a list, empty when ``lead`` is None) and ``k`` domain variables."""
+    rv = _RuleVars(sig)
+    return rv, [] if lead is None else [rv.lv(lead)], [rv.dv() for _ in range(k)]
+
+
 def default_equality_rules(sig, ns, skolems=()):
-    """The standard block: domain predication for every predicate and every
-    holds-predicate, symmetry, transitivity, and congruence rules for
-    predicates, holds-predicates and (Skolem) functions.
+    """The standard block: domain predication for every predicate family,
+    symmetry, transitivity, and congruence rules for every predicate family
+    and every (Skolem) function.
 
     Congruence comes in both polarities.  The negative variants are the
     surviving branch of the unrefined congruence rule (its other two
@@ -358,38 +370,15 @@ def default_equality_rules(sig, ns, skolems=()):
     representative, and blocking would suppress the only rule able to close
     the branch."""
     rules = []
-    preds = ["eq"] + occurring_preds(ns)
-    nus = _occurring_nu_sorts(ns)
-
-    def parg(pname):
-        if pname == "eq":
-            return 2
-        return sig.preds[pname]
-
-    def patom(pname, args):
-        if pname == "eq":
-            return sx.atom(sx.EQ, args)
-        return sx.atom(sx.pred(pname), args)
-
-    for pname in preds:
-        rv = _RuleVars(sig)
-        xs = [rv.dv() for _ in range(parg(pname))]
+    fams = _families(sig, ns)
+    for name, pred, lead, k in fams:
+        _, ls, xs = _fresh_args(sig, lead, k)
         for sign, tag in ((True, "pos"), (False, "neg")):
             rules.append(TableauRule(
-                "dp_%s_%s" % (tag, pname), "equality",
-                [sx.literal(sign, patom(pname, xs))],
-                [[_eq(v, v) for v in xs]],
-                provenance="domain predication for %s" % pname))
-    for n in nus:
-        rv = _RuleVars(sig)
-        p = rv.lv(n)
-        xs = [rv.dv() for _ in range(n)]
-        for sign, tag in ((True, "pos"), (False, "neg")):
-            rules.append(TableauRule(
-                "dp_%s_nu%d" % (tag, n), "equality",
-                [sx.literal(sign, sx.atom(sx.nu(n), [p] + xs))],
-                [[_eq(p, p)] + [_eq(v, v) for v in xs]],
-                provenance="domain predication for nu%d" % n))
+                "dp_%s_%s" % (tag, name), "equality",
+                [sx.literal(sign, sx.atom(pred, ls + xs))],
+                [[_eq(v, v) for v in ls + xs]],
+                provenance="domain predication for %s" % name))
 
     rv = _RuleVars(sig)
     x, y, z = rv.dv(), rv.dv(), rv.dv()
@@ -398,39 +387,21 @@ def default_equality_rules(sig, ns, skolems=()):
     rules.append(TableauRule("eq_trans", "equality", [_eq(x, y), _eq(y, z)],
                              [[_eq(x, z)]], provenance="transitivity"))
 
-    for pname in preds:
-        k = parg(pname)
+    for name, pred, lead, k in fams:
         for i in range(k):
             for sign, tag in ((True, ""), (False, "neg_")):
-                if pname == "eq" and not sign:
+                if name == "eq" and not sign:
                     # negative equalities conflict through symmetry and
                     # transitivity alone; no transfer rule is needed
                     continue
-                rv = _RuleVars(sig)
-                xs = [rv.dv() for _ in range(k)]
-                yi = rv.dv()
+                rv, ls, xs = _fresh_args(sig, lead, k)
                 ys = xs.copy()
-                ys[i] = yi
+                ys[i] = rv.dv()
                 rules.append(TableauRule(
-                    "congr_%s%s_%d" % (tag, pname, i + 1), "equality",
-                    [sx.literal(sign, patom(pname, xs)), _eq(xs[i], yi)],
-                    [[sx.literal(sign, patom(pname, ys))]],
-                    provenance="congruence for %s" % pname))
-    for n in nus:
-        for i in range(n):
-            for sign, tag in ((True, ""), (False, "neg_")):
-                rv = _RuleVars(sig)
-                p = rv.lv(n)
-                xs = [rv.dv() for _ in range(n)]
-                yi = rv.dv()
-                ys = xs.copy()
-                ys[i] = yi
-                rules.append(TableauRule(
-                    "congr_%snu%d_%d" % (tag, n, i + 1), "equality",
-                    [sx.literal(sign, sx.atom(sx.nu(n), [p] + xs)),
-                     _eq(xs[i], yi)],
-                    [[sx.literal(sign, sx.atom(sx.nu(n), [p] + ys))]],
-                    provenance="congruence for nu%d" % n))
+                    "congr_%s%s_%d" % (tag, name, i + 1), "equality",
+                    [sx.literal(sign, sx.atom(pred, ls + xs)), _eq(xs[i], ys[i])],
+                    [[sx.literal(sign, sx.atom(pred, ls + ys))]],
+                    provenance="congruence for %s" % name))
     for fn in skolems:
         for i in range(fn.n_dom):
             rv = _RuleVars(sig)
@@ -453,33 +424,21 @@ def default_equality_rules(sig, ns, skolems=()):
 
 
 def closure_rules(sig, ns):
+    """One contradiction rule per predicate family: the holds-predicates
+    first, then the predicates, then eq."""
     rules = []
-    for n in _occurring_nu_sorts(ns):
-        rv = _RuleVars(sig)
-        p = rv.lv(n)
-        xs = [rv.dv() for _ in range(n)]
-        a = sx.atom(sx.nu(n), [p] + xs)
-        rules.append(TableauRule("closure_nu%d" % n, "closure",
+    for name, pred, lead, k in sorted(_families(sig, ns),
+                                      key=lambda f: (f[2] is None, f[0] == "eq")):
+        _, ls, xs = _fresh_args(sig, lead, k)
+        a = sx.atom(pred, ls + xs)
+        rules.append(TableauRule("closure_%s" % name, "closure",
                                  [sx.pos_lit(a), sx.neg_lit(a)], [],
-                                 provenance="contradiction on nu%d" % n))
-    for pname in occurring_preds(ns):
-        rv = _RuleVars(sig)
-        xs = [rv.dv() for _ in range(sig.preds[pname])]
-        a = sx.atom(sx.pred(pname), xs)
-        rules.append(TableauRule("closure_%s" % pname, "closure",
-                                 [sx.pos_lit(a), sx.neg_lit(a)], [],
-                                 provenance="contradiction on %s" % pname))
-    rv = _RuleVars(sig)
-    x, y = rv.dv(), rv.dv()
-    a = sx.atom(sx.EQ, [x, y])
-    rules.append(TableauRule("closure_eq", "closure",
-                             [sx.pos_lit(a), sx.neg_lit(a)], [],
-                             provenance="contradiction on eq"))
+                                 provenance="contradiction on %s" % name))
     return rules
 
 
 def synthesize(ns: NormalizedSpec, assume_well_founded=False,
-               cap=DNF_LITERAL_CAP, domain_predication=True) -> Calculus:
+               cap=DNF_LITERAL_CAP) -> Calculus:
     verdict = check_well_founded(induced_ordering(ns))
     if verdict.kind == "cycle":
         raise NotWellFounded("induced ordering has a cycle: %r" % (verdict.witness,))
@@ -488,19 +447,17 @@ def synthesize(ns: NormalizedSpec, assume_well_founded=False,
                              "pass assume_well_founded to proceed")
     sig = ns.signature
     namer = _SkolemNamer()
-    dp = domain_predication
     decomp = []
     for xi in sorted(ns.s_plus, key=lambda x: head_slug(x)):
-        decomp.append(make_decomposition_rule(xi, namer, cap, dp))
+        decomp.append(make_decomposition_rule(xi, namer, cap))
         for xim in ns.s_minus:
             if _same_head(xim, xi):
-                decomp.append(make_decomposition_rule(xim, namer, cap, dp))
+                decomp.append(make_decomposition_rule(xim, namer, cap))
     # negative sentences whose head has no positive partner
     for xim in sorted(ns.s_minus, key=lambda x: head_slug(x)):
         if not any(_same_head(xim, xip) for xip in ns.s_plus):
-            decomp.append(make_decomposition_rule(xim, namer, cap, dp))
-    theory = [make_theory_rule(i, ax, namer, cap, dp)
-              for i, ax in enumerate(ns.sb)]
+            decomp.append(make_decomposition_rule(xim, namer, cap))
+    theory = [make_theory_rule(i, ax, namer, cap) for i, ax in enumerate(ns.sb)]
     skolems = []
     for r in decomp + theory:
         skolems.extend(r.fresh_functions)

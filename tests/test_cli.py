@@ -141,7 +141,19 @@ BAD_FILES = [
       "--model", "{nodir}/m.txt", "{f}"], "{nodir}"),
     ("oracle-model", "p0\n",
      ["oracle", "--preset", "so", "--max-size", "2", "--model", "{nodir}/m.txt",
-      "{f}"], "{nodir}")]
+      "{f}"], "{nodir}"),
+    # a head expression that repeats a variable matches fewer concepts than
+    # its definition speaks of
+    ("repeated-head-var.spec",
+     "sorts 2\nvars 1 p\nconnective a 1 1 -> 1\n"
+     "define forall x. nu1(a(p, p), x) <-> nu1(p, x)\n",
+     ["synth", "--spec", "{f}"], "distinct"),
+    ("prove-model-no-spec", "p0\nnot(p0)\n",
+     ["prove", "--calc", "{work}/so_refined.calc", "--model", "{work}/m.txt",
+      "{f}"], "--spec"),
+    ("unbound.calc",
+     "sorts 2\nvars 1 p\nrule bad [equality]: eq(x, x) / eq(y, y)\n",
+     ["prove", "--calc", "{f}", "{work}/none.txt"], "bad")]
 
 
 @pytest.mark.parametrize("name, text, args, names", BAD_FILES,

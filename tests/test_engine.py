@@ -166,8 +166,7 @@ class Pad:  # as large as a term or an expression, so it shifts their addresses
 pad = [Pad() for _ in range(int(sys.argv[1]))]
 from tabsynth import engine, normalize, parser, refine, specfile, synth
 ns = normalize.normalize(specfile.preset("ipc"))
-calc = refine.attach_ub(synth.synthesize(ns, domain_predication=False),
-                        synth.UbConfig(True, 0))
+calc = refine.attach_ub(synth.synthesize(ns), synth.UbConfig(True, 0))
 c = parser.parse_lexpr(calc.signature, "or(impl(p0, q0), impl(q0, p0))", 1)
 eng = engine.Engine(calc, ns=ns, node_budget=300, trace=True)
 eng.expand(eng.init([(c, False)]))
@@ -175,15 +174,10 @@ print("\\n".join(eng.trace))
 """
 
 
-def test_derivation_independent_of_heap_layout(so_ns, ipc_ns):
-    """Rule variables come in order of first occurrence, never in the order
-    of heap addresses, so every process derives the same way."""
-    for ns, rid, names in ((so_ns, "theory_0", ["r", "x", "y", "z"]),
-                           (ipc_ns, "theory_3", ["p", "x", "y"])):
-        calc = synth.synthesize(ns, domain_predication=False)
-        assert [v.name for v in calc.rule(rid).free_vars] == names
-    # the processes differ only in how many objects precede the import; when
-    # free variables came in heap-address order, 14 of 15 triples disagreed
+def test_derivation_independent_of_heap_layout():
+    """No order the derivation follows comes from heap addresses, so every
+    process derives the same way."""
+    # the processes differ only in how many objects precede the import
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(engine.__file__)))
     traces = [subprocess.run([sys.executable, "-c", HEAP_PROBE, str(n)],
@@ -215,12 +209,13 @@ def test_resource_limit_is_a_verdict(so_blocked, so_ns):
 
 
 def test_bfs_agrees_with_dfs(so_blocked, so_ns):
-    for text, expected in [("exists(r0, exists(r0, p0))", "sat"),
-                           ("or(p0, not(p0))", "sat")]:
+    for texts, expected in [(["exists(r0, exists(r0, p0))"], "sat"),
+                            (["or(p0, not(p0))"], "sat"),
+                            (["or(p0, q0)", "not(p0)", "not(q0)"], "unsat")]:
         for mode in ("dfs", "bfs"):
-            v = engine.prove(so_blocked, [pc(so_blocked, text)], ns=so_ns,
-                             search=mode, node_budget=200000)
-            assert v.kind == expected, (text, mode)
+            v = engine.prove(so_blocked, [pc(so_blocked, t) for t in texts],
+                             ns=so_ns, search=mode, node_budget=200000)
+            assert v.kind == expected, (texts, mode)
 
 
 def test_unsat_two_hop_transitivity(so_blocked, so_ns):
@@ -329,18 +324,3 @@ def test_subexpression_property_untouched_on_generated_calculus(so_calc, so_ns):
         tab = eng.init([pc(so_calc, text)])
         eng.expand(tab)
         assert eng.subexpr_violations == []
-
-
-def test_prover_without_domain_predication(so_ns):
-    from tabsynth import calcfile
-    nodp = synth.synthesize(so_ns, domain_predication=False)
-    text = calcfile.print_calculus(nodp)
-    nodp = calcfile.parse_calculus(text)  # free variables survive the file
-    blocked = refine.attach_ub(nodp, synth.UbConfig(True, 0))
-    cases = [(["exists(r0, exists(r0, p0))", "not(exists(r0, p0))"], "unsat"),
-             (["exists(r0, p0)"], "sat"),
-             (["or(p0, q0)", "not(p0)", "not(q0)"], "unsat")]
-    for texts, want in cases:
-        v = engine.prove(blocked, [pc(blocked, t) for t in texts], ns=so_ns,
-                         node_budget=100000)
-        assert v.kind == want, texts

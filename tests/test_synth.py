@@ -374,16 +374,3 @@ def test_every_generated_rule_is_locally_sound(preset, size, request):
             assert _rule_locally_sound(m, rule, carrier), rule.id
         checked += 1
     assert checked > 0
-
-
-def test_domain_predication_flag(so_ns):
-    nodp = synth.synthesize(so_ns, domain_predication=False)
-    trans = nodp.rule("theory_0")
-    assert trans.premises == ()
-    assert len(trans.free_vars) == 4
-    neg = nodp.rule("exists_neg")
-    assert [l.text() for l in neg.premises] == ["not(nu1(exists(r, p), x))"]
-    assert [v.name for v in neg.free_vars] == ["y"]
-    # the predication variant binds the same variables through eq premises
-    withdp = synth.synthesize(so_ns)
-    assert withdp.rule("exists_neg").free_vars == ()
