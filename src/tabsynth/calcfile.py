@@ -73,8 +73,11 @@ def _parse_rule_line(el, rest, lineno):
         denominators = []
     else:
         denominators = [lits(part) for part in den_txt.split("|")]
-    return TableauRule(rid, kind, premises, denominators,
-                       produces_terms=produces)
+    try:
+        return TableauRule(rid, kind, premises, denominators,
+                           produces_terms=produces)
+    except sx.TabError as e:
+        raise SpecSyntaxError(str(e), lineno) from None
 
 
 def parse_calculus(text):
@@ -113,6 +116,8 @@ def parse_calculus(text):
     el = Elaborator(sig, skolems)
     rules = [_parse_rule_line(el, rest, lineno) for rest, lineno in rule_lines]
     mode = head.get("mode", "base")
+    if mode == "internalized" and ctx is None:
+        raise SpecSyntaxError("missing 'ctx' directives for mode internalized")
     return Calculus(head.get("calculus", "calculus"), sig, rules, skolems,
                     head.get("blocking"), mode, ctx, spec_name=head.get("spec"),
                     refined=head.get("refined") == "yes" or mode != "base")

@@ -132,7 +132,11 @@ def cmd_prove(args):
         print("input error: %s" % e, file=sys.stderr)
         return EXIT_BAD_INPUT
     if args.ub:
-        calc = refine.attach_ub(calc, synth.UbConfig(True, args.ub_depth))
+        try:
+            calc = refine.attach_ub(calc, synth.UbConfig(True, args.ub_depth))
+        except sx.TabError as e:
+            print("error: %s" % e, file=sys.stderr)
+            return EXIT_ERROR
     eng = engine.Engine(calc, ns=ns, node_budget=args.budget_nodes,
                         time_budget=args.budget_secs, search=args.search,
                         trace=bool(args.trace))
@@ -214,6 +218,9 @@ def cmd_oracle(args):
         print("UNKNOWN")
         print("carrier too large: %s" % e, file=sys.stderr)
         return EXIT_UNKNOWN
+    except sx.TabError as e:
+        print("error: %s" % e, file=sys.stderr)
+        return EXIT_ERROR
     if res == "sat":
         print("SAT")
         if args.model and not _save(args.model, m.format()):

@@ -52,8 +52,7 @@ class InternalizedMode:
     name = "internalized"
 
     def __init__(self, ctx):
-        self.ctx = ctx
-        self.deq_plus = ctx.d_plus.get("eq")
+        self.deq_plus = ctx.templates["d+"].get("eq")
 
     # branch literals are always fully instantiated, so unlike the base mode
     # there is no well-formedness filtering here: any sort-0 subexpression of
@@ -230,10 +229,7 @@ class Engine:
         if self.calc.mode == "internalized":
             anchor = sx.lconst(0, "i0")
             for c, pos in signed:
-                tpl = (self.calc.ctx.c_plus if pos else self.calc.ctx.c_minus).get(1)
-                if tpl is None:
-                    raise sx.TabError("internalized calculus lacks a "
-                                      "primary-sort template")
+                tpl = self.calc.ctx.template("c", pos, 1)
                 self._add(root, sx.pos_lit(sx.atom(sx.HOLDS,
                                                    [tpl.instantiate([c, anchor])])))
         else:

@@ -208,19 +208,19 @@ def detranslate(literals, ctx, skolems=None):
             emit(lit)
             continue
         c = lit.atom.args[0]
-        for templates, pos in ((ctx.d_plus, True), (ctx.d_minus, False),
-                               (ctx.c_plus, True), (ctx.c_minus, False)):
-            for key, tpl in templates.items():
+        # d before c: model element numbering follows this order
+        for word in ("d+", "d-", "c+", "c-"):
+            for key, tpl in ctx.templates[word].items():
                 m = tpl.match(c)
                 if not m:
                     continue
-                if isinstance(key, int):
+                if word[0] == "c":
                     # c templates, keyed by sort: an expression, then individuals
                     a = sx.atom(sx.nu(key), [m[0]] + [term_of(e) for e in m[1:]])
                 else:
                     pred = sx.EQ if key == "eq" else sx.pred(key)
                     a = sx.atom(pred, [term_of(e) for e in m])
-                emit(sx.literal(pos, a))
+                emit(sx.literal(word[1] == "+", a))
     return out
 
 
@@ -371,6 +371,8 @@ def brute_force_sat(ns, inputs, max_size, carrier_cap=64):
     unsat verdict, so callers choose bounds that are conclusive for their
     inputs.
     """
+    if max_size < 1:
+        raise sx.TabError("max size must be at least 1, not %d" % max_size)
     signed = _signed(inputs)
     exprs = [c for c, _ in signed]
     ordering = induced_ordering(ns)

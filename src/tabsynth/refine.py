@@ -153,13 +153,22 @@ class Template:
 
 
 class TrContext:
-    def __init__(self, new_conns, fn_conns, c_plus, c_minus, d_plus, d_minus):
+    def __init__(self, new_conns, fn_conns, templates):
         self.new_conns = list(new_conns)    # Conn objects the context adds
         self.fn_conns = dict(fn_conns)      # Skolem fn name -> Conn
-        self.c_plus = dict(c_plus)          # sort n -> Template(p, l1..ln)
-        self.c_minus = dict(c_minus)
-        self.d_plus = dict(d_plus)          # predicate name (or "eq") -> Template
-        self.d_minus = dict(d_minus)
+        # "c+"/"c-": sort n -> Template(p, l1..ln);
+        # "d+"/"d-": predicate name (or "eq") -> Template(l1..ln)
+        self.templates = templates
+
+    def template(self, kind, pos, key):
+        """The ``kind`` ("c" or "d") template of polarity ``pos`` for
+        ``key``: a sort for c templates, a predicate name or "eq" for d."""
+        word = kind + ("+" if pos else "-")
+        tpl = self.templates[word].get(key)
+        if tpl is None:
+            raise IncompleteContext("missing %s template for %s" % (
+                word, "sort %d" % key if kind == "c" else key))
+        return tpl
 
 
 def parse_context(text, sig, skolems):
@@ -222,8 +231,7 @@ def parse_context(text, sig, skolems):
         templates[word][key] = Template(params, expr)
 
     read_directives(text, template)
-    return TrContext(new_conns, fn_conns, templates["c+"], templates["c-"],
-                     templates["d+"], templates["d-"])
+    return TrContext(new_conns, fn_conns, templates)
 
 
 def print_context(ctx):
@@ -236,18 +244,10 @@ def print_context(ctx):
     for fname, conn in ctx.fn_conns.items():
         out.append("function %s -> %s" % (fname, conn.name))
 
-    def tpl_line(word, key, tpl):
-        params = ", ".join(p.name for p in tpl.params)
-        out.append("%s %s(%s) = %s" % (word, key, params, tpl.expr.text()))
-
-    for n, tpl in ctx.c_plus.items():
-        tpl_line("c+", str(n), tpl)
-    for n, tpl in ctx.c_minus.items():
-        tpl_line("c-", str(n), tpl)
-    for k, tpl in ctx.d_plus.items():
-        tpl_line("d+", k, tpl)
-    for k, tpl in ctx.d_minus.items():
-        tpl_line("d-", k, tpl)
+    for word, tpls in ctx.templates.items():
+        for key, tpl in tpls.items():
+            params = ", ".join(p.name for p in tpl.params)
+            out.append("%s %s(%s) = %s" % (word, key, params, tpl.expr.text()))
     return "\n".join(out) + "\n"
 
 
@@ -277,7 +277,6 @@ def _epsilon_for_rule(rule, sig):
 
 class _Internalizer:
     def __init__(self, calc, ctx):
-        self.calc = calc
         self.ctx = ctx
         self.sig = calc.signature.extended(ctx.new_conns)
 
@@ -302,56 +301,38 @@ class _Internalizer:
         """The concept literal standing for ``lit``; None when it dissolves
         (reflexive equalities at object sorts carry no information here)."""
         a = lit.atom
-        if a.pred[0] == "holds":
-            return lit
-        if a.pred[0] == "false":
+        if a.pred[0] in ("holds", "false"):
             return lit
         if a.pred[0] == "nu":
-            n = a.pred[1]
-            tpl = (self.ctx.c_plus if lit.pos else self.ctx.c_minus).get(n)
-            if tpl is None:
-                raise IncompleteContext("no c%s template for sort %d"
-                                        % ("+" if lit.pos else "-", n))
+            tpl = self.ctx.template("c", lit.pos, a.pred[1])
             args = [a.args[0]] + [self.individual(t, eps) for t in a.args[1:]]
-            return sx.pos_lit(sx.atom(sx.HOLDS, [tpl.instantiate(args)]))
-        if a.pred[0] == "pred":
-            tpl = (self.ctx.d_plus if lit.pos else self.ctx.d_minus).get(a.pred[1])
-            if tpl is None:
-                raise IncompleteContext("no d%s template for %s"
-                                        % ("+" if lit.pos else "-", a.pred[1]))
+        elif a.pred[0] == "pred":
+            tpl = self.ctx.template("d", lit.pos, a.pred[1])
             args = [self.individual(t, eps) for t in a.args]
-            return sx.pos_lit(sx.atom(sx.HOLDS, [tpl.instantiate(args)]))
-        # equality
-        s, t = a.args
-        s_dom, t_dom = sx.is_domain_term(s), sx.is_domain_term(t)
-        if not s_dom and not t_dom:
-            if s is t:
-                return None  # reflexive object-sort predication dissolves
-            raise IncompleteContext("object-sort equality %s cannot be "
-                                    "internalized" % lit.text())
-        tpl = (self.ctx.d_plus if lit.pos else self.ctx.d_minus).get("eq")
-        if tpl is None:
-            raise IncompleteContext("no d%s template for eq"
-                                    % ("+" if lit.pos else "-"))
-        # put a bare domain variable side first; keeps rules whose premise
-        # and conclusion say the same thing literally identical
-        if t.kind == "dvar" and s.kind != "dvar":
-            s, t = t, s
-        args = [self.individual(s, eps), self.individual(t, eps)]
+        else:  # equality
+            s, t = a.args
+            if not sx.is_domain_term(s) and not sx.is_domain_term(t):
+                if s is t:
+                    return None  # reflexive object-sort predication dissolves
+                raise IncompleteContext("object-sort equality %s cannot be "
+                                        "internalized" % lit.text())
+            tpl = self.ctx.template("d", lit.pos, "eq")
+            # put a bare domain variable side first; keeps rules whose premise
+            # and conclusion say the same thing literally identical
+            if t.kind == "dvar" and s.kind != "dvar":
+                s, t = t, s
+            args = [self.individual(s, eps), self.individual(t, eps)]
         return sx.pos_lit(sx.atom(sx.HOLDS, [tpl.instantiate(args)]))
 
     def rule(self, r):
         eps = _epsilon_for_rule(r, self.sig)
-        premises = [x for x in (self.literal(l, eps) for l in r.premises)
-                    if x is not None]
-        denominators = []
-        for d in r.denominators:
-            nd = [x for x in (self.literal(l, eps) for l in d) if x is not None]
-            if not nd:
-                return None  # a vacuous denominator makes the rule a no-op
-            denominators.append(nd)
-        if not premises:
-            return None
+        # every literal is encoded before a vacuous rule is dropped, so a
+        # missing template is reported wherever it is needed
+        premises, *denominators = [
+            [x for x in (self.literal(l, eps) for l in lits) if x is not None]
+            for lits in (r.premises,) + r.denominators]
+        if not premises or not all(denominators):
+            return None  # a vacuous denominator makes the rule a no-op
         try:
             return TableauRule(r.id, r.kind, premises, denominators,
                                r.fresh_functions, r.produces_terms,
@@ -369,7 +350,6 @@ class _Internalizer:
 def internalize(calc, ctx):
     """Rewrite every rule into the object language; the result speaks only
     concepts of the primary sort."""
-    _check_coverage(calc, ctx)
     intern = _Internalizer(calc, ctx)
     rules = []
     for r in calc.rules:
@@ -380,46 +360,6 @@ def internalize(calc, ctx):
                    mode="internalized", ctx=ctx, spec_name=calc.spec_name,
                    refined=True)
     return out
-
-
-def _check_coverage(calc, ctx):
-    for r in calc.rules:
-        for lits in (r.premises,) + r.denominators:
-            for l in lits:
-                p = l.atom.pred
-                if p[0] == "nu":
-                    side = ctx.c_plus if l.pos else ctx.c_minus
-                    if p[1] not in side:
-                        raise IncompleteContext("missing c%s template for sort %d"
-                                                % ("+" if l.pos else "-", p[1]))
-                elif p[0] == "pred":
-                    side = ctx.d_plus if l.pos else ctx.d_minus
-                    if p[1] not in side:
-                        raise IncompleteContext("missing d%s template for %s"
-                                                % ("+" if l.pos else "-", p[1]))
-                elif p[0] == "eq":
-                    s, t = l.atom.args
-                    if sx.is_domain_term(s) or sx.is_domain_term(t):
-                        side = ctx.d_plus if l.pos else ctx.d_minus
-                        if "eq" not in side:
-                            raise IncompleteContext("missing d%s template for eq"
-                                                    % ("+" if l.pos else "-"))
-                for t in l.atom.args:
-                    if sx.is_domain_term(t):
-                        for fn in _fns_of_term(t):
-                            if fn.name not in ctx.fn_conns:
-                                raise IncompleteContext(
-                                    "no connective for function %s" % fn.name)
-
-
-def _fns_of_term(t):
-    if isinstance(t, sx.LExpr):
-        return
-    if t.kind == "fun":
-        yield t.fn
-        for a in t.args:
-            if not isinstance(a, sx.LExpr):
-                yield from _fns_of_term(a)
 
 
 # ---------------------------------------------------------------------------
@@ -471,32 +411,24 @@ def attach_ub(calc, cfg):
     term-introduction restrictions when ``cfg`` is enabled."""
     if not cfg.enabled:
         return calc
+    x, y = sx.dvar("x"), sx.dvar("y")
+    a = sx.atom(sx.EQ, [x, y])
+    ub = TableauRule("ub", "blocking",
+                     [sx.pos_lit(sx.atom(sx.EQ, [v, v])) for v in (x, y)],
+                     [[sx.pos_lit(a)], [sx.neg_lit(a)]],
+                     provenance="equality conjecture blocking")
     if calc.mode == "internalized":
         ctx = calc.ctx
-        if ctx is None or "eq" not in ctx.d_plus or "eq" not in ctx.d_minus:
+        if ctx is None or "eq" not in ctx.templates["d+"] \
+                or "eq" not in ctx.templates["d-"]:
             raise NoEqualityAvailable("internalized calculus lacks equality "
                                       "templates")
-        l1, l2 = sx.lvar(0, "l"), sx.lvar(0, "l1")
-        prem = [sx.pos_lit(sx.atom(sx.HOLDS, [ctx.d_plus["eq"].instantiate([v, v])]))
-                for v in (l1, l2)]
-        dpos = sx.pos_lit(sx.atom(sx.HOLDS, [ctx.d_plus["eq"].instantiate([l1, l2])]))
-        dneg = sx.pos_lit(sx.atom(sx.HOLDS, [ctx.d_minus["eq"].instantiate([l1, l2])]))
-        ub = TableauRule("ub", "blocking", prem, [[dpos], [dneg]],
-                         provenance="equality conjecture blocking")
-    else:
-        has_eq = any(l.atom.pred[0] == "eq"
-                     for r in calc.rules
-                     for lits in (r.premises,) + r.denominators
-                     for l in lits)
-        if not has_eq:
-            raise NoEqualityAvailable("calculus never mentions equality")
-        x, y = sx.dvar("x"), sx.dvar("y")
-        prem = [sx.pos_lit(sx.atom(sx.EQ, [x, x])),
-                sx.pos_lit(sx.atom(sx.EQ, [y, y]))]
-        a = sx.atom(sx.EQ, [x, y])
-        ub = TableauRule("ub", "blocking", prem,
-                         [[sx.pos_lit(a)], [sx.neg_lit(a)]],
-                         provenance="equality conjecture blocking")
+        ub = _Internalizer(calc, ctx).rule(ub)
+    elif not any(l.atom.pred[0] == "eq"
+                 for r in calc.rules
+                 for lits in (r.premises,) + r.denominators
+                 for l in lits):
+        raise NoEqualityAvailable("calculus never mentions equality")
     rules = [r for r in calc.rules if r.id != "ub"] + [ub]
     out = calc.replaced(rules, refined=calc.refined)
     out.blocking = cfg

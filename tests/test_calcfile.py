@@ -16,7 +16,7 @@ def test_roundtrip_internalized_with_blocking(so_blocked):
     assert synth.calculus_equal(so_blocked, again)
     assert again.blocking.enabled and again.blocking.depth == 0
     assert again.mode == "internalized"
-    assert "eq" in again.ctx.d_plus
+    assert "eq" in again.ctx.templates["d+"]
     assert [r.produces_terms for r in again.rules] == \
         [r.produces_terms for r in so_blocked.rules]
 

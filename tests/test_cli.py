@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -116,7 +117,7 @@ def test_cli_output_is_golden_bytes(work, made, golden):
 
 
 # (name, text of the file {f} or None, arguments, what the error must name);
-# {nodir} is a directory that does not exist
+# {nodir} is a directory that does not exist, {p0} the problem p0
 BAD_FILES = [
     ("missing.spec", None, ["synth", "--spec", "{f}"], "{f}"),
     ("missing.calc", None,
@@ -153,7 +154,19 @@ BAD_FILES = [
       "{f}"], "--spec"),
     ("unbound.calc",
      "sorts 2\nvars 1 p\nrule bad [equality]: eq(x, x) / eq(y, y)\n",
-     ["prove", "--calc", "{f}", "{work}/none.txt"], "bad")]
+     ["prove", "--calc", "{f}", "{work}/none.txt"], "binds y at 3:?"),
+    ("no-premises.calc", "sorts 2\nvars 1 p\nrule bad [closure]: / false\n",
+     ["prove", "--calc", "{f}", "{work}/none.txt"], "no premises at 3:?"),
+    ("no-ctx.calc", "mode internalized\nsorts 2\nvars 0 l\nvars 1 p\n",
+     ["prove", "--calc", "{f}", "{work}/none.txt"], "'ctx'"),
+    ("ub-depth", "exists(r0, p0)\n",
+     ["prove", "--calc", "{work}/so_refined.calc", "--ub", "--ub-depth", "-1",
+      "{f}"], "depth"),
+    ("no-equality.calc",
+     "sorts 2\nvars 1 p\nrule c [closure]: nu1(p, x), not(nu1(p, x)) / false\n",
+     ["prove", "--calc", "{f}", "--ub", "{p0}"], "equality"),
+    ("oracle-size", "exists(r0, p0)\n",
+     ["oracle", "--preset", "so", "--max-size", "0", "{f}"], "max size")]
 
 
 @pytest.mark.parametrize("name, text, args, names", BAD_FILES,
@@ -164,7 +177,8 @@ def test_bad_file_is_error_without_traceback(work, tmp_path, name, text, args,
     if text is not None:
         _write(path, text)
     fields = {"f": path, "work": work, "nodir": tmp_path / "nodir",
-              "so_refine": os.path.join(PRESETS, "so.refine")}
+              "so_refine": os.path.join(PRESETS, "so.refine"),
+              "p0": _write(tmp_path / "p0.txt", "p0\n")}
     proc = subprocess.run([sys.executable, "-m", "tabsynth.cli"]
                           + [a.format(**fields) for a in args],
                           capture_output=True, text=True)
@@ -172,6 +186,29 @@ def test_bad_file_is_error_without_traceback(work, tmp_path, name, text, args,
     assert proc.stderr.startswith("error: ")
     assert names.format(**fields) in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_blocking_rule_variables_follow_the_signature(tmp_path):
+    # the SO logic with sort-0 variables named w: the internalized blocking
+    # rule must be written with those names to be read back
+    def renamed(name):
+        with open(os.path.join(PRESETS, name), encoding="utf-8") as fh:
+            text = fh.read()
+        return re.sub(r"\bl(1?)\b", r"w\1", text)
+
+    spec = _write(tmp_path / "w.spec", renamed("so.spec"))
+    ctx = _write(tmp_path / "w.ctx", renamed("so.ctx"))
+    script = _write(tmp_path / "w.refine", renamed("so.refine") + "ub\n")
+    calc, refined = str(tmp_path / "w.calc"), str(tmp_path / "w_refined.calc")
+    assert run_cli(["synth", "--spec", spec, "-o", calc]) == 0
+    assert run_cli(["refine", "--calc", calc, "--refine-script", script,
+                    "--ctx", ctx, "-o", refined]) == 0
+    assert "colon(w, one(w1))" in open(refined).read()
+    sat = _write(tmp_path / "sat.txt", "exists(r0, p0)\n")
+    unsat = _write(tmp_path / "unsat.txt",
+                   "exists(r0, exists(r0, p0))\nnot(exists(r0, p0))\n")
+    assert run_cli(["prove", "--calc", refined, sat]) == 0
+    assert run_cli(["prove", "--calc", refined, unsat]) == 20
 
 
 @pytest.mark.parametrize("status, outcome", [
