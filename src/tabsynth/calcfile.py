@@ -94,8 +94,12 @@ def parse_calculus(text):
             skolems[name] = sx.FnSym(name, tuple(int(s) for s in lsorts), int(ndom))
         elif word == "blocking":
             parts = rest.split()
-            depth = int(parts[parts.index("depth") + 1]) if "depth" in parts else 0
-            head["blocking"] = None if rest == "off" else UbConfig(True, depth)
+            if parts == ["off"]:
+                head["blocking"] = None
+            elif len(parts) == 3 and parts[:2] == ["ub", "depth"]:
+                head["blocking"] = UbConfig(True, int(parts[2]))
+            else:
+                raise ValueError(rest)
         elif word == "ctx":
             ctx_lines[lineno] = rest
         elif word == "rule":

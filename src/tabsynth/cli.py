@@ -287,7 +287,13 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except RecursionError:
+        # readers, the prover and the oracle recurse on the nesting of terms
+        print("input error: expression nested too deeply (Python recursion "
+              "limit %d)" % sys.getrecursionlimit(), file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

@@ -435,28 +435,37 @@ _FRAME_CACHE = {}
 
 
 def _frame_assignments(ns, pred_names, size, no_var):
-    """Predicate interpretations satisfying the variable-free sentences.
-    Cached per (sentences, predicates, size): the filter is instance
-    independent and dominates the enumeration cost at size four."""
-    key = (tuple(sx.formula_text(f) for f in no_var), tuple(pred_names), size)
+    """Predicate interpretations satisfying the variable-free sentences, one
+    per class of frames isomorphic by a permutation fixing element 0: the
+    first of each class in enumeration order.
+
+    The inputs are read at element 0, every other sentence is closed, and
+    every nu0 and atom valuation is enumerated, so a frame has a model
+    exactly when its images do.  The first frame with a model is therefore
+    kept, and the oracle's verdicts and structures are those of the full
+    enumeration.  Cached per (sentences, predicates with their arities,
+    size): the filter is instance independent and dominates the enumeration
+    cost at size four."""
+    preds = tuple((p, ns.signature.preds[p]) for p in pred_names)
+    key = (tuple(sx.formula_text(f) for f in no_var), preds, size)
     hit = _FRAME_CACHE.get(key)
     if hit is not None:
         return hit
-    out = []
-    if not pred_names:
+    spaces = [list(_subsets(list(itertools.product(range(size), repeat=n))))
+              for _, n in preds]
+    perms = [(0,) + rest for rest in itertools.permutations(range(1, size))]
+    out, seen = [], set()
+    for combo in itertools.product(*spaces):
+        if combo in seen:
+            continue
         probe = LStructure(size, spec=ns.spec)
+        probe.preds = {p: set(v) for (p, _), v in zip(preds, combo)}
         if all(evaluate(probe, f) for f in no_var):
-            out.append({})
-    else:
-        arities = {p: ns.signature.preds[p] for p in pred_names}
-        spaces = [list(_subsets(list(itertools.product(range(size),
-                                                       repeat=arities[p]))))
-                  for p in pred_names]
-        for combo in itertools.product(*spaces):
-            probe = LStructure(size, spec=ns.spec)
-            probe.preds = {p: set(v) for p, v in zip(pred_names, combo)}
-            if all(evaluate(probe, f) for f in no_var):
-                out.append({p: frozenset(v) for p, v in zip(pred_names, combo)})
+            out.append({p: frozenset(v) for (p, _), v in zip(preds, combo)})
+            # the images, as the sorted tuples that _subsets yields
+            seen.update(tuple(tuple(sorted(tuple(pi[e] for e in t) for t in v))
+                              for v in combo)
+                        for pi in perms)
     _FRAME_CACHE[key] = out
     return out
 

@@ -465,8 +465,10 @@ def parse_script(text):
         elif word in ("tr", "simplify"):
             steps.append(RefineStep(word))
         elif word == "ub":
-            depth = int(parts[1]) if len(parts) == 2 and parts[0] == "depth" else 0
-            steps.append(RefineStep("ub", depth=depth))
+            # `ub` or `ub depth <n>`; the reader reports a ValueError as malformed
+            if parts and (len(parts) != 2 or parts[0] != "depth"):
+                raise ValueError(rest)
+            steps.append(RefineStep("ub", depth=int(parts[1]) if parts else 0))
         else:
             raise SpecSyntaxError("unknown refinement step %r" % word, lineno)
 

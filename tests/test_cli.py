@@ -166,7 +166,27 @@ BAD_FILES = [
      "sorts 2\nvars 1 p\nrule c [closure]: nu1(p, x), not(nu1(p, x)) / false\n",
      ["prove", "--calc", "{f}", "--ub", "{p0}"], "equality"),
     ("oracle-size", "exists(r0, p0)\n",
-     ["oracle", "--preset", "so", "--max-size", "0", "{f}"], "max size")]
+     ["oracle", "--preset", "so", "--max-size", "0", "{f}"], "max size"),
+    ("ub-depth-missing.refine", "ub depth\n",
+     ["refine", "--calc", "{work}/so.calc", "--refine-script", "{f}"],
+     "malformed 'ub' directive at 1:?"),
+    ("ub-deep.refine", "simplify\nub deep 3\n",
+     ["refine", "--calc", "{work}/so.calc", "--refine-script", "{f}"],
+     "malformed 'ub' directive at 2:?"),
+    ("ub-number.refine", "ub 3\n",
+     ["refine", "--calc", "{work}/so.calc", "--refine-script", "{f}"],
+     "malformed 'ub' directive at 1:?"),
+    ("blocking.calc", "sorts 2\nvars 1 p\nblocking nonsense\n",
+     ["prove", "--calc", "{f}", "{p0}"], "malformed 'blocking' directive at 3:?")]
+
+
+def _run_module(args):
+    """The command line in a child process that imports this package."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, "-m", "tabsynth.cli"] + args,
+                          capture_output=True, text=True, env=env)
 
 
 @pytest.mark.parametrize("name, text, args, names", BAD_FILES,
@@ -179,12 +199,26 @@ def test_bad_file_is_error_without_traceback(work, tmp_path, name, text, args,
     fields = {"f": path, "work": work, "nodir": tmp_path / "nodir",
               "so_refine": os.path.join(PRESETS, "so.refine"),
               "p0": _write(tmp_path / "p0.txt", "p0\n")}
-    proc = subprocess.run([sys.executable, "-m", "tabsynth.cli"]
-                          + [a.format(**fields) for a in args],
-                          capture_output=True, text=True)
+    proc = _run_module([a.format(**fields) for a in args])
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ")
     assert names.format(**fields) in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+# a problem nested deeper than the interpreter's recursion limit
+DEEP_PROBLEM = "not(" * 1500 + "p0" + ")" * 1500 + "\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["prove", "--calc", "{work}/so_refined.calc", "--preset", "so", "--ub"],
+    ["oracle", "--preset", "so", "--max-size", "2"]], ids=["prove", "oracle"])
+def test_deep_problem_is_input_error_without_traceback(work, tmp_path, args):
+    prob = _write(tmp_path / "deep.txt", DEEP_PROBLEM)
+    proc = _run_module([a.format(work=work) for a in args] + [prob])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("input error: ")
+    assert "nested too deeply" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -241,6 +275,41 @@ def test_oracle_exit_codes(work):
                     str(work / "p4.txt")]) == 2
 
 
+# counter-models of three IPC non-theorems, recorded when the oracle still
+# tried every labelled frame
+ORACLE_GOLDEN = [
+    ("oracle_ipc_width.model",
+     "or(or(impl(p0, or(q0, p1)), impl(q0, or(p0, p1))), impl(p1, or(p0, q0)))"),
+    ("oracle_ipc_linearity.model", "or(impl(p0, q0), impl(q0, p0))"),
+    ("oracle_ipc_wem.model", "or(impl(p0, bot), impl(impl(p0, bot), bot))")]
+
+
+@pytest.mark.parametrize("golden, formula", ORACLE_GOLDEN,
+                         ids=[c[0] for c in ORACLE_GOLDEN])
+def test_oracle_model_is_golden_bytes(tmp_path, golden, formula):
+    prob = _write(tmp_path / "p.txt", "not(%s)\n" % formula)
+    model = tmp_path / "m.txt"
+    assert run_cli(["oracle", "--preset", "ipc", "--max-size", "4",
+                    "--model", str(model), prob]) == 0
+    with open(os.path.join(GOLDEN, golden), "rb") as fh:
+        assert model.read_bytes() == fh.read()
+
+
+def test_oracle_frames_are_cached_per_predicate_arity(tmp_path):
+    # no variable-free sentences in either: the frames of a binary R must
+    # not serve a unary R of the same name
+    head = "sorts 2\nvars 1 p\npredicate R %d\nconnective %s 1 -> 1\n"
+    a = _write(tmp_path / "a.spec", head % (2, "dia") +
+               "define forall x. nu1(dia(p), x) <-> "
+               "exists y. and(R(x, y), nu1(p, y))\n")
+    b = _write(tmp_path / "b.spec", head % (1, "mark") +
+               "define forall x. nu1(mark(p), x) <-> and(R(x), nu1(p, x))\n")
+    for spec, concept in ((a, "dia(p0)"), (b, "mark(p0)")):
+        prob = _write(tmp_path / "p.txt", concept + "\n")
+        assert run_cli(["oracle", "--spec", spec, "--max-size", "1",
+                        prob]) == 0
+
+
 def test_checkwd_writes_files(work, tmp_path):
     outdir = str(tmp_path / "wd")
     assert run_cli(["check-wd", "--preset", "ipc", "--outdir", outdir]) == 0
@@ -269,9 +338,7 @@ def test_trace_written_and_replayable(work, tmp_path):
 
 
 def test_console_entry_point(work):
-    proc = subprocess.run(
-        [sys.executable, "-m", "tabsynth.cli", "synth", "--preset", "so"],
-        capture_output=True, text=True)
+    proc = _run_module(["synth", "--preset", "so"])
     assert proc.returncode == 0
     assert "rule or_pos" in proc.stdout
     assert "decomposition: 8" in proc.stderr

@@ -190,6 +190,42 @@ def test_oracle_ipc_fork(ipc_ns, ipc_spec):
     assert models.evaluate(m, inst)
 
 
+def _labelled_partial_orders(size):
+    """Every reflexive, antisymmetric and transitive relation on
+    range(size), found by testing each set of off-diagonal pairs."""
+    diag = {(x, x) for x in range(size)}
+    off = [(x, y) for x in range(size) for y in range(size) if x != y]
+    for bits in range(2 ** len(off)):
+        rel = diag | {pair for i, pair in enumerate(off) if bits >> i & 1}
+        if all((y, x) not in rel for x, y in rel if x != y) and all(
+                (x, z) in rel for x, y in rel for y2, z in rel if y == y2):
+            yield frozenset(rel)
+
+
+@pytest.mark.parametrize("size, labelled, classes",
+                         [(1, 1, 1), (2, 3, 3), (3, 19, 11), (4, 219, 47)])
+def test_oracle_frames_one_per_class_fixing_element_0(ipc_ns, size, labelled,
+                                                      classes):
+    no_var = [f for f in ipc_ns.sb if not sx.lvars(f)
+              and not any(True for _ in sx.lexprs_of_formula(f))]
+    kept = [frame["R"] for frame in
+            models._frame_assignments(ipc_ns, ["R"], size, no_var)]
+    assert len(kept) == classes
+    perms = [(0,) + p for p in itertools.permutations(range(1, size))]
+
+    def images(rel):
+        return [frozenset((pi[x], pi[y]) for x, y in rel) for pi in perms]
+
+    orders = list(_labelled_partial_orders(size))
+    assert len(orders) == labelled
+    assert set(kept) <= set(orders)
+    for rel in orders:
+        assert sum(k in images(rel) for k in kept) == 1
+    # the enumeration goes by the number of pairs, then lexicographically
+    for k in kept:
+        assert min(images(k), key=lambda r: (len(r), sorted(r))) == k
+
+
 def test_oracle_carrier_cap(so_ns, so_spec):
     with pytest.raises(models.CarrierTooLarge):
         models.brute_force_sat(so_ns, [pc(so_spec, "p0")], 2, carrier_cap=0)
