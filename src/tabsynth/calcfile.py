@@ -11,7 +11,7 @@ from __future__ import annotations
 from . import syntax as sx
 from .parser import (Elaborator, SignatureBlock, SpecSyntaxError, TreeParser,
                      print_signature, read_directives, tokenize)
-from .synth import Calculus, TableauRule, UbConfig
+from .synth import Calculus, DuplicateRuleId, TableauRule, UbConfig
 
 
 def print_calculus(calc):
@@ -122,6 +122,9 @@ def parse_calculus(text):
     mode = head.get("mode", "base")
     if mode == "internalized" and ctx is None:
         raise SpecSyntaxError("missing 'ctx' directives for mode internalized")
-    return Calculus(head.get("calculus", "calculus"), sig, rules, skolems,
-                    head.get("blocking"), mode, ctx, spec_name=head.get("spec"),
-                    refined=head.get("refined") == "yes" or mode != "base")
+    try:
+        return Calculus(head.get("calculus", "calculus"), sig, rules, skolems,
+                        head.get("blocking"), mode, ctx, spec_name=head.get("spec"),
+                        refined=head.get("refined") == "yes" or mode != "base")
+    except DuplicateRuleId as e:
+        raise SpecSyntaxError(str(e), rule_lines[e.index][1]) from None

@@ -164,6 +164,9 @@ def cmd_prove(args):
 
 
 def cmd_checkwd(args):
+    if args.prover is not None and not args.prover.split():
+        print("error: --prover names no command", file=sys.stderr)
+        return EXIT_ERROR
     try:
         spec = _load_spec(args)
         if spec is None:

@@ -42,7 +42,7 @@ class BaseMode:
         """(t, t') when ``lit`` is a positive equality between ground
         domain terms; t is t' for the domain marker t = t."""
         a = lit.atom
-        if lit.pos and a.pred[0] == "eq" and sx.is_domain_term(a.args[0]) \
+        if lit.pos and a.pred[0] == "eq" and a.args[0].sort == sx.DOMAIN \
                 and sx.term_is_ground(a.args[0]) and sx.term_is_ground(a.args[1]):
             return a.args
         return None
@@ -86,8 +86,8 @@ def _head_key(lit):
     p = lit.atom.pred
     if p[0] in ("nu", "holds") and lit.atom.args:
         e = lit.atom.args[0]
-        if isinstance(e, sx.LExpr) and e.kind == "app":
-            return (lit.pos, sx.pred_text(p), e.conn.name)
+        if e.kind == "app":
+            return (lit.pos, sx.pred_text(p), e.name)
     return None
 
 
@@ -219,7 +219,7 @@ class Engine:
         if not signed:
             raise EmptyInput("no input concepts")
         for c, _ in signed:
-            if not isinstance(c, sx.LExpr) or c.sort != 1:
+            if c.sort != 1:
                 raise sx.IllSorted("inputs must be concepts (sort 1)")
         if self.check_subexpr:
             from .normalize import induced_ordering
@@ -291,8 +291,7 @@ class Engine:
     def _ub_instances(self, rule, branch):
         # conjecture pairs in birth order over marked terms only
         terms = sorted(branch.markers, key=lambda t: branch.term_birth[t])
-        # each of the rule's two premises carries one variable
-        v1, v2 = [(sx.lvars(p) + sx.dvars(p))[0] for p in rule.premises]
+        v1, v2 = _pair_vars(rule)
         for i in range(len(terms)):
             for j in range(i + 1, len(terms)):
                 binding = {v1: terms[i], v2: terms[j]}
@@ -419,7 +418,7 @@ class Engine:
                     for t in self.mode.terms_in_literal(lit):
                         if t in branch.blocked:
                             self.c1_violations.append(
-                                (rule.id, sx.term_text(t)))
+                                (rule.id, t.text()))
             branch.tp_count += 1
         if rule.is_closure():
             branch.closed = True
@@ -510,17 +509,22 @@ def _has_new_candidate(branch, pat, new_from):
     return bool(lst) and lst[-1][1] >= new_from
 
 
+def _pair_vars(rule):
+    """The blocking rule's variables: each of its two premises carries one."""
+    return [(sx.lvars(p) + sx.dvars(p))[0] for p in rule.premises]
+
+
 def _fingerprint(rid, binding):
     items = tuple(sorted((_vname(k), id(v)) for k, v in binding.items()))
     return (rid, items)
 
 
 def _vname(v):
-    return v.name if isinstance(v, sx.LExpr) else "$" + v.name
+    return "$" + v.name if v.sort == sx.DOMAIN else v.name
 
 
 def _binding_text(binding):
-    return "; ".join("%s:=%s" % (k.name, sx.term_text(binding[k]))
+    return "; ".join("%s:=%s" % (k.name, binding[k].text())
                      for k in sorted(binding, key=_vname))
 
 
@@ -540,7 +544,8 @@ def prove(calc, concepts, ns=None, node_budget=10 ** 6, time_budget=None,
 def replay_trace(calc, concepts, trace_text, ns=None):
     """Re-run a recorded derivation, checking each step was applicable.
 
-    Returns the number of application steps replayed; raises on mismatch.
+    The check does not use the matcher: see ``_check_step``.  Returns the
+    number of application steps replayed; raises on mismatch.
     """
     eng = Engine(calc, ns=ns)
     tab = eng.init(concepts)
@@ -570,8 +575,7 @@ def replay_trace(calc, concepts, trace_text, ns=None):
         if src is None:
             raise sx.TabError("trace targets unknown branch %d" % src_bid)
         if (fp, src_bid) not in verified:
-            if fp not in {f for f, _, _ in eng.applicable_instances(rule, src)}:
-                raise sx.TabError("step not applicable: %s" % line)
+            _check_step(rule, binding, fp, src, line)
             src.applied.add(fp)
             verified.add((fp, src_bid))
         if den_tok == "x":
@@ -591,6 +595,26 @@ def replay_trace(calc, concepts, trace_text, ns=None):
             branches[dst_bid] = child
         steps += 1
     return steps
+
+
+def _check_step(rule, binding, fp, branch, line):
+    """A step applies when its binding binds exactly the premise variables,
+    every premise instance is on the branch, the instance is not applied
+    yet, and a blocking step pairs two distinct terms in birth order."""
+    def fail(why):
+        raise sx.TabError("step not applicable (%s): %s" % (why, line))
+
+    if set(binding) != set(sx.lvars(rule.premises) + sx.dvars(rule.premises)):
+        fail("binding does not match the premise variables")
+    if fp in branch.applied:
+        fail("instance already applied")
+    for prem in rule.premises:
+        if sx.substitute_literal(prem, binding) not in branch.present:
+            fail("premise %s absent" % prem.text())
+    if rule.kind == "blocking":
+        born = [branch.term_birth.get(binding[v]) for v in _pair_vars(rule)]
+        if None in born or born[0] >= born[1]:
+            fail("terms not distinct and in birth order")
 
 
 def _parse_binding(calc, body):

@@ -54,7 +54,7 @@ class LStructure:
         if hit is not None:
             return hit
         self._memo[key] = False  # cut off accidental cycles defensively
-        d = self.spec.definition_of(expr.conn.name)
+        d = self.spec.definition_of(expr.name)
         body = _instantiated_body(d, expr)
         val = {v: e for v, e in zip(d.dom_vars, elems)}
         res = evaluate(self, body, val)
@@ -62,26 +62,20 @@ class LStructure:
         return res
 
     def eval_term(self, t, val):
-        if isinstance(t, sx.LExpr):
+        if t.sort != sx.DOMAIN:
             return t  # canonical valuation: object expressions name themselves
-        if t.kind == "dvar":
-            if t not in val:
-                raise UnassignedVariable(t.name)
-            return val[t]
-        if t.kind == "dconst":
-            if t.name not in self.dconsts:
-                raise UnassignedVariable(t.name)
-            return self.dconsts[t.name]
-        if t.kind == "nu0":
-            e = t.ind
-            if e not in self.nu0:
-                raise UnassignedVariable("nu0(%s)" % e.text())
-            return self.nu0[e]
-        args = tuple(self.eval_term(a, val) for a in t.args)
-        graph = self.funs.get(t.fn.name, {})
-        if args not in graph:
-            raise UnassignedVariable(sx.term_text(t))
-        return graph[args]
+        if t.kind == "var":
+            graph, key = val, t
+        elif t.kind == "const":
+            graph, key = self.dconsts, t.name
+        elif t.sym is sx.NU0:
+            graph, key = self.nu0, t.args[0]
+        else:
+            graph = self.funs.get(t.name, {})
+            key = tuple(self.eval_term(a, val) for a in t.args)
+        if key not in graph:
+            raise UnassignedVariable(t.text())
+        return graph[key]
 
     def format(self):
         lines = ["domain: %s" % " ".join("e%d" % i for i in range(self.size))]
@@ -138,7 +132,7 @@ def evaluate(m, f, val=None):
         if p[0] == "eq":
             a = m.eval_term(f.args[0], val)
             b = m.eval_term(f.args[1], val)
-            return a is b if isinstance(a, sx.LExpr) else a == b
+            return a == b  # elements, or interned expressions
         if p[0] == "pred":
             elems = tuple(m.eval_term(t, val) for t in f.args)
             return elems in m.preds.get(p[1], ())
@@ -182,12 +176,12 @@ def individual_term(e, ctx, skolems=None):
     skolems = skolems or {}
     if e.kind == "app":
         for fname, conn in ctx.fn_conns.items():
-            if e.conn == conn:
+            if e.sym == conn:
                 fn = skolems.get(fname) or _fn_for(fname, conn)
                 args = list(e.args[:len(fn.lsorts)])
                 args += [individual_term(a, ctx, skolems)
                          for a in e.args[len(fn.lsorts):]]
-                return sx.funapp(fn, args)
+                return sx.app(fn, args)
     return sx.nu0(e)
 
 
@@ -276,8 +270,7 @@ def extract_model(branch, ns, ctx=None, skolems=None):
         uf.add(t)
     for lit in literals:
         a = lit.atom
-        if lit.pos and a.pred[0] == "eq" and sx.is_domain_term(a.args[0]) \
-                and sx.is_domain_term(a.args[1]):
+        if lit.pos and a.pred[0] == "eq" and a.args[0].sort == sx.DOMAIN:
             uf.union(a.args[0], a.args[1])
     classes = {}
     for t in terms:
@@ -287,14 +280,14 @@ def extract_model(branch, ns, ctx=None, skolems=None):
     m = LStructure(len(classes), spec=ns.spec)
     for t in terms:
         m.term_class[t] = classes[uf.find(t)]
-        if t.kind == "dconst":
+        if t.kind == "const":
             m.dconsts[t.name] = m.term_class[t]
-        elif t.kind == "nu0":
-            m.nu0[t.ind] = m.term_class[t]
-        elif t.kind == "fun":
-            key = tuple(a if isinstance(a, sx.LExpr) else m.term_class[a]
+        elif t.sym is sx.NU0:
+            m.nu0[t.args[0]] = m.term_class[t]
+        else:
+            key = tuple(a if a.sort != sx.DOMAIN else m.term_class[a]
                         for a in t.args)
-            m.funs.setdefault(t.fn.name, {})[key] = m.term_class[t]
+            m.funs.setdefault(t.name, {})[key] = m.term_class[t]
     for lit in literals:
         a = lit.atom
         if not lit.pos:
@@ -335,7 +328,7 @@ def verify_reflection(m, branch, ctx=None, skolems=None):
                 truth = elems in m.preds.get(a.pred[1], ())
             elif a.pred[0] == "eq":
                 s, t = a.args
-                if sx.is_domain_term(s):
+                if s.sort == sx.DOMAIN:
                     truth = m.term_class[s] == m.term_class[t]
                 else:
                     truth = s is t
@@ -408,8 +401,8 @@ def brute_force_sat(ns, inputs, max_size, carrier_cap=64):
     # per-atom pruning results may be reused across nu0 assignments only when
     # no pruning sentence mentions individuals
     one_var_uses_nu0 = any(
-        any(t.kind == "nu0" for g in sx.subformulas(f) if isinstance(g, sx.Atom)
-            for t in g.args if sx.is_domain_term(t))
+        any(t.sym is sx.NU0 for g in sx.subformulas(f) if isinstance(g, sx.Atom)
+            for t in g.args)
         for f, _ in one_var)
 
     for size in range(1, max_size + 1):

@@ -78,7 +78,7 @@ def _head_key(xi):
             return names[e]
         if e.kind == "const":
             return e.text()
-        return "%s(%s)" % (e.conn.name, ",".join(walk(a) for a in e.args))
+        return "%s(%s)" % (e.name, ",".join(walk(a) for a in e.args))
 
     return (xi.nu_n, walk(xi.head_expr))
 
@@ -208,16 +208,16 @@ def check_well_founded(ordering: InducedOrdering) -> WellFoundedVerdict:
     heads = {}
     for head, _ in ordering.pairs:
         if head.kind == "app":
-            heads.setdefault(head.conn.name, head)
+            heads.setdefault(head.name, head)
     edges = {}
     for head, occ in ordering.pairs:
         if head.kind != "app":
             continue
         for sub in occ.subexprs():
-            if sub.kind == "app" and sub.conn.name in heads:
+            if sub.kind == "app" and sub.name in heads:
                 structural = sub in head.subexprs() and sub is not head
                 if not structural:
-                    edges.setdefault(head.conn.name, set()).add(sub.conn.name)
+                    edges.setdefault(head.name, set()).add(sub.name)
     # depth-first cycle search over connective names
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {c: WHITE for c in heads}

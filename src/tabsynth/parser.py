@@ -175,7 +175,7 @@ class Elaborator:
             if cls is None:
                 self._err("unknown symbol %r" % name, tok)
             if cls[0] == "conn" and cls[1].arity == 0:
-                e = sx.lapp(cls[1], [])
+                e = sx.app(cls[1], [])
             elif cls[0] == "var":
                 e = sx.lvar(cls[1], name)
             elif cls[0] == "const":
@@ -191,7 +191,7 @@ class Elaborator:
             self._err("connective %s expects %d arguments, got %d"
                       % (name, conn.arity, len(args)), tok)
         ex = [self.lexpr(a, s) for a, s in zip(args, conn.arg_sorts)]
-        return self._want(sx.lapp(conn, ex), want_sort, tok)
+        return self._want(sx.app(conn, ex), want_sort, tok)
 
     def _want(self, e, want_sort, tok):
         if want_sort is not None and e.sort != want_sort:
@@ -207,22 +207,19 @@ class Elaborator:
             self._err("quantifier not allowed inside a term", tok)
         name = tree[1]
         if tree[0] == "app":
-            if name == "nu0":
-                if len(tree[2]) != 1:
-                    self._err("nu0 takes one individual", tok)
-                return sx.nu0(self.lexpr(tree[2][0], 0))
-            if name in self.skolems:
-                fn = self.skolems[name]
-                args = tree[2]
-                if len(args) != fn.arity:
-                    self._err("function %s expects %d arguments" % (name, fn.arity), tok)
-                ex = [self.lexpr(a, s) for a, s in zip(args, fn.lsorts)]
-                dom = [self.term(a) for a in args[len(fn.lsorts):]]
-                for d in dom:
-                    if isinstance(d, sx.LExpr):
-                        self._err("domain argument expected in %s" % name, tok)
-                return sx.funapp(fn, ex + dom)
-            return self.lexpr(tree)
+            fn = sx.NU0 if name == "nu0" else self.skolems.get(name)
+            if fn is None:
+                return self.lexpr(tree)
+            args = tree[2]
+            if len(args) != fn.arity:
+                self._err("function %s expects %d arguments" % (name, fn.arity), tok)
+            out = []
+            for a, s in zip(args, fn.arg_sorts):
+                t = self.lexpr(a, s) if s != sx.DOMAIN else self.term(a)
+                if t.sort != s:
+                    self._err("domain argument expected in %s" % name, tok)
+                out.append(t)
+            return sx.app(fn, out)
         cls = self.sig.classify_name(name)
         if cls is None:
             self._err("unknown symbol %r" % name, tok)

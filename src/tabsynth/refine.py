@@ -44,9 +44,7 @@ class RefinementNotWhitelisted(sx.TabError):
 
 def _is_dp(lit):
     return lit.pos and lit.atom.pred[0] == "eq" and \
-        lit.atom.args[0] is lit.atom.args[1] and (
-            isinstance(lit.atom.args[0], sx.LExpr) and lit.atom.args[0].kind == "var"
-            or sx.is_domain_term(lit.atom.args[0]) and lit.atom.args[0].kind == "dvar")
+        lit.atom.args[0] is lit.atom.args[1] and lit.atom.args[0].kind == "var"
 
 
 def fold_whitelisted(rule, folded_lits, signature):
@@ -129,7 +127,7 @@ class Template:
 
     def __init__(self, params, expr):
         self.params = tuple(params)   # (p of sort n, l1..ln) or (l1..ln)
-        self.expr = expr              # LExpr of the primary sort
+        self.expr = expr              # a Term of the primary sort
 
     def instantiate(self, args):
         if len(args) != len(self.params):
@@ -282,20 +280,19 @@ class _Internalizer:
 
     def individual(self, t, eps):
         """The sort-0 expression standing for a domain term."""
-        if isinstance(t, sx.LExpr):
+        if t.sort != sx.DOMAIN:
             raise IncompleteContext("object expression in domain position")
-        if t.kind == "dvar":
+        if t.kind == "var":
             return eps[t]
-        if t.kind == "dconst":
+        if t.kind == "const":
             return sx.lconst(0, t.name)
-        if t.kind == "nu0":
-            return t.ind
-        conn = self.ctx.fn_conns.get(t.fn.name)
+        if t.sym is sx.NU0:
+            return t.args[0]
+        conn = self.ctx.fn_conns.get(t.name)
         if conn is None:
-            raise IncompleteContext("no connective for function %s" % t.fn.name)
-        args = list(t.args[:len(t.fn.lsorts)])
-        args += [self.individual(a, eps) for a in t.args[len(t.fn.lsorts):]]
-        return sx.lapp(conn, args)
+            raise IncompleteContext("no connective for function %s" % t.name)
+        return sx.app(conn, [self.individual(a, eps) if a.sort == sx.DOMAIN else a
+                             for a in t.args])
 
     def literal(self, lit, eps):
         """The concept literal standing for ``lit``; None when it dissolves
@@ -311,7 +308,7 @@ class _Internalizer:
             args = [self.individual(t, eps) for t in a.args]
         else:  # equality
             s, t = a.args
-            if not sx.is_domain_term(s) and not sx.is_domain_term(t):
+            if s.sort != sx.DOMAIN:
                 if s is t:
                     return None  # reflexive object-sort predication dissolves
                 raise IncompleteContext("object-sort equality %s cannot be "
@@ -319,7 +316,7 @@ class _Internalizer:
             tpl = self.ctx.template("d", lit.pos, "eq")
             # put a bare domain variable side first; keeps rules whose premise
             # and conclusion say the same thing literally identical
-            if t.kind == "dvar" and s.kind != "dvar":
+            if t.kind == "var" and s.kind != "var":
                 s, t = t, s
             args = [self.individual(s, eps), self.individual(t, eps)]
         return sx.pos_lit(sx.atom(sx.HOLDS, [tpl.instantiate(args)]))

@@ -129,7 +129,7 @@ def _head_shape(at, line):
     e = at.args[0]
     seen = []
     for v in at.args[1:]:
-        if not sx.is_domain_term(v) or v.kind != "dvar" or v in seen:
+        if v.sort != sx.DOMAIN or v.kind != "var" or v in seen:
             raise SpecSyntaxError("head positions must be distinct domain variables",
                                   line)
         seen.append(v)
@@ -202,10 +202,10 @@ def parse_spec(text, name="spec"):
                 if sent_free:
                     raise NotLOpen("free domain variable %s in definition body"
                                    % sent_free[0].name)
-                if any(x.kind == "app" and x.conn == e.conn
+                if any(x.kind == "app" and x.sym == e.sym
                        for x in sx.lexprs_of_formula(body)):
-                    raise ConnectiveSelfReference(e.conn.name)
-                definitions.append(Definition(e.conn, head, body, head_dvs))
+                    raise ConnectiveSelfReference(e.name)
+                definitions.append(Definition(e.sym, head, body, head_dvs))
             else:
                 if sent_free:
                     raise NotLOpen("free domain variable %s" % sent_free[0].name)

@@ -4,12 +4,18 @@ The object language is a many-sorted propositional language.  Sorts are
 numbered 0..N; sort 0 holds individuals, sort 1 is the primary sort
 (concepts).  The meta-language adds one extra sort (the domain sort), a
 holds-predicate ``nu_n`` per object sort, one polymorphic equality symbol,
-named domain predicates and domain-sort function symbols (Skolem functions).
+named domain predicates and domain-sort function symbols (Skolem functions,
+and ``nu0`` taking an individual to the element it denotes).
 
-Everything here is immutable after construction.  Expressions and terms are
-hash-consed: structurally equal values are the same object, so ``==`` and
-``hash`` are O(1).  The intern tables are plain dicts; build expressions from
-a single thread (reads are safe to share afterwards).
+One node, :class:`Term`, holds both kinds of term: object expressions have a
+sort 0..N, domain terms the sort ``DOMAIN``.  Printing, substitution,
+matching and the variable walks are loops over an explicit stack, so term
+depth is not limited by the interpreter's recursion limit.
+
+Everything here is immutable after construction.  Terms, atoms and literals
+are hash-consed, terms in one table: structurally equal values are the same
+object, so ``==`` and ``hash`` are O(1).  The intern tables are plain dicts;
+build terms from a single thread (reads are safe to share afterwards).
 """
 
 from __future__ import annotations
@@ -167,109 +173,7 @@ class LSignature:
 
 
 # ---------------------------------------------------------------------------
-# object-language expressions (hash-consed)
-
-_EXPR_TABLE = {}
-
-
-class LExpr:
-    """An object-language expression: variable, constant or application.
-
-    Use the factories :func:`lvar`, :func:`lconst`, :func:`lapp`.  Instances
-    are interned, so identity coincides with structural equality.
-    """
-
-    __slots__ = ("kind", "sort", "name", "conn", "args")
-
-    def __repr__(self):
-        return "LExpr(%s)" % self.text()
-
-    def text(self):
-        if self.kind != "app":
-            return self.name
-        if not self.args:
-            return self.conn.name
-        return "%s(%s)" % (self.conn.name, ", ".join(a.text() for a in self.args))
-
-    def subexprs(self):
-        """All subexpressions including self, no duplicates, preorder."""
-        out, seen, stack = [], set(), [self]
-        while stack:
-            e = stack.pop()
-            if id(e) in seen:
-                continue
-            seen.add(id(e))
-            out.append(e)
-            if e.kind == "app":
-                stack.extend(reversed(e.args))
-        return out
-
-
-def _mk_expr(key, kind, sort, name=None, conn=None, args=()):
-    e = _EXPR_TABLE.get(key)
-    if e is None:
-        e = object.__new__(LExpr)
-        e.kind = kind
-        e.sort = sort
-        e.name = name
-        e.conn = conn
-        e.args = args
-        _EXPR_TABLE[key] = e
-    return e
-
-
-def lvar(sort, name):
-    return _mk_expr(("v", sort, name), "var", sort, name=name)
-
-
-def lconst(sort, name):
-    return _mk_expr(("c", sort, name), "const", sort, name=name)
-
-
-def lapp(conn, args):
-    args = tuple(args)
-    if len(args) != conn.arity:
-        raise IllSorted("connective %s expects %d arguments, got %d"
-                        % (conn.name, conn.arity, len(args)))
-    for k, (a, want) in enumerate(zip(args, conn.arg_sorts)):
-        if a.sort != want:
-            raise IllSorted("argument %d of %s has sort %d, expected %d"
-                            % (k + 1, conn.name, a.sort, want), position=k)
-    key = ("a", conn.name, conn.arg_sorts, conn.res_sort) + tuple(id(a) for a in args)
-    return _mk_expr(key, "app", conn.res_sort, conn=conn, args=args)
-
-
-def sort_of(sig, e):
-    """Check well-sortedness of ``e`` under ``sig`` and return its sort."""
-    if e.kind == "app":
-        conn = sig.conns.get(e.conn.name)
-        if conn is None or conn != e.conn:
-            raise IllSorted("connective %r not in signature" % e.conn.name)
-        for a in e.args:
-            sort_of(sig, a)
-        # arg sorts were enforced at construction; recheck against sig's decl
-        for k, (a, want) in enumerate(zip(e.args, conn.arg_sorts)):
-            if a.sort != want:
-                raise IllSorted("argument %d of %s has sort %d, expected %d"
-                                % (k + 1, conn.name, a.sort, want), position=k)
-    else:
-        if not (0 <= e.sort <= sig.max_sort):
-            raise IllSorted("expression %s has undeclared sort %d" % (e.text(), e.sort))
-    return e.sort
-
-
-# ---------------------------------------------------------------------------
-# meta-language terms (domain sort).  Also hash-consed.
-
-_TERM_TABLE = {}
-
-
-class _Term:
-    __slots__ = ("kind", "name", "fn", "args", "ind")
-
-    def __repr__(self):
-        return "Term(%s)" % term_text(self)
-
+# terms (hash-consed): object expressions of sorts 0..N and domain terms
 
 @dataclass(frozen=True)
 class FnSym:
@@ -283,75 +187,126 @@ class FnSym:
     def arity(self):
         return len(self.lsorts) + self.n_dom
 
+    @property
+    def arg_sorts(self):
+        return self.lsorts + (DOMAIN,) * self.n_dom
 
-def _mk_term(key, kind, **kw):
-    t = _TERM_TABLE.get(key)
+    @property
+    def res_sort(self):
+        return DOMAIN
+
+
+NU0 = FnSym("nu0", (0,), 0)  # the domain element an individual denotes
+
+_TERMS = {}
+
+
+class Term:
+    """A variable, a constant, or an application of a connective (object
+    sorts) or a function symbol (the domain sort).
+
+    Use the factories :func:`lvar`, :func:`lconst`, :func:`app` and their
+    domain shorthands :func:`dvar`, :func:`dconst`, :func:`nu0`.  Instances
+    are interned, so identity coincides with structural equality.  ``name``
+    is the variable's or constant's name, or the applied symbol's.
+    """
+
+    __slots__ = ("kind", "sort", "name", "sym", "args")
+
+    def __repr__(self):
+        return "Term(%s)" % self.text()
+
+    def text(self):
+        """Prefix notation; a domain application always prints its
+        parentheses, so a nullary Skolem term reads back as one."""
+        if self.kind != "app":
+            return self.name
+        out, stack = [], [self]
+        while stack:
+            t = stack.pop()
+            if type(t) is str:
+                out.append(t)
+            elif t.kind != "app" or not t.args and t.sort != DOMAIN:
+                out.append(t.name)
+            else:
+                out.append(t.name + "(")
+                stack.append(")")
+                for k, a in enumerate(reversed(t.args)):
+                    if k:
+                        stack.append(", ")
+                    stack.append(a)
+        return "".join(out)
+
+    def subexprs(self):
+        """All subterms including self, no duplicates, preorder."""
+        out, seen, stack = [], set(), [self]
+        while stack:
+            e = stack.pop()
+            if id(e) in seen:
+                continue
+            seen.add(id(e))
+            out.append(e)
+            stack.extend(reversed(e.args))
+        return out
+
+
+def _intern(key, kind, sort, name, sym=None, args=()):
+    t = _TERMS.get(key)
     if t is None:
-        t = _Term()
+        t = object.__new__(Term)
         t.kind = kind
-        t.name = kw.get("name")
-        t.fn = kw.get("fn")
-        t.args = kw.get("args")
-        t.ind = kw.get("ind")
-        _TERM_TABLE[key] = t
+        t.sort = sort
+        t.name = name
+        t.sym = sym
+        t.args = args
+        _TERMS[key] = t
     return t
 
 
+def lvar(sort, name):
+    return _intern(("var", sort, name), "var", sort, name)
+
+
+def lconst(sort, name):
+    return _intern(("const", sort, name), "const", sort, name)
+
+
 def dvar(name):
-    return _mk_term(("dv", name), "dvar", name=name)
+    return lvar(DOMAIN, name)
 
 
 def dconst(name):
-    return _mk_term(("dc", name), "dconst", name=name)
+    return lconst(DOMAIN, name)
+
+
+def app(sym, args):
+    """``sym`` (a :class:`Conn` or an :class:`FnSym`) applied to ``args``."""
+    args = tuple(args)
+    want = sym.arg_sorts
+    if len(args) != len(want):
+        raise IllSorted("%s expects %d arguments, got %d"
+                        % (sym.name, len(want), len(args)))
+    for k, (a, s) in enumerate(zip(args, want)):
+        if a.sort != s:
+            raise IllSorted("argument %d of %s has sort %d, expected %d"
+                            % (k + 1, sym.name, a.sort, s), position=k)
+    return _intern((sym,) + args, "app", sym.res_sort, sym.name, sym, args)
 
 
 def nu0(ind):
-    if ind.sort != 0:
-        raise IllSorted("nu0 applies to individuals (sort 0), got sort %d" % ind.sort)
-    return _mk_term(("n0", id(ind)), "nu0", ind=ind)
-
-
-def funapp(fn, args):
-    args = tuple(args)
-    if len(args) != fn.arity:
-        raise IllSorted("function %s expects %d arguments, got %d"
-                        % (fn.name, fn.arity, len(args)))
-    for a, want in zip(args, fn.lsorts):
-        if not isinstance(a, LExpr) or a.sort != want:
-            raise IllSorted("L-argument of %s has wrong sort" % fn.name)
-    for a in args[len(fn.lsorts):]:
-        if isinstance(a, LExpr):
-            raise IllSorted("domain argument of %s is an L-expression" % fn.name)
-    key = ("f", fn) + tuple(id(a) for a in args)
-    return _mk_term(key, "fun", fn=fn, args=args)
-
-
-def is_domain_term(t):
-    return isinstance(t, _Term)
-
-
-def term_sort(t):
-    """DOMAIN for meta-language terms, the L-sort for object expressions."""
-    return DOMAIN if isinstance(t, _Term) else t.sort
-
-
-def term_text(t):
-    if isinstance(t, LExpr):
-        return t.text()
-    if t.kind in ("dvar", "dconst"):
-        return t.name
-    if t.kind == "nu0":
-        return "nu0(%s)" % t.ind.text()
-    return "%s(%s)" % (t.fn.name, ", ".join(term_text(a) for a in t.args))
+    return app(NU0, (ind,))
 
 
 def term_is_ground(t):
-    if isinstance(t, LExpr):
-        return True  # L-expressions are inert data at the term level
-    if t.kind == "dvar":
-        return False
-    if t.kind == "fun":
-        return all(term_is_ground(a) for a in t.args if is_domain_term(a))
+    """No domain variable occurs in ``t``; object expressions are inert
+    data at the term level, whatever variables they hold."""
+    stack = [t]
+    while stack:
+        x = stack.pop()
+        if x.sort == DOMAIN:
+            if x.kind == "var":
+                return False
+            stack.extend(x.args)
     return True
 
 
@@ -401,7 +356,7 @@ class Atom:
             return "false"
         if self.pred[0] == "holds":
             return self.args[0].text()
-        return "%s(%s)" % (pred_text(self.pred), ", ".join(term_text(a) for a in self.args))
+        return "%s(%s)" % (pred_text(self.pred), ", ".join(a.text() for a in self.args))
 
 
 def atom(p, args=()):
@@ -410,21 +365,21 @@ def atom(p, args=()):
         n = p[1]
         if len(args) != n + 1:
             raise IllSorted("nu%d takes %d arguments" % (n, n + 1))
-        if not isinstance(args[0], LExpr) or args[0].sort != n:
+        if args[0].sort != n:
             raise IllSorted("first argument of nu%d must be a sort-%d expression" % (n, n))
         for t in args[1:]:
-            if not is_domain_term(t):
+            if t.sort != DOMAIN:
                 raise IllSorted("nu%d takes domain terms after the expression" % n)
     elif p[0] == "eq":
-        if len(args) != 2 or term_sort(args[0]) != term_sort(args[1]):
+        if len(args) != 2 or args[0].sort != args[1].sort:
             raise SortMismatch("eq relates two terms of one sort: %s / %s"
-                               % (term_text(args[0]), term_text(args[1])))
+                               % (args[0].text(), args[1].text()))
     elif p[0] == "pred":
         for t in args:
-            if not is_domain_term(t):
+            if t.sort != DOMAIN:
                 raise IllSorted("predicate %s takes domain terms" % p[1])
     elif p[0] == "holds":
-        if len(args) != 1 or not isinstance(args[0], LExpr) or args[0].sort != 1:
+        if len(args) != 1 or args[0].sort != 1:
             raise IllSorted("a held concept must have the primary sort")
     key = (p,) + tuple(id(a) for a in args)
     a = _ATOM_TABLE.get(key)
@@ -559,14 +514,10 @@ def _walk(x):
     while stack:
         y = stack.pop()
         t = type(y)
-        if t is LExpr:
+        if t is Term:
             out.append(y)
-        elif t is _Term:
-            out.append(y)
-            if y.kind == "fun":
+            if y.sort == DOMAIN:
                 stack.extend(reversed(y.args))
-            elif y.kind == "nu0":
-                stack.append(y.ind)
         elif t is Literal:
             stack.append(y.atom)
         elif t is Atom:
@@ -589,7 +540,7 @@ def _walk(x):
 def lexprs_of_formula(x):
     """All object-language expressions occurring in ``x`` (anything
     ``_walk`` takes), nested included."""
-    return [s for e in _walk(x) if isinstance(e, LExpr) for s in e.subexprs()]
+    return [s for e in _walk(x) if e.sort != DOMAIN for s in e.subexprs()]
 
 
 lexprs_of_term = lexprs_of_atom = lexprs_of_formula
@@ -604,14 +555,14 @@ def dvars(x):
     """Domain variables of ``x``, bound ones included, in order of first
     occurrence."""
     return list(dict.fromkeys(t for t in _walk(x)
-                              if isinstance(t, _Term) and t.kind == "dvar"))
+                              if t.sort == DOMAIN and t.kind == "var"))
 
 
 def ground_terms(x):
     """Ground domain terms of ``x``, nested ones included, in order of first
     occurrence."""
     return list(dict.fromkeys(t for t in _walk(x)
-                              if isinstance(t, _Term) and term_is_ground(t)))
+                              if t.sort == DOMAIN and term_is_ground(t)))
 
 
 def free_dvars(f, bound=frozenset()):
@@ -653,34 +604,31 @@ def is_l_open_sentence(f):
 # ``sub`` maps object variables to expressions and domain variables to
 # domain terms, as one binding of the matcher below does.
 
-def substitute_expr(e, sub):
-    if e.kind == "var":
-        r = sub.get(e)
-        if r is not None:
-            if r.sort != e.sort:
+def substitute_expr(t, sub):
+    """``t`` with its variables replaced as ``sub`` says."""
+    done, stack = {}, [(t, False)]
+    while stack:
+        x, ready = stack.pop()
+        if x in done:
+            continue
+        if x.kind == "var":
+            r = sub.get(x, x)
+            if r.sort != x.sort:
                 raise SortMismatch("cannot substitute sort-%d expression for %s"
-                                   % (r.sort, e.text()))
-            return r
-        return e
-    if e.kind == "const":
-        return e
-    return lapp(e.conn, [substitute_expr(a, sub) for a in e.args])
-
-
-def substitute_term(t, sub):
-    if isinstance(t, LExpr):
-        return substitute_expr(t, sub)
-    if t.kind == "dvar":
-        return sub.get(t, t)
-    if t.kind == "dconst":
-        return t
-    if t.kind == "nu0":
-        return nu0(substitute_expr(t.ind, sub))
-    return funapp(t.fn, [substitute_term(a, sub) for a in t.args])
+                                   % (r.sort, x.name))
+            done[x] = r
+        elif x.kind == "const":
+            done[x] = x
+        elif ready:
+            done[x] = app(x.sym, [done[a] for a in x.args])
+        else:
+            stack.append((x, True))
+            stack.extend((a, False) for a in x.args)
+    return done[t]
 
 
 def substitute_atom(a, sub):
-    return atom(a.pred, [substitute_term(t, sub) for t in a.args])
+    return atom(a.pred, [substitute_expr(t, sub) for t in a.args])
 
 
 def substitute_literal(l, sub):
@@ -743,43 +691,28 @@ def restrict(sentences, x_set):
 # ---------------------------------------------------------------------------
 # one-way pattern matching (rule patterns against ground data)
 
+def _match(pairs, binding):
+    """Extend ``binding`` so each (pattern, value) pair of the stack
+    ``pairs`` matches, the top pair first."""
+    while pairs:
+        p, v = pairs.pop()
+        if p.kind == "var":
+            bound = binding.get(p)
+            if bound is None:
+                if v.sort != p.sort:
+                    return False
+                binding[p] = v
+            elif bound is not v:
+                return False
+        elif p is not v:
+            if p.kind != "app" or p.sym is not v.sym and p.sym != v.sym:
+                return False
+            pairs += zip(reversed(p.args), reversed(v.args))
+    return True
+
+
 def match_expr(pattern, value, binding):
-    if pattern.kind == "var":
-        bound = binding.get(pattern)
-        if bound is not None:
-            return bound is value
-        if not isinstance(value, LExpr) or value.sort != pattern.sort:
-            return False
-        binding[pattern] = value
-        return True
-    if pattern is value:
-        return True
-    if pattern.kind == "app" and isinstance(value, LExpr) and value.kind == "app" \
-            and pattern.conn == value.conn:
-        return all(match_expr(p, v, binding) for p, v in zip(pattern.args, value.args))
-    return False
-
-
-def match_term(pattern, value, binding):
-    if isinstance(pattern, LExpr):
-        return isinstance(value, LExpr) and match_expr(pattern, value, binding)
-    if not is_domain_term(value):
-        return False
-    if pattern.kind == "dvar":
-        bound = binding.get(pattern)
-        if bound is not None:
-            return bound is value
-        binding[pattern] = value
-        return True
-    if pattern.kind == "dconst":
-        return pattern is value
-    if pattern.kind == "nu0":
-        return value.kind == "nu0" and match_expr(pattern.ind, value.ind, binding)
-    if pattern.kind == "fun":
-        if value.kind != "fun" or pattern.fn != value.fn:
-            return False
-        return all(match_term(p, v, binding) for p, v in zip(pattern.args, value.args))
-    return False
+    return _match([(pattern, value)], binding)
 
 
 def match_literal(pattern, value, binding):
@@ -787,9 +720,7 @@ def match_literal(pattern, value, binding):
 
     Mutates ``binding`` on partial success; callers pass a scratch copy.
     """
-    if pattern.pos != value.pos or pattern.atom.pred != value.atom.pred:
+    pa, va = pattern.atom, value.atom
+    if pattern.pos != value.pos or pa.pred != va.pred or len(pa.args) != len(va.args):
         return False
-    if len(pattern.atom.args) != len(value.atom.args):
-        return False
-    return all(match_term(p, v, binding)
-               for p, v in zip(pattern.atom.args, value.atom.args))
+    return _match(list(zip(reversed(pa.args), reversed(va.args))), binding)

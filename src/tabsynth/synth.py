@@ -35,6 +35,12 @@ class UnboundVariable(sx.TabError):
     pass
 
 
+class DuplicateRuleId(sx.TabError):
+    def __init__(self, rid, index):
+        super().__init__("duplicate rule id %r" % rid)
+        self.index = index  # of the second rule with the id
+
+
 class TableauRule:
     def __init__(self, rid, kind, premises, denominators, fresh_functions=(),
                  produces_terms=False, provenance=""):
@@ -95,6 +101,13 @@ class Calculus:
         self.ctx = ctx                # TrContext when internalized
         self.spec_name = spec_name
         self.refined = refined        # any transformation applied post-synthesis
+        # fingerprints are keyed by rule id: a second rule with an id in use
+        # would never fire
+        ids = set()
+        for k, r in enumerate(self.rules):
+            if r.id in ids:
+                raise DuplicateRuleId(r.id, k)
+            ids.add(r.id)
 
     def rule(self, rid):
         for r in self.rules:
@@ -187,7 +200,7 @@ def _skolemize(tree, head_lvars, scope, namer, slug, counter):
         fn = sx.FnSym(namer.fresh(slug, counter[0]),
                       tuple(v.sort for v in head_lvars), len(scope))
         counter[0] += 1
-        term = sx.funapp(fn, list(head_lvars) + list(scope))
+        term = sx.app(fn, list(head_lvars) + list(scope))
         body2 = _tree_subst(body, {var: term})
         t, fns = _skolemize(body2, head_lvars, scope, namer, slug, counter)
         return t, [fn] + fns
@@ -247,7 +260,7 @@ def _clean_matrix(conjs):
 
 def _slug(e):
     if e.kind == "app":
-        return re.sub(r"[^a-zA-Z0-9]+", "_", e.conn.name)
+        return re.sub(r"[^a-zA-Z0-9]+", "_", e.name)
     return re.sub(r"[^a-zA-Z0-9]+", "_", e.text())
 
 
@@ -408,10 +421,10 @@ def default_equality_rules(sig, ns, skolems=()):
             ls = [rv.lv(s) for s in fn.lsorts]
             xs = [rv.dv() for _ in range(fn.n_dom)]
             yi = rv.dv()
-            t1 = sx.funapp(fn, ls + xs)
+            t1 = sx.app(fn, ls + xs)
             ys = xs.copy()
             ys[i] = yi
-            t2 = sx.funapp(fn, ls + ys)
+            t2 = sx.app(fn, ls + ys)
             # the rewritten function term may be new on the branch, so this
             # rule produces terms and falls under the blocking restrictions
             rules.append(TableauRule(
@@ -485,37 +498,26 @@ def canonical_rule_text(rule):
     lmap, dmap, fmap = {}, {}, {}
 
     def rterm(t):
-        if isinstance(t, sx.LExpr):
-            return rexpr(t)
-        if t.kind == "dvar":
-            if t not in dmap:
-                dmap[t] = "W%d" % len(dmap)
-            return dmap[t]
-        if t.kind == "dconst":
+        domain = t.sort == sx.DOMAIN
+        if t.kind == "var":
+            if domain:
+                return dmap.setdefault(t, "W%d" % len(dmap))
+            return lmap.setdefault(t, "V%d_%d" % (t.sort, len(lmap)))
+        if t.kind == "const":
             return t.name
-        if t.kind == "nu0":
-            return "nu0(%s)" % rexpr(t.ind)
-        if t.fn not in fmap:
-            fmap[t.fn] = "K%d" % len(fmap)
-        return "%s(%s)" % (fmap[t.fn], ", ".join(rterm(a) for a in t.args))
-
-    def rexpr(e):
-        if e.kind == "var":
-            if e not in lmap:
-                lmap[e] = "V%d_%d" % (e.sort, len(lmap))
-            return lmap[e]
-        if e.kind == "const":
-            return e.text()
-        if not e.args:
-            return e.conn.name
-        return "%s(%s)" % (e.conn.name, ", ".join(rexpr(a) for a in e.args))
+        head = t.name
+        if domain and t.sym is not sx.NU0:
+            head = fmap.setdefault(t.sym, "K%d" % len(fmap))
+        if not t.args and not domain:
+            return head
+        return "%s(%s)" % (head, ", ".join(rterm(a) for a in t.args))
 
     def rlit(l):
         a = l.atom
         if a.pred[0] == "false":
             s = "false"
         elif a.pred[0] == "holds":
-            s = rexpr(a.args[0])
+            s = rterm(a.args[0])
         else:
             s = "%s(%s)" % (sx.pred_text(a.pred),
                             ", ".join(rterm(t) for t in a.args))

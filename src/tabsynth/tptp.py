@@ -15,21 +15,15 @@ from . import syntax as sx
 
 
 def _render_term(t):
-    if isinstance(t, sx.LExpr):
-        if t.kind in ("var",):
-            return t.name.upper()
-        if t.kind == "const":
-            return "q_%s" % t.name
-        if not t.args:
-            return "c_%s" % t.conn.name
-        return "c_%s(%s)" % (t.conn.name, ",".join(_render_term(a) for a in t.args))
-    if t.kind == "dvar":
+    domain = t.sort == sx.DOMAIN
+    if t.kind == "var":
         return t.name.upper()
-    if t.kind == "dconst":
-        return "d_%s" % t.name
-    if t.kind == "nu0":
-        return "nu0(%s)" % _render_term(t.ind)
-    return "%s(%s)" % (t.fn.name, ",".join(_render_term(a) for a in t.args))
+    if t.kind == "const":
+        return ("d_%s" if domain else "q_%s") % t.name
+    head = t.name if domain else "c_" + t.name
+    if not t.args and not domain:
+        return head
+    return "%s(%s)" % (head, ",".join(_render_term(a) for a in t.args))
 
 
 def _render_formula(f):

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from tabsynth import cli
+from tabsynth import syntax as sx
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -117,7 +118,8 @@ def test_cli_output_is_golden_bytes(work, made, golden):
 
 
 # (name, text of the file {f} or None, arguments, what the error must name);
-# {nodir} is a directory that does not exist, {p0} the problem p0
+# {nodir} is a directory that does not exist, {p0} the problem p0, {fold}
+# a refine script folding theory_0 into theory_0_1
 BAD_FILES = [
     ("missing.spec", None, ["synth", "--spec", "{f}"], "{f}"),
     ("missing.calc", None,
@@ -177,7 +179,22 @@ BAD_FILES = [
      ["refine", "--calc", "{work}/so.calc", "--refine-script", "{f}"],
      "malformed 'ub' directive at 1:?"),
     ("blocking.calc", "sorts 2\nvars 1 p\nblocking nonsense\n",
-     ["prove", "--calc", "{f}", "{p0}"], "malformed 'blocking' directive at 3:?")]
+     ["prove", "--calc", "{f}", "{p0}"], "malformed 'blocking' directive at 3:?"),
+    # engine fingerprints are keyed by rule id: the second rule a never fired
+    ("repeated-rule.calc",
+     "sorts 3\nvars 0 l\nvars 1 p q\nvars 2 r\nconnective not 1 -> 1\n"
+     "rule a [decomposition+]: nu1(not(p), x) / not(nu1(p, x))\n"
+     "rule a [decomposition+]: nu1(not(p), x) / nu1(p, x)\n"
+     "rule closure_nu1 [closure]: nu1(p, x), not(nu1(p, x)) / false\n",
+     ["prove", "--calc", "{f}", "{work}/none.txt"],
+     "duplicate rule id 'a' at 7:?"),
+    ("repeated-fold.calc",
+     "sorts 3\nvars 0 l\nvars 1 p q\nvars 2 r\n"
+     "rule theory_0_1 [closure]: nu1(p, x), not(nu1(p, x)) / false\n"
+     "rule theory_0 [theory]: eq(r, r), eq(x, x), eq(y, y), eq(z, z) / "
+     "not(nu2(r, x, y)) | not(nu2(r, y, z)) | nu2(r, x, z)\n",
+     ["refine", "--calc", "{f}", "--refine-script", "{fold}"],
+     "duplicate rule id 'theory_0_1'")]
 
 
 def _run_module(args):
@@ -198,7 +215,8 @@ def test_bad_file_is_error_without_traceback(work, tmp_path, name, text, args,
         _write(path, text)
     fields = {"f": path, "work": work, "nodir": tmp_path / "nodir",
               "so_refine": os.path.join(PRESETS, "so.refine"),
-              "p0": _write(tmp_path / "p0.txt", "p0\n")}
+              "p0": _write(tmp_path / "p0.txt", "p0\n"),
+              "fold": _write(tmp_path / "fold.refine", "rf theory_0 fold 0\n")}
     proc = _run_module([a.format(**fields) for a in args])
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ")
@@ -310,6 +328,12 @@ def test_oracle_frames_are_cached_per_predicate_arity(tmp_path):
                         prob]) == 0
 
 
+def test_checkwd_blank_prover_is_error(tmp_path, capsys):
+    assert run_cli(["check-wd", "--preset", "ipc", "--outdir", str(tmp_path),
+                    "--prover", " "]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_checkwd_writes_files(work, tmp_path):
     outdir = str(tmp_path / "wd")
     assert run_cli(["check-wd", "--preset", "ipc", "--outdir", outdir]) == 0
@@ -335,6 +359,43 @@ def test_trace_written_and_replayable(work, tmp_path):
     c = parser.parse_lexpr(calc.signature, "exists(r0, p0)", 1)
     steps = engine.replay_trace(calc, [c], open(trace).read())
     assert steps > 0
+
+
+def test_replay_rejects_a_step_whose_premise_is_absent():
+    from tabsynth import calcfile, engine, parser, refine, synth
+    with open(os.path.join(GOLDEN, "so_refined.calc")) as fh:
+        calc = calcfile.parse_calculus(fh.read())
+    calc = refine.attach_ub(calc, synth.UbConfig(True, 0))
+    c = parser.parse_lexpr(calc.signature, "exists(r0, p0)", 1)
+    with open(os.path.join(GOLDEN, "so_refined_exists.trace")) as fh:
+        trace = fh.read()
+    assert engine.replay_trace(calc, [c], trace) == 22
+    # the root holds exists(r0, p0) at i0, not exists(r0, q0)
+    first = "apply dp_pos_nu1 {l:=i0; p:=exists(r0, p0)}"
+    assert trace.startswith(first)
+    bad = trace.replace(first, first.replace("p0", "q0"), 1)
+    with pytest.raises(sx.TabError, match="absent"):
+        engine.replay_trace(calc, [c], bad)
+
+
+# --trace and --model of two blocked SO derivations, the second with Skolem
+# terms, recorded before object expressions and domain terms shared one node
+TRACE_GOLDEN = [("so_refined.calc", "exists(r0, p0)", "so_refined_exists"),
+                ("so_generated.calc", "exists(r0, one(l0))",
+                 "so_generated_exists_one")]
+
+
+@pytest.mark.parametrize("calc, concept, golden", TRACE_GOLDEN,
+                         ids=[c[2] for c in TRACE_GOLDEN])
+def test_trace_and_model_are_golden_bytes(tmp_path, calc, concept, golden):
+    prob = _write(tmp_path / "p.txt", concept + "\n")
+    trace, model = tmp_path / "t.txt", tmp_path / "m.txt"
+    assert run_cli(["prove", "--calc", os.path.join(GOLDEN, calc), "--preset",
+                    "so", "--ub", "--trace", str(trace), "--model", str(model),
+                    prob]) == 0
+    for path, ext in ((trace, "trace"), (model, "model")):
+        with open(os.path.join(GOLDEN, "%s.%s" % (golden, ext)), "rb") as fh:
+            assert path.read_bytes() == fh.read()
 
 
 def test_console_entry_point(work):

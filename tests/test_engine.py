@@ -101,10 +101,10 @@ def test_apply_positive_exists_registers_term(so_calc, so_ns):
     fp, binding, _ = next(iter(eng.applicable_instances(rule, b)))
     succ = eng.apply(tab, b, rule, fp, binding)
     assert succ == [b]
-    sks = [t for t in b.term_birth if t.kind == "fun"]
+    sks = [t for t in b.term_birth if t.kind == "app" and t.sym is not sx.NU0]
     assert len(sks) == 1
     texts = {l.text() for l in b.literals}
-    sk = sx.term_text(sks[0])
+    sk = sks[0].text()
     assert "nu2(r0, a0, %s)" % sk in texts and "nu1(p0, %s)" % sk in texts
 
 

@@ -49,7 +49,7 @@ def test_extraction_partition_is_congruence(so_blocked, so_ns):
                              skolems=so_blocked.skolems)
     for lit in lits:
         a = lit.atom
-        if lit.pos and a.pred[0] == "eq" and sx.is_domain_term(a.args[0]):
+        if lit.pos and a.pred[0] == "eq" and a.args[0].sort == sx.DOMAIN:
             assert m.term_class[a.args[0]] == m.term_class[a.args[1]]
     # function literals place images in one class
     for fname, graph in m.funs.items():
@@ -266,8 +266,7 @@ def _reference_eval(m, f, val):
             return ("const", False)
         if a.pred[0] == "eq":
             x, y = (m.eval_term(t, env) for t in a.args)
-            same = x is y if isinstance(x, sx.LExpr) else x == y
-            return ("const", same)
+            return ("const", x == y)
         if a.pred[0] == "pred":
             tup = tuple(m.eval_term(t, env) for t in a.args)
             return ("const", tup in m.preds.get(a.pred[1], ()))
@@ -275,7 +274,7 @@ def _reference_eval(m, f, val):
         elems = tuple(m.eval_term(t, env) for t in a.args[1:])
         if expr.kind != "app":
             return ("const", (expr, elems) in m.nu.get(a.pred[1], ()))
-        d = m.spec.definition_of(expr.conn.name)
+        d = m.spec.definition_of(expr.name)
         lsub = dict(zip(d.head_atom.args[0].args, expr.args))
         body = sx.substitute_formula(d.body, lsub)
         env2 = dict(zip(d.dom_vars, elems))

@@ -158,12 +158,11 @@ def test_split_is_equivalent_to_definition(so_spec, so_ns):
                                     [parser.parse_lexpr(sig, t) for t in args])}
         equiv = sx.substitute_formula(d.sentence(), sub)
         xi_p = next(x for x in so_ns.s_plus
-                    if x.head_expr.conn is not None
-                    and x.head_expr.kind == "app"
-                    and x.head_expr.conn.name == d.conn.name)
+                    if x.head_expr.kind == "app"
+                    and x.head_expr.name == d.conn.name)
         xi_m = next(x for x in so_ns.s_minus
                     if x.head_expr.kind == "app"
-                    and x.head_expr.conn.name == d.conn.name)
+                    and x.head_expr.name == d.conn.name)
         both = sx.And((sx.substitute_formula(xi_p.sentence(), sub),
                        sx.substitute_formula(xi_m.sentence(), sub)))
         for size in (1, 2):

@@ -6,22 +6,12 @@ from tabsynth import parser, specfile
 from tabsynth import syntax as sx
 
 
-def test_sort_of_singleton(so_spec):
-    sig = so_spec.signature
-    e = parser.parse_lexpr(sig, "one(l0)")
-    assert sx.sort_of(sig, e) == 1
-
-
-def test_sort_of_variable(so_spec):
-    assert sx.sort_of(so_spec.signature, sx.lvar(1, "p")) == 1
-
-
 def test_sort_of_ill_sorted(so_spec):
     sig = so_spec.signature
     l = sx.lvar(0, "l")
     p = sx.lvar(1, "p")
     with pytest.raises(sx.IllSorted):
-        sx.lapp(sig.conns["or"], [l, p])
+        sx.app(sig.conns["or"], [l, p])
 
 
 def test_parse_rejects_ill_sorted(so_spec):
@@ -73,8 +63,8 @@ def test_substitution_preserves_sorts(so_spec):
     pool = list(leaves1)
     for _ in range(40):
         a, b = rng.choice(pool), rng.choice(pool)
-        pool.append(sx.lapp(sig.conns["or"], [a, b]))
-        pool.append(sx.lapp(sig.conns["not"], [a]))
+        pool.append(sx.app(sig.conns["or"], [a, b]))
+        pool.append(sx.app(sig.conns["not"], [a]))
     sub = {sx.lvar(1, "p"): rng.choice(pool), sx.lvar(1, "q"): rng.choice(pool)}
     for e in pool:
         assert sx.substitute_expr(e, sub).sort == e.sort
@@ -170,3 +160,18 @@ def test_match_literal_one_way(so_spec):
     assert binding[sx.dvar("x")].name == "a0"
     assert not sx.match_literal(
         parser.parse_rule_literal(sig, "nu1(exists(r, p), x)"), lit, {})
+
+
+def test_ten_thousand_deep_term_is_walked_without_recursion(so_spec):
+    sig = so_spec.signature
+    p, p0 = sx.lvar(1, "p"), parser.parse_lexpr(sig, "p0")
+    e, e0 = p, p0
+    for _ in range(10000):
+        e = sx.app(sig.conns["not"], [e])
+        e0 = sx.app(sig.conns["not"], [e0])
+    assert e.text() == "not(" * 10000 + "p" + ")" * 10000
+    assert sx.substitute_expr(e, {p: p0}) is e0
+    binding = {}
+    assert sx.match_expr(e, e0, binding) and binding == {p: p0}
+    assert sx.lvars(e) == [p]
+    assert len(e.subexprs()) == 10001

@@ -19,7 +19,7 @@ def golden(name):
 def _xi(ns, conn, polarity):
     pool = ns.s_plus if polarity == "+" else ns.s_minus
     return next(x for x in pool
-                if x.head_expr.kind == "app" and x.head_expr.conn.name == conn)
+                if x.head_expr.kind == "app" and x.head_expr.name == conn)
 
 
 def test_positive_exists_form(so_ns):
@@ -193,7 +193,7 @@ def test_skolem_arguments_are_head_variables(so_calc, ipc_calc):
         for d in rule.denominators:
             for l in d:
                 for t in l.atom.args:
-                    if sx.is_domain_term(t) and t.kind == "fun":
+                    if _is_skolem_term(t):
                         terms.append(t)
         assert terms
         for t in terms:
@@ -289,15 +289,19 @@ def _satisfies_spec(m, ns, carrier):
     return True
 
 
+def _is_skolem_term(t):
+    return t.sort == sx.DOMAIN and t.kind == "app" and t.sym is not sx.NU0
+
+
 def _lit_true(m, lit, val, sk_assign):
     a = lit.atom
     if a.pred[0] == "false":
         truth = False
-    elif a.pred[0] == "eq" and isinstance(a.args[0], sx.LExpr):
+    elif a.pred[0] == "eq" and a.args[0].sort != sx.DOMAIN:
         truth = a.args[0] is a.args[1]
     else:
         def ev(t):
-            if sx.is_domain_term(t) and t.kind == "fun":
+            if _is_skolem_term(t):
                 return sk_assign[t]
             return m.eval_term(t, val)
         if a.pred[0] == "eq":
@@ -337,8 +341,7 @@ def _rule_locally_sound(m, rule, carrier):
             for d in dens:
                 for l in d:
                     for t in l.atom.args:
-                        if sx.is_domain_term(t) and t.kind == "fun" \
-                                and t not in sks:
+                        if _is_skolem_term(t) and t not in sks:
                             sks.append(t)
             ok = False
             for assign in itertools.product(range(m.size), repeat=len(sks)):
