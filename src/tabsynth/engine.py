@@ -20,6 +20,7 @@ workers; this driver explores them sequentially.
 from __future__ import annotations
 
 import heapq
+import re
 import time
 
 from . import syntax as sx
@@ -241,7 +242,7 @@ class Engine:
     def _add(self, branch, lit):
         added = branch.add(lit, self.mode)
         if added and self.allowed_exprs is not None:
-            for e in sx.lexprs_of_atom(lit.atom):
+            for e in sx.lexprs_of_formula(lit.atom):
                 if e not in self.allowed_exprs:
                     self.subexpr_violations.append((lit.text(), e.text()))
         return added
@@ -542,24 +543,42 @@ def prove(calc, concepts, ns=None, node_budget=10 ** 6, time_budget=None,
 # trace replay
 
 def replay_trace(calc, concepts, trace_text, ns=None):
-    """Re-run a recorded derivation, checking each step was applicable.
+    """Re-run a recorded derivation, checking each step was applicable and
+    that it ends as its trace says.
 
-    The check does not use the matcher: see ``_check_step``.  Returns the
-    number of application steps replayed; raises on mismatch.
+    The check does not use the matcher: see ``_check_step``.  A ``close``
+    line must name the branch the step before it closed.  The trace must
+    end with ``saturated`` on an open branch, or with every branch it
+    created closed.  Returns the number of application steps replayed;
+    raises on mismatch.
     """
     eng = Engine(calc, ns=ns)
     tab = eng.init(concepts)
     branches = {tab.root.bid: tab.root}
+    split = set()      # bids of branches a step split into children
+    just_closed = None  # the branch the step on the line before closed
+    saturated = False
     steps = 0
     verified = set()  # (fingerprint, source bid) already checked applicable
     for line in trace_text.splitlines():
         line = line.strip()
         if not line:
             continue
+        if saturated:
+            raise sx.TabError("trace goes on after saturated: %s" % line)
+        closed, just_closed = just_closed, None
+        end = re.fullmatch(r"(close|saturated) branch#(\d+)", line)
+        if end:
+            b = branches.get(int(end[2]))
+            if end[1] == "close" and (b is None or b is not closed):
+                raise sx.TabError("the step before did not close it: %s" % line)
+            if end[1] == "saturated":
+                if b is None or b.closed or b.bid in split:
+                    raise sx.TabError("saturated branch is not open: %s" % line)
+                saturated = True
+            continue
         parts = line.split()
         if parts[0] != "apply":
-            if parts[0] in ("close", "saturated"):
-                continue
             raise sx.TabError("bad trace line: %s" % line)
         rid = parts[1]
         body = line[line.index("{") + 1:line.rindex("}")]
@@ -572,12 +591,14 @@ def replay_trace(calc, concepts, trace_text, ns=None):
         binding = _parse_binding(calc, body)
         fp = _fingerprint(rid, binding)
         src = branches.get(src_bid)
-        if src is None:
-            raise sx.TabError("trace targets unknown branch %d" % src_bid)
+        if src is None or src.closed:
+            raise sx.TabError("trace targets an unknown or closed branch %d"
+                              % src_bid)
         if (fp, src_bid) not in verified:
             _check_step(rule, binding, fp, src, line)
             src.applied.add(fp)
             verified.add((fp, src_bid))
+        child = src
         if den_tok == "x":
             # closure by exhaustion: every denominator must be contradicted
             for den in rule.denominators:
@@ -589,11 +610,20 @@ def replay_trace(calc, concepts, trace_text, ns=None):
             src.closed = True
         else:
             j = int(den_tok)
-            child = src if dst_bid == src_bid else src.clone(dst_bid)
+            if dst_bid != src_bid:
+                if dst_bid in branches:
+                    raise sx.TabError("trace reuses branch %d: %s"
+                                      % (dst_bid, line))
+                child = branches[dst_bid] = src.clone(dst_bid)
+                split.add(src_bid)
             for lit in rule.denominators[j]:
                 child.add(sx.substitute_literal(lit, binding), eng.mode)
-            branches[dst_bid] = child
+        just_closed = child if child.closed else None
         steps += 1
+    if not saturated:
+        for bid, b in branches.items():
+            if not b.closed and bid not in split:
+                raise sx.TabError("trace ends with branch %d open" % bid)
     return steps
 
 

@@ -121,7 +121,7 @@ def evaluate(m, f, val=None):
     """Truth of a formula in ``m`` under a domain valuation (object-language
     variables and constants denote themselves)."""
     val = val or {}
-    if isinstance(f, sx.Atom):
+    if type(f) is sx.Atom:
         p = f.pred
         if p[0] == "false":
             return False
@@ -137,33 +137,32 @@ def evaluate(m, f, val=None):
             elems = tuple(m.eval_term(t, val) for t in f.args)
             return elems in m.preds.get(p[1], ())
         raise sx.TabError("cannot evaluate %s" % f.text())
-    if isinstance(f, sx.Not):
-        return not evaluate(m, f.sub, val)
-    if isinstance(f, sx.And):
-        return all(evaluate(m, s, val) for s in f.subs)
-    if isinstance(f, sx.Or):
-        return any(evaluate(m, s, val) for s in f.subs)
-    if isinstance(f, sx.Implies):
-        return not evaluate(m, f.lhs, val) or evaluate(m, f.rhs, val)
-    if isinstance(f, sx.Equiv):
-        return evaluate(m, f.lhs, val) == evaluate(m, f.rhs, val)
-    if isinstance(f, (sx.Forall, sx.Exists)):
-        want_all = isinstance(f, sx.Forall)
-        var = f.var
-        had, old = var in val, val.get(var)
-        try:
-            for e in range(m.size):
-                val[var] = e
-                got = evaluate(m, f.body, val)
-                if got != want_all:
-                    return got
-            return want_all
-        finally:
-            if had:
-                val[var] = old
-            else:
-                val.pop(var, None)
-    raise TypeError("not a formula: %r" % (f,))
+    op, subs = f.op, f.subs
+    if op == "not":
+        return not evaluate(m, subs[0], val)
+    if op == "and":
+        return all(evaluate(m, s, val) for s in subs)
+    if op == "or":
+        return any(evaluate(m, s, val) for s in subs)
+    if op == "implies":
+        return not evaluate(m, subs[0], val) or evaluate(m, subs[1], val)
+    if op == "iff":
+        return evaluate(m, subs[0], val) == evaluate(m, subs[1], val)
+    want_all = op == "forall"
+    var = f.var
+    had, old = var in val, val.get(var)
+    try:
+        for e in range(m.size):
+            val[var] = e
+            got = evaluate(m, subs[0], val)
+            if got != want_all:
+                return got
+        return want_all
+    finally:
+        if had:
+            val[var] = old
+        else:
+            val.pop(var, None)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +439,7 @@ def _frame_assignments(ns, pred_names, size, no_var):
     size): the filter is instance independent and dominates the enumeration
     cost at size four."""
     preds = tuple((p, ns.signature.preds[p]) for p in pred_names)
-    key = (tuple(sx.formula_text(f) for f in no_var), preds, size)
+    key = (tuple(no_var), preds, size)
     hit = _FRAME_CACHE.get(key)
     if hit is not None:
         return hit

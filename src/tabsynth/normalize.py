@@ -12,35 +12,25 @@ both lean on that ordering being well founded.
 from __future__ import annotations
 
 from . import syntax as sx
-from .specfile import SemanticSpec
+from .specfile import DirectedSentence, SemanticSpec
 
 
 class NonAtomicBackground(sx.TabError):
     pass
 
 
-class Xi:
+class Xi(DirectedSentence):
     """One directed, normalized sentence: (¬)nu_n(E(p..), x..) vs body."""
 
     def __init__(self, polarity, head_atom, body, dom_vars, definitional):
-        self.polarity = polarity          # "+" or "-"
-        self.head_atom = head_atom
+        super().__init__(polarity, head_atom, body, tuple(dom_vars))
         self.head_expr = head_atom.args[0]
         self.nu_n = head_atom.pred[1]
-        self.body = body
-        self.dom_vars = tuple(dom_vars)
         self.definitional = definitional  # split off a connective definition
 
     def head_lvars(self):
         """Head expression variables in first-occurrence order."""
         return sx.lvars(self.head_expr)
-
-    def sentence(self):
-        f = sx.Implies(self.head_atom, self.body) if self.polarity == "+" \
-            else sx.Implies(self.body, self.head_atom)
-        for v in reversed(self.dom_vars):
-            f = sx.Forall(v, f)
-        return f
 
 
 class NormalizedSpec:
@@ -125,8 +115,8 @@ def normalize(spec: SemanticSpec) -> NormalizedSpec:
                                base.dom_vars, base.definitional and xi.definitional)
         return [by_key[k] for k in order]
 
-    plus = merge(plus, lambda a, b: sx.And((a, b)))
-    minus = merge(minus, lambda a, b: sx.Or((a, b)))
+    plus = merge(plus, lambda a, b: sx.formula("and", (a, b)))
+    minus = merge(minus, lambda a, b: sx.formula("or", (a, b)))
 
     for ax in spec.axioms:
         for e in sx.lexprs_of_formula(ax):
@@ -269,7 +259,8 @@ def emit_wd_obligations(ns: NormalizedSpec):
     s_all = [("s_plus_%d" % i, xi.sentence()) for i, xi in enumerate(ns.s_plus)]
     s_all += [("s_minus_%d" % i, xi.sentence()) for i, xi in enumerate(ns.s_minus)]
     s_all += [("s_bg_%d" % i, ax) for i, ax in enumerate(ns.sb)]
-    conj = sx.And(tuple(f for _, f in s_all)) if len(s_all) > 1 else s_all[0][1]
+    conj = sx.formula("and", [f for _, f in s_all]) if len(s_all) > 1 \
+        else s_all[0][1]
     status = "trivial (every sentence is a split definition or background axiom)" \
         if ns.definitional_only else ""
     obligations.append(Obligation(
@@ -287,11 +278,9 @@ def emit_wd_obligations(ns: NormalizedSpec):
         bg_insts = sx.restrict(ns.sb, below)
         big_plus = _conj(phi_plus)
         big_minus = _disj(phi_minus)
-        matrix = sx.And((sx.Implies(big_plus, d.body),
-                         sx.Implies(d.body, big_minus)))
-        f = matrix
-        for v in reversed(d.dom_vars):
-            f = sx.Forall(v, f)
+        f = sx.forall_each(d.dom_vars, sx.formula("and", (
+            sx.formula("implies", (big_plus, d.body)),
+            sx.formula("implies", (d.body, big_minus)))))
         status = "tautology" if phi_plus == [d.body] and phi_minus == [d.body] else ""
         obligations.append(Obligation(
             "wd3_%s" % d.conn.name,
@@ -317,10 +306,10 @@ def _matching_bodies(xis, head, dom_vars):
 
 def _conj(fs):
     if not fs:
-        return sx.Not(sx.FALSE)
+        return sx.formula("not", (sx.FALSE,))
     if len(fs) == 1:
         return fs[0]
-    return sx.And(tuple(fs))
+    return sx.formula("and", fs)
 
 
 def _disj(fs):
@@ -328,4 +317,4 @@ def _disj(fs):
         return sx.FALSE
     if len(fs) == 1:
         return fs[0]
-    return sx.Or(tuple(fs))
+    return sx.formula("or", fs)

@@ -237,9 +237,7 @@ class Elaborator:
             cls = self.sig.classify_name(vname)
             if cls is None or cls[0] != "dvar":
                 self._err("quantifiers bind domain variables only, not %r" % vname, tok)
-            inner = self.formula(body)
-            return sx.Forall(sx.dvar(vname), inner) if q == "forall" \
-                else sx.Exists(sx.dvar(vname), inner)
+            return sx.formula(q, (self.formula(body),), sx.dvar(vname))
         name = tree[1]
         if tree[0] == "name":
             if name == "false":
@@ -249,19 +247,16 @@ class Elaborator:
         if name == "not":
             if len(args) != 1:
                 self._err("not takes one formula", tok)
-            return sx.Not(self.formula(args[0]))
-        if name == "and" or name == "or":
+        elif name == "and" or name == "or":
             # only a first-order connective in formula position
             if len(args) < 2:
                 self._err("%s takes at least two formulae" % name, tok)
-            subs = tuple(self.formula(a) for a in args)
-            return sx.And(subs) if name == "and" else sx.Or(subs)
-        if name == "implies" or name == "iff":
+        elif name == "implies" or name == "iff":
             if len(args) != 2:
                 self._err("%s takes two formulae" % name, tok)
-            l, r = self.formula(args[0]), self.formula(args[1])
-            return sx.Implies(l, r) if name == "implies" else sx.Equiv(l, r)
-        return self.atom(tree)
+        else:
+            return self.atom(tree)
+        return sx.formula(name, [self.formula(a) for a in args])
 
     def atom(self, tree):
         tok = tree[-1]

@@ -56,7 +56,7 @@ def fold_whitelisted(rule, folded_lits, signature):
     conn_sorts = signature.sorts_with_connectives()
     for lit in folded_lits:
         for t in lit.atom.args:
-            for e in sx.lexprs_of_term(t):
+            for e in sx.lexprs_of_formula(t):
                 if e.sort in conn_sorts:
                     return False
     return True

@@ -66,10 +66,8 @@ class Definition:
         self.dom_vars = dom_vars        # (x1..xn) in prefix order
 
     def sentence(self):
-        f = sx.Equiv(self.head_atom, self.body)
-        for v in reversed(self.dom_vars):
-            f = sx.Forall(v, f)
-        return f
+        return sx.forall_each(self.dom_vars,
+                              sx.formula("iff", (self.head_atom, self.body)))
 
 
 class DirectedSentence:
@@ -82,13 +80,9 @@ class DirectedSentence:
         self.dom_vars = dom_vars
 
     def sentence(self):
-        if self.polarity == "+":
-            f = sx.Implies(self.head_atom, self.body)
-        else:
-            f = sx.Implies(self.body, self.head_atom)
-        for v in reversed(self.dom_vars):
-            f = sx.Forall(v, f)
-        return f
+        pair = (self.head_atom, self.body) if self.polarity == "+" \
+            else (self.body, self.head_atom)
+        return sx.forall_each(self.dom_vars, sx.formula("implies", pair))
 
 
 class SemanticSpec:
@@ -165,7 +159,7 @@ def parse_spec(text, name="spec"):
                 f = el.formula(tp.tree())
                 if not tp.at_end():
                     raise SpecSyntaxError("trailing input", lineno)
-                if not sx.is_l_open_sentence(f):
+                if sx.free_dvars(f):
                     raise NotLOpen("free domain variable in axiom (line %d): %s"
                                    % (lineno, sx.formula_text(f)))
                 axioms.append(f)

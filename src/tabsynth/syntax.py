@@ -7,15 +7,20 @@ holds-predicate ``nu_n`` per object sort, one polymorphic equality symbol,
 named domain predicates and domain-sort function symbols (Skolem functions,
 and ``nu0`` taking an individual to the element it denotes).
 
-One node, :class:`Term`, holds both kinds of term: object expressions have a
-sort 0..N, domain terms the sort ``DOMAIN``.  Printing, substitution,
-matching and the variable walks are loops over an explicit stack, so term
-depth is not limited by the interpreter's recursion limit.
+Two nodes carry the syntax.  :class:`Term` holds both kinds of term: object
+expressions have a sort 0..N, domain terms the sort ``DOMAIN``.
+:class:`Formula` holds every compound formula: a connective or quantifier
+word (``op``), its subformulas, and the variable a quantifier binds; an
+:class:`Atom` is the atomic formula, and a :class:`Literal` a possibly
+negated atom as the prover reads it.  Printing, substitution, matching and
+the variable walks are loops over an explicit stack, so nesting depth is not
+limited by the interpreter's recursion limit.
 
-Everything here is immutable after construction.  Terms, atoms and literals
-are hash-consed, terms in one table: structurally equal values are the same
-object, so ``==`` and ``hash`` are O(1).  The intern tables are plain dicts;
-build terms from a single thread (reads are safe to share afterwards).
+Everything here is immutable after construction.  Terms, atoms, literals
+and formulas are hash-consed in one table, keyed by their kind and parts:
+structurally equal values are the same object, so ``==`` and ``hash`` are
+O(1).  The table is a plain dict; build nodes from a single thread (reads
+are safe to share afterwards).
 """
 
 from __future__ import annotations
@@ -198,7 +203,58 @@ class FnSym:
 
 NU0 = FnSym("nu0", (0,), 0)  # the domain element an individual denotes
 
-_TERMS = {}
+_NODES = {}  # the one intern table: key (kind tag or symbol, parts) -> node
+
+
+def _intern(cls, key, *values):
+    """The node of class ``cls`` keyed by ``key``, made from ``values`` (in
+    slot order) on first use.  A key holds the node's parts themselves, not
+    their ids, and its first element tells the node kinds apart."""
+    n = _NODES.get(key)
+    if n is None:
+        n = _NODES[key] = object.__new__(cls)
+        for slot, v in zip(cls.__slots__, values):
+            setattr(n, slot, v)
+    return n
+
+
+def formula_text(x):
+    """Prefix notation of a formula, atom or term."""
+    out, stack = [], [x]
+    while stack:
+        t = stack.pop()
+        ty = type(t)
+        if ty is str:
+            out.append(t)
+            continue
+        if ty is Term:
+            # a domain application always prints its parentheses, so a
+            # nullary Skolem term reads back as one
+            if t.kind != "app" or not t.args and t.sort != DOMAIN:
+                out.append(t.name)
+                continue
+            head, parts = t.name, t.args
+        elif ty is Atom:
+            if t.pred[0] == "false":
+                out.append("false")
+                continue
+            if t.pred[0] == "holds":
+                stack.append(t.args[0])
+                continue
+            head, parts = pred_text(t.pred), t.args
+        elif t.var is not None:
+            out.append("%s %s. " % (t.op, t.var.name))
+            stack.append(t.subs[0])
+            continue
+        else:
+            head, parts = t.op, t.subs
+        out.append(head + "(")
+        stack.append(")")
+        for k, a in enumerate(reversed(parts)):
+            if k:
+                stack.append(", ")
+            stack.append(a)
+    return "".join(out)
 
 
 class Term:
@@ -217,25 +273,7 @@ class Term:
         return "Term(%s)" % self.text()
 
     def text(self):
-        """Prefix notation; a domain application always prints its
-        parentheses, so a nullary Skolem term reads back as one."""
-        if self.kind != "app":
-            return self.name
-        out, stack = [], [self]
-        while stack:
-            t = stack.pop()
-            if type(t) is str:
-                out.append(t)
-            elif t.kind != "app" or not t.args and t.sort != DOMAIN:
-                out.append(t.name)
-            else:
-                out.append(t.name + "(")
-                stack.append(")")
-                for k, a in enumerate(reversed(t.args)):
-                    if k:
-                        stack.append(", ")
-                    stack.append(a)
-        return "".join(out)
+        return self.name if self.kind != "app" else formula_text(self)
 
     def subexprs(self):
         """All subterms including self, no duplicates, preorder."""
@@ -250,25 +288,12 @@ class Term:
         return out
 
 
-def _intern(key, kind, sort, name, sym=None, args=()):
-    t = _TERMS.get(key)
-    if t is None:
-        t = object.__new__(Term)
-        t.kind = kind
-        t.sort = sort
-        t.name = name
-        t.sym = sym
-        t.args = args
-        _TERMS[key] = t
-    return t
-
-
 def lvar(sort, name):
-    return _intern(("var", sort, name), "var", sort, name)
+    return _intern(Term, ("var", sort, name), "var", sort, name, None, ())
 
 
 def lconst(sort, name):
-    return _intern(("const", sort, name), "const", sort, name)
+    return _intern(Term, ("const", sort, name), "const", sort, name, None, ())
 
 
 def dvar(name):
@@ -290,7 +315,7 @@ def app(sym, args):
         if a.sort != s:
             raise IllSorted("argument %d of %s has sort %d, expected %d"
                             % (k + 1, sym.name, a.sort, s), position=k)
-    return _intern((sym,) + args, "app", sym.res_sort, sym.name, sym, args)
+    return _intern(Term, (sym,) + args, "app", sym.res_sort, sym.name, sym, args)
 
 
 def nu0(ind):
@@ -338,10 +363,6 @@ def pred_text(p):
     return "holds"
 
 
-_ATOM_TABLE = {}
-_LIT_TABLE = {}
-
-
 class Atom:
     """An atomic formula: nu_n(E, t1..tn), eq(s, t), P(t1..tn), false,
     or (post-internalization) a bare concept asserted to hold."""
@@ -352,11 +373,7 @@ class Atom:
         return "Atom(%s)" % self.text()
 
     def text(self):
-        if self.pred[0] == "false":
-            return "false"
-        if self.pred[0] == "holds":
-            return self.args[0].text()
-        return "%s(%s)" % (pred_text(self.pred), ", ".join(a.text() for a in self.args))
+        return formula_text(self)
 
 
 def atom(p, args=()):
@@ -381,14 +398,7 @@ def atom(p, args=()):
     elif p[0] == "holds":
         if len(args) != 1 or args[0].sort != 1:
             raise IllSorted("a held concept must have the primary sort")
-    key = (p,) + tuple(id(a) for a in args)
-    a = _ATOM_TABLE.get(key)
-    if a is None:
-        a = object.__new__(Atom)
-        a.pred = p
-        a.args = args
-        _ATOM_TABLE[key] = a
-    return a
+    return _intern(Atom, ("atom", p) + args, p, args)
 
 
 FALSE = atom(FALSUM)
@@ -410,14 +420,7 @@ class Literal:
 
 
 def literal(pos, a):
-    key = (pos, id(a))
-    l = _LIT_TABLE.get(key)
-    if l is None:
-        l = object.__new__(Literal)
-        l.pos = pos
-        l.atom = a
-        _LIT_TABLE[key] = l
-    return l
+    return _intern(Literal, ("lit", pos, a), pos, a)
 
 
 def pos_lit(a):
@@ -428,79 +431,40 @@ def neg_lit(a):
     return literal(False, a)
 
 
-# formulae: Atom doubles as the atomic formula
+class Formula:
+    """A compound formula: ``op`` is ``not``, ``and``, ``or``, ``implies``,
+    ``iff``, ``forall`` or ``exists``; ``subs`` the atoms and formulas it
+    joins (one under a quantifier); ``var`` the domain variable a quantifier
+    binds, None otherwise.  Object variables are never bound: sentences are
+    L-open.  Use :func:`formula`; instances are interned."""
 
-@dataclass(frozen=True)
-class Not:
-    sub: object
+    __slots__ = ("op", "subs", "var")
 
-
-@dataclass(frozen=True)
-class And:
-    subs: tuple
-
-
-@dataclass(frozen=True)
-class Or:
-    subs: tuple
+    def __repr__(self):
+        return "Formula(%s)" % formula_text(self)
 
 
-@dataclass(frozen=True)
-class Implies:
-    lhs: object
-    rhs: object
+def formula(op, subs, var=None):
+    subs = tuple(subs)
+    return _intern(Formula, (op, var) + subs, op, subs, var)
 
 
-@dataclass(frozen=True)
-class Equiv:
-    lhs: object
-    rhs: object
-
-
-@dataclass(frozen=True)
-class Forall:
-    var: object  # a domain variable; L-sort quantification is rejected upstream
-    body: object
-
-
-@dataclass(frozen=True)
-class Exists:
-    var: object
-    body: object
-
-
-def formula_text(f):
-    if isinstance(f, Atom):
-        return f.text()
-    if isinstance(f, Not):
-        return "not(%s)" % formula_text(f.sub)
-    if isinstance(f, And):
-        return "and(%s)" % ", ".join(formula_text(s) for s in f.subs)
-    if isinstance(f, Or):
-        return "or(%s)" % ", ".join(formula_text(s) for s in f.subs)
-    if isinstance(f, Implies):
-        return "implies(%s, %s)" % (formula_text(f.lhs), formula_text(f.rhs))
-    if isinstance(f, Equiv):
-        return "iff(%s, %s)" % (formula_text(f.lhs), formula_text(f.rhs))
-    if isinstance(f, Forall):
-        return "forall %s. %s" % (f.var.name, formula_text(f.body))
-    if isinstance(f, Exists):
-        return "exists %s. %s" % (f.var.name, formula_text(f.body))
-    raise TypeError("not a formula: %r" % (f,))
+def forall_each(vs, f):
+    """``f`` under one universal quantifier per variable of ``vs``, the
+    first outermost."""
+    for v in reversed(vs):
+        f = formula("forall", (f,), v)
+    return f
 
 
 def subformulas(f):
-    yield f
-    if isinstance(f, Not):
-        yield from subformulas(f.sub)
-    elif isinstance(f, (And, Or)):
-        for s in f.subs:
-            yield from subformulas(s)
-    elif isinstance(f, (Implies, Equiv)):
-        yield from subformulas(f.lhs)
-        yield from subformulas(f.rhs)
-    elif isinstance(f, (Forall, Exists)):
-        yield from subformulas(f.body)
+    """``f`` and every formula and atom inside it, in preorder."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        if type(g) is Formula:
+            stack.extend(reversed(g.subs))
 
 
 # ---------------------------------------------------------------------------
@@ -522,14 +486,8 @@ def _walk(x):
             stack.append(y.atom)
         elif t is Atom:
             stack.extend(reversed(y.args))
-        elif t is Not:
-            stack.append(y.sub)
-        elif t is And or t is Or:
+        elif t is Formula:
             stack.extend(reversed(y.subs))
-        elif t is Implies or t is Equiv:
-            stack += [y.rhs, y.lhs]
-        elif t is Forall or t is Exists:
-            stack.append(y.body)
         elif t is list or t is tuple:
             stack.extend(reversed(y))
         else:
@@ -541,9 +499,6 @@ def lexprs_of_formula(x):
     """All object-language expressions occurring in ``x`` (anything
     ``_walk`` takes), nested included."""
     return [s for e in _walk(x) if e.sort != DOMAIN for s in e.subexprs()]
-
-
-lexprs_of_term = lexprs_of_atom = lexprs_of_formula
 
 
 def lvars(x):
@@ -567,35 +522,16 @@ def ground_terms(x):
 
 def free_dvars(f, bound=frozenset()):
     """Free domain variables of a formula, in first-occurrence order."""
-    out = []
-
-    def go(g, bnd):
-        if isinstance(g, Atom):
-            for v in dvars(g):
-                if v not in bnd and v not in out:
-                    out.append(v)
-        elif isinstance(g, Not):
-            go(g.sub, bnd)
-        elif isinstance(g, (And, Or)):
-            for s in g.subs:
-                go(s, bnd)
-        elif isinstance(g, (Implies, Equiv)):
-            go(g.lhs, bnd)
-            go(g.rhs, bnd)
-        elif isinstance(g, (Forall, Exists)):
-            go(g.body, bnd | {g.var})
-
-    go(f, frozenset(bound))
+    out, stack = [], [(f, frozenset(bound))]
+    while stack:
+        g, bnd = stack.pop()
+        if type(g) is Atom:
+            out += [v for v in dvars(g) if v not in bnd and v not in out]
+            continue
+        if g.var is not None:
+            bnd = bnd | {g.var}
+        stack.extend((s, bnd) for s in reversed(g.subs))
     return out
-
-
-def is_l_open_sentence(f):
-    """True iff every L-variable occurrence is free and no domain variable is.
-
-    Quantifiers in this representation bind domain variables only, so the
-    first half holds by construction; the check is for free domain variables.
-    """
-    return not free_dvars(f)
 
 
 # ---------------------------------------------------------------------------
@@ -638,25 +574,20 @@ def substitute_literal(l, sub):
 def substitute_formula(f, sub):
     """Substitute free variables of both kinds; a quantifier shields the
     domain variable it binds."""
-    if isinstance(f, Atom):
-        return substitute_atom(f, sub)
-    if isinstance(f, Not):
-        return Not(substitute_formula(f.sub, sub))
-    if isinstance(f, And):
-        return And(tuple(substitute_formula(s, sub) for s in f.subs))
-    if isinstance(f, Or):
-        return Or(tuple(substitute_formula(s, sub) for s in f.subs))
-    if isinstance(f, Implies):
-        return Implies(substitute_formula(f.lhs, sub),
-                       substitute_formula(f.rhs, sub))
-    if isinstance(f, Equiv):
-        return Equiv(substitute_formula(f.lhs, sub),
-                     substitute_formula(f.rhs, sub))
-    if isinstance(f, (Forall, Exists)):
-        if f.var in sub:
-            sub = {k: v for k, v in sub.items() if k is not f.var}
-        return type(f)(f.var, substitute_formula(f.body, sub))
-    raise TypeError("not a formula: %r" % (f,))
+    out, stack = [], [(f, sub, False)]
+    while stack:
+        g, s, ready = stack.pop()
+        if type(g) is Atom:
+            out.append(substitute_atom(g, s))
+        elif ready:
+            n = len(g.subs)
+            out[-n:] = [formula(g.op, out[-n:], g.var)]
+        else:
+            if g.var in s:
+                s = {k: v for k, v in s.items() if k is not g.var}
+            stack.append((g, s, True))
+            stack.extend((x, s, False) for x in reversed(g.subs))
+    return out[0]
 
 
 def restrict(sentences, x_set):

@@ -132,29 +132,26 @@ class Calculus:
 # ---------------------------------------------------------------------------
 # NNF / Skolemization / DNF
 
+_DUAL = {"and": "or", "or": "and", "forall": "exists", "exists": "forall"}
+
+
 def _nnf(f, pos=True):
-    if isinstance(f, sx.Atom):
-        return sx.literal(pos, f)
-    if isinstance(f, sx.Not):
-        return _nnf(f.sub, not pos)
-    if isinstance(f, sx.And):
-        subs = tuple(_nnf(s, pos) for s in f.subs)
-        return ("and", subs) if pos else ("or", subs)
-    if isinstance(f, sx.Or):
-        subs = tuple(_nnf(s, pos) for s in f.subs)
-        return ("or", subs) if pos else ("and", subs)
-    if isinstance(f, sx.Implies):
-        return _nnf(sx.Or((sx.Not(f.lhs), f.rhs)), pos)
-    if isinstance(f, sx.Equiv):
-        both = sx.And((sx.Implies(f.lhs, f.rhs), sx.Implies(f.rhs, f.lhs)))
+    """``f`` (negated unless ``pos``) in negation normal form: and, or and
+    quantifiers over atoms and negated atoms."""
+    if type(f) is sx.Atom:
+        return f if pos else sx.formula("not", (f,))
+    op, subs = f.op, f.subs
+    if op == "not":
+        return _nnf(subs[0], not pos)
+    if op == "implies":
+        return _nnf(sx.formula("or", (sx.formula("not", subs[:1]), subs[1])), pos)
+    if op == "iff":
+        l, r = subs
+        both = sx.formula("and", (sx.formula("implies", (l, r)),
+                                  sx.formula("implies", (r, l))))
         return _nnf(both, pos)
-    if isinstance(f, sx.Forall):
-        inner = _nnf(f.body, pos)
-        return ("forall", f.var, inner) if pos else ("exists", f.var, inner)
-    if isinstance(f, sx.Exists):
-        inner = _nnf(f.body, pos)
-        return ("exists", f.var, inner) if pos else ("forall", f.var, inner)
-    raise TypeError("not a formula: %r" % (f,))
+    return sx.formula(op if pos else _DUAL[op], [_nnf(s, pos) for s in subs],
+                      f.var)
 
 
 class _SkolemNamer:
@@ -172,36 +169,26 @@ class _SkolemNamer:
         return name
 
 
-def _tree_subst(tree, sub):
-    if isinstance(tree, sx.Literal):
-        return sx.substitute_literal(tree, sub)
-    if tree[0] in ("and", "or"):
-        return (tree[0], tuple(_tree_subst(s, sub) for s in tree[1]))
-    kind, var, body = tree
-    inner = {k: v for k, v in sub.items() if k != var}
-    return (kind, var, _tree_subst(body, inner))
-
-
 def _skolemize(tree, head_lvars, scope, namer, slug, counter):
     """Remove quantifiers from an NNF tree: existentials become Skolem terms
     over (head L-variables, enclosing universals); universals become free
     variables, renamed apart from everything already in scope."""
-    if isinstance(tree, sx.Literal):
+    if type(tree) is sx.Atom or tree.op == "not":
         return tree, []
-    if tree[0] in ("and", "or"):
+    if tree.var is None:
         subs, fns = [], []
-        for s in tree[1]:
+        for s in tree.subs:
             s2, f2 = _skolemize(s, head_lvars, scope, namer, slug, counter)
             subs.append(s2)
             fns.extend(f2)
-        return (tree[0], tuple(subs)), fns
-    kind, var, body = tree
-    if kind == "exists":
+        return sx.formula(tree.op, subs), fns
+    var, body = tree.var, tree.subs[0]
+    if tree.op == "exists":
         fn = sx.FnSym(namer.fresh(slug, counter[0]),
                       tuple(v.sort for v in head_lvars), len(scope))
         counter[0] += 1
         term = sx.app(fn, list(head_lvars) + list(scope))
-        body2 = _tree_subst(body, {var: term})
+        body2 = sx.substitute_formula(body, {var: term})
         t, fns = _skolemize(body2, head_lvars, scope, namer, slug, counter)
         return t, [fn] + fns
     # universal: strip, keeping the variable free (renamed apart if clashing)
@@ -212,17 +199,19 @@ def _skolemize(tree, head_lvars, scope, namer, slug, counter):
         while any(sx.dvar("%s%d" % (base, k)) is s for s in scope):
             k += 1
         v2 = sx.dvar("%s%d" % (base, k))
-        body = _tree_subst(body, {var: v2})
+        body = sx.substitute_formula(body, {var: v2})
         v = v2
     return _skolemize(body, head_lvars, scope + [v], namer, slug, counter)
 
 
 def _dnf(tree, cap=DNF_LITERAL_CAP):
     """List of conjunctions (ordered literal lists), naively distributed."""
-    if isinstance(tree, sx.Literal):
-        return [[tree]]
-    kind, subs = tree
-    if kind == "or":
+    if type(tree) is sx.Atom:
+        return [[sx.pos_lit(tree)]]
+    if tree.op == "not":
+        return [[sx.neg_lit(tree.subs[0])]]
+    subs = tree.subs
+    if tree.op == "or":
         out = []
         for s in subs:
             out.extend(_dnf(s, cap))
@@ -276,8 +265,7 @@ def implicational_form(xi, namer=None, cap=DNF_LITERAL_CAP):
     namer = namer or _SkolemNamer()
     head_lit = sx.pos_lit(xi.head_atom) if xi.polarity == "+" \
         else sx.neg_lit(xi.head_atom)
-    body = xi.body if xi.polarity == "+" else sx.Not(xi.body)
-    tree = _nnf(body, True)
+    tree = _nnf(xi.body, xi.polarity == "+")
     counter = [0]
     tree, fns = _skolemize(tree, xi.head_lvars(), list(xi.dom_vars), namer,
                            head_slug(xi), counter)

@@ -26,8 +26,12 @@ def _render_term(t):
     return "%s(%s)" % (head, ",".join(_render_term(a) for a in t.args))
 
 
+_INFIX = {"and": " & ", "or": " | ", "implies": " => ", "iff": " <=> "}
+_QUANT = {"forall": ("!", "=>"), "exists": ("?", "&")}  # symbol, guard join
+
+
 def _render_formula(f):
-    if isinstance(f, sx.Atom):
+    if type(f) is sx.Atom:
         p = f.pred
         if p[0] == "false":
             return "$false"
@@ -36,27 +40,14 @@ def _render_formula(f):
         if p[0] == "nu":
             return "nu%d(%s)" % (p[1], ",".join(_render_term(a) for a in f.args))
         return "p_%s(%s)" % (p[1], ",".join(_render_term(a) for a in f.args))
-    if isinstance(f, sx.Not):
-        return "~ %s" % _paren(f.sub)
-    if isinstance(f, sx.And):
-        return "(%s)" % " & ".join(_paren(s) for s in f.subs)
-    if isinstance(f, sx.Or):
-        return "(%s)" % " | ".join(_paren(s) for s in f.subs)
-    if isinstance(f, sx.Implies):
-        return "(%s => %s)" % (_paren(f.lhs), _paren(f.rhs))
-    if isinstance(f, sx.Equiv):
-        return "(%s <=> %s)" % (_paren(f.lhs), _paren(f.rhs))
-    if isinstance(f, sx.Forall):
-        return "( ! [%s] : (dom(%s) => %s) )" % (
-            f.var.name.upper(), f.var.name.upper(), _paren(f.body))
-    if isinstance(f, sx.Exists):
-        return "( ? [%s] : (dom(%s) & %s) )" % (
-            f.var.name.upper(), f.var.name.upper(), _paren(f.body))
-    raise TypeError("not a formula: %r" % (f,))
-
-
-def _paren(f):
-    return _render_formula(f)
+    subs = [_render_formula(s) for s in f.subs]
+    if f.op == "not":
+        return "~ " + subs[0]
+    if f.op in _INFIX:
+        return "(%s)" % _INFIX[f.op].join(subs)
+    q, join = _QUANT[f.op]
+    v = f.var.name.upper()
+    return "( %s [%s] : (dom(%s) %s %s) )" % (q, v, v, join, subs[0])
 
 
 def _closed(f, lvars):

@@ -361,11 +361,16 @@ def test_trace_written_and_replayable(work, tmp_path):
     assert steps > 0
 
 
-def test_replay_rejects_a_step_whose_premise_is_absent():
-    from tabsynth import calcfile, engine, parser, refine, synth
-    with open(os.path.join(GOLDEN, "so_refined.calc")) as fh:
+def _golden_calc_ub(name):
+    from tabsynth import calcfile, refine, synth
+    with open(os.path.join(GOLDEN, name)) as fh:
         calc = calcfile.parse_calculus(fh.read())
-    calc = refine.attach_ub(calc, synth.UbConfig(True, 0))
+    return refine.attach_ub(calc, synth.UbConfig(True, 0))
+
+
+def test_replay_rejects_a_step_whose_premise_is_absent():
+    from tabsynth import engine, parser
+    calc = _golden_calc_ub("so_refined.calc")
     c = parser.parse_lexpr(calc.signature, "exists(r0, p0)", 1)
     with open(os.path.join(GOLDEN, "so_refined_exists.trace")) as fh:
         trace = fh.read()
@@ -376,6 +381,34 @@ def test_replay_rejects_a_step_whose_premise_is_absent():
     bad = trace.replace(first, first.replace("p0", "q0"), 1)
     with pytest.raises(sx.TabError, match="absent"):
         engine.replay_trace(calc, [c], bad)
+
+
+def test_replay_checks_where_the_trace_ends():
+    from tabsynth import engine, parser
+    calc = _golden_calc_ub("so_refined.calc")
+    cs = [parser.parse_lexpr(calc.signature, t, 1)
+          for t in ("exists(r0, exists(r0, p0))", "not(exists(r0, p0))")]
+    v = engine.prove(calc, cs, trace=True)
+    lines = v.engine.trace
+    assert v.kind == "unsat" and len(lines) == 29
+    assert engine.replay_trace(calc, cs, "\n".join(lines)) == 26
+    # cut short, the derivation leaves its branch open
+    with pytest.raises(sx.TabError, match="open"):
+        engine.replay_trace(calc, cs, "\n".join(lines[:3]))
+    # no step closed branch#0 just before
+    with pytest.raises(sx.TabError, match="did not close"):
+        engine.replay_trace(calc, cs, "\n".join(lines[:1] + ["close branch#0"]))
+    # an unsat derivation has no saturated branch
+    with pytest.raises(sx.TabError, match="not open"):
+        engine.replay_trace(calc, cs, "\n".join(lines + ["saturated branch#1"]))
+    gen = _golden_calc_ub("so_generated.calc")
+    c = parser.parse_lexpr(gen.signature, "exists(r0, one(l0))", 1)
+    with open(os.path.join(GOLDEN, "so_generated_exists_one.trace")) as fh:
+        trace = fh.read()
+    assert engine.replay_trace(gen, [c], trace) == 24
+    # a saturated line ends the trace
+    with pytest.raises(sx.TabError, match="after saturated"):
+        engine.replay_trace(gen, [c], trace + lines[0] + "\n")
 
 
 # --trace and --model of two blocked SO derivations, the second with Skolem

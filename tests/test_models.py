@@ -243,22 +243,20 @@ def _reference_eval(m, f, val):
     """Independently coded evaluator: ground all quantifiers and unfold all
     compound expressions eagerly, then evaluate the ground tree."""
     def ground(g, env):
-        if isinstance(g, sx.Forall):
-            return ("and", [ground(g.body, {**env, g.var: e})
+        op = getattr(g, "op", None)
+        if op == "forall":
+            return ("and", [ground(g.subs[0], {**env, g.var: e})
                             for e in range(m.size)])
-        if isinstance(g, sx.Exists):
-            return ("or", [ground(g.body, {**env, g.var: e})
+        if op == "exists":
+            return ("or", [ground(g.subs[0], {**env, g.var: e})
                            for e in range(m.size)])
-        if isinstance(g, sx.Not):
-            return ("not", [ground(g.sub, env)])
-        if isinstance(g, sx.And):
-            return ("and", [ground(s, env) for s in g.subs])
-        if isinstance(g, sx.Or):
-            return ("or", [ground(s, env) for s in g.subs])
-        if isinstance(g, sx.Implies):
-            return ("or", [("not", [ground(g.lhs, env)]), ground(g.rhs, env)])
-        if isinstance(g, sx.Equiv):
-            l, r = ground(g.lhs, env), ground(g.rhs, env)
+        if op in ("not", "and", "or"):
+            return (op, [ground(s, env) for s in g.subs])
+        if op == "implies":
+            return ("or", [("not", [ground(g.subs[0], env)]),
+                           ground(g.subs[1], env)])
+        if op == "iff":
+            l, r = (ground(s, env) for s in g.subs)
             return ("or", [("and", [l, r]), ("and", [("not", [l]),
                                                      ("not", [r])])])
         a = g
@@ -321,17 +319,13 @@ def _random_formula(rng, spec, depth):
     a = _random_formula(rng, spec, depth - 1)
     b = _random_formula(rng, spec, depth - 1)
     if roll < 0.2:
-        return sx.Not(a)
-    if roll < 0.4:
-        return sx.And((a, b))
-    if roll < 0.6:
-        return sx.Or((a, b))
-    if roll < 0.7:
-        return sx.Implies(a, b)
+        return sx.formula("not", (a,))
     if roll < 0.8:
-        return sx.Equiv(a, b)
+        op = "and" if roll < 0.4 else "or" if roll < 0.6 else \
+            "implies" if roll < 0.7 else "iff"
+        return sx.formula(op, (a, b))
     var = sx.dvar(rng.choice(("x", "y")))
-    return sx.Forall(var, a) if roll < 0.9 else sx.Exists(var, a)
+    return sx.formula("forall" if roll < 0.9 else "exists", (a,), var)
 
 
 def test_evaluator_cross_check(so_spec):

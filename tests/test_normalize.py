@@ -42,8 +42,8 @@ def test_merging_conjoins_and_disjoins():
     plus = [xi for xi in ns.s_plus if xi.head_expr.text() == "exists(r, p)"]
     minus = [xi for xi in ns.s_minus if xi.head_expr.text() == "exists(r, p)"]
     assert len(plus) == 1 and len(minus) == 1
-    assert isinstance(plus[0].body, sx.And)
-    assert isinstance(minus[0].body, sx.Or)
+    assert plus[0].body.op == "and"
+    assert minus[0].body.op == "or"
 
 
 def test_non_atomic_background_rejected():
@@ -163,8 +163,8 @@ def test_split_is_equivalent_to_definition(so_spec, so_ns):
         xi_m = next(x for x in so_ns.s_minus
                     if x.head_expr.kind == "app"
                     and x.head_expr.name == d.conn.name)
-        both = sx.And((sx.substitute_formula(xi_p.sentence(), sub),
-                       sx.substitute_formula(xi_m.sentence(), sub)))
+        both = sx.formula("and", (sx.substitute_formula(xi_p.sentence(), sub),
+                                  sx.substitute_formula(xi_m.sentence(), sub)))
         for size in (1, 2):
             for m in _structures(so_spec, size, atoms, roles, inds):
                 assert models.evaluate(m, equiv) == models.evaluate(m, both)

@@ -57,9 +57,9 @@ def test_tab_separates_directive_word(so_spec):
 def test_every_sentence_is_l_open(so_spec, ipc_spec):
     for spec in (so_spec, ipc_spec):
         for d in spec.definitions:
-            assert sx.is_l_open_sentence(d.sentence())
+            assert not sx.free_dvars(d.sentence())
         for ax in spec.axioms:
-            assert sx.is_l_open_sentence(ax)
+            assert not sx.free_dvars(ax)
 
 
 def _patch(base, old, new):

@@ -83,14 +83,14 @@ def test_substitute_compositional(so_spec):
 def test_l_open_sentence_free_domain_variable(so_spec):
     sig = so_spec.signature
     f = parser.parse_formula(sig, "forall y. and(nu1(exists(r, p), y), nu2(r, x, y))")
-    assert not sx.is_l_open_sentence(f)
+    assert sx.free_dvars(f) == [sx.dvar("x")]
 
 
 def test_l_open_sentence_all_bound(so_spec):
     sig = so_spec.signature
     f = parser.parse_formula(
         sig, "forall y. and(nu1(exists(r, p), y), forall x. nu2(r, x, y))")
-    assert sx.is_l_open_sentence(f)
+    assert sx.free_dvars(f) == []
 
 
 def test_object_variable_quantification_rejected(so_spec):
@@ -175,3 +175,20 @@ def test_ten_thousand_deep_term_is_walked_without_recursion(so_spec):
     assert sx.match_expr(e, e0, binding) and binding == {p: p0}
     assert sx.lvars(e) == [p]
     assert len(e.subexprs()) == 10001
+
+
+def test_ten_thousand_deep_formula_is_walked_without_recursion(so_spec):
+    sig = so_spec.signature
+    x, p = sx.dvar("x"), sx.lvar(1, "p")
+    a = parser.parse_formula(sig, "nu1(p, x)")
+    a0 = parser.parse_formula(sig, "nu1(p0, a0)")
+    f, f0 = a, a0
+    for _ in range(10000):
+        f = sx.formula("not", (f,))
+        f0 = sx.formula("not", (f0,))
+    assert sx.formula_text(f) == "not(" * 10000 + "nu1(p, x)" + ")" * 10000
+    assert sum(1 for _ in sx.subformulas(f)) == 10001
+    assert sx.free_dvars(f) == [x]
+    sub = {p: parser.parse_lexpr(sig, "p0"), x: sx.dconst("a0")}
+    assert sx.substitute_formula(f, sub) is f0
+    assert sx.lvars(f) == [p] and sx.dvars(f) == [x]

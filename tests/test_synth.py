@@ -208,11 +208,11 @@ def test_rules_monotone_under_ordering(so_ns, so_calc, ipc_ns, ipc_calc):
         for rule in calc.rules:
             prem_exprs = set()
             for l in rule.premises:
-                prem_exprs.update(sx.lexprs_of_atom(l.atom))
+                prem_exprs.update(sx.lexprs_of_formula(l.atom))
             allowed = set(ordering.sub_closure(list(prem_exprs)))
             for d in rule.denominators:
                 for l in d:
-                    for e in sx.lexprs_of_atom(l.atom):
+                    for e in sx.lexprs_of_formula(l.atom):
                         assert e in allowed, (rule.id, e.text())
 
 
@@ -317,7 +317,7 @@ def _rule_locally_sound(m, rule, carrier):
     lvars, dvars = [], []
     for l in rule.premises:
         for t in l.atom.args:
-            for e in sx.lexprs_of_term(t):
+            for e in sx.lexprs_of_formula(t):
                 if e.kind == "var" and e not in lvars:
                     lvars.append(e)
             for v in sx.dvars(t):
