@@ -546,11 +546,14 @@ def replay_trace(calc, concepts, trace_text, ns=None):
     """Re-run a recorded derivation, checking each step was applicable and
     that it ends as its trace says.
 
-    The check does not use the matcher: see ``_check_step``.  A ``close``
-    line must name the branch the step before it closed.  The trace must
-    end with ``saturated`` on an open branch, or with every branch it
-    created closed.  Returns the number of application steps replayed;
-    raises on mismatch.
+    The steps are checked without the matcher: see ``_check_step``.  A
+    ``close`` line must name the branch the step before it closed.  The
+    trace must end with every branch it created closed, or with
+    ``saturated`` on an open branch on which the engine finds no step left
+    (``Engine.collect`` returns None).  That last check uses the engine's
+    matcher, so the independent certificate of a SAT answer is still its
+    model under ``models.verify_reflection``.  Returns the number of
+    application steps replayed; raises on mismatch.
     """
     eng = Engine(calc, ns=ns)
     tab = eng.init(concepts)
@@ -575,6 +578,9 @@ def replay_trace(calc, concepts, trace_text, ns=None):
             if end[1] == "saturated":
                 if b is None or b.closed or b.bid in split:
                     raise sx.TabError("saturated branch is not open: %s" % line)
+                if eng.collect(b) is not None:
+                    raise sx.TabError("saturated branch has a step left: %s"
+                                      % line)
                 saturated = True
             continue
         parts = line.split()

@@ -6,6 +6,14 @@ through the connective definitions, by recursion on the definition bodies
 (memoized; the recursion terminates because definitions are well founded).
 The oracle enumerates all structures up to a domain bound, so its verdicts
 are independent of the tableau machinery and usable as a test oracle.
+
+The oracle does not walk formula trees per candidate structure.  The
+connective definitions and the background sentences are compiled once per
+specification into closures (:class:`Semantics`): object variables are
+parameters, domain variables slots, and quantifiers loops over the domain.
+:func:`evaluate` and :meth:`LStructure.holds` stay the tree-walking
+reference; they check what the oracle returns and never go through the
+compiled path.
 """
 
 from __future__ import annotations
@@ -344,6 +352,192 @@ def verify_reflection(m, branch, ctx=None, skolems=None):
 
 
 # ---------------------------------------------------------------------------
+# compiled semantics, which the oracle evaluates
+
+class Semantics:
+    """The connective definitions and the sentences of a normalized
+    specification compiled into closures, once per specification: use
+    :func:`semantics`, which keeps them on ``ns.semantics``.
+
+    A compiled formula is a function ``(m, objs, slots)``.  ``objs`` holds
+    the object expressions its object variables stand for, in the order it
+    was compiled with; any other object variable names itself, as in
+    :func:`evaluate`.  ``slots`` holds one domain element per domain
+    variable given at compilation, then one per quantifier, which loops over
+    ``range(m.size)``; any other free domain variable raises
+    :class:`UnassignedVariable` when it is reached.  Compound expressions
+    unfold through the compiled definitions, memoized in ``m._memo`` under
+    keys of their own.  Nothing here calls :func:`evaluate` or
+    :meth:`LStructure.holds`: they stay the tree-walking reference that
+    checks what the oracle returns.
+    """
+
+    def __init__(self, ns):
+        defs = {}
+
+        def holds(m, n, expr, elems):
+            if expr.kind != "app":
+                return (expr, elems) in m.nu.get(n, ())
+            key = (expr, n, elems)
+            hit = m._memo.get(key)
+            if hit is None:
+                m._memo[key] = False  # cut off accidental cycles, as holds does
+                body, pad = defs[expr.name]
+                hit = m._memo[key] = body(m, expr.args, [*elems, *pad])
+            return hit
+
+        for d in ns.spec.definitions:
+            body, n_slots = _compile(d.body, d.head_atom.args[0].args,
+                                     d.dom_vars, holds)
+            defs[d.conn.name] = (body, [None] * (n_slots - len(d.dom_vars)))
+        self.holds = holds  # (m, n, ground expression, elements) -> truth
+        self._sentences = {}
+
+    def formula(self, f, lvars=(), dvars=()):
+        """``f`` as a function ``(m, objs=(), elems=())`` of the expressions
+        standing for ``lvars`` and the elements standing for ``dvars``."""
+        body, n_slots = _compile(f, lvars, dvars, self.holds)
+        pad = [None] * (n_slots - len(dvars))
+        return lambda m, objs=(), elems=(): body(m, objs, [*elems, *pad])
+
+    def sentence(self, f):
+        """``(lvars, run)``: the object variables of ``f`` sorted by name,
+        and ``f`` compiled with them as its parameters; compiled once."""
+        hit = self._sentences.get(f)
+        if hit is None:
+            lvs = sorted(sx.lvars(f), key=lambda e: e.text())
+            hit = self._sentences[f] = (lvs, self.formula(f, lvs))
+        return hit
+
+
+def semantics(ns):
+    """The compiled semantics of ``ns``, built on first use and kept on it."""
+    if ns.semantics is None:
+        ns.semantics = Semantics(ns)
+    return ns.semantics
+
+
+def _compile(f, lvars, dvars, holds):
+    """``f`` as a closure ``(m, objs, slots)`` (see :class:`Semantics`) and
+    the number of slots it needs."""
+    objs = {v: k for k, v in enumerate(lvars)}
+    n_slots = len(dvars)
+
+    def expr(e):
+        # an object expression: a function of objs
+        if e.kind == "var" and e in objs:
+            k = objs[e]
+            return lambda o: o[k]
+        if not any(v in objs for v in sx.lvars(e)):
+            return lambda o: e
+        sym, parts = e.sym, [expr(a) for a in e.args]
+        return lambda o: sx.app(sym, [g(o) for g in parts])
+
+    def term(t, scope):
+        # a domain term: a function (m, o, s) -> element
+        if t in scope:
+            i = scope[t]
+            return lambda m, o, s: s[i]
+        if t.kind == "var":
+            def graph_key(m, o, s):
+                return {}, t  # a free variable no slot holds
+        elif t.kind == "const":
+            def graph_key(m, o, s):
+                return m.dconsts, t.name
+        elif t.sym is sx.NU0:
+            g = expr(t.args[0])
+
+            def graph_key(m, o, s):
+                return m.nu0, g(o)
+        else:  # specification sentences apply no other domain function
+            raise sx.TabError("cannot compile %s" % t.text())
+
+        def get(m, o, s):
+            graph, key = graph_key(m, o, s)
+            if key not in graph:
+                raise UnassignedVariable(
+                    sx.substitute_expr(t, dict(zip(lvars, o))).text())
+            return graph[key]
+        return get
+
+    def elems(ts, scope):
+        # the domain arguments of an atom: a function (m, o, s) -> tuple
+        if all(t in scope for t in ts):
+            idx = [scope[t] for t in ts]  # the common shapes, without calls
+            if len(idx) == 1:
+                i, = idx
+                return lambda m, o, s: (s[i],)
+            if len(idx) == 2:
+                i, j = idx
+                return lambda m, o, s: (s[i], s[j])
+        gs = [term(t, scope) for t in ts]
+        return lambda m, o, s: tuple([g(m, o, s) for g in gs])
+
+    def atom(a, scope):
+        kind, args = a.pred[0], a.args
+        if kind == "false":
+            return lambda m, o, s: False
+        if kind == "eq":
+            x, y = args
+            if x.sort != sx.DOMAIN:
+                gx, gy = expr(x), expr(y)
+                return lambda m, o, s: gx(o) is gy(o)
+            gx, gy = term(x, scope), term(y, scope)
+            return lambda m, o, s: gx(m, o, s) == gy(m, o, s)
+        if kind == "pred":
+            name, el = a.pred[1], elems(args, scope)
+            return lambda m, o, s: el(m, o, s) in m.preds.get(name, ())
+        if kind == "nu":
+            n, e, ts = a.pred[1], args[0], args[1:]
+            if e in objs and len(ts) == 1 and ts[0] in scope:
+                k, i = objs[e], scope[ts[0]]
+                return lambda m, o, s: holds(m, n, o[k], (s[i],))
+            g, el = expr(e), elems(ts, scope)
+            return lambda m, o, s: holds(m, n, g(o), el(m, o, s))
+        raise sx.TabError("cannot compile %s" % a.text())
+
+    def comp(g, scope):
+        nonlocal n_slots
+        if type(g) is sx.Atom:
+            return atom(g, scope)
+        op = g.op
+        if g.var is not None:
+            i = n_slots
+            n_slots += 1
+            body = comp(g.subs[0], {**scope, g.var: i})
+            want = op == "forall"
+
+            def quantifier(m, o, s):
+                for e in range(m.size):
+                    s[i] = e
+                    if body(m, o, s) != want:
+                        return not want
+                return want
+            return quantifier
+        parts = [comp(x, scope) for x in g.subs]
+        if op == "not":
+            a, = parts
+            return lambda m, o, s: not a(m, o, s)
+        if op == "implies":
+            a, b = parts
+            return lambda m, o, s: not a(m, o, s) or b(m, o, s)
+        if op == "iff":
+            a, b = parts
+            return lambda m, o, s: a(m, o, s) == b(m, o, s)
+        if len(parts) == 2:
+            a, b = parts
+            if op == "and":
+                return lambda m, o, s: a(m, o, s) and b(m, o, s)
+            return lambda m, o, s: a(m, o, s) or b(m, o, s)
+        if op == "and":
+            return lambda m, o, s: all(p(m, o, s) for p in parts)
+        return lambda m, o, s: any(p(m, o, s) for p in parts)
+
+    body = comp(f, {v: i for i, v in enumerate(dvars)})
+    return body, n_slots
+
+
+# ---------------------------------------------------------------------------
 # the brute-force oracle
 
 def _signed(inputs):
@@ -361,7 +555,8 @@ def brute_force_sat(ns, inputs, max_size, carrier_cap=64):
 
     The bound is taken as authoritative: exhausting it without a model is an
     unsat verdict, so callers choose bounds that are conclusive for their
-    inputs.
+    inputs.  Candidates are evaluated through the specification's compiled
+    :class:`Semantics`.
     """
     if max_size < 1:
         raise sx.TabError("max size must be at least 1, not %d" % max_size)
@@ -381,28 +576,42 @@ def brute_force_sat(ns, inputs, max_size, carrier_cap=64):
     for s in atoms_by_sort:
         atoms_by_sort[s] = sorted(set(atoms_by_sort[s]), key=lambda e: e.text())
     pred_names = occurring_preds(ns)
-
+    sem = semantics(ns)
     no_var, one_var, multi_var = [], [], []
     for f in ns.sb:
-        lvs = sorted(sx.lvars(f), key=lambda e: e.text())
+        lvs, run = sem.sentence(f)
         mentions_l = any(True for _ in sx.lexprs_of_formula(f))
         if not lvs and not mentions_l:
             no_var.append(f)  # a pure frame condition, filters predicates
         elif len(lvs) == 1 and len(set(sx.lexprs_of_formula(f))) == 1:
-            one_var.append((f, lvs[0]))
+            one_var.append((f, lvs, run))
         else:
             # ground object symbols or several variables: checked against
             # complete structures only
-            multi_var.append((f, lvs))
-    extra = [xi.sentence() for xi in ns.s_plus + ns.s_minus
+            multi_var.append((f, lvs, run))
+    extra = [sem.sentence(xi.sentence()) for xi in ns.s_plus + ns.s_minus
              if not xi.definitional]
+    prune = {}  # sort -> the one-variable sentences over it
+    for _, lvs, run in one_var:
+        prune.setdefault(lvs[0].sort, []).append(run)
+
+    def choices(lvs, atomic):
+        return [[e for e in carrier if e.sort == v.sort
+                 and not (atomic and e.kind == "app")] for v in lvs]
+
+    # the multi-variable sentences over the atomic carrier, then the final
+    # full gate: the background theory (and any non-definitional sentences)
+    # over the whole carrier
+    gate = [(lvs, run) for _, lvs, run in one_var + multi_var] + extra
+    checks = [(run, choices(lvs, True)) for _, lvs, run in multi_var]
+    checks += [(run, choices(lvs, False)) for lvs, run in gate]
 
     # per-atom pruning results may be reused across nu0 assignments only when
     # no pruning sentence mentions individuals
     one_var_uses_nu0 = any(
         any(t.sym is sx.NU0 for g in sx.subformulas(f) if isinstance(g, sx.Atom)
             for t in g.args)
-        for f, _ in one_var)
+        for f, _, _ in one_var)
 
     for size in range(1, max_size + 1):
         elems = list(range(size))
@@ -415,9 +624,8 @@ def brute_force_sat(ns, inputs, max_size, carrier_cap=64):
                 base = LStructure(size, spec=ns.spec)
                 base.preds = {p: set(v) for p, v in preds.items()}
                 base.nu0 = {e: w for e, w in zip(individuals, nu0_assign)}
-                found = _search_valuations(base, ns, atoms_by_sort, one_var,
-                                           rel_cache, signed, multi_var,
-                                           extra, carrier)
+                found = _search_valuations(base, sem, atoms_by_sort, prune,
+                                           rel_cache, signed, checks)
                 if found is not None:
                     return ("sat", found)
     return ("unsat", None)
@@ -443,16 +651,17 @@ def _frame_assignments(ns, pred_names, size, no_var):
     hit = _FRAME_CACHE.get(key)
     if hit is not None:
         return hit
+    runs = [semantics(ns).sentence(f)[1] for f in no_var]
     spaces = [list(_subsets(list(itertools.product(range(size), repeat=n))))
               for _, n in preds]
     perms = [(0,) + rest for rest in itertools.permutations(range(1, size))]
     out, seen = [], set()
+    probe = LStructure(size, spec=ns.spec)  # the sentences read only preds
     for combo in itertools.product(*spaces):
         if combo in seen:
             continue
-        probe = LStructure(size, spec=ns.spec)
         probe.preds = {p: set(v) for (p, _), v in zip(preds, combo)}
-        if all(evaluate(probe, f) for f in no_var):
+        if all(run(probe) for run in runs):
             out.append({p: frozenset(v) for (p, _), v in zip(preds, combo)})
             # the images, as the sorted tuples that _subsets yields
             seen.update(tuple(tuple(sorted(tuple(pi[e] for e in t) for t in v))
@@ -462,10 +671,12 @@ def _frame_assignments(ns, pred_names, size, no_var):
     return out
 
 
-def _search_valuations(base, ns, atoms_by_sort, one_var, rel_cache, signed,
-                       multi_var, extra, carrier):
+def _search_valuations(base, sem, atoms_by_sort, prune, rel_cache, signed,
+                       checks):
     """Assign relations to the atomic expressions sort by sort, pruning each
-    atom with the single-variable background sentences, then finish checks."""
+    atom with the single-variable background sentences (``prune``, by sort),
+    then finish with the inputs at element 0 and ``checks``: compiled
+    sentences with the carrier expressions their parameters range over."""
     sorts = sorted(atoms_by_sort)
     atom_list = [(s, a) for s in sorts for a in atoms_by_sort[s]]
 
@@ -473,12 +684,11 @@ def _search_valuations(base, ns, atoms_by_sort, one_var, rel_cache, signed,
         key = (sort, frozenset(rel))
         hit = rel_cache.get(key)
         if hit is None:
-            probe = LStructure(base.size, spec=ns.spec)
+            probe = LStructure(base.size, spec=base.spec)
             probe.preds = base.preds
             probe.nu0 = base.nu0
             probe.nu = {sort: {(expr, t) for t in rel}}
-            hit = all(evaluate(probe, sx.substitute_formula(f, {v: expr}))
-                      for f, v in one_var if v.sort == sort)
+            hit = all(run(probe, (expr,)) for run in prune.get(sort, ()))
             rel_cache[key] = hit
         return hit
 
@@ -488,7 +698,7 @@ def _search_valuations(base, ns, atoms_by_sort, one_var, rel_cache, signed,
         sort, expr = atom_list[i]
         universe = list(itertools.product(range(base.size), repeat=sort))
         for rel in _subsets(universe):
-            if one_var and not admissible(sort, expr, rel):
+            if prune and not admissible(sort, expr, rel):
                 continue
             prev = base.nu.get(sort, set())
             base.nu[sort] = prev | {(expr, t) for t in rel}
@@ -502,25 +712,13 @@ def _search_valuations(base, ns, atoms_by_sort, one_var, rel_cache, signed,
     def finish():
         base._memo.clear()
         for c, pos in signed:
-            if bool(base.holds(1, c, (0,))) != pos:
+            if bool(sem.holds(base, 1, c, (0,))) != pos:
                 return None
-        for f, lvs in multi_var:
-            for combo in itertools.product(*[
-                    [e for e in carrier if e.sort == v.sort and e.kind != "app"]
-                    for v in lvs]):
-                inst = sx.substitute_formula(f, dict(zip(lvs, combo)))
-                if not evaluate(base, inst):
+        for run, choices in checks:
+            for combo in itertools.product(*choices):
+                if not run(base, combo):
                     return None
-        # final full gate: instantiate the background theory (and any
-        # non-definitional sentences) over the whole carrier
-        for f in [g for g, _ in one_var] + [g for g, _ in multi_var] + extra:
-            lvs = sorted(sx.lvars(f), key=lambda e: e.text())
-            for combo in itertools.product(*[
-                    [e for e in carrier if e.sort == v.sort] for v in lvs]):
-                inst = sx.substitute_formula(f, dict(zip(lvs, combo)))
-                if not evaluate(base, inst):
-                    return None
-        snapshot = LStructure(base.size, spec=ns.spec)
+        snapshot = LStructure(base.size, spec=base.spec)
         snapshot.preds = {p: set(v) for p, v in base.preds.items()}
         snapshot.nu0 = dict(base.nu0)
         snapshot.nu = {s: set(v) for s, v in base.nu.items()}

@@ -40,6 +40,7 @@ class NormalizedSpec:
         self.s_plus = list(s_plus)
         self.s_minus = list(s_minus)
         self.sb = list(sb)
+        self.semantics = None  # models.Semantics, compiled on first use
 
     @property
     def definitional_only(self):

@@ -411,6 +411,20 @@ def test_replay_checks_where_the_trace_ends():
         engine.replay_trace(gen, [c], trace + lines[0] + "\n")
 
 
+def test_replay_checks_that_a_saturated_branch_is_saturated():
+    from tabsynth import engine, parser
+    calc = _golden_calc_ub("so_refined.calc")
+    c = parser.parse_lexpr(calc.signature, "exists(r0, p0)", 1)
+    with open(os.path.join(GOLDEN, "so_refined_exists.trace")) as fh:
+        lines = fh.read().splitlines()
+    assert lines[-1] == "saturated branch#1"
+    assert engine.replay_trace(calc, [c], "\n".join(lines)) == 22
+    # cut after three steps, branch#0 still has steps left
+    cut = "\n".join(lines[:3] + ["saturated branch#0"])
+    with pytest.raises(sx.TabError, match="step left"):
+        engine.replay_trace(calc, [c], cut)
+
+
 # --trace and --model of two blocked SO derivations, the second with Skolem
 # terms, recorded before object expressions and domain terms shared one node
 TRACE_GOLDEN = [("so_refined.calc", "exists(r0, p0)", "so_refined_exists"),

@@ -293,31 +293,38 @@ def _reference_eval(m, f, val):
 
 def _random_structure(rng, spec, size):
     m = models.LStructure(size, spec=spec)
-    sig = spec.signature
     p0, q0 = pc(spec, "p0"), pc(spec, "q0")
-    r0 = pc(spec, "r0", 2)
-    l0 = pc(spec, "l0", 0)
     m.nu[1] = {(a, (e,)) for a in (p0, q0)
                for e in range(size) if rng.random() < 0.5}
-    m.nu[2] = {(r0, t) for t in itertools.product(range(size), repeat=2)
-               if rng.random() < 0.5}
-    m.nu0[l0] = rng.randrange(size)
+    pairs = list(itertools.product(range(size), repeat=2))
+    if spec.name == "so":
+        m.nu[2] = {(pc(spec, "r0", 2), t) for t in pairs if rng.random() < 0.5}
+        m.nu0[pc(spec, "l0", 0)] = rng.randrange(size)
+    else:
+        m.preds["R"] = {t for t in pairs if rng.random() < 0.5}
     return m
 
 
-def _random_formula(rng, spec, depth):
+# leaves of random formulas: concepts read at x, and an atom relating x and y
+SO_LEAVES = (["p0", "q0", "or(p0, q0)", "not(p0)", "exists(r0, q0)",
+              "one(l0)"], "nu2(r0, x, y)")
+IPC_LEAVES = (["p0", "q0", "and(p0, q0)", "or(p0, bot)", "impl(p0, q0)",
+               "impl(impl(p0, q0), p0)"], "R(x, y)")
+
+
+def _random_formula(rng, spec, depth, leaves=SO_LEAVES):
     sig = spec.signature
-    exprs = ["p0", "q0", "or(p0, q0)", "not(p0)", "exists(r0, q0)", "one(l0)"]
+    exprs, binary = leaves
     if depth == 0 or rng.random() < 0.35:
         roll = rng.random()
         if roll < 0.6:
             return parser.parse_formula(sig, "nu1(%s, x)" % rng.choice(exprs))
         if roll < 0.8:
-            return parser.parse_formula(sig, "nu2(r0, x, y)")
+            return parser.parse_formula(sig, binary)
         return parser.parse_formula(sig, "eq(x, y)")
     roll = rng.random()
-    a = _random_formula(rng, spec, depth - 1)
-    b = _random_formula(rng, spec, depth - 1)
+    a = _random_formula(rng, spec, depth - 1, leaves)
+    b = _random_formula(rng, spec, depth - 1, leaves)
     if roll < 0.2:
         return sx.formula("not", (a,))
     if roll < 0.8:
@@ -337,6 +344,53 @@ def test_evaluator_cross_check(so_spec):
         val = {sx.dvar("x"): rng.randrange(size),
                sx.dvar("y"): rng.randrange(size)}
         assert models.evaluate(m, f, val) == _reference_eval(m, f, val)
+
+
+def _outcome(thunk):
+    try:
+        return thunk()
+    except models.UnassignedVariable:
+        return "unassigned"
+
+
+@pytest.mark.parametrize("preset, leaves", [("so", SO_LEAVES),
+                                            ("ipc", IPC_LEAVES)],
+                         ids=["so", "ipc"])
+def test_compiled_semantics_agree_with_evaluate(request, preset, leaves):
+    ns = request.getfixturevalue(preset + "_ns")
+    spec, sem = ns.spec, models.semantics(ns)
+    assert models.semantics(ns) is sem and ns.semantics is sem
+    # objects the parameters stand for, compound concepts included
+    pool = {1: [pc(spec, t) for t in leaves[0]]}
+    if preset == "so":
+        pool.update({0: [pc(spec, "l0", 0)], 2: [pc(spec, "r0", 2)]})
+    p, x, y = sx.lvar(1, "p"), sx.dvar("x"), sx.dvar("y")
+    rng = random.Random(20261018)
+    for _ in range(1000):
+        size = rng.choice((1, 2, 3))
+        m = _random_structure(rng, spec, size)
+        # the background sentences, their object variables bound to the pool
+        for g in ns.sb:
+            lvs, run = sem.sentence(g)
+            objs = [rng.choice(pool[v.sort]) for v in lvs]
+            inst = sx.substitute_formula(g, dict(zip(lvs, objs)))
+            assert run(m, objs) == models.evaluate(m, inst), sx.formula_text(g)
+        for c in pool[1]:
+            e = rng.randrange(size)
+            assert sem.holds(m, 1, c, (e,)) == m.holds(1, c, (e,)), c.text()
+        # a random formula over p, x and y, any of which may stay unbound
+        f = _random_formula(rng, spec, rng.choice((1, 2, 3)),
+                            (leaves[0] + ["p"], leaves[1]))
+        val = {v: rng.randrange(size) for v in (x, y) if rng.random() < 0.9}
+        lvs = [p] if rng.random() < 0.5 else []
+        objs = [rng.choice(pool[1]) for _ in lvs]
+        if m.nu0 and rng.random() < 0.2:
+            m.nu0.clear()
+        inst = sx.substitute_formula(f, dict(zip(lvs, objs)))
+        want = _outcome(lambda: models.evaluate(m, inst, dict(val)))
+        run = sem.formula(f, lvs, list(val))
+        got = _outcome(lambda: run(m, objs, list(val.values())))
+        assert got == want, sx.formula_text(f)
 
 
 def test_oracle_prover_agreement_smoke(so_blocked, so_ns):
