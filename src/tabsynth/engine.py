@@ -1,7 +1,9 @@
 """Executing a calculus: branches, rule matching, blocking, verdicts.
 
 A branch is a growing set of ground literals.  Rule premises are matched
-one-way against branch literals (no unification of branch terms); every rule
+one-way against branch literals (no unification of branch terms) by the
+matcher generated for each premise (``syntax.match_literal``; the generic
+``syntax._match`` is the reference they are tested against).  Every rule
 fires at most once per premise instantiation, enforced with fingerprints.
 Closure rules (zero denominators) close the branch.
 
@@ -19,11 +21,16 @@ workers; this driver explores them sequentially.
 
 from __future__ import annotations
 
+import bisect
 import heapq
+import operator
 import re
 import time
 
 from . import syntax as sx
+
+
+_POSITION = operator.itemgetter(1)  # a candidate's index on its branch
 
 
 class EmptyInput(sx.TabError):
@@ -262,32 +269,66 @@ class Engine:
 
     def _match_rule(self, rule, branch, new_from):
         """Instances where at least one premise matches a literal appended at
-        or after index ``new_from`` (0 enumerates everything)."""
-        premises = list(rule.premises)
+        or after index ``new_from`` (0 enumerates everything).
+
+        A depth-first loop over the premises: level ``i`` walks the
+        candidates of premise ``i`` under the binding of the levels before
+        it.  It starts at the bucket's first new literal unless an earlier
+        level matched a new one or a later premise has one."""
+        premises = rule.premises
         n = len(premises)
+        if n == 0:
+            fp = _fingerprint(rule.id, {})
+            if new_from == 0 and fp not in branch.applied:
+                yield fp, {}, []
+            return
+        buckets = [branch.candidates_with_index(p) for p in premises]
+        # new_later[i]: a premise from i on has a candidate at or after new_from
+        new_later = [False] * (n + 1)
+        for i in range(n - 1, -1, -1):
+            b = buckets[i]
+            new_later[i] = new_later[i + 1] or bool(b) and b[-1][1] >= new_from
+        if not new_later[0]:
+            return
+        match = sx.match_literal
+        bindings = [{}] * n      # the binding entering each level
+        used_new = [False] * n   # a level before this one matched a new literal
+        at = [0] * n             # the next candidate of each level
+        matched = [None] * n
 
-        def rec(i, binding, matched, used_new):
-            if i == n:
-                if used_new or new_from == 0:
-                    fp = _fingerprint(rule.id, binding)
-                    if fp not in branch.applied:
-                        yield fp, dict(binding), list(matched)
-                return
-            pat = premises[i]
-            can_new_later = used_new or any(
-                _has_new_candidate(branch, premises[j], new_from)
-                for j in range(i + 1, n))
-            for lit, idx in branch.candidates_with_index(pat):
-                is_new = idx >= new_from
-                if not is_new and not can_new_later:
-                    continue
-                b2 = dict(binding)
-                if sx.match_literal(pat, lit, b2):
-                    matched.append(lit)
-                    yield from rec(i + 1, b2, matched, used_new or is_new)
-                    matched.pop()
+        def start(i):
+            if used_new[i] or new_later[i + 1]:
+                return 0
+            return bisect.bisect_left(buckets[i], new_from, key=_POSITION)
 
-        yield from rec(0, {}, [], False)
+        at[0] = start(0)
+        last, i = n - 1, 0
+        while i >= 0:
+            if i == last:
+                # each match here that used a new literal is an instance
+                base, fresh, pat = bindings[i], used_new[i], premises[i]
+                for lit, idx in buckets[i][at[i]:]:
+                    binding = dict(base)
+                    if match(pat, lit, binding) and (fresh or idx >= new_from):
+                        matched[i] = lit
+                        fp = _fingerprint(rule.id, binding)
+                        if fp not in branch.applied:
+                            yield fp, binding, matched.copy()
+                i -= 1
+                continue
+            bucket, k = buckets[i], at[i]
+            if k == len(bucket):
+                i -= 1
+                continue
+            at[i] = k + 1
+            lit, idx = bucket[k]
+            binding = dict(bindings[i])
+            if match(premises[i], lit, binding):
+                matched[i] = lit
+                i += 1
+                bindings[i] = binding
+                used_new[i] = used_new[i - 1] or idx >= new_from
+                at[i] = start(i)
 
     def _ub_instances(self, rule, branch):
         # conjecture pairs in birth order over marked terms only
@@ -331,9 +372,6 @@ class Engine:
         for rule in self.calc.rules:
             if rule.kind == "blocking":
                 instances = self._ub_instances(rule, branch)
-            elif new_from and not any(_has_new_candidate(branch, p, new_from)
-                                      for p in rule.premises):
-                continue
             else:
                 instances = self._match_rule(rule, branch, new_from)
             prio = self._priority(rule, branch)
@@ -503,11 +541,6 @@ class Engine:
         return {"applications": self.applications,
                 "subexpr_violations": list(self.subexpr_violations),
                 "c1_violations": list(self.c1_violations)}
-
-
-def _has_new_candidate(branch, pat, new_from):
-    lst = branch.candidates_with_index(pat)
-    return bool(lst) and lst[-1][1] >= new_from
 
 
 def _pair_vars(rule):

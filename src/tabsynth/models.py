@@ -183,7 +183,7 @@ def individual_term(e, ctx, skolems=None):
     skolems = skolems or {}
     if e.kind == "app":
         for fname, conn in ctx.fn_conns.items():
-            if e.sym == conn:
+            if e.sym is conn:
                 fn = skolems.get(fname) or _fn_for(fname, conn)
                 args = list(e.args[:len(fn.lsorts)])
                 args += [individual_term(a, ctx, skolems)

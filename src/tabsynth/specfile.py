@@ -196,7 +196,7 @@ def parse_spec(text, name="spec"):
                 if sent_free:
                     raise NotLOpen("free domain variable %s in definition body"
                                    % sent_free[0].name)
-                if any(x.kind == "app" and x.sym == e.sym
+                if any(x.kind == "app" and x.sym is e.sym
                        for x in sx.lexprs_of_formula(body)):
                     raise ConnectiveSelfReference(e.name)
                 definitions.append(Definition(e.sym, head, body, head_dvs))

@@ -16,16 +16,15 @@ negated atom as the prover reads it.  Printing, substitution, matching and
 the variable walks are loops over an explicit stack, so nesting depth is not
 limited by the interpreter's recursion limit.
 
-Everything here is immutable after construction.  Terms, atoms, literals
-and formulas are hash-consed in one table, keyed by their kind and parts:
-structurally equal values are the same object, so ``==`` and ``hash`` are
-O(1).  The table is a plain dict; build nodes from a single thread (reads
-are safe to share afterwards).
+Everything here is immutable after construction.  Symbols, terms, atoms,
+literals and formulas are hash-consed in one table, keyed by their kind and
+parts: structurally equal values are the same object, so ``==`` and
+``hash`` are O(1).  The table is a plain dict; build nodes from a single
+thread (reads are safe to share afterwards).  A literal used as a pattern
+also carries the matcher generated for it on first use.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 DOMAIN = -1  # pseudo sort id for the meta-language domain sort
 
@@ -61,13 +60,21 @@ def _strip_digits(name):
     return base, name[len(base):]
 
 
-@dataclass(frozen=True)
 class Conn:
-    """An object-language connective with its argument and result sorts."""
+    """An object-language connective with its argument and result sorts.
 
-    name: str
-    arg_sorts: tuple
-    res_sort: int
+    Interned like the nodes below: equal parts give the same object, so
+    symbols compare by identity."""
+
+    __slots__ = ("name", "arg_sorts", "res_sort")
+
+    def __new__(cls, name, arg_sorts, res_sort):
+        arg_sorts = tuple(arg_sorts)
+        return _intern(cls, ("conn", name, arg_sorts, res_sort),
+                       name, arg_sorts, res_sort)
+
+    def __repr__(self):
+        return "Conn(%r, %r, %r)" % (self.name, self.arg_sorts, self.res_sort)
 
     @property
     def arity(self):
@@ -146,7 +153,7 @@ class LSignature:
         for c in list(self.conns.values()) + list(extra_conns):
             have = sig.conns.get(c.name)
             if have is not None:
-                if have != c:
+                if have is not c:
                     raise TabError("conflicting redeclaration of %r" % c.name)
                 continue
             sig.add_connective(c)
@@ -180,28 +187,25 @@ class LSignature:
 # ---------------------------------------------------------------------------
 # terms (hash-consed): object expressions of sorts 0..N and domain terms
 
-@dataclass(frozen=True)
 class FnSym:
-    """A domain-sort function symbol: L-sorted arguments then domain ones."""
+    """A domain-sort function symbol: L-sorted arguments then domain ones.
+    Interned like :class:`Conn`."""
 
-    name: str
-    lsorts: tuple
-    n_dom: int
+    __slots__ = ("name", "lsorts", "n_dom", "arg_sorts")
+    res_sort = DOMAIN
+
+    def __new__(cls, name, lsorts, n_dom):
+        lsorts = tuple(lsorts)
+        return _intern(cls, ("fn", name, lsorts, n_dom), name, lsorts, n_dom,
+                       lsorts + (DOMAIN,) * n_dom)
+
+    def __repr__(self):
+        return "FnSym(%r, %r, %r)" % (self.name, self.lsorts, self.n_dom)
 
     @property
     def arity(self):
-        return len(self.lsorts) + self.n_dom
+        return len(self.arg_sorts)
 
-    @property
-    def arg_sorts(self):
-        return self.lsorts + (DOMAIN,) * self.n_dom
-
-    @property
-    def res_sort(self):
-        return DOMAIN
-
-
-NU0 = FnSym("nu0", (0,), 0)  # the domain element an individual denotes
 
 _NODES = {}  # the one intern table: key (kind tag or symbol, parts) -> node
 
@@ -216,6 +220,9 @@ def _intern(cls, key, *values):
         for slot, v in zip(cls.__slots__, values):
             setattr(n, slot, v)
     return n
+
+
+NU0 = FnSym("nu0", (0,), 0)  # the domain element an individual denotes
 
 
 def formula_text(x):
@@ -405,9 +412,10 @@ FALSE = atom(FALSUM)
 
 
 class Literal:
-    """A possibly negated atom."""
+    """A possibly negated atom.  A literal used as a pattern keeps its
+    generated matcher (see :func:`match_literal`), built on first use."""
 
-    __slots__ = ("pos", "atom")
+    __slots__ = ("pos", "atom", "matcher")
 
     def __repr__(self):
         return "Literal(%s)" % self.text()
@@ -420,7 +428,7 @@ class Literal:
 
 
 def literal(pos, a):
-    return _intern(Literal, ("lit", pos, a), pos, a)
+    return _intern(Literal, ("lit", pos, a), pos, a, None)
 
 
 def pos_lit(a):
@@ -624,7 +632,8 @@ def restrict(sentences, x_set):
 
 def _match(pairs, binding):
     """Extend ``binding`` so each (pattern, value) pair of the stack
-    ``pairs`` matches, the top pair first."""
+    ``pairs`` matches, the top pair first.  The reference matcher: the
+    generated ones of :func:`match_literal` must agree with it."""
     while pairs:
         p, v = pairs.pop()
         if p.kind == "var":
@@ -635,9 +644,14 @@ def _match(pairs, binding):
                 binding[p] = v
             elif bound is not v:
                 return False
-        elif p is not v:
-            if p.kind != "app" or p.sym is not v.sym and p.sym != v.sym:
+        elif p.kind == "const":
+            if p is not v:
                 return False
+        elif p.sym is not v.sym:
+            return False
+        else:
+            # no shortcut when p is v: a value may hold variables named as
+            # the pattern's, and they must bind like any other
             pairs += zip(reversed(p.args), reversed(v.args))
     return True
 
@@ -649,9 +663,83 @@ def match_expr(pattern, value, binding):
 def match_literal(pattern, value, binding):
     """Extend ``binding`` so pattern instantiates to ``value``; one-way only.
 
-    Mutates ``binding`` on partial success; callers pass a scratch copy.
+    Runs the matcher generated for ``pattern``, which gives what ``_match``
+    gives.  Mutates ``binding`` on partial success; callers pass a scratch
+    copy.
     """
-    pa, va = pattern.atom, value.atom
-    if pattern.pos != value.pos or pa.pred != va.pred or len(pa.args) != len(va.args):
-        return False
-    return _match(list(zip(reversed(pa.args), reversed(va.args))), binding)
+    m = pattern.matcher
+    if m is None:
+        m = pattern.matcher = _compile_matcher(pattern)
+    return m(value, binding)
+
+
+def _compile_matcher(pattern):
+    """A function ``(value, binding)`` matching the literal ``pattern``.
+
+    Polarity, predicate and arity are tested first, then each symbol, each
+    ground subterm and each repeat of a subterm where it stands, by
+    identity (nodes are interned).  Last, each variable is looked up or
+    bound, sort-checked unless its position fixes the sort, in preorder as
+    ``_match`` binds them.
+    """
+    consts = []
+
+    def const(x):
+        consts.append(x)
+        return "c%d" % (len(consts) - 1)
+
+    a = pattern.atom
+    code = ["if %sv.pos: return False" % ("not " if pattern.pos else ""),
+            "a = v.atom",
+            "if a.pred != %s: return False" % const(a.pred)]
+    if a.pred[0] == "pred":  # the other predicates fix their arity
+        code.append("if len(a.args) != %d: return False" % len(a.args))
+    names = ["t%d" % k for k in range(len(a.args))]
+    if names:
+        code.append("%s, = a.args" % ", ".join(names))
+    # the subterms holding a variable of either kind, children before parents
+    open_, seen, stack = set(), set(), [(t, False) for t in a.args]
+    while stack:
+        t, done = stack.pop()
+        if done:
+            if any(x in open_ for x in t.args):
+                open_.add(t)
+        elif t not in seen:
+            seen.add(t)
+            if t.kind == "var":
+                open_.add(t)
+            stack.append((t, True))
+            stack += [(x, False) for x in t.args]
+    # only eq leaves the sorts of an atom's arguments open
+    typed = a.pred != EQ
+    stack = [(p, n, typed) for p, n in zip(reversed(a.args), reversed(names))]
+    first = {}  # pattern subterm -> the local holding its first value
+    variables = []
+    while stack:
+        p, n, typed = stack.pop()
+        if p in first:
+            code.append("if %s is not %s: return False" % (n, first[p]))
+            continue
+        first[p] = n
+        if p.kind == "var":
+            variables.append((p, n, typed))
+        elif p not in open_:
+            code.append("if %s is not %s: return False" % (n, const(p)))
+        else:
+            code.append("if %s.sym is not %s: return False" % (n, const(p.sym)))
+            subs = ["t%d" % k for k in range(len(names), len(names) + len(p.args))]
+            names += subs
+            code.append("%s, = %s.args" % (", ".join(subs), n))
+            stack += [(q, m, True) for q, m in zip(reversed(p.args),
+                                                    reversed(subs))]
+    for p, n, typed in variables:
+        c = const(p)
+        code += ["x = b.get(%s)" % c, "if x is None:"]
+        if not typed:
+            code.append(" if %s.sort != %d: return False" % (n, p.sort))
+        code += [" b[%s] = %s" % (c, n), "elif x is not %s: return False" % n]
+    src = "def make(%s):\n def match(v, b):\n  %s\n  return True\n return match" \
+        % (", ".join("c%d" % k for k in range(len(consts))), "\n  ".join(code))
+    scope = {}
+    exec(compile(src, "<matcher>", "exec"), scope)
+    return scope["make"](*consts)

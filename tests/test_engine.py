@@ -4,8 +4,10 @@ import sys
 
 import pytest
 
-from tabsynth import engine, models, parser, refine, synth
+from corpus import ipc_formulas, so_concepts
+from tabsynth import calcfile, engine, models, parser, refine, synth
 from tabsynth import syntax as sx
+from test_cli import GOLDEN, _golden_calc_ub
 
 
 def pc(calc_or_spec, text):
@@ -208,6 +210,31 @@ def test_resource_limit_is_a_verdict(so_blocked, so_ns):
     assert v.kind == "limit"
 
 
+@pytest.mark.parametrize("texts", [
+    # exists_neg_1's first premise colon(l, not(exists(r, p))) meets the
+    # input's own not(exists(r, p)) and must bind r to r, so the rule does
+    # not fire on the r0-edge
+    ["not(exists(r, p))", "exists(r0, p)"],
+    # the nominal l1 is named like the l1 of colon(l, exists(r, one(l1)))
+    ["exists(r0, one(l1))", "not(one(l1))"],
+])
+def test_input_atoms_named_like_rule_variables(so_blocked, so_ns, texts):
+    v = engine.prove(so_blocked, [pc(so_blocked, t) for t in texts], ns=so_ns)
+    assert v.kind == "sat"
+
+
+def test_a_rule_without_premises_fires_once():
+    # a theory rule for a ground sentence has no premise to match
+    with open(os.path.join(GOLDEN, "so_refined.calc"), encoding="utf-8") as fh:
+        text = fh.read()
+    text += "rule ground [theory]: / colon(i0, not(one(i0)))\n"
+    calc = calcfile.parse_calculus(text)
+    v = engine.prove(calc, [pc(calc, "p0")], trace=True)
+    assert v.kind == "unsat"
+    assert [l.split(" {")[0] for l in v.engine.trace] == [
+        "apply dp_pos_nu1", "apply ground", "apply closure_nu1", "close branch#0"]
+
+
 def test_bfs_agrees_with_dfs(so_blocked, so_ns):
     for texts, expected in [(["exists(r0, exists(r0, p0))"], "sat"),
                             (["or(p0, not(p0))"], "sat"),
@@ -324,3 +351,135 @@ def test_subexpression_property_untouched_on_generated_calculus(so_calc, so_ns):
         tab = eng.init([pc(so_calc, text)])
         eng.expand(tab)
         assert eng.subexpr_violations == []
+
+
+# -- generated matchers ----------------------------------------------------------
+
+def _counting_matcher(monkeypatch, record=None):
+    """Wrap ``sx.match_literal``, counting attempts and hits, and record
+    each (pattern, literal, binding before) when ``record`` is a list."""
+    counts = [0, 0]
+    generated = sx.match_literal
+
+    def counted(pattern, value, binding):
+        counts[0] += 1
+        if record is not None:
+            record.append((pattern, value, dict(binding)))
+        hit = generated(pattern, value, binding)
+        counts[1] += hit
+        return hit
+    monkeypatch.setattr(sx, "match_literal", counted)
+    return counts
+
+
+@pytest.mark.parametrize("calc_name, texts, verdict, apps, attempts, hits", [
+    ("so_refined.calc", ["exists(r0, p0)"], "sat", 21, 6452, 1512),
+    ("so_refined.calc", ["exists(r0, exists(r0, p0))", "not(exists(r0, p0))"],
+     "unsat", 24, 6531, 1436),
+    ("so_generated.calc", ["exists(r0, one(l0))"], "sat", 23, 1513, 566),
+])
+def test_match_attempts_are_pinned(monkeypatch, calc_name, texts, verdict,
+                                   apps, attempts, hits):
+    """The engine tries the same (premise, literal) pairs as it always has:
+    a cheaper matcher or a new loop must not change which it tries."""
+    calc = _golden_calc_ub(calc_name)
+    counts = _counting_matcher(monkeypatch)
+    v = engine.prove(calc, [pc(calc, t) for t in texts])
+    assert (v.kind, v.engine.applications) == (verdict, apps)
+    assert counts == [attempts, hits]
+
+
+def _reference_match(pattern, value, binding):
+    """The generic matcher over a literal: what each generated one must do."""
+    pa, va = pattern.atom, value.atom
+    if pattern.pos != value.pos or pa.pred != va.pred \
+            or len(pa.args) != len(va.args):
+        return False
+    return sx._match(list(zip(reversed(pa.args), reversed(va.args))), binding)
+
+
+def _agree(pattern, value, binding):
+    """Both matchers on copies of ``binding``: the same result, and the same
+    binding (in the same order) on success.  Returns the result."""
+    want, got = dict(binding), dict(binding)
+    ok = _reference_match(pattern, value, want)
+    assert sx.match_literal(pattern, value, got) == ok, \
+        (pattern.text(), value.text(), binding)
+    if ok:
+        assert list(got.items()) == list(want.items())
+    return ok
+
+
+def test_generated_matchers_agree_with_the_reference(monkeypatch, so_blocked,
+                                                     so_calc, ipc_calc, so_ns,
+                                                     ipc_ns):
+    """Every attempt the engine makes on a few SO corpus problems (refined)
+    and criterion-8 inputs (unrefined, both logics) gives the same answer
+    from the generated matcher as from ``_match``."""
+    triples = []
+    counts = _counting_matcher(monkeypatch, triples)
+    runs = [(so_blocked, so_ns, so_concepts(so_blocked.signature, count=8), 20000),
+            (refine.attach_ub(so_calc, synth.UbConfig(True, 0)), so_ns,
+             so_concepts(so_calc.signature, count=4), 300),
+            (refine.attach_ub(ipc_calc, synth.UbConfig(True, 0)), ipc_ns,
+             ipc_formulas(ipc_calc.signature, count=4), 300)]
+    for calc, ns, problems, budget in runs:
+        for prob in problems:
+            engine.prove(calc, prob, ns=ns, node_budget=budget)
+    monkeypatch.undo()
+    assert len(triples) == counts[0] > 10000
+    hits = sum(_agree(p, v, b) for p, v, b in triples)
+    assert hits == counts[1] > 1000
+
+
+def test_generated_matchers_on_the_hard_cases(so_blocked, so_calc):
+    sig, rl = so_calc.signature, parser.parse_rule_literal
+    i0, i1 = sx.lconst(0, "i0"), sx.lconst(0, "i1")
+    a0, b0 = sx.dconst("a0"), sx.dconst("b0")
+    x, p = sx.dvar("x"), sx.lvar(1, "p")
+
+    def holds(text):
+        return sx.pos_lit(sx.atom(sx.HOLDS, [parser.parse_lexpr(
+            so_blocked.signature, text, 1)]))
+
+    # a repeated variable inside a repeated compound subterm
+    congr = so_blocked.rule("congr_fn_sk_exists_0_1").premises[0]
+    assert congr.text() == "colon(fex(r, p, l), one(fex(r, p, l)))"
+    same = holds("colon(fex(r0, p0, i0), one(fex(r0, p0, i0)))")
+    assert _agree(congr, same, {})
+    assert not _agree(congr, holds("colon(fex(r0, p0, i0), one(fex(r0, p0, i1)))"), {})
+    assert not _agree(congr, same, {sx.lvar(0, "l"): i1})
+    # a ground compound subterm is compared whole
+    ground = holds("colon(l, or(p, one(i0)))")
+    assert _agree(ground, holds("colon(i1, or(p0, one(i0)))"), {})
+    assert not _agree(ground, holds("colon(i1, or(p0, one(i1)))"), {})
+    assert not _agree(ground, holds("colon(i1, or(p0, not(p0)))"), {})
+    # a value holding the pattern's own variables binds them all the same
+    own = rl(sig, "nu1(or(p, q), x)")
+    assert _agree(own, own, {}) and not _agree(own, own, {p: sx.lvar(1, "q")})
+    # a variable of the wrong sort, where only eq leaves the sort open
+    assert not _agree(rl(sig, "eq(x, y)"), rl(sig, "eq(p0, q0)"), {})
+    assert not _agree(rl(sig, "eq(p, q)"), rl(sig, "eq(a0, b0)"), {})
+    assert _agree(rl(sig, "eq(p, q)"), rl(sig, "eq(p0, or(p0, q0))"), {})
+    # a negative literal
+    neg = rl(sig, "not(nu1(p, x))")
+    assert _agree(neg, rl(sig, "not(nu1(p0, a0))"), {})
+    assert not _agree(neg, rl(sig, "nu1(p0, a0)"), {})
+    assert not _agree(rl(sig, "nu1(p, x)"), rl(sig, "not(nu1(p0, a0))"), {})
+    # eq over domain terms, bound before or not
+    deq = rl(sig, "eq(x, y)")
+    assert _agree(deq, rl(sig, "eq(a0, b0)"), {})
+    assert _agree(deq, rl(sig, "eq(a0, b0)"), {x: a0})
+    assert not _agree(deq, rl(sig, "eq(a0, b0)"), {x: b0})
+    assert _agree(rl(sig, "eq(x, x)"), rl(sig, "eq(a0, a0)"), {})
+    assert not _agree(rl(sig, "eq(x, x)"), rl(sig, "eq(a0, b0)"), {})
+    # a base-mode nu2 premise, and a Skolem term over it
+    nu2 = so_calc.rule("congr_nu2_1").premises[0]
+    assert nu2.text() == "nu2(r, x, y)"
+    assert _agree(nu2, rl(sig, "nu2(r0, a0, b0)"), {})
+    assert not _agree(nu2, rl(sig, "nu2(r0, a0, b0)"), {x: b0})
+    assert not _agree(nu2, rl(sig, "not(nu2(r0, a0, b0))"), {})
+    sk = so_calc.rule("exists_pos").denominators[0][0]
+    value = sx.substitute_literal(sk, {x: a0, p: parser.parse_lexpr(sig, "p0"),
+                                       sx.lvar(2, "r"): parser.parse_lexpr(sig, "r0", 2)})
+    assert _agree(sk, value, {})

@@ -1,8 +1,9 @@
+import os
 import random
 
 import pytest
 
-from tabsynth import parser, specfile
+from tabsynth import calcfile, parser, specfile
 from tabsynth import syntax as sx
 
 
@@ -173,6 +174,11 @@ def test_ten_thousand_deep_term_is_walked_without_recursion(so_spec):
     assert sx.substitute_expr(e, {p: p0}) is e0
     binding = {}
     assert sx.match_expr(e, e0, binding) and binding == {p: p0}
+    x, a0 = sx.dvar("x"), sx.dconst("a0")
+    pattern = sx.pos_lit(sx.atom(sx.nu(1), [e, x]))
+    binding = {}
+    assert sx.match_literal(pattern, sx.pos_lit(sx.atom(sx.nu(1), [e0, a0])),
+                            binding) and binding == {p: p0, x: a0}
     assert sx.lvars(e) == [p]
     assert len(e.subexprs()) == 10001
 
@@ -192,3 +198,17 @@ def test_ten_thousand_deep_formula_is_walked_without_recursion(so_spec):
     sub = {p: parser.parse_lexpr(sig, "p0"), x: sx.dconst("a0")}
     assert sx.substitute_formula(f, sub) is f0
     assert sx.lvars(f) == [p] and sx.dvars(f) == [x]
+
+
+def test_symbols_are_interned():
+    assert sx.Conn("one", (0,), 1) is sx.Conn("one", (0,), 1)
+    assert sx.Conn("one", [0], 1) is sx.Conn("one", (0,), 1)
+    assert sx.Conn("one", (0,), 1) is not sx.Conn("one", (1,), 1)
+    assert sx.FnSym("nu0", (0,), 0) is sx.NU0
+    # the calculus header and its ctx block read their connectives apart
+    golden = os.path.join(os.path.dirname(__file__), "golden", "so_refined.calc")
+    with open(golden, encoding="utf-8") as fh:
+        calc = calcfile.parse_calculus(fh.read())
+    colon, fex = calc.ctx.new_conns
+    assert colon is calc.signature.conns["colon"]
+    assert fex is calc.signature.conns["fex"] is calc.ctx.fn_conns["sk_exists_0"]
