@@ -1,11 +1,15 @@
 """Executing a calculus: branches, rule matching, blocking, verdicts.
 
 A branch is a growing set of ground literals.  Rule premises are matched
-one-way against branch literals (no unification of branch terms) by the
-matcher generated for each premise (``syntax.match_literal``; the generic
-``syntax._match`` is the reference they are tested against).  Every rule
-fires at most once per premise instantiation, enforced with fingerprints.
-Closure rules (zero denominators) close the branch.
+one-way against branch literals (no unification of branch terms).  Each
+rule is compiled whole on its first use into a :class:`RulePlan` kept on
+the rule: a generated join (one ``for`` loop per premise, each attempt a
+call of the premise's generated matcher through ``syntax.match_literal``),
+fingerprints over the plan's variable slots, and one generated function per
+denominator.  The generic ``syntax._match`` and ``syntax.substitute_literal``
+are the references they are tested against.  Every rule fires at most once
+per premise instantiation, enforced with fingerprints.  Closure rules (zero
+denominators) close the branch.
 
 With blocking enabled the engine restricts term-producing rules: once an
 equality ``t = t'`` between a younger and an older term is on the branch, no
@@ -169,9 +173,95 @@ class Branch:
                 self.blocked.add(t1 if b1 > b2 else t2)
         return True
 
-    def candidates_with_index(self, pattern):
-        key = _head_key(pattern) or _coarse_key(pattern)
-        return self.index.get(key, [])
+
+# ---------------------------------------------------------------------------
+# rule plans: each rule compiled whole, on its first use
+
+class RulePlan:
+    """A rule compiled for the engine, kept on the rule (``rule.plan``).
+
+    ``slots`` are the rule's variables: the object ones, then the domain
+    ones, each in order of first occurrence over the premises.  An
+    instance's fingerprint is the rule id with the nodes its binding gives
+    the slots, in slot order (nodes are interned, so identity is equality).
+    ``join`` is the generated matching loop (see :func:`_compile_join`) and
+    ``denominators`` one generated function per denominator from a binding
+    to its literals (``sx.compile_substitution``).
+    """
+
+    __slots__ = ("rid", "slots", "join", "denominators")
+
+    def __init__(self, rule):
+        self.rid = rule.id
+        self.slots = tuple(sx.lvars(rule.premises) + sx.dvars(rule.premises))
+        self.join = _compile_join(rule, self.fingerprint)
+        self.denominators = tuple(sx.compile_substitution(d)
+                                  for d in rule.denominators)
+
+    def fingerprint(self, binding):
+        return self.rid, tuple(map(binding.get, self.slots))
+
+
+def _plan(rule):
+    plan = rule.plan
+    if plan is None:
+        plan = rule.plan = RulePlan(rule)
+    return plan
+
+
+def _compile_join(rule, fingerprint):
+    """The generator ``join(branch, new_from)`` of (fingerprint, binding,
+    matched literals), one per instance of the rule not yet applied on the
+    branch that matches at least one premise to a literal appended at or
+    after index ``new_from`` (0 enumerates everything).
+
+    One ``for`` loop per premise, nested in premise order: level ``i``
+    walks the index bucket of premise ``i`` under the binding of the
+    levels before it.  It starts at the bucket's first new literal unless
+    an earlier level matched a new one (``u<i>``) or a later premise has
+    one (``L<i+1>``, computed once per call).  Every attempt is one call
+    of ``sx.match_literal`` on one scratch binding: a failed match leaves
+    it as it was, a level removes what its premise bound before its next
+    candidate, and only an instance gets a copy.
+    """
+    g = sx.Codegen()
+    prems = rule.premises
+    n = len(prems)
+    bisect_, pos = g.const(bisect.bisect_left), g.const(_POSITION)
+    code = ["B%d = branch.index.get(%s, ())"
+            % (i, g.const(_head_key(p) or _coarse_key(p)))
+            for i, p in enumerate(prems)]
+    code += ["L%d = %sbool(B%d) and B%d[-1][1] >= new_from"
+             % (i, "L%d or " % (i + 1) if i < n - 1 else "", i, i)
+             for i in reversed(range(n))]
+    code += ["if not L0: return" if n else "if new_from: return",
+             "match = %s.match_literal" % g.const(sx),
+             "applied = branch.applied", "b = {}"]
+    bound, dels = set(), []
+    for i, p in enumerate(prems):
+        ind = " " * i
+        whole = ["u%d" % i] if i else []
+        if i < n - 1:
+            whole.append("L%d" % (i + 1))
+        rest = "B%d[%s(B%d, new_from, key=%s):]" % (i, bisect_, i, pos)
+        if whole:
+            rest = "B%d if %s else %s" % (i, " or ".join(whole), rest)
+        code += ["%sfor l%d, i%d in %s:" % (ind, i, i, rest),
+                 "%s if not match(%s, l%d, b): continue" % (ind, g.const(p), i)]
+        if i < n - 1:
+            code.append("%s u%d = %si%d >= new_from"
+                        % (ind, i + 1, "u%d or " % i if i else "", i))
+        new = [v for v in sx.lvars(p) + sx.dvars(p) if v not in bound]
+        bound.update(new)
+        if new:
+            dels.append("%s del %s" % (ind, ", ".join("b[%s]" % g.const(v)
+                                                      for v in new)))
+    ind = " " * n
+    code += ["%sfp = %s(b)" % (ind, g.const(fingerprint)),
+             "%sif fp not in applied: yield fp, dict(b), [%s]"
+             % (ind, ", ".join("l%d" % i for i in range(n)))]
+    code += reversed(dels)
+    return g.function("join(branch, new_from)", code)
 
 
 class Tableau:
@@ -261,83 +351,18 @@ class Engine:
         if rule.kind == "blocking":
             yield from self._ub_instances(rule, branch)
             return
-        seen = set()
-        for fp, binding, matched in self._match_rule(rule, branch, 0):
-            if fp not in seen:
-                seen.add(fp)
-                yield fp, binding, matched
-
-    def _match_rule(self, rule, branch, new_from):
-        """Instances where at least one premise matches a literal appended at
-        or after index ``new_from`` (0 enumerates everything).
-
-        A depth-first loop over the premises: level ``i`` walks the
-        candidates of premise ``i`` under the binding of the levels before
-        it.  It starts at the bucket's first new literal unless an earlier
-        level matched a new one or a later premise has one."""
-        premises = rule.premises
-        n = len(premises)
-        if n == 0:
-            fp = _fingerprint(rule.id, {})
-            if new_from == 0 and fp not in branch.applied:
-                yield fp, {}, []
-            return
-        buckets = [branch.candidates_with_index(p) for p in premises]
-        # new_later[i]: a premise from i on has a candidate at or after new_from
-        new_later = [False] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            b = buckets[i]
-            new_later[i] = new_later[i + 1] or bool(b) and b[-1][1] >= new_from
-        if not new_later[0]:
-            return
-        match = sx.match_literal
-        bindings = [{}] * n      # the binding entering each level
-        used_new = [False] * n   # a level before this one matched a new literal
-        at = [0] * n             # the next candidate of each level
-        matched = [None] * n
-
-        def start(i):
-            if used_new[i] or new_later[i + 1]:
-                return 0
-            return bisect.bisect_left(buckets[i], new_from, key=_POSITION)
-
-        at[0] = start(0)
-        last, i = n - 1, 0
-        while i >= 0:
-            if i == last:
-                # each match here that used a new literal is an instance
-                base, fresh, pat = bindings[i], used_new[i], premises[i]
-                for lit, idx in buckets[i][at[i]:]:
-                    binding = dict(base)
-                    if match(pat, lit, binding) and (fresh or idx >= new_from):
-                        matched[i] = lit
-                        fp = _fingerprint(rule.id, binding)
-                        if fp not in branch.applied:
-                            yield fp, binding, matched.copy()
-                i -= 1
-                continue
-            bucket, k = buckets[i], at[i]
-            if k == len(bucket):
-                i -= 1
-                continue
-            at[i] = k + 1
-            lit, idx = bucket[k]
-            binding = dict(bindings[i])
-            if match(premises[i], lit, binding):
-                matched[i] = lit
-                i += 1
-                bindings[i] = binding
-                used_new[i] = used_new[i - 1] or idx >= new_from
-                at[i] = start(i)
+        yield from _plan(rule).join(branch, 0)
 
     def _ub_instances(self, rule, branch):
         # conjecture pairs in birth order over marked terms only
         terms = sorted(branch.markers, key=lambda t: branch.term_birth[t])
-        v1, v2 = _pair_vars(rule)
+        plan = _plan(rule)
+        v1, v2 = plan.slots  # each of the two premises carries one
+        fingerprint = plan.fingerprint
         for i in range(len(terms)):
             for j in range(i + 1, len(terms)):
                 binding = {v1: terms[i], v2: terms[j]}
-                fp = _fingerprint(rule.id, binding)
+                fp = fingerprint(binding)
                 if fp not in branch.applied:
                     yield fp, binding, []
 
@@ -373,7 +398,7 @@ class Engine:
             if rule.kind == "blocking":
                 instances = self._ub_instances(rule, branch)
             else:
-                instances = self._match_rule(rule, branch, new_from)
+                instances = _plan(rule).join(branch, new_from)
             prio = self._priority(rule, branch)
             for fp, binding, matched in instances:
                 if fp in branch.pending:
@@ -391,8 +416,8 @@ class Engine:
         denominator asks for nothing; contradicted denominators cannot
         survive on this branch."""
         open_idx = []
-        for i, den in enumerate(rule.denominators):
-            lits = [sx.substitute_literal(l, binding) for l in den]
+        for i, den in enumerate(_plan(rule).denominators):
+            lits = den(binding)
             if all(l in branch.present for l in lits):
                 return True, []
             if any(l.negate() in branch.present for l in lits):
@@ -463,18 +488,19 @@ class Engine:
             branch.closed = True
             self._trace_step(rule, binding, 0, branch, branch)
             return []
+        dens = _plan(rule).denominators
         if rule.branching_factor == 1 or only_den is not None:
             j = only_den or 0
-            for lit in rule.denominators[j]:
-                self._add(branch, sx.substitute_literal(lit, binding))
+            for lit in dens[j](binding):
+                self._add(branch, lit)
             self._trace_step(rule, binding, j, branch, branch)
             return [branch]
         out = []
-        for j, den in enumerate(rule.denominators):
+        for j, den in enumerate(dens):
             child = branch.clone(tableau.next_bid)
             tableau.next_bid += 1
-            for lit in den:
-                self._add(child, sx.substitute_literal(lit, binding))
+            for lit in den(binding):
+                self._add(child, lit)
             self._trace_step(rule, binding, j, branch, child)
             out.append(child)
         return out
@@ -543,23 +569,12 @@ class Engine:
                 "c1_violations": list(self.c1_violations)}
 
 
-def _pair_vars(rule):
-    """The blocking rule's variables: each of its two premises carries one."""
-    return [(sx.lvars(p) + sx.dvars(p))[0] for p in rule.premises]
-
-
-def _fingerprint(rid, binding):
-    items = tuple(sorted((_vname(k), id(v)) for k, v in binding.items()))
-    return (rid, items)
-
-
-def _vname(v):
-    return "$" + v.name if v.sort == sx.DOMAIN else v.name
-
-
 def _binding_text(binding):
+    """The binding as a trace shows it: object variables, then domain
+    variables (``$`` sorts after letters), each by name."""
     return "; ".join("%s:=%s" % (k.name, binding[k].text())
-                     for k in sorted(binding, key=_vname))
+                     for k in sorted(binding, key=lambda v: "$" + v.name
+                                     if v.sort == sx.DOMAIN else v.name))
 
 
 def prove(calc, concepts, ns=None, node_budget=10 ** 6, time_budget=None,
@@ -628,7 +643,12 @@ def replay_trace(calc, concepts, trace_text, ns=None):
         if rule is None:
             raise sx.TabError("trace names unknown rule %s" % rid)
         binding = _parse_binding(calc, body)
-        fp = _fingerprint(rid, binding)
+        plan = _plan(rule)
+        if set(binding) != set(plan.slots):
+            # checked on every line: a fingerprint reads the slots only
+            raise sx.TabError("step not applicable (binding does not match "
+                              "the premise variables): %s" % line)
+        fp = plan.fingerprint(binding)
         src = branches.get(src_bid)
         if src is None or src.closed:
             raise sx.TabError("trace targets an unknown or closed branch %d"
@@ -667,21 +687,20 @@ def replay_trace(calc, concepts, trace_text, ns=None):
 
 
 def _check_step(rule, binding, fp, branch, line):
-    """A step applies when its binding binds exactly the premise variables,
-    every premise instance is on the branch, the instance is not applied
-    yet, and a blocking step pairs two distinct terms in birth order."""
+    """A step whose binding binds exactly the premise variables applies
+    when every premise instance is on the branch, the instance is not
+    applied yet, and a blocking step pairs two distinct terms in birth
+    order."""
     def fail(why):
         raise sx.TabError("step not applicable (%s): %s" % (why, line))
 
-    if set(binding) != set(sx.lvars(rule.premises) + sx.dvars(rule.premises)):
-        fail("binding does not match the premise variables")
     if fp in branch.applied:
         fail("instance already applied")
     for prem in rule.premises:
         if sx.substitute_literal(prem, binding) not in branch.present:
             fail("premise %s absent" % prem.text())
     if rule.kind == "blocking":
-        born = [branch.term_birth.get(binding[v]) for v in _pair_vars(rule)]
+        born = [branch.term_birth.get(binding[v]) for v in _plan(rule).slots]
         if None in born or born[0] >= born[1]:
             fail("terms not distinct and in birth order")
 

@@ -143,10 +143,7 @@ class Template:
         """Placeholder values if ``concept`` instantiates this template."""
         binding = {}
         if sx.match_expr(self.expr, concept, binding):
-            try:
-                return tuple(binding[v] for v in self.params)
-            except KeyError:
-                return None
+            return tuple(binding[v] for v in self.params)
         return None
 
 
@@ -214,6 +211,17 @@ def parse_context(text, sig, skolems):
         expr = el.lexpr(tp.tree(), 1)
         if not tp.at_end():
             raise SpecSyntaxError("trailing input in template", lineno)
+        # a parameter missing from the expression never gets a value, and
+        # a variable that is no parameter stays a variable in an instance
+        used = sx.lvars(expr)
+        for p in params:
+            if p not in used:
+                raise SpecSyntaxError("template parameter %r does not occur "
+                                      "in its expression" % p.name, lineno)
+        for v in used:
+            if v not in params:
+                raise SpecSyntaxError("template variable %r is not a parameter"
+                                      % v.name, lineno)
         if word in ("c+", "c-"):
             key = int(key)
             if [p.sort for p in params] != [key] + [0] * key:

@@ -664,8 +664,8 @@ def match_literal(pattern, value, binding):
     """Extend ``binding`` so pattern instantiates to ``value``; one-way only.
 
     Runs the matcher generated for ``pattern``, which gives what ``_match``
-    gives.  Mutates ``binding`` on partial success; callers pass a scratch
-    copy.
+    gives.  All or nothing: every variable is checked before any is bound,
+    so a failed match leaves ``binding`` as it was.
     """
     m = pattern.matcher
     if m is None:
@@ -673,32 +673,34 @@ def match_literal(pattern, value, binding):
     return m(value, binding)
 
 
-def _compile_matcher(pattern):
-    """A function ``(value, binding)`` matching the literal ``pattern``.
+class Codegen:
+    """The source of one generated function and the objects it names.
 
-    Polarity, predicate and arity are tested first, then each symbol, each
-    ground subterm and each repeat of a subterm where it stands, by
-    identity (nodes are interned).  Last, each variable is looked up or
-    bound, sort-checked unless its position fixes the sort, in preorder as
-    ``_match`` binds them.
-    """
-    consts = []
+    Each :meth:`const` names an object by a parameter of the factory that
+    :meth:`function` compiles and calls, so the generated code reaches it
+    through its closure, with no global lookup."""
 
-    def const(x):
-        consts.append(x)
-        return "c%d" % (len(consts) - 1)
+    def __init__(self):
+        self.consts = []
 
-    a = pattern.atom
-    code = ["if %sv.pos: return False" % ("not " if pattern.pos else ""),
-            "a = v.atom",
-            "if a.pred != %s: return False" % const(a.pred)]
-    if a.pred[0] == "pred":  # the other predicates fix their arity
-        code.append("if len(a.args) != %d: return False" % len(a.args))
-    names = ["t%d" % k for k in range(len(a.args))]
-    if names:
-        code.append("%s, = a.args" % ", ".join(names))
-    # the subterms holding a variable of either kind, children before parents
-    open_, seen, stack = set(), set(), [(t, False) for t in a.args]
+    def const(self, x):
+        self.consts.append(x)
+        return "c%d" % (len(self.consts) - 1)
+
+    def function(self, head, lines):
+        """The function ``def <head>:`` with body ``lines`` (each may
+        indent further)."""
+        src = "def make(%s):\n def %s:\n  %s\n return %s" % (
+            ", ".join("c%d" % k for k in range(len(self.consts))), head,
+            "\n  ".join(lines), head[:head.index("(")])
+        scope = {}
+        exec(compile(src, "<generated>", "exec"), scope)
+        return scope["make"](*self.consts)
+
+
+def _open_subterms(terms):
+    """The subterms of ``terms`` that hold a variable of either kind."""
+    open_, seen, stack = set(), set(), [(t, False) for t in terms]
     while stack:
         t, done = stack.pop()
         if done:
@@ -710,6 +712,30 @@ def _compile_matcher(pattern):
                 open_.add(t)
             stack.append((t, True))
             stack += [(x, False) for x in t.args]
+    return open_
+
+
+def _compile_matcher(pattern):
+    """A function ``(value, binding)`` matching the literal ``pattern``.
+
+    Polarity, predicate and arity are tested first, then each symbol, each
+    ground subterm and each repeat of a subterm where it stands, by
+    identity (nodes are interned).  Then each variable is looked up and
+    checked, sort-checked where it is unbound unless its position fixes
+    the sort.  Only when every check has passed are the unbound variables
+    bound, in preorder as ``_match`` binds them.
+    """
+    g = Codegen()
+    a = pattern.atom
+    code = ["if %sv.pos: return False" % ("not " if pattern.pos else ""),
+            "a = v.atom",
+            "if a.pred != %s: return False" % g.const(a.pred)]
+    if a.pred[0] == "pred":  # the other predicates fix their arity
+        code.append("if len(a.args) != %d: return False" % len(a.args))
+    names = ["t%d" % k for k in range(len(a.args))]
+    if names:
+        code.append("%s, = a.args" % ", ".join(names))
+    open_ = _open_subterms(a.args)
     # only eq leaves the sorts of an atom's arguments open
     typed = a.pred != EQ
     stack = [(p, n, typed) for p, n in zip(reversed(a.args), reversed(names))]
@@ -722,24 +748,59 @@ def _compile_matcher(pattern):
             continue
         first[p] = n
         if p.kind == "var":
-            variables.append((p, n, typed))
+            variables.append((g.const(p), n, "x%d" % len(variables),
+                              None if typed else p.sort))
         elif p not in open_:
-            code.append("if %s is not %s: return False" % (n, const(p)))
+            code.append("if %s is not %s: return False" % (n, g.const(p)))
         else:
-            code.append("if %s.sym is not %s: return False" % (n, const(p.sym)))
+            code.append("if %s.sym is not %s: return False" % (n, g.const(p.sym)))
             subs = ["t%d" % k for k in range(len(names), len(names) + len(p.args))]
             names += subs
             code.append("%s, = %s.args" % (", ".join(subs), n))
             stack += [(q, m, True) for q, m in zip(reversed(p.args),
                                                     reversed(subs))]
-    for p, n, typed in variables:
-        c = const(p)
-        code += ["x = b.get(%s)" % c, "if x is None:"]
-        if not typed:
-            code.append(" if %s.sort != %d: return False" % (n, p.sort))
-        code += [" b[%s] = %s" % (c, n), "elif x is not %s: return False" % n]
-    src = "def make(%s):\n def match(v, b):\n  %s\n  return True\n return match" \
-        % (", ".join("c%d" % k for k in range(len(consts))), "\n  ".join(code))
-    scope = {}
-    exec(compile(src, "<matcher>", "exec"), scope)
-    return scope["make"](*consts)
+    for c, n, x, sort in variables:
+        code.append("%s = b.get(%s)" % (x, c))
+        if sort is None:
+            code.append("if %s is not None and %s is not %s: return False"
+                        % (x, x, n))
+        else:
+            code += ["if %s is None:" % x,
+                     " if %s.sort != %d: return False" % (n, sort),
+                     "elif %s is not %s: return False" % (x, n)]
+    code += ["if %s is None: b[%s] = %s" % (x, c, n)
+             for c, n, x, _ in variables]
+    code.append("return True")
+    return g.function("match(v, b)", code)
+
+
+def compile_substitution(lits):
+    """A function ``binding -> tuple`` giving ``substitute_literal(l,
+    binding)`` for each literal ``l`` of ``lits``.
+
+    Ground subterms (no variable of either sort) are constants; the rest
+    are built through :func:`app`, :func:`atom` and :func:`literal`, which
+    keep their sort checks.  Every variable of ``lits`` must be bound.
+    """
+    g = Codegen()
+    app_, atom_, literal_ = g.const(app), g.const(atom), g.const(literal)
+    open_ = _open_subterms([t for l in lits for t in l.atom.args])
+    out = []  # each literal and each argument ends in ", "
+    for l in lits:
+        if not any(t in open_ for t in l.atom.args):
+            out.append(g.const(l) + ", ")
+            continue
+        out.append("%s(%s, %s(%s, (" % (literal_, l.pos, atom_, g.const(l.atom.pred)))
+        stack = ["))), "] + list(reversed(l.atom.args))
+        while stack:
+            t = stack.pop()
+            if type(t) is str:
+                out.append(t)
+            elif t not in open_:
+                out.append(g.const(t) + ", ")
+            elif t.kind == "var":
+                out.append("b[%s], " % g.const(t))
+            else:
+                out.append("%s(%s, (" % (app_, g.const(t.sym)))
+                stack += [")), "] + list(reversed(t.args))
+    return g.function("instances(b)", ["return (%s)" % "".join(out)])

@@ -52,9 +52,14 @@ class TableauRule:
         self.fresh_functions = tuple(fresh_functions)
         self.produces_terms = produces_terms
         self.provenance = provenance
+        self.plan = None  # the engine's RulePlan, built on first use
         if not self.premises and kind not in ("theory",):
             raise sx.TabError("rule %s has no premises" % rid)
         bound = sx.lvars(self.premises) + sx.dvars(self.premises)
+        if kind == "blocking" and (len(self.premises) != 2 or len(bound) != 2):
+            # the engine conjectures pairs of marked terms into its two slots
+            raise sx.TabError("rule %s: a blocking rule needs two premises "
+                              "of one variable each" % rid)
         for v in sx.lvars(self.denominators) + sx.dvars(self.denominators):
             if v not in bound:
                 raise UnboundVariable("rule %s: no premise binds %s"

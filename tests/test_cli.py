@@ -17,6 +17,11 @@ def run_cli(args):
     return cli.main(args)
 
 
+def _golden_text(name):
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+        return fh.read()
+
+
 @pytest.fixture(scope="module")
 def work(tmp_path_factory):
     d = tmp_path_factory.mktemp("cli")
@@ -180,6 +185,20 @@ BAD_FILES = [
      "malformed 'ub' directive at 1:?"),
     ("blocking.calc", "sorts 2\nvars 1 p\nblocking nonsense\n",
      ["prove", "--calc", "{f}", "{p0}"], "malformed 'blocking' directive at 3:?"),
+    ("blocking-rule.calc", "sorts 2\nvars 1 p\nrule ub [blocking]: eq(x, x), "
+     "eq(y, y), eq(z, z) / eq(x, y) | not(eq(x, y))\n",
+     ["prove", "--calc", "{f}", "{p0}"], "two premises of one variable each at 3:?"),
+    # a template parameter its expression lacks never gets a value, and a
+    # variable that is no parameter would stay one on the branch
+    ("template-param.calc", _golden_text("so_refined.calc").replace(
+        "ctx d+ eq(l, l1) = colon(l, one(l1))",
+        "ctx d+ eq(l, l1) = colon(l, one(l))"),
+     ["prove", "--calc", "{f}", "--ub", "{one_l0}"], "'l1' does not occur in "
+     "its expression at 23:?"),
+    ("template-var.calc", _golden_text("so_refined.calc").replace(
+        "ctx c+ 1(p, l) = colon(l, p)", "ctx c+ 1(p, l) = colon(l, or(p, q))"),
+     ["prove", "--calc", "{f}", "--ub", "{p0}"],
+     "template variable 'q' is not a parameter at 19:?"),
     # engine fingerprints are keyed by rule id: the second rule a never fired
     ("repeated-rule.calc",
      "sorts 3\nvars 0 l\nvars 1 p q\nvars 2 r\nconnective not 1 -> 1\n"
@@ -216,6 +235,7 @@ def test_bad_file_is_error_without_traceback(work, tmp_path, name, text, args,
     fields = {"f": path, "work": work, "nodir": tmp_path / "nodir",
               "so_refine": os.path.join(PRESETS, "so.refine"),
               "p0": _write(tmp_path / "p0.txt", "p0\n"),
+              "one_l0": _write(tmp_path / "one_l0.txt", "exists(r0, one(l0))\n"),
               "fold": _write(tmp_path / "fold.refine", "rf theory_0 fold 0\n")}
     proc = _run_module([a.format(**fields) for a in args])
     assert proc.returncode == 1
@@ -380,6 +400,12 @@ def test_replay_rejects_a_step_whose_premise_is_absent():
     assert trace.startswith(first)
     bad = trace.replace(first, first.replace("p0", "q0"), 1)
     with pytest.raises(sx.TabError, match="absent"):
+        engine.replay_trace(calc, [c], bad)
+    # a fingerprint reads the rule's variables only: the second line of a
+    # split that binds one more is rejected all the same
+    split = next(l for l in trace.splitlines() if " den#1 " in l)
+    bad = trace.replace(split, split.replace("{", "{q:=p0; ", 1))
+    with pytest.raises(sx.TabError, match="premise variables"):
         engine.replay_trace(calc, [c], bad)
 
 

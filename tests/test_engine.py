@@ -399,30 +399,35 @@ def _reference_match(pattern, value, binding):
 
 
 def _agree(pattern, value, binding):
-    """Both matchers on copies of ``binding``: the same result, and the same
-    binding (in the same order) on success.  Returns the result."""
+    """Both matchers on copies of ``binding``: the same result, the same
+    binding (in the same order) on success, and on failure the generated
+    matcher's copy as it was.  Returns the result."""
     want, got = dict(binding), dict(binding)
     ok = _reference_match(pattern, value, want)
     assert sx.match_literal(pattern, value, got) == ok, \
         (pattern.text(), value.text(), binding)
-    if ok:
-        assert list(got.items()) == list(want.items())
+    assert list(got.items()) == list((want if ok else binding).items())
     return ok
+
+
+def _recorded_runs(so_blocked, so_calc, ipc_calc, so_ns, ipc_ns):
+    """A few SO corpus problems (refined) and criterion-8 inputs (unrefined,
+    both logics): (calculus, spec, problems, node budget)."""
+    return [(so_blocked, so_ns, so_concepts(so_blocked.signature, count=8), 20000),
+            (refine.attach_ub(so_calc, synth.UbConfig(True, 0)), so_ns,
+             so_concepts(so_calc.signature, count=4), 300),
+            (refine.attach_ub(ipc_calc, synth.UbConfig(True, 0)), ipc_ns,
+             ipc_formulas(ipc_calc.signature, count=4), 300)]
 
 
 def test_generated_matchers_agree_with_the_reference(monkeypatch, so_blocked,
                                                      so_calc, ipc_calc, so_ns,
                                                      ipc_ns):
-    """Every attempt the engine makes on a few SO corpus problems (refined)
-    and criterion-8 inputs (unrefined, both logics) gives the same answer
-    from the generated matcher as from ``_match``."""
+    """Every attempt the engine makes on the recorded runs gives the same
+    answer from the generated matcher as from ``_match``."""
     triples = []
     counts = _counting_matcher(monkeypatch, triples)
-    runs = [(so_blocked, so_ns, so_concepts(so_blocked.signature, count=8), 20000),
-            (refine.attach_ub(so_calc, synth.UbConfig(True, 0)), so_ns,
-             so_concepts(so_calc.signature, count=4), 300),
-            (refine.attach_ub(ipc_calc, synth.UbConfig(True, 0)), ipc_ns,
-             ipc_formulas(ipc_calc.signature, count=4), 300)]
+    runs = _recorded_runs(so_blocked, so_calc, ipc_calc, so_ns, ipc_ns)
     for calc, ns, problems, budget in runs:
         for prob in problems:
             engine.prove(calc, prob, ns=ns, node_budget=budget)
@@ -430,6 +435,40 @@ def test_generated_matchers_agree_with_the_reference(monkeypatch, so_blocked,
     assert len(triples) == counts[0] > 10000
     hits = sum(_agree(p, v, b) for p, v, b in triples)
     assert hits == counts[1] > 1000
+
+
+def test_generated_denominators_agree_with_substitution(
+        monkeypatch, so_blocked, so_calc, ipc_calc, so_ns, ipc_ns):
+    """Every binding the engine yields on the recorded runs instantiates
+    each denominator of its rule to what ``sx.substitute_literal`` gives."""
+    yielded = []
+
+    def recorded(rule, instances):
+        def wrapped(*args):
+            for inst in instances(*args):
+                yielded.append((rule, inst[1]))
+                yield inst
+        return wrapped
+
+    class Recording(engine.Engine):
+        def _ub_instances(self, rule, branch):
+            return recorded(rule, super()._ub_instances)(rule, branch)
+
+    for calc, ns, problems, budget in _recorded_runs(
+            so_blocked, so_calc, ipc_calc, so_ns, ipc_ns):
+        for rule in calc.rules:
+            plan = engine._plan(rule)
+            monkeypatch.setattr(plan, "join", recorded(rule, plan.join))
+        for prob in problems:
+            eng = Recording(calc, ns=ns, node_budget=budget)
+            eng.expand(eng.init(prob))
+    monkeypatch.undo()
+    kinds = {rule.kind for rule, _ in yielded}
+    assert len(yielded) > 5000 and {"blocking", "theory"} <= kinds
+    for rule, binding in yielded:
+        assert [den(binding) for den in engine._plan(rule).denominators] == \
+            [tuple(sx.substitute_literal(l, binding) for l in d)
+             for d in rule.denominators], (rule.id, binding)
 
 
 def test_generated_matchers_on_the_hard_cases(so_blocked, so_calc):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from corpus import so_concepts
 from tabsynth import engine, models, parser, refine, specfile, synth
 from tabsynth import syntax as sx
 
@@ -103,9 +104,13 @@ def test_reflection_passes_on_saturated_branches(so_blocked, so_ns):
                                     skolems=so_blocked.skolems) == []
 
 
+# SO generator seed 1, problem 131: its extracted model once failed
+# reflection with ``nu0(l0)`` unassigned
+SO_SEED_1_131 = ["or(or(one(l0), p0), or(p0, q0))", "p0"]
+
+
 @pytest.mark.parametrize("calc_name", ["so_blocked", "so_calc"])
-@pytest.mark.parametrize("problem", [["or(one(l0), p0)", "p0"],
-                                     ["or(or(one(l0), p0), or(p0, q0))", "p0"]])
+@pytest.mark.parametrize("problem", [["or(one(l0), p0)", "p0"], SO_SEED_1_131])
 def test_reflection_places_undecomposed_individuals(request, so_ns, calc_name,
                                                     problem):
     # l0 occurs only in a disjunct the branch satisfies through p0, so no
@@ -119,6 +124,15 @@ def test_reflection_places_undecomposed_individuals(request, so_ns, calc_name,
     assert m.nu0[pc(calc, "l0", 0)] == 0
     assert models.verify_reflection(m, v.branch, ctx=calc.ctx,
                                     skolems=calc.skolems) == []
+
+
+def test_so_seed_1_problem_131_is_satisfiable(so_ns, so_spec):
+    """The problem the reflection test above pins, as the SO generator draws
+    it at seed 1, is satisfiable by the oracle too."""
+    problem = so_concepts(so_spec.signature, seed=1, count=132)[131]
+    assert [c.text() for c in problem] == SO_SEED_1_131
+    res, m = models.brute_force_sat(so_ns, problem, 3)
+    assert res == "sat" and m.size == 1
 
 
 def test_reflection_detects_missing_fact(so_ns, so_spec):
