@@ -26,12 +26,22 @@ EXIT_ERROR = 1
 EXIT_BAD_INPUT = 2
 
 
+def _read(path):
+    """The text of a user file.  A file that is not UTF-8 is a TabError that
+    names it, which each command reports as it reports a malformed file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            raise sx.TabError("%s: not UTF-8 text (byte 0x%02x at offset %d)"
+                              % (path, e.object[e.start], e.start)) from None
+
+
 def _load_spec(args):
     if getattr(args, "preset", None):
         return specfile.preset(args.preset)
     if getattr(args, "spec", None):
-        with open(args.spec, encoding="utf-8") as fh:
-            return specfile.parse_spec(fh.read(), name=args.spec)
+        return specfile.parse_spec(_read(args.spec), name=args.spec)
     return None
 
 
@@ -53,8 +63,7 @@ def _save(path, text):
 def _load_problem(sig, skolems, path):
     """One concept per line; a not(...) line whose not is no connective of
     the signature roots the negated literal instead."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read(path)
     el = Elaborator(sig, skolems)
     inputs = []
     for lineno, line in content_lines(text):
@@ -90,13 +99,12 @@ def cmd_synth(args):
 
 def cmd_refine(args):
     try:
-        with open(args.calc, encoding="utf-8") as fh:
-            calc = calcfile.parse_calculus(fh.read())
-        with open(args.refine_script, encoding="utf-8") as fh:
-            steps = refine.parse_script(fh.read())
+        calc = calcfile.parse_calculus(_read(args.calc))
+        steps = refine.parse_script(_read(args.refine_script))
         ctx = None
         if args.ctx:
-            ctx = refine.load_context(args.ctx, calc.signature, calc.skolems)
+            ctx = refine.parse_context(_read(args.ctx), calc.signature,
+                                       calc.skolems)
         calc, log = refine.apply_script(calc, steps, ctx=ctx,
                                         unsafe=args.unsafe_refine)
     except (OSError, sx.TabError) as e:
@@ -117,8 +125,7 @@ def cmd_prove(args):
         print("error: --model needs --spec or --preset", file=sys.stderr)
         return EXIT_ERROR
     try:
-        with open(args.calc, encoding="utf-8") as fh:
-            calc = calcfile.parse_calculus(fh.read())
+        calc = calcfile.parse_calculus(_read(args.calc))
     except (OSError, sx.TabError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_ERROR

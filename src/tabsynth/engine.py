@@ -6,18 +6,22 @@ rule is compiled whole on its first use into a :class:`RulePlan` kept on
 the rule: a generated join (one ``for`` loop per premise, each attempt a
 call of the premise's generated matcher through ``syntax.match_literal``),
 fingerprints over the plan's variable slots, and one generated function per
-denominator.  The generic ``syntax._match`` and ``syntax.substitute_literal``
-are the references they are tested against.  Every rule fires at most once
-per premise instantiation, enforced with fingerprints.  Closure rules (zero
-denominators) close the branch.
+denominator; the blocking rule's join pairs the branch's marked terms.  The
+generic ``syntax._match`` and ``syntax.substitute_literal`` are the
+references they are tested against.  Each round a rule's join yields only
+the instances that use a literal added since the round before (semi-naive
+evaluation), so every instance is queued once.  Every rule fires at most
+once per premise instantiation, enforced with fingerprints.  Closure rules
+(zero denominators) close the branch.
 
 With blocking enabled the engine restricts term-producing rules: once an
 equality ``t = t'`` between a younger and an older term is on the branch, no
 term-producing rule is applied to literals mentioning the younger term, and
 the blocking rule is exhausted over all term pairs before term production
 (after the configured number of free term-producing applications).
-Exploration is depth-first by default with the denominators in rule order;
-equal-conjecture branches therefore come first, which keeps models small.
+Exploration is one loop over a deque of open branches, depth-first by
+default with the denominators in rule order; equal-conjecture branches
+therefore come first, which keeps models small.
 Branches are independent once created (each owns its state and the calculus
 is immutable), so distinct open branches could be explored by parallel
 workers; this driver explores them sequentially.
@@ -26,6 +30,7 @@ workers; this driver explores them sequentially.
 from __future__ import annotations
 
 import bisect
+import collections
 import heapq
 import operator
 import re
@@ -105,8 +110,8 @@ def _head_key(lit):
 
 class Branch:
     __slots__ = ("bid", "literals", "present", "index", "term_birth", "applied",
-                 "seen_next", "tp_count", "closed", "eqs", "blocked",
-                 "markers", "pending", "heap", "scan_upto")
+                 "seen_next", "tp_count", "closed", "blocked", "markers",
+                 "heap", "scan_upto")
 
     def __init__(self, bid):
         self.bid = bid
@@ -118,11 +123,11 @@ class Branch:
         self.seen_next = 0
         self.tp_count = 0
         self.closed = False
-        self.eqs = set()       # positive ground equalities (t, t')
         self.blocked = set()   # younger terms equated to an older one
-        self.markers = []      # terms with their reflexive marker present
-        self.pending = {}      # fingerprint -> (seen, rule, binding, terms)
-        self.heap = []         # (priority, seen, fingerprint), lazily pruned
+        self.markers = {}      # term -> index of its first reflexive marker
+        # (priority, seen, fingerprint, rule, binding, terms) of the instances
+        # discovered; applied ones are pruned when they reach the top
+        self.heap = []
         self.scan_upto = 0     # literals before this index are fully matched
 
     def clone(self, bid):
@@ -135,10 +140,8 @@ class Branch:
         b.seen_next = self.seen_next
         b.tp_count = self.tp_count
         b.closed = self.closed
-        b.eqs = self.eqs.copy()
         b.blocked = self.blocked.copy()
         b.markers = self.markers.copy()
-        b.pending = self.pending.copy()
         b.heap = self.heap.copy()
         b.scan_upto = self.scan_upto
         return b
@@ -163,10 +166,8 @@ class Branch:
             return True
         t1, t2 = pair
         if t1 is t2:
-            if t1 not in self.markers:
-                self.markers.append(t1)
-        elif pair not in self.eqs:
-            self.eqs.add(pair)
+            self.markers.setdefault(t1, idx)
+        else:
             b1 = self.term_birth.get(t1)
             b2 = self.term_birth.get(t2)
             if b1 is not None and b2 is not None and b1 != b2:
@@ -184,9 +185,13 @@ class RulePlan:
     ones, each in order of first occurrence over the premises.  An
     instance's fingerprint is the rule id with the nodes its binding gives
     the slots, in slot order (nodes are interned, so identity is equality).
-    ``join`` is the generated matching loop (see :func:`_compile_join`) and
-    ``denominators`` one generated function per denominator from a binding
-    to its literals (``sx.compile_substitution``).
+    ``join(branch, new_from)`` yields (fingerprint, binding, matched
+    literals) for each instance not yet applied on the branch that matches
+    at least one premise to a literal at or after index ``new_from`` (0
+    yields them all): the generated matching loop of :func:`_compile_join`,
+    or :meth:`blocking_pairs` for the blocking rule.  ``denominators`` are
+    one generated function per denominator from a binding to its literals
+    (``sx.compile_substitution``).
     """
 
     __slots__ = ("rid", "slots", "join", "denominators")
@@ -194,12 +199,33 @@ class RulePlan:
     def __init__(self, rule):
         self.rid = rule.id
         self.slots = tuple(sx.lvars(rule.premises) + sx.dvars(rule.premises))
-        self.join = _compile_join(rule, self.fingerprint)
+        self.join = self.blocking_pairs if rule.kind == "blocking" \
+            else _compile_join(rule, self.fingerprint)
         self.denominators = tuple(sx.compile_substitution(d)
                                   for d in rule.denominators)
 
     def fingerprint(self, binding):
         return self.rid, tuple(map(binding.get, self.slots))
+
+    def blocking_pairs(self, branch, new_from):
+        """The blocking rule's join: pairs of marked terms in birth order,
+        each premise binding one, with a marker literal at or after
+        ``new_from``.  Markers arrive in index order, so the newest is the
+        last one in ``branch.markers``."""
+        markers = branch.markers
+        if not markers or next(reversed(markers.values())) < new_from:
+            return
+        v1, v2 = self.slots
+        marked = sorted(markers, key=branch.term_birth.__getitem__)
+        for i, t1 in enumerate(marked):
+            old = markers[t1] < new_from
+            for t2 in marked[i + 1:]:
+                if old and markers[t2] < new_from:
+                    continue
+                binding = {v1: t1, v2: t2}
+                fp = self.fingerprint(binding)
+                if fp not in branch.applied:
+                    yield fp, binding, []
 
 
 def _plan(rule):
@@ -210,10 +236,8 @@ def _plan(rule):
 
 
 def _compile_join(rule, fingerprint):
-    """The generator ``join(branch, new_from)`` of (fingerprint, binding,
-    matched literals), one per instance of the rule not yet applied on the
-    branch that matches at least one premise to a literal appended at or
-    after index ``new_from`` (0 enumerates everything).
+    """The generated ``join(branch, new_from)`` of a rule (see
+    :class:`RulePlan`).
 
     One ``for`` loop per premise, nested in premise order: level ``i``
     walks the index bucket of premise ``i`` under the binding of the
@@ -272,10 +296,9 @@ class Tableau:
 
 
 class Verdict:
-    def __init__(self, kind, branch=None, stats=None):
+    def __init__(self, kind, branch=None):
         self.kind = kind  # "unsat" | "sat" | "limit"
         self.branch = branch
-        self.stats = stats or {}
 
     def __repr__(self):
         return "Verdict(%s)" % self.kind
@@ -299,11 +322,8 @@ class Engine:
         self.applications = 0
         self.subexpr_violations = []
         self.c1_violations = []
-        self.allowed_exprs = None
+        self.allowed_exprs = None  # set by init for the subexpression check
         self.blocking = calc.blocking
-        # the online subexpression check runs for unrefined generated calculi
-        self.check_subexpr = ns is not None and not calc.refined \
-            and calc.mode == "base"
 
     # -- construction --------------------------------------------------------
     def init(self, concepts):
@@ -319,7 +339,9 @@ class Engine:
         for c, _ in signed:
             if c.sort != 1:
                 raise sx.IllSorted("inputs must be concepts (sort 1)")
-        if self.check_subexpr:
+        # the online subexpression check runs for unrefined generated calculi
+        if self.ns is not None and not self.calc.refined \
+                and self.calc.mode == "base":
             from .normalize import induced_ordering
             ordering = induced_ordering(self.ns)
             self.allowed_exprs = set(ordering.sub_closure([c for c, _ in signed]))
@@ -348,23 +370,7 @@ class Engine:
     def applicable_instances(self, rule, branch):
         """(fingerprint, binding, matched literals) for every instance not
         yet applied on the branch."""
-        if rule.kind == "blocking":
-            yield from self._ub_instances(rule, branch)
-            return
-        yield from _plan(rule).join(branch, 0)
-
-    def _ub_instances(self, rule, branch):
-        # conjecture pairs in birth order over marked terms only
-        terms = sorted(branch.markers, key=lambda t: branch.term_birth[t])
-        plan = _plan(rule)
-        v1, v2 = plan.slots  # each of the two premises carries one
-        fingerprint = plan.fingerprint
-        for i in range(len(terms)):
-            for j in range(i + 1, len(terms)):
-                binding = {v1: terms[i], v2: terms[j]}
-                fp = fingerprint(binding)
-                if fp not in branch.applied:
-                    yield fp, binding, []
+        return _plan(rule).join(branch, 0)
 
     def _suppressed(self, rule, branch, terms):
         """Condition on term-producing rules: no premise may mention a term
@@ -389,26 +395,23 @@ class Engine:
         return 2 if rule.branching_factor <= 1 else 3
 
     def _discover(self, branch):
+        """Queue the instances with a premise matched to a literal added
+        since the last round.  Such an instance was never queued before: the
+        literal did not exist, and a join walks each combination once."""
         new_from = branch.scan_upto
         if len(branch.literals) <= new_from and new_from != 0:
             return
         branch.scan_upto = len(branch.literals)
         push = heapq.heappush
         for rule in self.calc.rules:
-            if rule.kind == "blocking":
-                instances = self._ub_instances(rule, branch)
-            else:
-                instances = _plan(rule).join(branch, new_from)
             prio = self._priority(rule, branch)
-            for fp, binding, matched in instances:
-                if fp in branch.pending:
-                    continue
+            for fp, binding, matched in _plan(rule).join(branch, new_from):
                 terms = ()
                 if rule.produces_terms:
                     terms = tuple({t for lit in matched
                                    for t in self.mode.terms_in_literal(lit)})
-                branch.pending[fp] = (branch.seen_next, rule, binding, terms)
-                push(branch.heap, (prio, branch.seen_next, fp))
+                push(branch.heap, (prio, branch.seen_next, fp, rule, binding,
+                                   terms))
                 branch.seen_next += 1
 
     def _denominator_state(self, branch, rule, binding):
@@ -426,7 +429,7 @@ class Engine:
         return False, open_idx
 
     def collect(self, branch):
-        """Refresh the pending pool and pick the next step.
+        """Queue the new instances and pick the next step.
 
         Returns None when saturated, or (kind, rule, fp, binding, data):
         kind "apply" branches normally, "unit" extends in place with the one
@@ -434,27 +437,24 @@ class Engine:
         branch because every denominator is contradicted.
         """
         self._discover(branch)
-        while branch.heap:
-            prio, seen, fp = branch.heap[0]
-            entry = branch.pending.get(fp)
-            if entry is None or fp in branch.applied:
-                heapq.heappop(branch.heap)
+        heap = branch.heap
+        while heap:
+            prio, _, fp, rule, binding, terms = entry = heap[0]
+            if fp in branch.applied:
+                heapq.heappop(heap)
                 continue
-            seen2, rule, binding, terms = entry
             current = self._priority(rule, branch)
             if current != prio:
-                heapq.heapreplace(branch.heap, (current, seen2, fp))
+                heapq.heapreplace(heap, (current,) + entry[1:])
                 continue
             if self._suppressed(rule, branch, terms):
-                heapq.heappop(branch.heap)
-                del branch.pending[fp]  # blocking only grows; gone for good
+                heapq.heappop(heap)  # blocking only grows; gone for good
                 continue
             if rule.branching_factor >= 1:
                 resolved, open_idx = self._denominator_state(branch, rule,
                                                              binding)
                 if resolved:
-                    heapq.heappop(branch.heap)
-                    del branch.pending[fp]
+                    heapq.heappop(heap)
                     branch.applied.add(fp)
                     continue
                 if not open_idx:
@@ -471,7 +471,6 @@ class Engine:
         ``only_den`` the named denominator extends the branch in place (the
         caller established the others cannot survive)."""
         branch.applied.add(fp)
-        branch.pending.pop(fp, None)
         self.applications += 1
         if rule.produces_terms:
             if self.blocking and self.blocking.enabled:
@@ -508,7 +507,6 @@ class Engine:
     def close_by_exhaustion(self, branch, rule, fp, binding):
         """Every denominator of the instance is contradicted on the branch."""
         branch.applied.add(fp)
-        branch.pending.pop(fp, None)
         self.applications += 1
         branch.closed = True
         self._trace_step(rule, binding, "x", branch, branch)
@@ -525,48 +523,37 @@ class Engine:
 
     # -- search --------------------------------------------------------------
     def expand(self, tableau):
+        """One loop over the open branches, taking each step from the right
+        end of a deque.  A step in place puts its branch back if it stays
+        open; a split's open children go on the right reversed (depth
+        first: the first denominator next) or on the left (breadth first)."""
         start = time.monotonic()
-        work = [tableau.root]
+        work = collections.deque([tableau.root])
         while work:
-            branch = work.pop(0) if self.search == "bfs" else work.pop()
-            while True:
-                if self.applications >= self.node_budget or \
-                        self.time_budget is not None and \
-                        time.monotonic() - start > self.time_budget:
-                    return Verdict("limit", stats=self.stats())
-                if branch.closed:
-                    break
-                best = self.collect(branch)
-                if best is None:
-                    if self.trace_enabled:
-                        self.trace.append("saturated branch#%d" % branch.bid)
-                    return Verdict("sat", branch=branch, stats=self.stats())
-                kind, rule, fp, binding, extra = best
-                if kind == "exhausted":
-                    self.close_by_exhaustion(branch, rule, fp, binding)
-                    break
-                succ = self.apply(tableau, branch, rule, fp, binding,
-                                  only_den=extra if kind == "unit" else None)
-                if not succ:
-                    break  # closed by a closure rule
-                if len(succ) == 1 and succ[0] is branch:
-                    if branch.closed:
-                        break
-                    continue
-                open_children = [c for c in succ if not c.closed]
-                if not open_children:
-                    break
-                if self.search == "bfs":
-                    work.extend(open_children)
-                    break
-                branch = open_children[0]
-                work.extend(reversed(open_children[1:]))
-        return Verdict("unsat", stats=self.stats())
-
-    def stats(self):
-        return {"applications": self.applications,
-                "subexpr_violations": list(self.subexpr_violations),
-                "c1_violations": list(self.c1_violations)}
+            if self.applications >= self.node_budget or \
+                    self.time_budget is not None and \
+                    time.monotonic() - start > self.time_budget:
+                return Verdict("limit")
+            branch = work.pop()
+            if branch.closed:
+                continue
+            best = self.collect(branch)
+            if best is None:
+                if self.trace_enabled:
+                    self.trace.append("saturated branch#%d" % branch.bid)
+                return Verdict("sat", branch=branch)
+            kind, rule, fp, binding, extra = best
+            if kind == "exhausted":
+                self.close_by_exhaustion(branch, rule, fp, binding)
+                continue
+            succ = self.apply(tableau, branch, rule, fp, binding,
+                              only_den=extra if kind == "unit" else None)
+            open_succ = [c for c in succ if not c.closed]
+            if self.search == "bfs" and succ != [branch]:
+                work.extendleft(open_succ)
+            else:
+                work.extend(reversed(open_succ))
+        return Verdict("unsat")
 
 
 def _binding_text(binding):
@@ -631,14 +618,12 @@ def replay_trace(calc, concepts, trace_text, ns=None):
                                       % line)
                 saturated = True
             continue
-        parts = line.split()
-        if parts[0] != "apply":
+        step = re.fullmatch(r"apply (\S+) \{(.*)\} den#(\d+|x) "
+                            r"branch#(\d+) -> branch#(\d+)", line)
+        if not step:
             raise sx.TabError("bad trace line: %s" % line)
-        rid = parts[1]
-        body = line[line.index("{") + 1:line.rindex("}")]
-        den_tok = line.split("den#")[1].split()[0]
-        src_bid = int(line.split("branch#")[1].split()[0])
-        dst_bid = int(line.rsplit("#", 1)[1])
+        rid, body, den_tok = step[1], step[2], step[3]
+        src_bid, dst_bid = int(step[4]), int(step[5])
         rule = calc.rule(rid)
         if rule is None:
             raise sx.TabError("trace names unknown rule %s" % rid)
@@ -669,6 +654,9 @@ def replay_trace(calc, concepts, trace_text, ns=None):
             src.closed = True
         else:
             j = int(den_tok)
+            if j >= len(rule.denominators):
+                raise sx.TabError("rule %s has no denominator %d: %s"
+                                  % (rid, j, line))
             if dst_bid != src_bid:
                 if dst_bid in branches:
                     raise sx.TabError("trace reuses branch %d: %s"
@@ -716,9 +704,12 @@ def _parse_binding(calc, body):
         cls = calc.signature.classify_name(name)
         t = parse_term(calc.signature, val.strip(), calc.skolems)
         if cls and cls[0] == "var":
-            binding[sx.lvar(cls[1], name)] = t
+            v = sx.lvar(cls[1], name)
         elif cls and cls[0] == "dvar":
-            binding[sx.dvar(name)] = t
+            v = sx.dvar(name)
         else:
             raise sx.TabError("bad binding variable %r" % name)
+        if v in binding:
+            raise sx.TabError("binding names %s twice" % name)
+        binding[v] = t
     return binding

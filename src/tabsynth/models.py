@@ -36,6 +36,9 @@ class CarrierTooLarge(sx.TabError):
     pass
 
 
+CARRIER_CAP = 64  # expressions in an input's closure the oracle accepts
+
+
 class LStructure:
     """A finite first-order structure over equivalence classes 0..n-1."""
 
@@ -176,15 +179,15 @@ def evaluate(m, f, val=None):
 # ---------------------------------------------------------------------------
 # extraction from a branch
 
-def individual_term(e, ctx, skolems=None):
+def individual_term(e, ctx, skolems):
     """The domain term a sort-0 expression stands for: connectives that
-    encode functions map back to those functions, anything else goes
+    encode functions map back to those functions (``skolems`` maps the
+    function names of ``ctx`` to the calculus's symbols), anything else goes
     through nu0."""
-    skolems = skolems or {}
     if e.kind == "app":
         for fname, conn in ctx.fn_conns.items():
             if e.sym is conn:
-                fn = skolems.get(fname) or _fn_for(fname, conn)
+                fn = skolems[fname]
                 args = list(e.args[:len(fn.lsorts)])
                 args += [individual_term(a, ctx, skolems)
                          for a in e.args[len(fn.lsorts):]]
@@ -192,7 +195,7 @@ def individual_term(e, ctx, skolems=None):
     return sx.nu0(e)
 
 
-def detranslate(literals, ctx, skolems=None):
+def detranslate(literals, ctx, skolems):
     """Rewrite internalized branch concepts back into base literals using
     every context template that matches (all readings are entailed)."""
     out = []
@@ -223,17 +226,6 @@ def detranslate(literals, ctx, skolems=None):
                     a = sx.atom(pred, [term_of(e) for e in m])
                 emit(sx.literal(word[1] == "+", a))
     return out
-
-
-def _fn_for(fname, conn):
-    # fallback when the Skolem table is unavailable: individuals trail the
-    # argument list, so strip the longest run of sort-0 arguments
-    n_dom = 0
-    for s in reversed(conn.arg_sorts):
-        if s != 0:
-            break
-        n_dom += 1
-    return sx.FnSym(fname, conn.arg_sorts[:len(conn.arg_sorts) - n_dom], n_dom)
 
 
 class _UnionFind:
@@ -549,7 +541,7 @@ def _subsets(universe):
         yield from itertools.combinations(universe, k)
 
 
-def brute_force_sat(ns, inputs, max_size, carrier_cap=64):
+def brute_force_sat(ns, inputs, max_size):
     """Enumerate structures up to ``max_size`` elements over the input's
     expression closure; returns ("sat", structure) or ("unsat", None).
 
@@ -564,9 +556,9 @@ def brute_force_sat(ns, inputs, max_size, carrier_cap=64):
     exprs = [c for c, _ in signed]
     ordering = induced_ordering(ns)
     carrier = ordering.sub_closure(exprs)
-    if len(carrier) > carrier_cap:
+    if len(carrier) > CARRIER_CAP:
         raise CarrierTooLarge("%d expressions exceed the cap %d"
-                              % (len(carrier), carrier_cap))
+                              % (len(carrier), CARRIER_CAP))
     individuals = sorted({e for e in carrier if e.sort == 0 and e.kind != "app"},
                          key=lambda e: e.text())
     atoms_by_sort = {}

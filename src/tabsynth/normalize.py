@@ -58,7 +58,7 @@ def occurring_preds(ns):
     return sorted(seen)
 
 
-def _head_key(xi):
+def head_key(xi):
     """Canonical rendering of a head pattern, for merging."""
     names = {}
 
@@ -76,7 +76,7 @@ def _head_key(xi):
 
 def _rename_onto(xi_from, xi_to):
     """Variable map sending xi_from's head onto xi_to's head (the two heads
-    have the same ``_head_key``)."""
+    have the same ``head_key``)."""
     m = dict(zip(xi_from.head_lvars(), xi_to.head_lvars()))
     m.update(zip(xi_from.dom_vars, xi_to.dom_vars))
     return m
@@ -104,7 +104,7 @@ def normalize(spec: SemanticSpec) -> NormalizedSpec:
         by_key = {}
         order = []
         for xi in xis:
-            k = _head_key(xi)
+            k = head_key(xi)
             if k not in by_key:
                 by_key[k] = xi
                 order.append(k)

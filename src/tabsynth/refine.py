@@ -257,11 +257,6 @@ def print_context(ctx):
     return "\n".join(out) + "\n"
 
 
-def load_context(path, sig, skolems):
-    with open(path, encoding="utf-8") as fh:
-        return parse_context(fh.read(), sig, skolems)
-
-
 # ---------------------------------------------------------------------------
 # internalization
 

@@ -16,8 +16,8 @@ from __future__ import annotations
 import re
 
 from . import syntax as sx
-from .normalize import (NormalizedSpec, check_well_founded, induced_ordering,
-                        occurring_preds)
+from .normalize import (NormalizedSpec, check_well_founded, head_key,
+                        induced_ordering, occurring_preds)
 
 
 class DnfTooLarge(sx.TabError):
@@ -209,7 +209,7 @@ def _skolemize(tree, head_lvars, scope, namer, slug, counter):
     return _skolemize(body, head_lvars, scope + [v], namer, slug, counter)
 
 
-def _dnf(tree, cap=DNF_LITERAL_CAP):
+def _dnf(tree):
     """List of conjunctions (ordered literal lists), naively distributed."""
     if type(tree) is sx.Atom:
         return [[sx.pos_lit(tree)]]
@@ -219,21 +219,22 @@ def _dnf(tree, cap=DNF_LITERAL_CAP):
     if tree.op == "or":
         out = []
         for s in subs:
-            out.extend(_dnf(s, cap))
-            if sum(len(c) for c in out) > cap:
-                raise DnfTooLarge("matrix exceeds %d literals" % cap)
+            out.extend(_dnf(s))
+            if sum(len(c) for c in out) > DNF_LITERAL_CAP:
+                raise DnfTooLarge("matrix exceeds %d literals"
+                                  % DNF_LITERAL_CAP)
         return out
     # and: distribute
     out = [[]]
     for s in subs:
-        parts = _dnf(s, cap)
+        parts = _dnf(s)
         nxt = []
         for left in out:
             for right in parts:
                 nxt.append(left + [l for l in right if l not in left])
         out = nxt
-        if sum(len(c) for c in out) > cap:
-            raise DnfTooLarge("matrix exceeds %d literals" % cap)
+        if sum(len(c) for c in out) > DNF_LITERAL_CAP:
+            raise DnfTooLarge("matrix exceeds %d literals" % DNF_LITERAL_CAP)
     return out
 
 
@@ -265,7 +266,7 @@ def head_slug(xi):
     return re.sub(r"[^a-zA-Z0-9]+", "_", e.text()).strip("_")
 
 
-def implicational_form(xi, namer=None, cap=DNF_LITERAL_CAP):
+def implicational_form(xi, namer=None):
     """(head literal, DNF matrix, fresh Skolem functions) for one sentence."""
     namer = namer or _SkolemNamer()
     head_lit = sx.pos_lit(xi.head_atom) if xi.polarity == "+" \
@@ -274,12 +275,12 @@ def implicational_form(xi, namer=None, cap=DNF_LITERAL_CAP):
     counter = [0]
     tree, fns = _skolemize(tree, xi.head_lvars(), list(xi.dom_vars), namer,
                            head_slug(xi), counter)
-    matrix = _clean_matrix(_dnf(tree, cap))
+    matrix = _clean_matrix(_dnf(tree))
     return head_lit, matrix, fns
 
 
-def make_decomposition_rule(xi, namer=None, cap=DNF_LITERAL_CAP):
-    head_lit, matrix, fns = implicational_form(xi, namer, cap)
+def make_decomposition_rule(xi, namer=None):
+    head_lit, matrix, fns = implicational_form(xi, namer)
     premises = [head_lit] + [_eq(v, v) for v in sx.dvars(matrix)
                              if v not in xi.dom_vars]
     rid = head_slug(xi) + ("_pos" if xi.polarity == "+" else "_neg")
@@ -289,7 +290,7 @@ def make_decomposition_rule(xi, namer=None, cap=DNF_LITERAL_CAP):
                        provenance="sentence %s" % sx.formula_text(xi.sentence()))
 
 
-def make_theory_rule(idx, sentence, namer=None, cap=DNF_LITERAL_CAP):
+def make_theory_rule(idx, sentence, namer=None):
     for e in sx.lexprs_of_formula(sentence):
         if e.kind == "app":
             from .normalize import NonAtomicBackground
@@ -299,7 +300,7 @@ def make_theory_rule(idx, sentence, namer=None, cap=DNF_LITERAL_CAP):
     tree = _nnf(sentence, True)
     counter = [0]
     tree, fns = _skolemize(tree, lvars, [], namer, "bg%d" % idx, counter)
-    matrix = _clean_matrix(_dnf(tree, cap))
+    matrix = _clean_matrix(_dnf(tree))
     premises = [_eq(v, v) for v in lvars + sx.dvars(matrix)]
     return TableauRule("theory_%d" % idx, "theory", premises, matrix, fns,
                        produces_terms=bool(fns),
@@ -443,8 +444,7 @@ def closure_rules(sig, ns):
     return rules
 
 
-def synthesize(ns: NormalizedSpec, assume_well_founded=False,
-               cap=DNF_LITERAL_CAP) -> Calculus:
+def synthesize(ns: NormalizedSpec, assume_well_founded=False) -> Calculus:
     verdict = check_well_founded(induced_ordering(ns))
     if verdict.kind == "cycle":
         raise NotWellFounded("induced ordering has a cycle: %r" % (verdict.witness,))
@@ -454,16 +454,17 @@ def synthesize(ns: NormalizedSpec, assume_well_founded=False,
     sig = ns.signature
     namer = _SkolemNamer()
     decomp = []
+    plus_heads = {head_key(xi) for xi in ns.s_plus}
     for xi in sorted(ns.s_plus, key=lambda x: head_slug(x)):
-        decomp.append(make_decomposition_rule(xi, namer, cap))
+        decomp.append(make_decomposition_rule(xi, namer))
         for xim in ns.s_minus:
-            if _same_head(xim, xi):
-                decomp.append(make_decomposition_rule(xim, namer, cap))
+            if head_key(xim) == head_key(xi):
+                decomp.append(make_decomposition_rule(xim, namer))
     # negative sentences whose head has no positive partner
     for xim in sorted(ns.s_minus, key=lambda x: head_slug(x)):
-        if not any(_same_head(xim, xip) for xip in ns.s_plus):
-            decomp.append(make_decomposition_rule(xim, namer, cap))
-    theory = [make_theory_rule(i, ax, namer, cap) for i, ax in enumerate(ns.sb)]
+        if head_key(xim) not in plus_heads:
+            decomp.append(make_decomposition_rule(xim, namer))
+    theory = [make_theory_rule(i, ax, namer) for i, ax in enumerate(ns.sb)]
     skolems = []
     for r in decomp + theory:
         skolems.extend(r.fresh_functions)
@@ -474,12 +475,6 @@ def synthesize(ns: NormalizedSpec, assume_well_founded=False,
                     skolems={f.name: f for f in skolems},
                     blocking=None, mode="base", spec_name=ns.spec.name,
                     refined=False)
-
-
-def _same_head(a, b):
-    b1, b2 = {}, {}
-    return sx.match_expr(a.head_expr, b.head_expr, b1) and \
-        sx.match_expr(b.head_expr, a.head_expr, b2) and a.nu_n == b.nu_n
 
 
 # ---------------------------------------------------------------------------

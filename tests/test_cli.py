@@ -40,9 +40,14 @@ def work(tmp_path_factory):
 
 
 def _write(path, text):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    """Write ``text`` (bytes as they are) and return the path."""
+    with open(path, "wb") as fh:
+        fh.write(text if isinstance(text, bytes) else text.encode("utf-8"))
     return str(path)
+
+
+# a file that is not UTF-8 from its first byte on
+NOT_UTF8 = b"\xffsorts 2\n"
 
 
 def test_exit_code_unsat(work):
@@ -213,7 +218,17 @@ BAD_FILES = [
      "rule theory_0 [theory]: eq(r, r), eq(x, x), eq(y, y), eq(z, z) / "
      "not(nu2(r, x, y)) | not(nu2(r, y, z)) | nu2(r, x, z)\n",
      ["refine", "--calc", "{f}", "--refine-script", "{fold}"],
-     "duplicate rule id 'theory_0_1'")]
+     "duplicate rule id 'theory_0_1'"),
+    # every file a command reads must be UTF-8 text
+    ("latin1.spec", NOT_UTF8, ["synth", "--spec", "{f}"], "{f}: not UTF-8"),
+    ("latin1.calc", NOT_UTF8, ["prove", "--calc", "{f}", "{p0}"],
+     "{f}: not UTF-8"),
+    ("latin1.refine", NOT_UTF8,
+     ["refine", "--calc", "{work}/so.calc", "--refine-script", "{f}"],
+     "{f}: not UTF-8"),
+    ("latin1.ctx", NOT_UTF8,
+     ["refine", "--calc", "{work}/so.calc", "--refine-script", "{so_refine}",
+      "--ctx", "{f}"], "{f}: not UTF-8")]
 
 
 def _run_module(args):
@@ -242,6 +257,20 @@ def test_bad_file_is_error_without_traceback(work, tmp_path, name, text, args,
     assert proc.stderr.startswith("error: ")
     assert names.format(**fields) in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["prove", "--calc", "{work}/so_refined.calc", "--ub", "{bad}"],
+    ["oracle", "--preset", "so", "{bad}"],
+    ["prove", "--calc", "{work}/so_refined.calc", "--spec", "{bad}", "{p0}"],
+    ["oracle", "--spec", "{bad}", "{p0}"]],
+    ids=["prove", "oracle", "prove-spec", "oracle-spec"])
+def test_non_utf8_input_is_input_error(work, tmp_path, capsys, args):
+    fields = {"work": work, "bad": _write(tmp_path / "bad.txt", NOT_UTF8),
+              "p0": _write(tmp_path / "p0.txt", "p0\n")}
+    assert run_cli([a.format(**fields) for a in args]) == 2
+    assert capsys.readouterr().err == "input error: %s: not UTF-8 text " \
+        "(byte 0xff at offset 0)\n" % fields["bad"]
 
 
 # a problem nested deeper than the interpreter's recursion limit
@@ -407,6 +436,22 @@ def test_replay_rejects_a_step_whose_premise_is_absent():
     bad = trace.replace(split, split.replace("{", "{q:=p0; ", 1))
     with pytest.raises(sx.TabError, match="premise variables"):
         engine.replay_trace(calc, [c], bad)
+
+
+@pytest.mark.parametrize("line, why", [
+    ("apply foo", "bad trace line"),
+    ("apply foo {} den#0", "bad trace line"),
+    ("apply foo {} den#0 branch#zz -> branch#0", "bad trace line"),
+    ("apply dp_pos_nu1 {l:=i0; p:=exists(r0, p0)} den#7 branch#0 -> branch#0",
+     "no denominator 7"),
+    ("apply dp_pos_nu1 {l:=i7; l:=i0; p:=exists(r0, p0)} den#0 branch#0 -> "
+     "branch#0", "names l twice")])
+def test_replay_rejects_a_malformed_step_line(line, why):
+    from tabsynth import engine, parser
+    calc = _golden_calc_ub("so_refined.calc")
+    c = parser.parse_lexpr(calc.signature, "exists(r0, p0)", 1)
+    with pytest.raises(sx.TabError, match=why):
+        engine.replay_trace(calc, [c], line)
 
 
 def test_replay_checks_where_the_trace_ends():

@@ -201,7 +201,7 @@ def test_unsat_by_decomposition_and_closure(so_calc, so_ns):
 def test_sat_on_saturation(so_calc, so_ns):
     v = engine.prove(so_calc, [pc(so_calc, "or(p0, q0)")], ns=so_ns)
     assert v.kind == "sat"
-    assert not v.stats["subexpr_violations"]
+    assert not v.engine.subexpr_violations
 
 
 def test_resource_limit_is_a_verdict(so_blocked, so_ns):
@@ -389,6 +389,35 @@ def test_match_attempts_are_pinned(monkeypatch, calc_name, texts, verdict,
     assert counts == [attempts, hits]
 
 
+@pytest.mark.parametrize("logic, index, verdict, apps, attempts, hits", [
+    ("so", 10, "sat", 164, 88112, 17569),
+    ("so", 11, "sat", 7, 850, 147),
+    ("so", 13, "sat", 169, 118298, 23938),
+    ("ipc", 3, "sat", 18, 957, 376),
+    ("ipc", 8, "unsat", 46, 1775, 741),
+    ("ipc", 10, "sat", 37, 2304, 798),
+    ("ipc", 36, "unsat", 242, 20083, 4733),
+])
+def test_breadth_first_search_is_pinned(monkeypatch, so_blocked, ipc_calc,
+                                        so_ns, ipc_ns, logic, index, verdict,
+                                        apps, attempts, hits):
+    """Breadth-first runs on corpus problems where the order of branches
+    matters (the refined SO calculus, the unrefined blocked IPC one under
+    criterion 8's budget, on which depth-first ends at the cap on 3 and
+    10): the same verdicts, applications and match attempts as recorded."""
+    if logic == "so":
+        calc, ns, budget = so_blocked, so_ns, 10 ** 6
+        prob = so_concepts(calc.signature, count=index + 1)[index]
+    else:
+        calc = refine.attach_ub(ipc_calc, synth.UbConfig(True, 0))
+        ns, budget = ipc_ns, 4000
+        prob = ipc_formulas(calc.signature, count=index + 1)[index]
+    counts = _counting_matcher(monkeypatch)
+    v = engine.prove(calc, prob, ns=ns, node_budget=budget, search="bfs")
+    assert (v.kind, v.engine.applications) == (verdict, apps)
+    assert counts == [attempts, hits]
+
+
 def _reference_match(pattern, value, binding):
     """The generic matcher over a literal: what each generated one must do."""
     pa, va = pattern.atom, value.atom
@@ -450,17 +479,13 @@ def test_generated_denominators_agree_with_substitution(
                 yield inst
         return wrapped
 
-    class Recording(engine.Engine):
-        def _ub_instances(self, rule, branch):
-            return recorded(rule, super()._ub_instances)(rule, branch)
-
     for calc, ns, problems, budget in _recorded_runs(
             so_blocked, so_calc, ipc_calc, so_ns, ipc_ns):
         for rule in calc.rules:
             plan = engine._plan(rule)
             monkeypatch.setattr(plan, "join", recorded(rule, plan.join))
         for prob in problems:
-            eng = Recording(calc, ns=ns, node_budget=budget)
+            eng = engine.Engine(calc, ns=ns, node_budget=budget)
             eng.expand(eng.init(prob))
     monkeypatch.undo()
     kinds = {rule.kind for rule, _ in yielded}
@@ -469,6 +494,65 @@ def test_generated_denominators_agree_with_substitution(
         assert [den(binding) for den in engine._plan(rule).denominators] == \
             [tuple(sx.substitute_literal(l, binding) for l in d)
              for d in rule.denominators], (rule.id, binding)
+
+
+def test_every_instance_a_join_yields_is_queued(monkeypatch, so_blocked,
+                                                so_calc, ipc_calc, so_ns,
+                                                ipc_ns):
+    """A join yields an instance only when a premise meets a literal added
+    since the round before, so on the recorded runs no instance it yields
+    is applied or waiting on the branch already, and each one is queued."""
+    yielded = [0]
+
+    def checked(join):
+        def wrapped(branch, new_from):
+            known = {entry[2] for entry in branch.heap} | branch.applied
+            for inst in join(branch, new_from):
+                assert inst[0] not in known
+                known.add(inst[0])
+                queued = branch.seen_next
+                yield inst
+                assert branch.seen_next == queued + 1
+                yielded[0] += 1
+        return wrapped
+
+    for calc, ns, problems, budget in _recorded_runs(
+            so_blocked, so_calc, ipc_calc, so_ns, ipc_ns):
+        for rule in calc.rules:
+            plan = engine._plan(rule)
+            monkeypatch.setattr(plan, "join", checked(plan.join))
+        for prob in problems:
+            engine.prove(calc, prob, ns=ns, node_budget=budget)
+    assert yielded[0] > 5000
+
+
+def test_blocking_join_yields_pairs_with_a_new_marker_in_birth_order(ipc_calc):
+    blocked = refine.attach_ub(ipc_calc, synth.UbConfig(True, 0))
+    eng = engine.Engine(blocked)
+    rule = blocked.rule("ub")
+    join = engine._plan(rule).join
+    a0, b0, c0, d0 = (sx.dconst(n) for n in ("a0", "b0", "c0", "d0"))
+    # births a0 < b0 < c0 < d0; markers c0 (1), b0 (2), a0 (3), d0 (5)
+    marker = {t: sx.pos_lit(sx.atom(sx.EQ, [t, t])) for t in (a0, b0, c0, d0)}
+    b = _branch_with(eng, [sx.pos_lit(sx.atom(sx.pred("R"), [a0, b0])),
+                           marker[c0], marker[b0], marker[a0]])
+    b.add(sx.pos_lit(sx.atom(sx.pred("R"), [c0, d0])), eng.mode)
+    b.add(marker[d0], eng.mode)
+    assert b.markers == {c0: 1, b0: 2, a0: 3, d0: 5}
+
+    def pairs(new_from):
+        return [tuple(binding[v] for v in engine._plan(rule).slots)
+                for _, binding, _ in join(b, new_from)]
+
+    everything = [(a0, b0), (a0, c0), (a0, d0), (b0, c0), (b0, d0), (c0, d0)]
+    assert pairs(0) == pairs(1) == pairs(2) == everything
+    # (b0, c0) has no marker from index 3 on
+    assert pairs(3) == [(a0, b0), (a0, c0), (a0, d0), (b0, d0), (c0, d0)]
+    assert pairs(4) == pairs(5) == [(a0, d0), (b0, d0), (c0, d0)]
+    assert pairs(6) == []
+    fp, binding, _ = next(join(b, 5))
+    eng.apply(engine.Tableau(blocked, b), b, rule, fp, binding)
+    assert pairs(0) == everything[:2] + everything[3:]
 
 
 def test_generated_matchers_on_the_hard_cases(so_blocked, so_calc):

@@ -1,9 +1,12 @@
-"""Mutated ``.calc`` files through ``prove``: every input ends in an exit
+"""Mutated input files through the command line: every input ends in an exit
 code of the contract, never in a traceback.
 
-The rule lines of the golden calculi are mutated token by token (dropped,
-inserted, truncated, swapped), which reaches the ``.calc`` reader, the
-calculus checks, and the matchers generated for whatever premises survive.
+Lines are mutated token by token (dropped, inserted, truncated, swapped),
+and a quarter of the files get one byte that is not UTF-8.  The rule lines
+of the golden calculi go through ``prove``, which reaches the ``.calc``
+reader, the calculus checks, and the matchers generated for whatever
+premises survive.  Problems go through ``prove`` and ``oracle``, and the
+preset specifications through ``synth`` and ``oracle``.
 """
 
 import os
@@ -18,28 +21,48 @@ from hypothesis import strategies as st  # noqa: E402
 from tabsynth import cli  # noqa: E402
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+PRESETS = os.path.join(os.path.dirname(cli.__file__), "presets")
 CALCS = ("so_refined.calc", "so_generated.calc", "ipc_refined.calc",
          "ipc_generated.calc")
 PROBLEMS = {"so": "exists(r0, or(p0, not(q0)))\n", "ipc": "not(or(p0, impl(p0, q0)))\n"}
+FUZZ_PROBLEMS = {
+    "so": "exists(r0, or(p0, not(one(l0))))\nnot(exists(r0, q0))\n",
+    "ipc": "not(or(and(p0, bot), impl(p0, q0)))\n"}
+CONTRACT = (0, 1, 2, 20, 30)
 TOKEN = re.compile(r"\w+\s*|[^\w\s]\s*")  # a token and the blanks after it
 
 
-def _lines(name):
-    with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+def fuzz(examples):
+    return settings(
+        max_examples=examples, deadline=None, derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _lines(path):
+    with open(path, encoding="utf-8") as fh:
         return fh.read().splitlines()
 
 
-VOCABULARY = sorted({t for name in CALCS for line in _lines(name)
-                     if line.startswith("rule ") for t in TOKEN.findall(line)})
+def _vocabulary(texts):
+    return sorted({t for text in texts for t in TOKEN.findall(text)})
 
 
-@st.composite
-def mutated_calc(draw):
-    name = draw(st.sampled_from(CALCS))
-    lines = _lines(name)
-    rules = [i for i, line in enumerate(lines) if line.startswith("rule ")]
+CALC_LINES = {name: _lines(os.path.join(GOLDEN, name)) for name in CALCS}
+CALC_VOCABULARY = _vocabulary(line for lines in CALC_LINES.values()
+                              for line in lines if line.startswith("rule "))
+SPEC_LINES = {logic: _lines(os.path.join(PRESETS, logic + ".spec"))
+              for logic in PROBLEMS}
+SPEC_VOCABULARY = _vocabulary(line for lines in SPEC_LINES.values()
+                              for line in lines)
+PROBLEM_VOCABULARY = _vocabulary(FUZZ_PROBLEMS.values())
+
+
+def _mutated(draw, lines, targets, vocabulary):
+    """``lines`` with one to three token mutations in the lines at
+    ``targets``, as UTF-8 bytes with a quarter of them given a 0xff byte."""
+    lines = list(lines)
     for _ in range(draw(st.integers(1, 3))):
-        i = draw(st.sampled_from(rules))
+        i = draw(st.sampled_from(targets))
         toks = TOKEN.findall(lines[i])
         if not toks:  # truncated away by an earlier mutation
             continue
@@ -48,24 +71,81 @@ def mutated_calc(draw):
         if op == "drop":
             del toks[k]
         elif op == "insert":
-            toks.insert(k, draw(st.sampled_from(VOCABULARY)))
+            toks.insert(k, draw(st.sampled_from(vocabulary)))
         elif op == "truncate":
             del toks[k:]
         else:
             j = draw(st.integers(0, len(toks) - 1))
             toks[j], toks[k] = toks[k], toks[j]
         lines[i] = "".join(toks)
-    return name.split("_")[0], "\n".join(lines) + "\n"
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    if draw(st.integers(0, 3)) == 0:
+        k = draw(st.integers(0, len(data)))
+        data = data[:k] + b"\xff" + data[k:]
+    return data
 
 
-@settings(max_examples=300, derandomize=True, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@st.composite
+def mutated_calc(draw):
+    name = draw(st.sampled_from(CALCS))
+    lines = CALC_LINES[name]
+    rules = [i for i, line in enumerate(lines) if line.startswith("rule ")]
+    return name.split("_")[0], _mutated(draw, lines, rules, CALC_VOCABULARY)
+
+
+@st.composite
+def mutated_problem(draw):
+    logic = draw(st.sampled_from(sorted(FUZZ_PROBLEMS)))
+    lines = FUZZ_PROBLEMS[logic].splitlines()
+    return logic, _mutated(draw, lines, range(len(lines)), PROBLEM_VOCABULARY)
+
+
+@st.composite
+def mutated_spec(draw):
+    logic = draw(st.sampled_from(sorted(SPEC_LINES)))
+    lines = SPEC_LINES[logic]
+    content = [i for i, line in enumerate(lines)
+               if line and not line.startswith("#")]
+    return logic, _mutated(draw, lines, content, SPEC_VOCABULARY)
+
+
+@fuzz(300)
 @given(mutated_calc())
 def test_mutated_calc_keeps_the_exit_contract(tmp_path, case):
-    logic, text = case
+    logic, data = case
     calc, prob = tmp_path / "fuzz.calc", tmp_path / "fuzz.problem"
-    calc.write_text(text, encoding="utf-8")
+    calc.write_bytes(data)
     prob.write_text(PROBLEMS[logic], encoding="utf-8")
     code = cli.main(["prove", "--calc", str(calc), "--ub", "--budget-nodes",
                      "300", str(prob)])
-    assert code in (0, 1, 2, 20, 30)
+    assert code in CONTRACT
+
+
+@fuzz(60)
+@given(mutated_problem())
+def test_mutated_problem_keeps_the_exit_contract(tmp_path, case):
+    logic, data = case
+    prob = tmp_path / "fuzz.problem"
+    prob.write_bytes(data)
+    calc = os.path.join(GOLDEN, logic + "_refined.calc")
+    code = cli.main(["prove", "--calc", calc, "--ub", "--budget-nodes", "300",
+                     str(prob)])
+    assert code in CONTRACT
+    code = cli.main(["oracle", "--preset", logic, "--max-size", "2",
+                     str(prob)])
+    assert code in CONTRACT
+
+
+@fuzz(120)
+@given(mutated_spec())
+def test_mutated_spec_keeps_the_exit_contract(tmp_path, case):
+    logic, data = case
+    spec, prob = tmp_path / "fuzz.spec", tmp_path / "fuzz.problem"
+    spec.write_bytes(data)
+    prob.write_text(PROBLEMS[logic], encoding="utf-8")
+    code = cli.main(["synth", "--spec", str(spec), "-o",
+                     str(tmp_path / "fuzz.calc")])
+    assert code in CONTRACT
+    code = cli.main(["oracle", "--spec", str(spec), "--max-size", "2",
+                     str(prob)])
+    assert code in CONTRACT

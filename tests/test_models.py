@@ -241,8 +241,14 @@ def test_oracle_frames_one_per_class_fixing_element_0(ipc_ns, size, labelled,
 
 
 def test_oracle_carrier_cap(so_ns, so_spec):
-    with pytest.raises(models.CarrierTooLarge):
-        models.brute_force_sat(so_ns, [pc(so_spec, "p0")], 2, carrier_cap=0)
+    # not^n(p0) has a closure of n + 1 expressions
+    def nots(n):
+        return pc(so_spec, "not(" * n + "p0" + ")" * n)
+
+    res, _ = models.brute_force_sat(so_ns, [nots(models.CARRIER_CAP - 1)], 1)
+    assert res == "sat"
+    with pytest.raises(models.CarrierTooLarge, match="65 expressions"):
+        models.brute_force_sat(so_ns, [nots(models.CARRIER_CAP)], 1)
 
 
 def test_oracle_respects_nominals(so_ns, so_spec):

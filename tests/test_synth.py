@@ -226,7 +226,6 @@ def test_dnf_cap():
     ns = normalize.normalize(specfile.parse_spec(text))
     with pytest.raises(synth.DnfTooLarge):
         synth.synthesize(ns)
-    synth.synthesize(ns, cap=40000)
 
 
 def test_unknown_well_foundedness_needs_flag():
