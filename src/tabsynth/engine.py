@@ -211,17 +211,22 @@ class RulePlan:
         """The blocking rule's join: pairs of marked terms in birth order,
         each premise binding one, with a marker literal at or after
         ``new_from``.  Markers arrive in index order, so the newest is the
-        last one in ``branch.markers``."""
+        last one in ``branch.markers``.  A term with an old marker is paired
+        only with the later-born terms whose markers are new."""
         markers = branch.markers
         if not markers or next(reversed(markers.values())) < new_from:
             return
         v1, v2 = self.slots
         marked = sorted(markers, key=branch.term_birth.__getitem__)
+        fresh = [t for t in marked if markers[t] >= new_from]
+        k = 0  # fresh terms born up to t1
         for i, t1 in enumerate(marked):
-            old = markers[t1] < new_from
-            for t2 in marked[i + 1:]:
-                if old and markers[t2] < new_from:
-                    continue
+            if markers[t1] >= new_from:
+                k += 1
+                partners = marked[i + 1:]
+            else:
+                partners = fresh[k:]
+            for t2 in partners:
                 binding = {v1: t1, v2: t2}
                 fp = self.fingerprint(binding)
                 if fp not in branch.applied:

@@ -198,6 +198,8 @@ def individual_term(e, ctx, skolems):
 def detranslate(literals, ctx, skolems):
     """Rewrite internalized branch concepts back into base literals using
     every context template that matches (all readings are entailed)."""
+    if skolems is None:
+        raise sx.TabError("a context needs the calculus's skolems")
     out = []
 
     def term_of(e):

@@ -2,11 +2,12 @@
 code of the contract, never in a traceback.
 
 Lines are mutated token by token (dropped, inserted, truncated, swapped),
-and a quarter of the files get one byte that is not UTF-8.  The rule lines
-of the golden calculi go through ``prove``, which reaches the ``.calc``
-reader, the calculus checks, and the matchers generated for whatever
-premises survive.  Problems go through ``prove`` and ``oracle``, and the
-preset specifications through ``synth`` and ``oracle``.
+and a quarter of the problem and specification files get one byte that is
+not UTF-8.  The calculi stay UTF-8, so every one reaches the parser: the
+rule lines of the golden calculi go through ``prove``, which reaches the
+``.calc`` reader, the calculus checks, and the matchers generated for
+whatever premises survive.  Problems go through ``prove`` and ``oracle``,
+and the preset specifications through ``synth`` and ``oracle``.
 """
 
 import os
@@ -59,7 +60,7 @@ PROBLEM_VOCABULARY = _vocabulary(FUZZ_PROBLEMS.values())
 
 def _mutated(draw, lines, targets, vocabulary):
     """``lines`` with one to three token mutations in the lines at
-    ``targets``, as UTF-8 bytes with a quarter of them given a 0xff byte."""
+    ``targets``, as UTF-8 bytes."""
     lines = list(lines)
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.sampled_from(targets))
@@ -78,7 +79,11 @@ def _mutated(draw, lines, targets, vocabulary):
             j = draw(st.integers(0, len(toks) - 1))
             toks[j], toks[k] = toks[k], toks[j]
         lines[i] = "".join(toks)
-    data = ("\n".join(lines) + "\n").encode("utf-8")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _maybe_not_utf8(draw, data):
+    """``data``, a quarter of the time with a 0xff byte put in."""
     if draw(st.integers(0, 3)) == 0:
         k = draw(st.integers(0, len(data)))
         data = data[:k] + b"\xff" + data[k:]
@@ -97,7 +102,8 @@ def mutated_calc(draw):
 def mutated_problem(draw):
     logic = draw(st.sampled_from(sorted(FUZZ_PROBLEMS)))
     lines = FUZZ_PROBLEMS[logic].splitlines()
-    return logic, _mutated(draw, lines, range(len(lines)), PROBLEM_VOCABULARY)
+    data = _mutated(draw, lines, range(len(lines)), PROBLEM_VOCABULARY)
+    return logic, _maybe_not_utf8(draw, data)
 
 
 @st.composite
@@ -106,7 +112,8 @@ def mutated_spec(draw):
     lines = SPEC_LINES[logic]
     content = [i for i, line in enumerate(lines)
                if line and not line.startswith("#")]
-    return logic, _mutated(draw, lines, content, SPEC_VOCABULARY)
+    data = _mutated(draw, lines, content, SPEC_VOCABULARY)
+    return logic, _maybe_not_utf8(draw, data)
 
 
 @fuzz(300)

@@ -55,6 +55,11 @@ def test_extraction_partition_is_congruence(so_blocked, so_ns):
     # function literals place images in one class
     for fname, graph in m.funs.items():
         assert len({k: v for k, v in graph.items()}) == len(graph)
+    # a context is read through the calculus's skolems, never without them
+    with pytest.raises(sx.TabError):
+        models.extract_model(v.branch, so_ns, ctx=so_blocked.ctx)
+    with pytest.raises(sx.TabError):
+        models.verify_reflection(m, v.branch, ctx=so_blocked.ctx)
 
 
 # -- evaluation ----------------------------------------------------------------
