@@ -144,7 +144,9 @@ def cmd_prove(args):
         except sx.TabError as e:
             print("error: %s" % e, file=sys.stderr)
             return EXIT_ERROR
-    eng = engine.Engine(calc, ns=ns, node_budget=args.budget_nodes,
+    # without ns the engine skips its subexpression check, which nothing
+    # here reads
+    eng = engine.Engine(calc, node_budget=args.budget_nodes,
                         time_budget=args.budget_secs, search=args.search,
                         trace=bool(args.trace))
     try:

@@ -58,10 +58,9 @@ class BaseMode:
     def eq_pair(self, lit):
         """(t, t') when ``lit`` is a positive equality between ground
         domain terms; t is t' for the domain marker t = t."""
-        a = lit.atom
-        if lit.pos and a.pred[0] == "eq" and a.args[0].sort == sx.DOMAIN \
-                and sx.term_is_ground(a.args[0]) and sx.term_is_ground(a.args[1]):
-            return a.args
+        if lit.pos and lit.pred[0] == "eq" and lit.args[0].sort == sx.DOMAIN \
+                and all(map(sx.term_is_ground, lit.args)):
+            return lit.args
         return None
 
 
@@ -76,33 +75,33 @@ class InternalizedMode:
     # a derived concept is an individual of the derivation
 
     def terms_in_literal(self, lit):
-        if lit.atom.pred[0] != "holds":
+        if lit.pred[0] != "holds":
             return []
         out = []
-        for e in lit.atom.args[0].subexprs():
+        for e in lit.args[0].subexprs():
             if e.sort == 0 and e not in out:
                 out.append(e)
         return out
 
     def eq_pair(self, lit):
-        if lit.atom.pred[0] != "holds" or self.deq_plus is None:
+        if lit.pred[0] != "holds" or self.deq_plus is None:
             return None
-        return self.deq_plus.match(lit.atom.args[0])
+        return self.deq_plus.match(lit.args[0])
 
 
 # ---------------------------------------------------------------------------
 # branches
 
 def _coarse_key(lit):
-    return (lit.pos, sx.pred_text(lit.atom.pred), None)
+    return (lit.pos, sx.pred_text(lit.pred), None)
 
 
 def _head_key(lit):
     """Fine index key when the first argument is a compound expression;
     None otherwise (atomic data sits only in the coarse bucket)."""
-    p = lit.atom.pred
-    if p[0] in ("nu", "holds") and lit.atom.args:
-        e = lit.atom.args[0]
+    p = lit.pred
+    if p[0] in ("nu", "holds") and lit.args:
+        e = lit.args[0]
         if e.kind == "app":
             return (lit.pos, sx.pred_text(p), e.name)
     return None
@@ -156,7 +155,7 @@ class Branch:
         fine = _head_key(lit)
         if fine is not None:
             self.index.setdefault(fine, []).append((lit, idx))
-        if lit.pos and lit.atom.pred[0] == "false":
+        if lit.pos and lit.pred[0] == "false":
             self.closed = True
         for t in mode.terms_in_literal(lit):
             if t not in self.term_birth:
@@ -355,18 +354,18 @@ class Engine:
             anchor = sx.lconst(0, "i0")
             for c, pos in signed:
                 tpl = self.calc.ctx.template("c", pos, 1)
-                self._add(root, sx.pos_lit(sx.atom(sx.HOLDS,
-                                                   [tpl.instantiate([c, anchor])])))
+                self._add(root, sx.atom(sx.HOLDS,
+                                        [tpl.instantiate([c, anchor])]))
         else:
             a0 = sx.dconst("a0")
             for c, pos in signed:
-                self._add(root, sx.literal(pos, sx.atom(sx.nu(1), [c, a0])))
+                self._add(root, sx.literal(pos, sx.nu(1), [c, a0]))
         return Tableau(self.calc, root)
 
     def _add(self, branch, lit):
         added = branch.add(lit, self.mode)
         if added and self.allowed_exprs is not None:
-            for e in sx.lexprs_of_formula(lit.atom):
+            for e in sx.lexprs_of_formula(lit):
                 if e not in self.allowed_exprs:
                     self.subexpr_violations.append((lit.text(), e.text()))
         return added

@@ -60,15 +60,17 @@ class LStructure:
         elems = tuple(elems)
         if expr.kind != "app":
             return (expr, elems) in self.nu.get(n, ())
-        key = (id(expr), n, elems)
+        # ordered apart from the compiled semantics' keys, so the reference
+        # never reads what the compiled path stored
+        key = (n, expr, elems)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
         self._memo[key] = False  # cut off accidental cycles defensively
         d = self.spec.definition_of(expr.name)
-        body = _instantiated_body(d, expr)
-        val = {v: e for v, e in zip(d.dom_vars, elems)}
-        res = evaluate(self, body, val)
+        body = sx.substitute_formula(d.body, dict(zip(d.head_atom.args[0].args,
+                                                      expr.args)))
+        res = evaluate(self, body, dict(zip(d.dom_vars, elems)))
         self._memo[key] = res
         return res
 
@@ -111,43 +113,27 @@ class LStructure:
         return "\n".join(lines) + "\n"
 
 
-_BODY_CACHE = {}
-
-
-def _instantiated_body(d, expr):
-    """The definition body with the head variables replaced by the
-    expression's arguments; pure in the interned expression, so cached.
-    The cache keeps the definition object alive so its id stays unique."""
-    key = (id(d), id(expr))
-    hit = _BODY_CACHE.get(key)
-    if hit is not None and hit[0] is d:
-        return hit[1]
-    lsub = {p: e for p, e in zip(d.head_atom.args[0].args, expr.args)}
-    body = sx.substitute_formula(d.body, lsub)
-    _BODY_CACHE[key] = (d, body)
-    return body
-
-
 def evaluate(m, f, val=None):
     """Truth of a formula in ``m`` under a domain valuation (object-language
     variables and constants denote themselves)."""
     val = val or {}
-    if type(f) is sx.Atom:
+    if type(f) is sx.Literal:
         p = f.pred
         if p[0] == "false":
-            return False
-        if p[0] == "nu":
-            expr = f.args[0]
+            truth = False
+        elif p[0] == "nu":
             elems = [m.eval_term(t, val) for t in f.args[1:]]
-            return m.holds(p[1], expr, elems)
-        if p[0] == "eq":
+            truth = m.holds(p[1], f.args[0], elems)
+        elif p[0] == "eq":
             a = m.eval_term(f.args[0], val)
             b = m.eval_term(f.args[1], val)
-            return a == b  # elements, or interned expressions
-        if p[0] == "pred":
+            truth = a == b  # elements, or interned expressions
+        elif p[0] == "pred":
             elems = tuple(m.eval_term(t, val) for t in f.args)
-            return elems in m.preds.get(p[1], ())
-        raise sx.TabError("cannot evaluate %s" % f.text())
+            truth = elems in m.preds.get(p[1], ())
+        else:
+            raise sx.TabError("cannot evaluate %s" % f.text())
+        return truth if f.pos else not truth
     op, subs = f.op, f.subs
     if op == "not":
         return not evaluate(m, subs[0], val)
@@ -210,10 +196,10 @@ def detranslate(literals, ctx, skolems):
             out.append(lit)
 
     for lit in literals:
-        if lit.atom.pred[0] != "holds":
+        if lit.pred[0] != "holds":
             emit(lit)
             continue
-        c = lit.atom.args[0]
+        c = lit.args[0]
         # d before c: model element numbering follows this order
         for word in ("d+", "d-", "c+", "c-"):
             for key, tpl in ctx.templates[word].items():
@@ -222,11 +208,11 @@ def detranslate(literals, ctx, skolems):
                     continue
                 if word[0] == "c":
                     # c templates, keyed by sort: an expression, then individuals
-                    a = sx.atom(sx.nu(key), [m[0]] + [term_of(e) for e in m[1:]])
+                    pred, args = sx.nu(key), [m[0]] + [term_of(e) for e in m[1:]]
                 else:
                     pred = sx.EQ if key == "eq" else sx.pred(key)
-                    a = sx.atom(pred, [term_of(e) for e in m])
-                emit(sx.literal(word[1] == "+", a))
+                    args = [term_of(e) for e in m]
+                emit(sx.literal(word[1] == "+", pred, args))
     return out
 
 
@@ -270,9 +256,8 @@ def extract_model(branch, ns, ctx=None, skolems=None):
     for t in terms:
         uf.add(t)
     for lit in literals:
-        a = lit.atom
-        if lit.pos and a.pred[0] == "eq" and a.args[0].sort == sx.DOMAIN:
-            uf.union(a.args[0], a.args[1])
+        if lit.pos and lit.pred[0] == "eq" and lit.args[0].sort == sx.DOMAIN:
+            uf.union(*lit.args)
     classes = {}
     for t in terms:
         r = uf.find(t)
@@ -290,15 +275,15 @@ def extract_model(branch, ns, ctx=None, skolems=None):
                         for a in t.args)
             m.funs.setdefault(t.name, {})[key] = m.term_class[t]
     for lit in literals:
-        a = lit.atom
+        p, args = lit.pred, lit.args
         if not lit.pos:
             continue
-        if a.pred[0] == "nu" and a.args[0].kind != "app":
-            elems = tuple(m.term_class[t] for t in a.args[1:])
-            m.nu.setdefault(a.pred[1], set()).add((a.args[0], elems))
-        elif a.pred[0] == "pred":
-            elems = tuple(m.term_class[t] for t in a.args)
-            m.preds.setdefault(a.pred[1], set()).add(elems)
+        if p[0] == "nu" and args[0].kind != "app":
+            elems = tuple(m.term_class[t] for t in args[1:])
+            m.nu.setdefault(p[1], set()).add((args[0], elems))
+        elif p[0] == "pred":
+            elems = tuple(m.term_class[t] for t in args)
+            m.preds.setdefault(p[1], set()).add(elems)
     # individuals buried inside concepts also need nu0 entries so that
     # singleton concepts over them can be evaluated.  One that no branch term
     # places (it occurs only in a disjunct the branch satisfied otherwise)
@@ -319,21 +304,21 @@ def verify_reflection(m, branch, ctx=None, skolems=None):
         literals = detranslate(literals, ctx, skolems)
     violations = []
     for lit in literals:
-        a = lit.atom
+        p, args = lit.pred, lit.args
         try:
-            if a.pred[0] == "nu":
-                elems = [m.term_class[t] for t in a.args[1:]]
-                truth = m.holds(a.pred[1], a.args[0], elems)
-            elif a.pred[0] == "pred":
-                elems = tuple(m.term_class[t] for t in a.args)
-                truth = elems in m.preds.get(a.pred[1], ())
-            elif a.pred[0] == "eq":
-                s, t = a.args
+            if p[0] == "nu":
+                elems = [m.term_class[t] for t in args[1:]]
+                truth = m.holds(p[1], args[0], elems)
+            elif p[0] == "pred":
+                elems = tuple(m.term_class[t] for t in args)
+                truth = elems in m.preds.get(p[1], ())
+            elif p[0] == "eq":
+                s, t = args
                 if s.sort == sx.DOMAIN:
                     truth = m.term_class[s] == m.term_class[t]
                 else:
                     truth = s is t
-            elif a.pred[0] == "false":
+            elif p[0] == "false":
                 truth = False
             else:
                 continue
@@ -468,6 +453,7 @@ def _compile(f, lvars, dvars, holds):
         return lambda m, o, s: tuple([g(m, o, s) for g in gs])
 
     def atom(a, scope):
+        # the truth of the literal ``a`` read as positive
         kind, args = a.pred[0], a.args
         if kind == "false":
             return lambda m, o, s: False
@@ -492,8 +478,9 @@ def _compile(f, lvars, dvars, holds):
 
     def comp(g, scope):
         nonlocal n_slots
-        if type(g) is sx.Atom:
-            return atom(g, scope)
+        if type(g) is sx.Literal:
+            run = atom(g, scope)
+            return run if g.pos else lambda m, o, s: not run(m, o, s)
         op = g.op
         if g.var is not None:
             i = n_slots
@@ -603,7 +590,7 @@ def brute_force_sat(ns, inputs, max_size):
     # per-atom pruning results may be reused across nu0 assignments only when
     # no pruning sentence mentions individuals
     one_var_uses_nu0 = any(
-        any(t.sym is sx.NU0 for g in sx.subformulas(f) if isinstance(g, sx.Atom)
+        any(t.sym is sx.NU0 for g in sx.subformulas(f) if type(g) is sx.Literal
             for t in g.args)
         for f, _, _ in one_var)
 

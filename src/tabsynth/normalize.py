@@ -52,7 +52,7 @@ def occurring_preds(ns):
     seen = []
     for f in [xi.sentence() for xi in ns.s_plus + ns.s_minus] + list(ns.sb):
         for g in sx.subformulas(f):
-            if isinstance(g, sx.Atom) and g.pred[0] == "pred" \
+            if type(g) is sx.Literal and g.pred[0] == "pred" \
                     and g.pred[1] not in seen:
                 seen.append(g.pred[1])
     return sorted(seen)

@@ -255,10 +255,10 @@ class Elaborator:
             if len(args) != 2:
                 self._err("%s takes two formulae" % name, tok)
         else:
-            return self.atom(tree)
+            return self.atomic(tree)
         return sx.formula(name, [self.formula(a) for a in args])
 
-    def atom(self, tree):
+    def atomic(self, tree):
         tok = tree[-1]
         name = tree[1]
         args = tree[2] if tree[0] == "app" else []
@@ -295,20 +295,20 @@ class Elaborator:
         if tree[0] == "app" and name == "not" and len(tree[2]) == 1:
             inner = tree[2][0]
             try:
-                return sx.neg_lit(self.atom(inner))
+                return self.atomic(inner).negate()
             except SpecSyntaxError:
                 pass  # fall through: the whole tree may be a concept
         try:
             if name == "false" and tree[0] == "name":
-                return sx.pos_lit(sx.FALSE)
-            return sx.pos_lit(self.atom(tree))
+                return sx.FALSE
+            return self.atomic(tree)
         except SpecSyntaxError:
             pass
         try:
             e = self.lexpr(tree, 1)
         except SpecSyntaxError:
             self._err("cannot read literal", tok)
-        return sx.pos_lit(sx.atom(sx.HOLDS, [e]))
+        return sx.atom(sx.HOLDS, [e])
 
 
 def _parse_with(text, fn, line_offset=1):

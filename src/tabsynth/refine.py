@@ -43,8 +43,8 @@ class RefinementNotWhitelisted(sx.TabError):
 # folding
 
 def _is_dp(lit):
-    return lit.pos and lit.atom.pred[0] == "eq" and \
-        lit.atom.args[0] is lit.atom.args[1] and lit.atom.args[0].kind == "var"
+    return lit.pos and lit.pred[0] == "eq" and \
+        lit.args[0] is lit.args[1] and lit.args[0].kind == "var"
 
 
 def fold_whitelisted(rule, folded_lits, signature):
@@ -55,7 +55,7 @@ def fold_whitelisted(rule, folded_lits, signature):
         return True
     conn_sorts = signature.sorts_with_connectives()
     for lit in folded_lits:
-        for t in lit.atom.args:
+        for t in lit.args:
             for e in sx.lexprs_of_formula(t):
                 if e.sort in conn_sorts:
                     return False
@@ -92,10 +92,10 @@ def refine_rule(calc, rule_id, fold, drop_dp=False, unsafe=False):
             keptp = []
             for k, p in enumerate(premises):
                 if _is_dp(p):
-                    v = p.atom.args[0]
+                    v = p.args[0]
                     others = premises[:k] + premises[k + 1:]
                     if any(v in sx.lvars(o) + sx.dvars(o)
-                           and not (_is_dp(o) and o.atom.args[0] is v)
+                           and not (_is_dp(o) and o.args[0] is v)
                            for o in others):
                         continue
                 keptp.append(p)
@@ -300,17 +300,17 @@ class _Internalizer:
     def literal(self, lit, eps):
         """The concept literal standing for ``lit``; None when it dissolves
         (reflexive equalities at object sorts carry no information here)."""
-        a = lit.atom
-        if a.pred[0] in ("holds", "false"):
+        p = lit.pred
+        if p[0] in ("holds", "false"):
             return lit
-        if a.pred[0] == "nu":
-            tpl = self.ctx.template("c", lit.pos, a.pred[1])
-            args = [a.args[0]] + [self.individual(t, eps) for t in a.args[1:]]
-        elif a.pred[0] == "pred":
-            tpl = self.ctx.template("d", lit.pos, a.pred[1])
-            args = [self.individual(t, eps) for t in a.args]
+        if p[0] == "nu":
+            tpl = self.ctx.template("c", lit.pos, p[1])
+            args = [lit.args[0]] + [self.individual(t, eps) for t in lit.args[1:]]
+        elif p[0] == "pred":
+            tpl = self.ctx.template("d", lit.pos, p[1])
+            args = [self.individual(t, eps) for t in lit.args]
         else:  # equality
-            s, t = a.args
+            s, t = lit.args
             if s.sort != sx.DOMAIN:
                 if s is t:
                     return None  # reflexive object-sort predication dissolves
@@ -322,7 +322,7 @@ class _Internalizer:
             if t.kind == "var" and s.kind != "var":
                 s, t = t, s
             args = [self.individual(s, eps), self.individual(t, eps)]
-        return sx.pos_lit(sx.atom(sx.HOLDS, [tpl.instantiate(args)]))
+        return sx.atom(sx.HOLDS, [tpl.instantiate(args)])
 
     def rule(self, r):
         eps = _epsilon_for_rule(r, self.sig)
@@ -414,8 +414,8 @@ def attach_ub(calc, cfg):
     x, y = sx.dvar("x"), sx.dvar("y")
     a = sx.atom(sx.EQ, [x, y])
     ub = TableauRule("ub", "blocking",
-                     [sx.pos_lit(sx.atom(sx.EQ, [v, v])) for v in (x, y)],
-                     [[sx.pos_lit(a)], [sx.neg_lit(a)]],
+                     [sx.atom(sx.EQ, [v, v]) for v in (x, y)],
+                     [[a], [a.negate()]],
                      provenance="equality conjecture blocking")
     if calc.mode == "internalized":
         ctx = calc.ctx
@@ -424,7 +424,7 @@ def attach_ub(calc, cfg):
             raise NoEqualityAvailable("internalized calculus lacks equality "
                                       "templates")
         ub = _Internalizer(calc, ctx).rule(ub)
-    elif not any(l.atom.pred[0] == "eq"
+    elif not any(l.pred[0] == "eq"
                  for r in calc.rules
                  for lits in (r.premises,) + r.denominators
                  for l in lits):

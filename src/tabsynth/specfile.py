@@ -61,7 +61,7 @@ class Definition:
 
     def __init__(self, conn, head_atom, body, dom_vars):
         self.conn = conn
-        self.head_atom = head_atom      # Atom nu_n(sigma(p1..pm), x1..xn)
+        self.head_atom = head_atom      # the atom nu_n(sigma(p1..pm), x1..xn)
         self.body = body                # the defining formula
         self.dom_vars = dom_vars        # (x1..xn) in prefix order
 
@@ -118,7 +118,7 @@ def _parse_quant_prefix(tp, sig):
 
 def _head_shape(at, line):
     """Check a head atom nu_n(E(p1..pm), x1..xn); returns (expr, dom vars)."""
-    if not isinstance(at, sx.Atom) or at.pred[0] != "nu":
+    if type(at) is not sx.Literal or at.pred[0] != "nu":
         raise SpecSyntaxError("head must be a nu atom", line)
     e = at.args[0]
     seen = []

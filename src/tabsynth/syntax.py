@@ -7,21 +7,24 @@ holds-predicate ``nu_n`` per object sort, one polymorphic equality symbol,
 named domain predicates and domain-sort function symbols (Skolem functions,
 and ``nu0`` taking an individual to the element it denotes).
 
-Two nodes carry the syntax.  :class:`Term` holds both kinds of term: object
-expressions have a sort 0..N, domain terms the sort ``DOMAIN``.
-:class:`Formula` holds every compound formula: a connective or quantifier
-word (``op``), its subformulas, and the variable a quantifier binds; an
-:class:`Atom` is the atomic formula, and a :class:`Literal` a possibly
-negated atom as the prover reads it.  Printing, substitution, matching and
-the variable walks are loops over an explicit stack, so nesting depth is not
-limited by the interpreter's recursion limit.
+Three nodes carry the syntax.  :class:`Term` holds both kinds of term:
+object expressions have a sort 0..N, domain terms the sort ``DOMAIN``.  A
+:class:`Literal` is a sign, a predicate and its arguments in one node: the
+positive literal is the atomic formula, and the negative one its negation as
+the prover reads it.  :class:`Formula` holds every compound formula: a
+connective or quantifier word (``op``), its subformulas, and the variable a
+quantifier binds.  The formula reader spells negation as a ``not`` formula;
+only the prover's literals and synthesis's normal forms hold negative
+leaves.  Printing, substitution, matching and the variable walks are loops
+over an explicit stack, so nesting depth is not limited by the interpreter's
+recursion limit.
 
-Everything here is immutable after construction.  Symbols, terms, atoms,
-literals and formulas are hash-consed in one table, keyed by their kind and
-parts: structurally equal values are the same object, so ``==`` and
-``hash`` are O(1).  The table is a plain dict; build nodes from a single
-thread (reads are safe to share afterwards).  A literal used as a pattern
-also carries the matcher generated for it on first use.
+Everything here is immutable after construction.  Symbols, terms, literals
+and formulas are hash-consed in one table, keyed by their kind and parts:
+structurally equal values are the same object, so ``==`` and ``hash`` are
+O(1).  The table is a plain dict; build nodes from a single thread (reads
+are safe to share afterwards).  A literal used as a pattern also carries
+the matcher generated for it on first use.
 """
 
 from __future__ import annotations
@@ -226,7 +229,7 @@ NU0 = FnSym("nu0", (0,), 0)  # the domain element an individual denotes
 
 
 def formula_text(x):
-    """Prefix notation of a formula, atom or term."""
+    """Prefix notation of a formula, literal or term."""
     out, stack = [], [x]
     while stack:
         t = stack.pop()
@@ -241,7 +244,10 @@ def formula_text(x):
                 out.append(t.name)
                 continue
             head, parts = t.name, t.args
-        elif ty is Atom:
+        elif ty is Literal:
+            if not t.pos:
+                out.append("not(")
+                stack.append(")")
             if t.pred[0] == "false":
                 out.append("false")
                 continue
@@ -343,7 +349,7 @@ def term_is_ground(t):
 
 
 # ---------------------------------------------------------------------------
-# atoms, literals, formulae
+# literals, formulae
 
 EQ = ("eq",)
 FALSUM = ("false",)
@@ -370,20 +376,31 @@ def pred_text(p):
     return "holds"
 
 
-class Atom:
-    """An atomic formula: nu_n(E, t1..tn), eq(s, t), P(t1..tn), false,
-    or (post-internalization) a bare concept asserted to hold."""
+class Literal:
+    """An atomic formula or its negation, as one node: the sign ``pos``, the
+    predicate ``pred`` and its arguments ``args``.  The atomic formulas are
+    nu_n(E, t1..tn), eq(s, t), P(t1..tn), false, and (post-internalization)
+    a bare concept asserted to hold.  Use :func:`literal` or :func:`atom`;
+    instances are interned.  A literal used as a pattern keeps its
+    generated matcher (see :func:`match_literal`), built on first use."""
 
-    __slots__ = ("pred", "args")
+    __slots__ = ("pos", "pred", "args", "matcher")
 
     def __repr__(self):
-        return "Atom(%s)" % self.text()
+        return "Literal(%s)" % self.text()
 
     def text(self):
         return formula_text(self)
 
+    def negate(self):
+        pos = not self.pos
+        return _intern(Literal, ("lit", pos, self.pred) + self.args,
+                       pos, self.pred, self.args, None)
 
-def atom(p, args=()):
+
+def literal(pos, p, args):
+    """The literal of sign ``pos`` over predicate ``p`` applied to ``args``,
+    whose sorts must fit ``p``."""
     args = tuple(args)
     if p[0] == "nu":
         n = p[1]
@@ -405,43 +422,20 @@ def atom(p, args=()):
     elif p[0] == "holds":
         if len(args) != 1 or args[0].sort != 1:
             raise IllSorted("a held concept must have the primary sort")
-    return _intern(Atom, ("atom", p) + args, p, args)
+    return _intern(Literal, ("lit", pos, p) + args, pos, p, args, None)
+
+
+def atom(p, args=()):
+    """The atomic formula ``p(args)``: its positive literal."""
+    return literal(True, p, args)
 
 
 FALSE = atom(FALSUM)
 
 
-class Literal:
-    """A possibly negated atom.  A literal used as a pattern keeps its
-    generated matcher (see :func:`match_literal`), built on first use."""
-
-    __slots__ = ("pos", "atom", "matcher")
-
-    def __repr__(self):
-        return "Literal(%s)" % self.text()
-
-    def text(self):
-        return self.atom.text() if self.pos else "not(%s)" % self.atom.text()
-
-    def negate(self):
-        return literal(not self.pos, self.atom)
-
-
-def literal(pos, a):
-    return _intern(Literal, ("lit", pos, a), pos, a, None)
-
-
-def pos_lit(a):
-    return literal(True, a)
-
-
-def neg_lit(a):
-    return literal(False, a)
-
-
 class Formula:
     """A compound formula: ``op`` is ``not``, ``and``, ``or``, ``implies``,
-    ``iff``, ``forall`` or ``exists``; ``subs`` the atoms and formulas it
+    ``iff``, ``forall`` or ``exists``; ``subs`` the literals and formulas it
     joins (one under a quantifier); ``var`` the domain variable a quantifier
     binds, None otherwise.  Object variables are never bound: sentences are
     L-open.  Use :func:`formula`; instances are interned."""
@@ -466,7 +460,7 @@ def forall_each(vs, f):
 
 
 def subformulas(f):
-    """``f`` and every formula and atom inside it, in preorder."""
+    """``f`` and every formula and literal inside it, in preorder."""
     stack = [f]
     while stack:
         g = stack.pop()
@@ -480,7 +474,7 @@ def subformulas(f):
 
 def _walk(x):
     """The domain terms inside ``x`` and its outermost object expressions,
-    in preorder with repeats.  ``x`` is an expression, term, atom, literal,
+    in preorder with repeats.  ``x`` is an expression, term, literal,
     formula, or a list or tuple (nested or not) of those."""
     out, stack = [], [x]
     while stack:
@@ -491,8 +485,6 @@ def _walk(x):
             if y.sort == DOMAIN:
                 stack.extend(reversed(y.args))
         elif t is Literal:
-            stack.append(y.atom)
-        elif t is Atom:
             stack.extend(reversed(y.args))
         elif t is Formula:
             stack.extend(reversed(y.subs))
@@ -533,7 +525,7 @@ def free_dvars(f, bound=frozenset()):
     out, stack = [], [(f, frozenset(bound))]
     while stack:
         g, bnd = stack.pop()
-        if type(g) is Atom:
+        if type(g) is Literal:
             out += [v for v in dvars(g) if v not in bnd and v not in out]
             continue
         if g.var is not None:
@@ -571,12 +563,8 @@ def substitute_expr(t, sub):
     return done[t]
 
 
-def substitute_atom(a, sub):
-    return atom(a.pred, [substitute_expr(t, sub) for t in a.args])
-
-
 def substitute_literal(l, sub):
-    return literal(l.pos, substitute_atom(l.atom, sub))
+    return literal(l.pos, l.pred, [substitute_expr(t, sub) for t in l.args])
 
 
 def substitute_formula(f, sub):
@@ -585,8 +573,8 @@ def substitute_formula(f, sub):
     out, stack = [], [(f, sub, False)]
     while stack:
         g, s, ready = stack.pop()
-        if type(g) is Atom:
-            out.append(substitute_atom(g, s))
+        if type(g) is Literal:
+            out.append(substitute_literal(g, s))
         elif ready:
             n = len(g.subs)
             out[-n:] = [formula(g.op, out[-n:], g.var)]
@@ -726,19 +714,18 @@ def _compile_matcher(pattern):
     bound, in preorder as ``_match`` binds them.
     """
     g = Codegen()
-    a = pattern.atom
+    args = pattern.args
     code = ["if %sv.pos: return False" % ("not " if pattern.pos else ""),
-            "a = v.atom",
-            "if a.pred != %s: return False" % g.const(a.pred)]
-    if a.pred[0] == "pred":  # the other predicates fix their arity
-        code.append("if len(a.args) != %d: return False" % len(a.args))
-    names = ["t%d" % k for k in range(len(a.args))]
+            "if v.pred != %s: return False" % g.const(pattern.pred)]
+    if pattern.pred[0] == "pred":  # the other predicates fix their arity
+        code.append("if len(v.args) != %d: return False" % len(args))
+    names = ["t%d" % k for k in range(len(args))]
     if names:
-        code.append("%s, = a.args" % ", ".join(names))
-    open_ = _open_subterms(a.args)
-    # only eq leaves the sorts of an atom's arguments open
-    typed = a.pred != EQ
-    stack = [(p, n, typed) for p, n in zip(reversed(a.args), reversed(names))]
+        code.append("%s, = v.args" % ", ".join(names))
+    open_ = _open_subterms(args)
+    # only eq leaves the sorts of a literal's arguments open
+    typed = pattern.pred != EQ
+    stack = [(p, n, typed) for p, n in zip(reversed(args), reversed(names))]
     first = {}  # pattern subterm -> the local holding its first value
     variables = []
     while stack:
@@ -779,19 +766,19 @@ def compile_substitution(lits):
     binding)`` for each literal ``l`` of ``lits``.
 
     Ground subterms (no variable of either sort) are constants; the rest
-    are built through :func:`app`, :func:`atom` and :func:`literal`, which
-    keep their sort checks.  Every variable of ``lits`` must be bound.
+    are built through :func:`app` and :func:`literal`, which keep their sort
+    checks.  Every variable of ``lits`` must be bound.
     """
     g = Codegen()
-    app_, atom_, literal_ = g.const(app), g.const(atom), g.const(literal)
-    open_ = _open_subterms([t for l in lits for t in l.atom.args])
+    app_, literal_ = g.const(app), g.const(literal)
+    open_ = _open_subterms([t for l in lits for t in l.args])
     out = []  # each literal and each argument ends in ", "
     for l in lits:
-        if not any(t in open_ for t in l.atom.args):
+        if not any(t in open_ for t in l.args):
             out.append(g.const(l) + ", ")
             continue
-        out.append("%s(%s, %s(%s, (" % (literal_, l.pos, atom_, g.const(l.atom.pred)))
-        stack = ["))), "] + list(reversed(l.atom.args))
+        out.append("%s(%s, %s, (" % (literal_, l.pos, g.const(l.pred)))
+        stack = [")), "] + list(reversed(l.args))
         while stack:
             t = stack.pop()
             if type(t) is str:

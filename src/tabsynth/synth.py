@@ -142,9 +142,9 @@ _DUAL = {"and": "or", "or": "and", "forall": "exists", "exists": "forall"}
 
 def _nnf(f, pos=True):
     """``f`` (negated unless ``pos``) in negation normal form: and, or and
-    quantifiers over atoms and negated atoms."""
-    if type(f) is sx.Atom:
-        return f if pos else sx.formula("not", (f,))
+    quantifiers over literals."""
+    if type(f) is sx.Literal:
+        return f if pos else f.negate()
     op, subs = f.op, f.subs
     if op == "not":
         return _nnf(subs[0], not pos)
@@ -178,7 +178,7 @@ def _skolemize(tree, head_lvars, scope, namer, slug, counter):
     """Remove quantifiers from an NNF tree: existentials become Skolem terms
     over (head L-variables, enclosing universals); universals become free
     variables, renamed apart from everything already in scope."""
-    if type(tree) is sx.Atom or tree.op == "not":
+    if type(tree) is sx.Literal:
         return tree, []
     if tree.var is None:
         subs, fns = [], []
@@ -211,10 +211,8 @@ def _skolemize(tree, head_lvars, scope, namer, slug, counter):
 
 def _dnf(tree):
     """List of conjunctions (ordered literal lists), naively distributed."""
-    if type(tree) is sx.Atom:
-        return [[sx.pos_lit(tree)]]
-    if tree.op == "not":
-        return [[sx.neg_lit(tree.subs[0])]]
+    if type(tree) is sx.Literal:
+        return [[tree]]
     subs = tree.subs
     if tree.op == "or":
         out = []
@@ -244,7 +242,7 @@ def _clean_matrix(conjs):
     out = []
     for conj in conjs:
         lits = list(dict.fromkeys(conj))
-        contradictory = any(l.atom.pred[0] == "false" and l.pos for l in lits) or \
+        contradictory = any(l.pred[0] == "false" and l.pos for l in lits) or \
             any(l.negate() in lits for l in lits)
         if contradictory:
             continue
@@ -269,8 +267,7 @@ def head_slug(xi):
 def implicational_form(xi, namer=None):
     """(head literal, DNF matrix, fresh Skolem functions) for one sentence."""
     namer = namer or _SkolemNamer()
-    head_lit = sx.pos_lit(xi.head_atom) if xi.polarity == "+" \
-        else sx.neg_lit(xi.head_atom)
+    head_lit = xi.head_atom if xi.polarity == "+" else xi.head_atom.negate()
     tree = _nnf(xi.body, xi.polarity == "+")
     counter = [0]
     tree, fns = _skolemize(tree, xi.head_lvars(), list(xi.dom_vars), namer,
@@ -339,13 +336,13 @@ def _occurring_nu_sorts(ns):
     seen = {1}  # the primary sort is always exercised by the input layer
     for f in [xi.sentence() for xi in ns.s_plus + ns.s_minus] + list(ns.sb):
         for g in sx.subformulas(f):
-            if isinstance(g, sx.Atom) and g.pred[0] == "nu":
+            if type(g) is sx.Literal and g.pred[0] == "nu":
                 seen.add(g.pred[1])
     return sorted(seen)
 
 
 def _eq(a, b):
-    return sx.pos_lit(sx.atom(sx.EQ, [a, b]))
+    return sx.atom(sx.EQ, [a, b])
 
 
 def _families(sig, ns):
@@ -383,7 +380,7 @@ def default_equality_rules(sig, ns, skolems=()):
         for sign, tag in ((True, "pos"), (False, "neg")):
             rules.append(TableauRule(
                 "dp_%s_%s" % (tag, name), "equality",
-                [sx.literal(sign, sx.atom(pred, ls + xs))],
+                [sx.literal(sign, pred, ls + xs)],
                 [[_eq(v, v) for v in ls + xs]],
                 provenance="domain predication for %s" % name))
 
@@ -406,8 +403,8 @@ def default_equality_rules(sig, ns, skolems=()):
                 ys[i] = rv.dv()
                 rules.append(TableauRule(
                     "congr_%s%s_%d" % (tag, name, i + 1), "equality",
-                    [sx.literal(sign, sx.atom(pred, ls + xs)), _eq(xs[i], ys[i])],
-                    [[sx.literal(sign, sx.atom(pred, ls + ys))]],
+                    [sx.literal(sign, pred, ls + xs), _eq(xs[i], ys[i])],
+                    [[sx.literal(sign, pred, ls + ys)]],
                     provenance="congruence for %s" % name))
     for fn in skolems:
         for i in range(fn.n_dom):
@@ -439,7 +436,7 @@ def closure_rules(sig, ns):
         _, ls, xs = _fresh_args(sig, lead, k)
         a = sx.atom(pred, ls + xs)
         rules.append(TableauRule("closure_%s" % name, "closure",
-                                 [sx.pos_lit(a), sx.neg_lit(a)], [],
+                                 [a, a.negate()], [],
                                  provenance="contradiction on %s" % name))
     return rules
 
@@ -501,14 +498,13 @@ def canonical_rule_text(rule):
         return "%s(%s)" % (head, ", ".join(rterm(a) for a in t.args))
 
     def rlit(l):
-        a = l.atom
-        if a.pred[0] == "false":
+        if l.pred[0] == "false":
             s = "false"
-        elif a.pred[0] == "holds":
-            s = rterm(a.args[0])
+        elif l.pred[0] == "holds":
+            s = rterm(l.args[0])
         else:
-            s = "%s(%s)" % (sx.pred_text(a.pred),
-                            ", ".join(rterm(t) for t in a.args))
+            s = "%s(%s)" % (sx.pred_text(l.pred),
+                            ", ".join(rterm(t) for t in l.args))
         return s if l.pos else "not(%s)" % s
 
     prem = ", ".join(rlit(l) for l in rule.premises)

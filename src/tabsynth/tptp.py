@@ -31,15 +31,17 @@ _QUANT = {"forall": ("!", "=>"), "exists": ("?", "&")}  # symbol, guard join
 
 
 def _render_formula(f):
-    if type(f) is sx.Atom:
+    if type(f) is sx.Literal:
         p = f.pred
         if p[0] == "false":
-            return "$false"
-        if p[0] == "eq":
-            return "(%s = %s)" % (_render_term(f.args[0]), _render_term(f.args[1]))
-        if p[0] == "nu":
-            return "nu%d(%s)" % (p[1], ",".join(_render_term(a) for a in f.args))
-        return "p_%s(%s)" % (p[1], ",".join(_render_term(a) for a in f.args))
+            text = "$false"
+        elif p[0] == "eq":
+            text = "(%s = %s)" % (_render_term(f.args[0]), _render_term(f.args[1]))
+        elif p[0] == "nu":
+            text = "nu%d(%s)" % (p[1], ",".join(_render_term(a) for a in f.args))
+        else:
+            text = "p_%s(%s)" % (p[1], ",".join(_render_term(a) for a in f.args))
+        return text if f.pos else "~ " + text
     subs = [_render_formula(s) for s in f.subs]
     if f.op == "not":
         return "~ " + subs[0]
@@ -174,9 +176,9 @@ class _TptpParser:
             f = self.formula()
             self.eat(")")
             return f
-        return self.atom()
+        return self.atomic()
 
-    def atom(self):
+    def atomic(self):
         t = self.term()
         k, v = self.peek()
         if v in ("=", "!="):

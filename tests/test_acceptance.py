@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import time
+from pathlib import Path
 
 import pytest
 
@@ -258,7 +259,7 @@ def test_criterion_9_wd_export(so_ns, ipc_ns, tmp_path):
         paths = tptp.write_obligations(obs, ns.signature,
                                        str(tmp_path / sub))
         for p in paths:
-            tptp.validate_tptp(open(p, encoding="utf-8").read())
+            tptp.validate_tptp(Path(p).read_text(encoding="utf-8"))
             names.append(os.path.basename(p))
     prover = next((p for p in ("eprover", "vampire") if shutil.which(p)), None)
     note = "no first-order prover installed; discharge step skipped"

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -64,7 +65,7 @@ def test_exit_code_sat_with_model(work):
     code = run_cli(["prove", "--calc", str(work / "so_refined.calc"),
                     "--preset", "so", "--ub", "--model", model, prob])
     assert code == 0
-    text = open(model).read()
+    text = Path(model).read_text(encoding="utf-8")
     assert text.startswith("domain:")
     assert "nu1 p0:" in text
 
@@ -114,7 +115,7 @@ def test_refine_unsafe_needs_flag(tmp_path, work):
 def test_synth_deterministic_bytes(work, tmp_path):
     out2 = str(tmp_path / "so2.calc")
     assert run_cli(["synth", "--preset", "so", "-o", out2]) == 0
-    assert open(out2, "rb").read() == open(work / "so.calc", "rb").read()
+    assert Path(out2).read_bytes() == (work / "so.calc").read_bytes()
 
 
 @pytest.mark.parametrize("made, golden", [
@@ -304,7 +305,7 @@ def test_blocking_rule_variables_follow_the_signature(tmp_path):
     assert run_cli(["synth", "--spec", spec, "-o", calc]) == 0
     assert run_cli(["refine", "--calc", calc, "--refine-script", script,
                     "--ctx", ctx, "-o", refined]) == 0
-    assert "colon(w, one(w1))" in open(refined).read()
+    assert "colon(w, one(w1))" in Path(refined).read_text(encoding="utf-8")
     sat = _write(tmp_path / "sat.txt", "exists(r0, p0)\n")
     unsat = _write(tmp_path / "unsat.txt",
                    "exists(r0, exists(r0, p0))\nnot(exists(r0, p0))\n")
@@ -403,10 +404,11 @@ def test_trace_written_and_replayable(work, tmp_path):
                     "--preset", "so", "--ub", "--trace", trace, prob])
     assert code == 0
     from tabsynth import calcfile, engine, parser, refine, synth
-    calc = calcfile.parse_calculus(open(work / "so_refined.calc").read())
+    calc = calcfile.parse_calculus(
+        (work / "so_refined.calc").read_text(encoding="utf-8"))
     calc = refine.attach_ub(calc, synth.UbConfig(True, 0))
     c = parser.parse_lexpr(calc.signature, "exists(r0, p0)", 1)
-    steps = engine.replay_trace(calc, [c], open(trace).read())
+    steps = engine.replay_trace(calc, [c], Path(trace).read_text(encoding="utf-8"))
     assert steps > 0
 
 

@@ -54,8 +54,8 @@ def test_or_rule_single_instance(so_calc):
     eng = engine.Engine(so_calc)
     sig = so_calc.signature
     a0 = sx.dconst("a0")
-    lit = sx.pos_lit(sx.atom(sx.nu(1), [pc(so_calc, "or(p0, q0)"), a0]))
-    dp = sx.pos_lit(sx.atom(sx.EQ, [a0, a0]))
+    lit = sx.atom(sx.nu(1), [pc(so_calc, "or(p0, q0)"), a0])
+    dp = sx.atom(sx.EQ, [a0, a0])
     b = _branch_with(eng, [lit, dp])
     insts = list(eng.applicable_instances(so_calc.rule("or_pos"), b))
     assert len(insts) == 1
@@ -69,8 +69,8 @@ def test_refined_exists_binds_successor(so_calc):
     refined = refine.refine_rule(so_calc, "exists_neg", [0], drop_dp=True)
     eng = engine.Engine(refined)
     a0, b0 = sx.dconst("a0"), sx.dconst("b0")
-    lits = [sx.neg_lit(sx.atom(sx.nu(1), [pc(so_calc, "exists(r0, p0)"), a0])),
-            sx.pos_lit(sx.atom(sx.nu(2), [pc_role(so_calc, "r0"), a0, b0]))]
+    lits = [sx.atom(sx.nu(1), [pc(so_calc, "exists(r0, p0)"), a0]).negate(),
+            sx.atom(sx.nu(2), [pc_role(so_calc, "r0"), a0, b0])]
     b = _branch_with(eng, lits)
     insts = list(eng.applicable_instances(refined.rule("exists_neg_1"), b))
     assert len(insts) == 1
@@ -84,7 +84,7 @@ def pc_role(calc, text):
 def test_applied_instances_are_excluded(so_calc):
     eng = engine.Engine(so_calc)
     a0 = sx.dconst("a0")
-    lit = sx.pos_lit(sx.atom(sx.nu(1), [pc(so_calc, "or(p0, q0)"), a0]))
+    lit = sx.atom(sx.nu(1), [pc(so_calc, "or(p0, q0)"), a0])
     b = _branch_with(eng, [lit])
     rule = so_calc.rule("or_pos")
     fp, binding, _ = next(iter(eng.applicable_instances(rule, b)))
@@ -114,8 +114,8 @@ def test_apply_closure_closes(so_calc):
     eng = engine.Engine(so_calc)
     a0 = sx.dconst("a0")
     p0 = pc(so_calc, "p0")
-    lits = [sx.pos_lit(sx.atom(sx.nu(1), [p0, a0])),
-            sx.neg_lit(sx.atom(sx.nu(1), [p0, a0]))]
+    lits = [sx.atom(sx.nu(1), [p0, a0]),
+            sx.atom(sx.nu(1), [p0, a0]).negate()]
     b = _branch_with(eng, lits)
     rule = so_calc.rule("closure_nu1")
     fp, binding, _ = next(iter(eng.applicable_instances(rule, b)))
@@ -128,8 +128,8 @@ def test_apply_ub_two_successors(ipc_calc):
     blocked = refine.attach_ub(ipc_calc, synth.UbConfig(True, 0))
     eng = engine.Engine(blocked)
     a0, b0 = sx.dconst("a0"), sx.dconst("b0")
-    lits = [sx.pos_lit(sx.atom(sx.EQ, [a0, a0])),
-            sx.pos_lit(sx.atom(sx.EQ, [b0, b0]))]
+    lits = [sx.atom(sx.EQ, [a0, a0]),
+            sx.atom(sx.EQ, [b0, b0])]
     b = _branch_with(eng, lits)
     rule = blocked.rule("ub")
     insts = list(eng.applicable_instances(rule, b))
@@ -420,11 +420,11 @@ def test_breadth_first_search_is_pinned(monkeypatch, so_blocked, ipc_calc,
 
 def _reference_match(pattern, value, binding):
     """The generic matcher over a literal: what each generated one must do."""
-    pa, va = pattern.atom, value.atom
-    if pattern.pos != value.pos or pa.pred != va.pred \
-            or len(pa.args) != len(va.args):
+    if pattern.pos != value.pos or pattern.pred != value.pred \
+            or len(pattern.args) != len(value.args):
         return False
-    return sx._match(list(zip(reversed(pa.args), reversed(va.args))), binding)
+    return sx._match(list(zip(reversed(pattern.args), reversed(value.args))),
+                     binding)
 
 
 def _agree(pattern, value, binding):
@@ -533,10 +533,10 @@ def test_blocking_join_yields_pairs_with_a_new_marker_in_birth_order(ipc_calc):
     join = engine._plan(rule).join
     a0, b0, c0, d0 = (sx.dconst(n) for n in ("a0", "b0", "c0", "d0"))
     # births a0 < b0 < c0 < d0; markers c0 (1), b0 (2), a0 (3), d0 (5)
-    marker = {t: sx.pos_lit(sx.atom(sx.EQ, [t, t])) for t in (a0, b0, c0, d0)}
-    b = _branch_with(eng, [sx.pos_lit(sx.atom(sx.pred("R"), [a0, b0])),
+    marker = {t: sx.atom(sx.EQ, [t, t]) for t in (a0, b0, c0, d0)}
+    b = _branch_with(eng, [sx.atom(sx.pred("R"), [a0, b0]),
                            marker[c0], marker[b0], marker[a0]])
-    b.add(sx.pos_lit(sx.atom(sx.pred("R"), [c0, d0])), eng.mode)
+    b.add(sx.atom(sx.pred("R"), [c0, d0]), eng.mode)
     b.add(marker[d0], eng.mode)
     assert b.markers == {c0: 1, b0: 2, a0: 3, d0: 5}
 
@@ -562,8 +562,8 @@ def test_generated_matchers_on_the_hard_cases(so_blocked, so_calc):
     x, p = sx.dvar("x"), sx.lvar(1, "p")
 
     def holds(text):
-        return sx.pos_lit(sx.atom(sx.HOLDS, [parser.parse_lexpr(
-            so_blocked.signature, text, 1)]))
+        return sx.atom(sx.HOLDS, [parser.parse_lexpr(
+            so_blocked.signature, text, 1)])
 
     # a repeated variable inside a repeated compound subterm
     congr = so_blocked.rule("congr_fn_sk_exists_0_1").premises[0]

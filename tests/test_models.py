@@ -18,10 +18,10 @@ def pc(spec_or_calc, text, sort=1):
 def test_extract_model_quotients_equalities(so_ns, so_spec):
     a0, b0 = sx.dconst("a0"), sx.dconst("b0")
     p0 = pc(so_spec, "p0")
-    lits = [sx.pos_lit(sx.atom(sx.nu(1), [p0, a0])),
-            sx.pos_lit(sx.atom(sx.EQ, [a0, b0])),
-            sx.pos_lit(sx.atom(sx.EQ, [a0, a0])),
-            sx.pos_lit(sx.atom(sx.EQ, [b0, b0]))]
+    lits = [sx.atom(sx.nu(1), [p0, a0]),
+            sx.atom(sx.EQ, [a0, b0]),
+            sx.atom(sx.EQ, [a0, a0]),
+            sx.atom(sx.EQ, [b0, b0])]
     m = models.extract_model(lits, so_ns)
     assert m.size == 1
     assert m.holds(1, p0, (0,))
@@ -49,9 +49,8 @@ def test_extraction_partition_is_congruence(so_blocked, so_ns):
     m = models.extract_model(v.branch, so_ns, ctx=so_blocked.ctx,
                              skolems=so_blocked.skolems)
     for lit in lits:
-        a = lit.atom
-        if lit.pos and a.pred[0] == "eq" and a.args[0].sort == sx.DOMAIN:
-            assert m.term_class[a.args[0]] == m.term_class[a.args[1]]
+        if lit.pos and lit.pred[0] == "eq" and lit.args[0].sort == sx.DOMAIN:
+            assert m.term_class[lit.args[0]] == m.term_class[lit.args[1]]
     # function literals place images in one class
     for fname, graph in m.funs.items():
         assert len({k: v for k, v in graph.items()}) == len(graph)
@@ -71,6 +70,23 @@ def test_evaluate_disjunction_at_point(so_spec):
     assert models.evaluate(m, f, {sx.dvar("x"): 0})
     g = parser.parse_formula(so_spec.signature, "nu1(or(q0, q0), x)")
     assert not models.evaluate(m, g, {sx.dvar("x"): 0})
+
+
+def test_negative_leaves_evaluate_to_the_negation(so_spec, so_ns):
+    # the reference evaluator and the compiled semantics read a literal's
+    # sign as a not formula over its positive twin
+    m = models.LStructure(2, spec=so_spec)
+    m.nu[1] = {(pc(so_spec, "p0"), (0,))}
+    x = sx.dvar("x")
+    sem = models.semantics(so_ns)
+    for text in ("nu1(p0, x)", "nu1(not(p0), x)", "eq(x, x)", "false"):
+        lit = parser.parse_formula(so_spec.signature, text)
+        assert lit.pos
+        for e in range(m.size):
+            want = models.evaluate(m, lit, {x: e})
+            for f in (lit.negate(), sx.formula("not", (lit,))):
+                assert models.evaluate(m, f, {x: e}) == (not want)
+                assert sem.formula(f, dvars=(x,))(m, (), (e,)) == (not want)
 
 
 def test_evaluate_transitivity_no_chain(so_spec, so_ns):
@@ -143,7 +159,7 @@ def test_so_seed_1_problem_131_is_satisfiable(so_ns, so_spec):
 def test_reflection_detects_missing_fact(so_ns, so_spec):
     a0 = sx.dconst("a0")
     p0 = pc(so_spec, "p0")
-    lits = [sx.pos_lit(sx.atom(sx.nu(1), [p0, a0]))]
+    lits = [sx.atom(sx.nu(1), [p0, a0])]
     m = models.extract_model(lits, so_ns)
     m.nu[1] = set()  # drop the fact
     m._memo.clear()

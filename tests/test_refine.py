@@ -75,10 +75,10 @@ def test_internalize_output_speaks_only_concepts(so_refined):
     for r in so_refined.rules:
         for lits in (r.premises,) + r.denominators:
             for l in lits:
-                assert l.atom.pred[0] in ("holds", "false")
-                if l.atom.pred[0] == "holds":
+                assert l.pred[0] in ("holds", "false")
+                if l.pred[0] == "holds":
                     assert l.pos
-                    for t in l.atom.args:
+                    for t in l.args:
                         assert t.sort != sx.DOMAIN
 
 
@@ -119,7 +119,7 @@ def test_identity_like_context_no_predicates(so_calc, so_ctx):
     folded = refine.refine_rule(so_calc, "theory_0", [0, 1], drop_dp=True)
     out = refine.internalize(folded, so_ctx)
     assert out.mode == "internalized"
-    assert all(l.atom.pred[0] in ("holds", "false")
+    assert all(l.pred[0] in ("holds", "false")
                for r in out.rules
                for lits in (r.premises,) + r.denominators for l in lits)
 

@@ -1,9 +1,12 @@
 import re
+from pathlib import Path
 
 import pytest
 
-from tabsynth import specfile
+from tabsynth import calcfile, cli, normalize, specfile, synth
 from tabsynth import syntax as sx
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_so_preset_shape(so_spec):
@@ -122,3 +125,24 @@ def test_presplit_sentences_accepted():
     spec = specfile.parse_spec(text)
     assert len(spec.directed) == 1
     assert spec.directed[0].polarity == "+"
+
+
+def test_formula_negation_stays_a_formula(tmp_path):
+    # not(...) in a sentence is a not formula over a positive literal; its
+    # printed text, TPTP obligations and calculus are pinned by golden files
+    path = GOLDEN / "negation.spec"
+    spec = specfile.parse_spec(path.read_text(encoding="utf-8"), name="negation")
+    body = spec.definitions[0].body  # not(not(nu1(p, x)))
+    assert body.op == "not" and body.subs[0].op == "not"
+    assert type(body.subs[0].subs[0]) is sx.Literal and body.subs[0].subs[0].pos
+    assert specfile.print_spec(spec) == \
+        (GOLDEN / "negation_printed.spec").read_text(encoding="utf-8")
+    assert cli.main(["check-wd", "--spec", str(path),
+                     "--outdir", str(tmp_path)]) == 0
+    want = sorted((GOLDEN / "negation_wd").iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == [p.name for p in want]
+    for p in want:
+        assert (tmp_path / p.name).read_bytes() == p.read_bytes()
+    calc = synth.synthesize(normalize.normalize(spec))
+    assert calcfile.print_calculus(calc) == \
+        (GOLDEN / "negation.calc").read_text(encoding="utf-8")

@@ -25,6 +25,21 @@ def test_interning_is_identity(so_spec):
     a = parser.parse_lexpr(sig, "exists(r0, or(p0, q0))")
     b = parser.parse_lexpr(sig, "exists(r0, or(p0, q0))")
     assert a is b
+    # a literal is one node: sign, predicate and arguments read off it
+    x = sx.dvar("x")
+    lit = sx.atom(sx.nu(1), [a, x])
+    assert (lit.pos, lit.pred, lit.args) == (True, sx.nu(1), (a, x))
+    assert parser.parse_formula(sig, "nu1(exists(r0, or(p0, q0)), x)") is lit
+    neg = lit.negate()
+    assert (neg.pos, neg.pred, neg.args) == (False, sx.nu(1), (a, x))
+    assert neg.negate() is lit
+    assert sx.literal(False, sx.nu(1), [a, x]) is neg
+    assert sx.literal(True, sx.nu(1), (a, x)) is lit
+    assert parser.parse_rule_literal(sig, "not(nu1(exists(r0, or(p0, q0)), x))") \
+        is neg
+    assert neg.text() == "not(nu1(exists(r0, or(p0, q0)), x))"
+    with pytest.raises(sx.IllSorted):
+        sx.literal(False, sx.nu(1), [x, a])
 
 
 def test_substitute_expression(so_spec):
@@ -175,9 +190,9 @@ def test_ten_thousand_deep_term_is_walked_without_recursion(so_spec):
     binding = {}
     assert sx.match_expr(e, e0, binding) and binding == {p: p0}
     x, a0 = sx.dvar("x"), sx.dconst("a0")
-    pattern = sx.pos_lit(sx.atom(sx.nu(1), [e, x]))
+    pattern = sx.atom(sx.nu(1), [e, x])
     binding = {}
-    assert sx.match_literal(pattern, sx.pos_lit(sx.atom(sx.nu(1), [e0, a0])),
+    assert sx.match_literal(pattern, sx.atom(sx.nu(1), [e0, a0]),
                             binding) and binding == {p: p0, x: a0}
     assert sx.lvars(e) == [p]
     assert len(e.subexprs()) == 10001

@@ -192,7 +192,7 @@ def test_skolem_arguments_are_head_variables(so_calc, ipc_calc):
         terms = []
         for d in rule.denominators:
             for l in d:
-                for t in l.atom.args:
+                for t in l.args:
                     if _is_skolem_term(t):
                         terms.append(t)
         assert terms
@@ -208,11 +208,11 @@ def test_rules_monotone_under_ordering(so_ns, so_calc, ipc_ns, ipc_calc):
         for rule in calc.rules:
             prem_exprs = set()
             for l in rule.premises:
-                prem_exprs.update(sx.lexprs_of_formula(l.atom))
+                prem_exprs.update(sx.lexprs_of_formula(l))
             allowed = set(ordering.sub_closure(list(prem_exprs)))
             for d in rule.denominators:
                 for l in d:
-                    for e in sx.lexprs_of_formula(l.atom):
+                    for e in sx.lexprs_of_formula(l):
                         assert e in allowed, (rule.id, e.text())
 
 
@@ -293,29 +293,29 @@ def _is_skolem_term(t):
 
 
 def _lit_true(m, lit, val, sk_assign):
-    a = lit.atom
-    if a.pred[0] == "false":
+    p, args = lit.pred, lit.args
+    if p[0] == "false":
         truth = False
-    elif a.pred[0] == "eq" and a.args[0].sort != sx.DOMAIN:
-        truth = a.args[0] is a.args[1]
+    elif p[0] == "eq" and args[0].sort != sx.DOMAIN:
+        truth = args[0] is args[1]
     else:
         def ev(t):
             if _is_skolem_term(t):
                 return sk_assign[t]
             return m.eval_term(t, val)
-        if a.pred[0] == "eq":
-            truth = ev(a.args[0]) == ev(a.args[1])
-        elif a.pred[0] == "nu":
-            truth = m.holds(a.pred[1], a.args[0], [ev(t) for t in a.args[1:]])
+        if p[0] == "eq":
+            truth = ev(args[0]) == ev(args[1])
+        elif p[0] == "nu":
+            truth = m.holds(p[1], args[0], [ev(t) for t in args[1:]])
         else:
-            truth = tuple(ev(t) for t in a.args) in m.preds.get(a.pred[1], ())
+            truth = tuple(ev(t) for t in args) in m.preds.get(p[1], ())
     return truth == lit.pos
 
 
 def _rule_locally_sound(m, rule, carrier):
     lvars, dvars = [], []
     for l in rule.premises:
-        for t in l.atom.args:
+        for t in l.args:
             for e in sx.lexprs_of_formula(t):
                 if e.kind == "var" and e not in lvars:
                     lvars.append(e)
@@ -339,7 +339,7 @@ def _rule_locally_sound(m, rule, carrier):
             sks = []
             for d in dens:
                 for l in d:
-                    for t in l.atom.args:
+                    for t in l.args:
                         if _is_skolem_term(t) and t not in sks:
                             sks.append(t)
             ok = False

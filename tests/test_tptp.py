@@ -1,6 +1,7 @@
 import pytest
 
-from tabsynth import normalize, tptp
+from tabsynth import normalize, parser, tptp
+from tabsynth import syntax as sx
 
 
 def _render_all(ns):
@@ -53,3 +54,11 @@ def test_validator_accepts_basics():
     text = ("fof(a1, axiom, ( ! [X] : (p(X) => q(X)) )).\n"
             "fof(goal, conjecture, ( ? [Y] : (q(Y) & ~ p(Y)) )).\n")
     assert tptp.validate_tptp(text) == 2
+
+
+def test_negative_leaf_renders_as_negation(so_spec):
+    for text in ("nu1(not(p0), x)", "eq(x, y)", "false"):
+        lit = parser.parse_formula(so_spec.signature, text)
+        want = tptp._render_formula(sx.formula("not", (lit,)))
+        assert want.startswith("~ ")
+        assert tptp._render_formula(lit.negate()) == want
