@@ -3,12 +3,15 @@ and the brute-force oracle.
 
 Exit codes are a fixed contract: 0 satisfiable (or plain success), 20
 unsatisfiable, 30 unknown / resource limit, 1 pipeline error, 2 malformed
-input.
+input.  Commands report results and raise failures; ``main`` alone maps a
+failure to its exit code: 2 for one inside an ``_input()`` stage, 1 for any
+other.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import re
 import shutil
 import subprocess
@@ -26,9 +29,24 @@ EXIT_ERROR = 1
 EXIT_BAD_INPUT = 2
 
 
+class BadInput(Exception):
+    """A failure while reading the user's input; ``main`` reports it as
+    malformed input."""
+
+
+@contextlib.contextmanager
+def _input():
+    """The stage that reads the problem, or the specification of ``prove``
+    and ``oracle``: what fails in it is malformed input."""
+    try:
+        yield
+    except (OSError, sx.TabError) as e:
+        raise BadInput(e) from e
+
+
 def _read(path):
     """The text of a user file.  A file that is not UTF-8 is a TabError that
-    names it, which each command reports as it reports a malformed file."""
+    names it."""
     with open(path, encoding="utf-8") as fh:
         try:
             return fh.read()
@@ -37,32 +55,34 @@ def _read(path):
                               % (path, e.object[e.start], e.start)) from None
 
 
-def _load_spec(args):
-    if getattr(args, "preset", None):
-        return specfile.preset(args.preset)
-    if getattr(args, "spec", None):
-        return specfile.parse_spec(_read(args.spec), name=args.spec)
-    return None
+def _load_spec(args, needed=True, as_input=False):
+    """The normalized specification that --preset or --spec names, or None
+    when neither is given and it is not ``needed``; read in an ``_input()``
+    stage when ``as_input``."""
+    if not (args.preset or args.spec):
+        if needed:
+            raise sx.TabError("%s needs --preset or --spec" % args.command)
+        return None
+    with _input() if as_input else contextlib.nullcontext():
+        spec = (specfile.preset(args.preset) if args.preset else
+                specfile.parse_spec(_read(args.spec), name=args.spec))
+        return normalize.normalize(spec)
 
 
 def _save(path, text):
     """Write ``text`` to ``path``, or to standard output when ``path`` is
-    None; False once an unwritable path is reported."""
-    try:
-        if path is None:
-            sys.stdout.write(text)
-        else:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-    except OSError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return False
-    return True
+    None."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _load_problem(sig, skolems, path):
     """One concept per line; a not(...) line whose not is no connective of
-    the signature roots the negated literal instead."""
+    the signature roots the negated literal instead.  A problem with no
+    concept is an error."""
     text = _read(path)
     el = Elaborator(sig, skolems)
     inputs = []
@@ -76,42 +96,30 @@ def _load_problem(sig, skolems, path):
             inputs.append((el.lexpr(tree[2][0], 1), False))
         else:
             inputs.append((el.lexpr(tree, 1), True))
+    if not inputs:
+        raise engine.EmptyInput("empty problem")
     return inputs
 
 
 def cmd_synth(args):
-    try:
-        spec = _load_spec(args)
-        if spec is None:
-            print("synth needs --preset or --spec", file=sys.stderr)
-            return EXIT_ERROR
-        ns = normalize.normalize(spec)
-        calc = synth.synthesize(ns, assume_well_founded=args.assume_well_founded)
-    except (OSError, sx.TabError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return EXIT_ERROR
-    if not _save(args.out, calcfile.print_calculus(calc)):
-        return EXIT_ERROR
+    ns = _load_spec(args)
+    calc = synth.synthesize(ns, assume_well_founded=args.assume_well_founded)
+    _save(args.out, calcfile.print_calculus(calc))
     for kind, n in sorted(calc.counts_by_kind().items()):
         print("%s: %d" % (kind, n), file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_refine(args):
-    try:
-        calc = calcfile.parse_calculus(_read(args.calc))
-        steps = refine.parse_script(_read(args.refine_script))
-        ctx = None
-        if args.ctx:
-            ctx = refine.parse_context(_read(args.ctx), calc.signature,
-                                       calc.skolems)
-        calc, log = refine.apply_script(calc, steps, ctx=ctx,
-                                        unsafe=args.unsafe_refine)
-    except (OSError, sx.TabError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return EXIT_ERROR
-    if not _save(args.out, calcfile.print_calculus(calc)):
-        return EXIT_ERROR
+    calc = calcfile.parse_calculus(_read(args.calc))
+    steps = refine.parse_script(_read(args.refine_script))
+    ctx = None
+    if args.ctx:
+        ctx = refine.parse_context(_read(args.ctx), calc.signature,
+                                   calc.skolems)
+    calc, log = refine.apply_script(calc, steps, ctx=ctx,
+                                    unsafe=args.unsafe_refine)
+    _save(args.out, calcfile.print_calculus(calc))
     warning = getattr(calc, "completeness_warning", None)
     if warning:
         print("warning: %s" % warning, file=sys.stderr)
@@ -122,41 +130,23 @@ def cmd_refine(args):
 
 def cmd_prove(args):
     if args.model and not (args.spec or args.preset):
-        print("error: --model needs --spec or --preset", file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        calc = calcfile.parse_calculus(_read(args.calc))
-    except (OSError, sx.TabError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        spec = _load_spec(args)
-        ns = normalize.normalize(spec) if spec else None
+        raise sx.TabError("--model needs --spec or --preset")
+    calc = calcfile.parse_calculus(_read(args.calc))
+    ns = _load_spec(args, needed=False, as_input=True)
+    with _input():
         inputs = _load_problem(calc.signature, calc.skolems, args.problem)
-        if not inputs:
-            raise engine.EmptyInput("empty problem")
-    except (OSError, sx.TabError) as e:
-        print("input error: %s" % e, file=sys.stderr)
-        return EXIT_BAD_INPUT
     if args.ub:
-        try:
-            calc = refine.attach_ub(calc, synth.UbConfig(True, args.ub_depth))
-        except sx.TabError as e:
-            print("error: %s" % e, file=sys.stderr)
-            return EXIT_ERROR
+        calc = refine.attach_ub(calc, synth.UbConfig(True, args.ub_depth))
     # without ns the engine skips its subexpression check, which nothing
     # here reads
     eng = engine.Engine(calc, node_budget=args.budget_nodes,
                         time_budget=args.budget_secs, search=args.search,
                         trace=bool(args.trace))
-    try:
+    with _input():
         tab = eng.init(inputs)
-    except sx.TabError as e:
-        print("input error: %s" % e, file=sys.stderr)
-        return EXIT_BAD_INPUT
     verdict = eng.expand(tab)
-    if args.trace and not _save(args.trace, "\n".join(eng.trace) + "\n"):
-        return EXIT_ERROR
+    if args.trace:
+        _save(args.trace, "\n".join(eng.trace) + "\n")
     if verdict.kind == "unsat":
         print("UNSAT")
         return EXIT_UNSAT
@@ -167,26 +157,16 @@ def cmd_prove(args):
     if args.model:
         m = models.extract_model(verdict.branch, ns, ctx=calc.ctx,
                                  skolems=calc.skolems)
-        if not _save(args.model, m.format()):
-            return EXIT_ERROR
+        _save(args.model, m.format())
     return EXIT_SAT
 
 
 def cmd_checkwd(args):
     if args.prover is not None and not args.prover.split():
-        print("error: --prover names no command", file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        spec = _load_spec(args)
-        if spec is None:
-            print("check-wd needs --preset or --spec", file=sys.stderr)
-            return EXIT_ERROR
-        ns = normalize.normalize(spec)
-        obligations = normalize.emit_wd_obligations(ns)
-        paths = tptp.write_obligations(obligations, spec.signature, args.outdir)
-    except (OSError, sx.TabError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return EXIT_ERROR
+        raise sx.TabError("--prover names no command")
+    ns = _load_spec(args)
+    obligations = normalize.emit_wd_obligations(ns)
+    paths = tptp.write_obligations(obligations, ns.signature, args.outdir)
     for ob, path in zip(obligations, paths):
         note = " (%s)" % ob.status if ob.status else ""
         print("wrote %s%s" % (path, note))
@@ -212,31 +192,19 @@ def cmd_checkwd(args):
 
 
 def cmd_oracle(args):
-    try:
-        spec = _load_spec(args)
-        if spec is None:
-            print("oracle needs --preset or --spec", file=sys.stderr)
-            return EXIT_ERROR
-        ns = normalize.normalize(spec)
-        inputs = _load_problem(spec.signature, {}, args.problem)
-        if not inputs:
-            raise engine.EmptyInput("empty problem")
-    except (OSError, sx.TabError) as e:
-        print("input error: %s" % e, file=sys.stderr)
-        return EXIT_BAD_INPUT
+    ns = _load_spec(args, as_input=True)
+    with _input():
+        inputs = _load_problem(ns.signature, {}, args.problem)
     try:
         res, m = models.brute_force_sat(ns, inputs, args.max_size)
     except models.CarrierTooLarge as e:
         print("UNKNOWN")
         print("carrier too large: %s" % e, file=sys.stderr)
         return EXIT_UNKNOWN
-    except sx.TabError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return EXIT_ERROR
     if res == "sat":
         print("SAT")
-        if args.model and not _save(args.model, m.format()):
-            return EXIT_ERROR
+        if args.model:
+            _save(args.model, m.format())
         return EXIT_SAT
     print("UNSAT")
     return EXIT_UNSAT
@@ -301,6 +269,12 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except BadInput as e:
+        print("input error: %s" % e, file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except (OSError, sx.TabError) as e:
+        print("error: %s" % e, file=sys.stderr)
+        return EXIT_ERROR
     except RecursionError:
         # readers, the prover and the oracle recurse on the nesting of terms
         print("input error: expression nested too deeply (Python recursion "

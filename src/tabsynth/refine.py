@@ -103,8 +103,7 @@ def refine_rule(calc, rule_id, fold, drop_dp=False, unsafe=False):
         rid = "%s_%d" % (rule_id, j)
         new_rules.append(TableauRule(
             rid, rule.kind, premises, kept, rule.fresh_functions,
-            produces_terms=rule.produces_terms and bool(kept),
-            provenance="fold %s of %s" % (",".join(str(i) for i in fold), rule_id)))
+            produces_terms=rule.produces_terms and bool(kept)))
 
     rules = []
     for r in calc.rules:
@@ -335,8 +334,7 @@ class _Internalizer:
             return None  # a vacuous denominator makes the rule a no-op
         try:
             return TableauRule(r.id, r.kind, premises, denominators,
-                               r.fresh_functions, r.produces_terms,
-                               provenance=r.provenance)
+                               r.fresh_functions, r.produces_terms)
         except UnboundVariable:
             # an object-sort predication premise was load bearing: nothing in
             # the object language can express it, so the rule must be folded
@@ -415,8 +413,7 @@ def attach_ub(calc, cfg):
     a = sx.atom(sx.EQ, [x, y])
     ub = TableauRule("ub", "blocking",
                      [sx.atom(sx.EQ, [v, v]) for v in (x, y)],
-                     [[a], [a.negate()]],
-                     provenance="equality conjecture blocking")
+                     [[a], [a.negate()]])
     if calc.mode == "internalized":
         ctx = calc.ctx
         if ctx is None or "eq" not in ctx.templates["d+"] \

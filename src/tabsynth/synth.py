@@ -43,7 +43,7 @@ class DuplicateRuleId(sx.TabError):
 
 class TableauRule:
     def __init__(self, rid, kind, premises, denominators, fresh_functions=(),
-                 produces_terms=False, provenance=""):
+                 produces_terms=False):
         self.id = rid
         self.kind = kind  # decomposition+ | decomposition- | theory | equality
         #                   | closure | blocking
@@ -51,7 +51,6 @@ class TableauRule:
         self.denominators = tuple(tuple(d) for d in denominators)
         self.fresh_functions = tuple(fresh_functions)
         self.produces_terms = produces_terms
-        self.provenance = provenance
         self.plan = None  # the engine's RulePlan, built on first use
         if not self.premises and kind not in ("theory",):
             raise sx.TabError("rule %s has no premises" % rid)
@@ -264,15 +263,19 @@ def head_slug(xi):
     return re.sub(r"[^a-zA-Z0-9]+", "_", e.text()).strip("_")
 
 
+def _matrix(f, pos, head_lvars, scope, namer, slug):
+    """(DNF matrix, fresh Skolem functions) of ``f``, negated unless
+    ``pos``: NNF, Skolemization, DNF and clean-up in turn."""
+    tree, fns = _skolemize(_nnf(f, pos), head_lvars, scope,
+                           namer or _SkolemNamer(), slug, [0])
+    return _clean_matrix(_dnf(tree)), fns
+
+
 def implicational_form(xi, namer=None):
     """(head literal, DNF matrix, fresh Skolem functions) for one sentence."""
-    namer = namer or _SkolemNamer()
     head_lit = xi.head_atom if xi.polarity == "+" else xi.head_atom.negate()
-    tree = _nnf(xi.body, xi.polarity == "+")
-    counter = [0]
-    tree, fns = _skolemize(tree, xi.head_lvars(), list(xi.dom_vars), namer,
-                           head_slug(xi), counter)
-    matrix = _clean_matrix(_dnf(tree))
+    matrix, fns = _matrix(xi.body, xi.polarity == "+", xi.head_lvars(),
+                          list(xi.dom_vars), namer, head_slug(xi))
     return head_lit, matrix, fns
 
 
@@ -283,8 +286,7 @@ def make_decomposition_rule(xi, namer=None):
     rid = head_slug(xi) + ("_pos" if xi.polarity == "+" else "_neg")
     kind = "decomposition+" if xi.polarity == "+" else "decomposition-"
     return TableauRule(rid, kind, premises, matrix, fns,
-                       produces_terms=bool(fns),
-                       provenance="sentence %s" % sx.formula_text(xi.sentence()))
+                       produces_terms=bool(fns))
 
 
 def make_theory_rule(idx, sentence, namer=None):
@@ -293,15 +295,10 @@ def make_theory_rule(idx, sentence, namer=None):
             from .normalize import NonAtomicBackground
             raise NonAtomicBackground(e.text())
     lvars = sx.lvars(sentence)
-    namer = namer or _SkolemNamer()
-    tree = _nnf(sentence, True)
-    counter = [0]
-    tree, fns = _skolemize(tree, lvars, [], namer, "bg%d" % idx, counter)
-    matrix = _clean_matrix(_dnf(tree))
+    matrix, fns = _matrix(sentence, True, lvars, [], namer, "bg%d" % idx)
     premises = [_eq(v, v) for v in lvars + sx.dvars(matrix)]
     return TableauRule("theory_%d" % idx, "theory", premises, matrix, fns,
-                       produces_terms=bool(fns),
-                       provenance="background %s" % sx.formula_text(sentence))
+                       produces_terms=bool(fns))
 
 
 # ---------------------------------------------------------------------------
@@ -381,15 +378,13 @@ def default_equality_rules(sig, ns, skolems=()):
             rules.append(TableauRule(
                 "dp_%s_%s" % (tag, name), "equality",
                 [sx.literal(sign, pred, ls + xs)],
-                [[_eq(v, v) for v in ls + xs]],
-                provenance="domain predication for %s" % name))
+                [[_eq(v, v) for v in ls + xs]]))
 
     rv = _RuleVars(sig)
     x, y, z = rv.dv(), rv.dv(), rv.dv()
-    rules.append(TableauRule("eq_sym", "equality", [_eq(x, y)], [[_eq(y, x)]],
-                             provenance="symmetry"))
+    rules.append(TableauRule("eq_sym", "equality", [_eq(x, y)], [[_eq(y, x)]]))
     rules.append(TableauRule("eq_trans", "equality", [_eq(x, y), _eq(y, z)],
-                             [[_eq(x, z)]], provenance="transitivity"))
+                             [[_eq(x, z)]]))
 
     for name, pred, lead, k in fams:
         for i in range(k):
@@ -404,8 +399,7 @@ def default_equality_rules(sig, ns, skolems=()):
                 rules.append(TableauRule(
                     "congr_%s%s_%d" % (tag, name, i + 1), "equality",
                     [sx.literal(sign, pred, ls + xs), _eq(xs[i], ys[i])],
-                    [[sx.literal(sign, pred, ls + ys)]],
-                    provenance="congruence for %s" % name))
+                    [[sx.literal(sign, pred, ls + ys)]]))
     for fn in skolems:
         for i in range(fn.n_dom):
             rv = _RuleVars(sig)
@@ -422,8 +416,7 @@ def default_equality_rules(sig, ns, skolems=()):
                 "congr_fn_%s_%d" % (fn.name, i + 1), "equality",
                 [_eq(t1, t1), _eq(xs[i], yi)],
                 [[_eq(t1, t2)]],
-                produces_terms=True,
-                provenance="congruence for %s" % fn.name))
+                produces_terms=True))
     return rules
 
 
@@ -436,8 +429,7 @@ def closure_rules(sig, ns):
         _, ls, xs = _fresh_args(sig, lead, k)
         a = sx.atom(pred, ls + xs)
         rules.append(TableauRule("closure_%s" % name, "closure",
-                                 [a, a.negate()], [],
-                                 provenance="contradiction on %s" % name))
+                                 [a, a.negate()], []))
     return rules
 
 

@@ -162,9 +162,15 @@ BAD_FILES = [
      "sorts 2\nvars 1 p\nconnective a 1 1 -> 1\n"
      "define forall x. nu1(a(p, p), x) <-> nu1(p, x)\n",
      ["synth", "--spec", "{f}"], "distinct"),
+    # a command that needs a specification says so before it reads its input
     ("prove-model-no-spec", "p0\nnot(p0)\n",
      ["prove", "--calc", "{work}/so_refined.calc", "--model", "{work}/m.txt",
-      "{f}"], "--spec"),
+      "{f}"], "--model needs --spec or --preset"),
+    ("synth-no-spec", None, ["synth"], "synth needs --preset or --spec"),
+    ("check-wd-no-spec", None, ["check-wd", "--outdir", "{nodir}"],
+     "check-wd needs --preset or --spec"),
+    ("oracle-no-spec", None, ["oracle", "{f}"],
+     "oracle needs --preset or --spec"),
     ("unbound.calc",
      "sorts 2\nvars 1 p\nrule bad [equality]: eq(x, x) / eq(y, y)\n",
      ["prove", "--calc", "{f}", "{work}/none.txt"], "binds y at 3:?"),
@@ -382,6 +388,42 @@ def test_checkwd_blank_prover_is_error(tmp_path, capsys):
     assert run_cli(["check-wd", "--preset", "ipc", "--outdir", str(tmp_path),
                     "--prover", " "]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_checkwd_unstartable_prover_is_error(tmp_path):
+    # the script is executable, but the interpreter it names does not exist
+    prover = tmp_path / "prover"
+    _write(prover, "#!/nonexistent/interp\n")
+    prover.chmod(0o755)
+    proc = _run_module(["check-wd", "--preset", "ipc", "--outdir",
+                        str(tmp_path / "wd"), "--prover", str(prover)])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def _fail(*args, **kwargs):
+    raise sx.TabError("injected")
+
+
+# a pipeline stage that fails after the input is read
+@pytest.mark.parametrize("target, args", [
+    ("tabsynth.engine.Engine.expand",
+     ["prove", "--calc", "{work}/so_refined.calc", "--ub", "{p0}"]),
+    ("tabsynth.models.extract_model",
+     ["prove", "--calc", "{work}/so_refined.calc", "--preset", "so", "--ub",
+      "--model", "{tmp}/m.txt", "{p0}"]),
+    ("tabsynth.models.brute_force_sat", ["oracle", "--preset", "so", "{p0}"]),
+    ("tabsynth.tptp.write_obligations",
+     ["check-wd", "--preset", "so", "--outdir", "{tmp}/wd"])],
+    ids=["expand", "extract_model", "brute_force_sat", "write_obligations"])
+def test_pipeline_failure_is_error(work, tmp_path, monkeypatch, capsys, target,
+                                   args):
+    monkeypatch.setattr(target, _fail)
+    fields = {"work": work, "tmp": tmp_path,
+              "p0": _write(tmp_path / "p0.txt", "p0\n")}
+    assert run_cli([a.format(**fields) for a in args]) == 1
+    assert capsys.readouterr().err == "error: injected\n"
 
 
 def test_checkwd_writes_files(work, tmp_path):

@@ -2,12 +2,15 @@
 code of the contract, never in a traceback.
 
 Lines are mutated token by token (dropped, inserted, truncated, swapped),
-and a quarter of the problem and specification files get one byte that is
-not UTF-8.  The calculi stay UTF-8, so every one reaches the parser: the
-rule lines of the golden calculi go through ``prove``, which reaches the
-``.calc`` reader, the calculus checks, and the matchers generated for
-whatever premises survive.  Problems go through ``prove`` and ``oracle``,
-and the preset specifications through ``synth`` and ``oracle``.
+and a quarter of the problem, specification, context and refinement files
+get one byte that is not UTF-8.  The calculi stay UTF-8, so every one
+reaches the parser: the rule lines of the golden calculi go through
+``prove``, which reaches the ``.calc`` reader, the calculus checks, and the
+matchers generated for whatever premises survive.  Problems go through
+``prove`` and ``oracle``, and the preset specifications through ``synth``
+and ``oracle``.  The preset ``.ctx`` and ``.refine`` files go through
+``refine`` on the generated golden calculus, and a calculus it refines
+through ``prove``.
 """
 
 import os
@@ -56,6 +59,10 @@ SPEC_LINES = {logic: _lines(os.path.join(PRESETS, logic + ".spec"))
 SPEC_VOCABULARY = _vocabulary(line for lines in SPEC_LINES.values()
                               for line in lines)
 PROBLEM_VOCABULARY = _vocabulary(FUZZ_PROBLEMS.values())
+REFINE_LINES = {name: _lines(os.path.join(PRESETS, name))
+                for name in ("so.ctx", "so.refine", "ipc.refine")}
+REFINE_VOCABULARY = _vocabulary(line for lines in REFINE_LINES.values()
+                                for line in lines)
 
 
 def _mutated(draw, lines, targets, vocabulary):
@@ -107,13 +114,17 @@ def mutated_problem(draw):
 
 
 @st.composite
-def mutated_spec(draw):
-    logic = draw(st.sampled_from(sorted(SPEC_LINES)))
-    lines = SPEC_LINES[logic]
+def mutated_file(draw, lines, vocabulary):
+    """A line-oriented file with its comment and blank lines kept."""
     content = [i for i, line in enumerate(lines)
                if line and not line.startswith("#")]
-    data = _mutated(draw, lines, content, SPEC_VOCABULARY)
-    return logic, _maybe_not_utf8(draw, data)
+    return _maybe_not_utf8(draw, _mutated(draw, lines, content, vocabulary))
+
+
+@st.composite
+def mutated_spec(draw):
+    logic = draw(st.sampled_from(sorted(SPEC_LINES)))
+    return logic, draw(mutated_file(SPEC_LINES[logic], SPEC_VOCABULARY))
 
 
 @fuzz(300)
@@ -156,3 +167,27 @@ def test_mutated_spec_keeps_the_exit_contract(tmp_path, case):
     code = cli.main(["oracle", "--spec", str(spec), "--max-size", "2",
                      str(prob)])
     assert code in CONTRACT
+
+
+@pytest.mark.parametrize("name", sorted(REFINE_LINES))
+@fuzz(100)
+@given(data=st.data())
+def test_mutated_refinement_keeps_the_exit_contract(tmp_path, name, data):
+    logic, kind = name.split(".")
+    files = {"refine": os.path.join(PRESETS, logic + ".refine"),
+             "ctx": os.path.join(PRESETS, "so.ctx") if logic == "so" else None}
+    files[kind] = str(tmp_path / ("fuzz." + kind))
+    with open(files[kind], "wb") as fh:
+        fh.write(data.draw(mutated_file(REFINE_LINES[name], REFINE_VOCABULARY)))
+    calc, prob = tmp_path / "fuzz.calc", tmp_path / "fuzz.problem"
+    args = ["refine", "--calc", os.path.join(GOLDEN, logic + "_generated.calc"),
+            "--refine-script", files["refine"], "-o", str(calc)]
+    if files["ctx"]:
+        args += ["--ctx", files["ctx"]]
+    code = cli.main(args)
+    assert code in CONTRACT
+    if code == 0:
+        prob.write_text(PROBLEMS[logic], encoding="utf-8")
+        code = cli.main(["prove", "--calc", str(calc), "--ub",
+                         "--budget-nodes", "300", str(prob)])
+        assert code in CONTRACT
