@@ -24,7 +24,7 @@ def print_calculus(calc):
     for fn in calc.skolems.values():
         ls = " ".join(str(s) for s in fn.lsorts)
         out.append("skolem %s %s/ %d" % (fn.name, ls + " " if ls else "", fn.n_dom))
-    if calc.blocking and calc.blocking.enabled:
+    if calc.blocking:
         out.append("blocking ub depth %d" % calc.blocking.depth)
     else:
         out.append("blocking off")

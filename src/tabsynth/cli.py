@@ -133,6 +133,16 @@ def cmd_prove(args):
         raise sx.TabError("--model needs --spec or --preset")
     calc = calcfile.parse_calculus(_read(args.calc))
     ns = _load_spec(args, needed=False, as_input=True)
+    if ns is not None:
+        # the calculus's signature may add its context's connectives
+        spec, have = ns.signature, calc.signature
+        misfit = ["%d sorts" % spec.n_lsorts] \
+            if spec.n_lsorts != have.n_lsorts else []
+        misfit += [n for n, c in spec.conns.items() if have.conns.get(n) is not c]
+        misfit += [n for n, k in spec.preds.items() if have.preds.get(n) != k]
+        if misfit:
+            raise sx.TabError("specification %s does not fit calculus %s: %s"
+                              % (ns.spec.name, calc.name, ", ".join(misfit)))
     with _input():
         inputs = _load_problem(calc.signature, calc.skolems, args.problem)
     if args.ub:

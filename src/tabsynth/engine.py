@@ -14,11 +14,15 @@ evaluation), so every instance is queued once.  Every rule fires at most
 once per premise instantiation, enforced with fingerprints.  Closure rules
 (zero denominators) close the branch.
 
-With blocking enabled the engine restricts term-producing rules: once an
-equality ``t = t'`` between a younger and an older term is on the branch, no
-term-producing rule is applied to literals mentioning the younger term, and
-the blocking rule is exhausted over all term pairs before term production
-(after the configured number of free term-producing applications).
+Each branch queues its instances on a heap by the priority fixed in their
+rule's plan (see :class:`RulePlan`), then by discovery order.  With blocking
+enabled the engine restricts term-producing rules: once an equality
+``t = t'`` between a younger and an older term is on the branch, no
+term-producing rule is applied to literals mentioning the younger term.  A
+blocking pair queued before the branch's ``depth``-th term-producing step
+gets priority 5 and keeps it, so it waits behind term production; a pair
+queued from then on gets the plan's 3 and goes before term production.  At
+depth 0 every pair gets 3.
 Exploration is one loop over a deque of open branches, depth-first by
 default with the denominators in rule order; equal-conjecture branches
 therefore come first, which keeps models small.
@@ -50,8 +54,6 @@ class EmptyInput(sx.TabError):
 # mode adapters: what counts as a term and an equality
 
 class BaseMode:
-    name = "base"
-
     def terms_in_literal(self, lit):
         return sx.ground_terms(lit)
 
@@ -65,8 +67,6 @@ class BaseMode:
 
 
 class InternalizedMode:
-    name = "internalized"
-
     def __init__(self, ctx):
         self.deq_plus = ctx.templates["d+"].get("eq")
 
@@ -77,11 +77,7 @@ class InternalizedMode:
     def terms_in_literal(self, lit):
         if lit.pred[0] != "holds":
             return []
-        out = []
-        for e in lit.args[0].subexprs():
-            if e.sort == 0 and e not in out:
-                out.append(e)
-        return out
+        return [e for e in lit.args[0].subexprs() if e.sort == 0]
 
     def eq_pair(self, lit):
         if lit.pred[0] != "holds" or self.deq_plus is None:
@@ -93,7 +89,7 @@ class InternalizedMode:
 # branches
 
 def _coarse_key(lit):
-    return (lit.pos, sx.pred_text(lit.pred), None)
+    return (lit.pos, lit.pred, None)
 
 
 def _head_key(lit):
@@ -103,7 +99,7 @@ def _head_key(lit):
     if p[0] in ("nu", "holds") and lit.args:
         e = lit.args[0]
         if e.kind == "app":
-            return (lit.pos, sx.pred_text(p), e.name)
+            return (lit.pos, p, e.sym)
     return None
 
 
@@ -190,13 +186,20 @@ class RulePlan:
     yields them all): the generated matching loop of :func:`_compile_join`,
     or :meth:`blocking_pairs` for the blocking rule.  ``denominators`` are
     one generated function per denominator from a binding to its literals
-    (``sx.compile_substitution``).
+    (``sx.compile_substitution``).  ``priority`` orders the rule's
+    instances on the heap, lowest first: closure 0, equality 1, other
+    non-branching 2, branching and blocking 3, term-producing 4.
     """
 
-    __slots__ = ("rid", "slots", "join", "denominators")
+    __slots__ = ("rid", "priority", "slots", "join", "denominators")
 
     def __init__(self, rule):
         self.rid = rule.id
+        self.priority = (0 if rule.is_closure() else
+                         1 if rule.kind == "equality" else
+                         3 if rule.kind == "blocking" else
+                         4 if rule.produces_terms else
+                         2 if rule.branching_factor <= 1 else 3)
         self.slots = tuple(sx.lvars(rule.premises) + sx.dvars(rule.premises))
         self.join = self.blocking_pairs if rule.kind == "blocking" \
             else _compile_join(rule, self.fingerprint)
@@ -293,8 +296,7 @@ def _compile_join(rule, fingerprint):
 
 
 class Tableau:
-    def __init__(self, calc, root_branch):
-        self.calc = calc
+    def __init__(self, root_branch):
         self.root = root_branch
         self.next_bid = root_branch.bid + 1
 
@@ -327,7 +329,7 @@ class Engine:
         self.subexpr_violations = []
         self.c1_violations = []
         self.allowed_exprs = None  # set by init for the subexpression check
-        self.blocking = calc.blocking
+        self.blocking = calc.blocking  # None, or an enabled UbConfig
 
     # -- construction --------------------------------------------------------
     def init(self, concepts):
@@ -360,7 +362,7 @@ class Engine:
             a0 = sx.dconst("a0")
             for c, pos in signed:
                 self._add(root, sx.literal(pos, sx.nu(1), [c, a0]))
-        return Tableau(self.calc, root)
+        return Tableau(root)
 
     def _add(self, branch, lit):
         added = branch.add(lit, self.mode)
@@ -371,33 +373,6 @@ class Engine:
         return added
 
     # -- matching ------------------------------------------------------------
-    def applicable_instances(self, rule, branch):
-        """(fingerprint, binding, matched literals) for every instance not
-        yet applied on the branch."""
-        return _plan(rule).join(branch, 0)
-
-    def _suppressed(self, rule, branch, terms):
-        """Condition on term-producing rules: no premise may mention a term
-        already equated with an older one."""
-        if not (self.blocking and self.blocking.enabled):
-            return False
-        if not rule.produces_terms:
-            return False
-        return any(t in branch.blocked for t in terms)
-
-    def _priority(self, rule, branch):
-        if rule.is_closure():
-            return 0
-        if rule.kind == "equality":
-            return 1
-        if rule.kind == "blocking":
-            if self.blocking and branch.tp_count < self.blocking.depth:
-                return 5
-            return 3
-        if rule.produces_terms:
-            return 4
-        return 2 if rule.branching_factor <= 1 else 3
-
     def _discover(self, branch):
         """Queue the instances with a premise matched to a literal added
         since the last round.  Such an instance was never queued before: the
@@ -407,9 +382,13 @@ class Engine:
             return
         branch.scan_upto = len(branch.literals)
         push = heapq.heappush
+        # the blocking rule waits behind term production until the branch
+        # has had ``depth`` term-producing steps
+        early = self.blocking and branch.tp_count < self.blocking.depth
         for rule in self.calc.rules:
-            prio = self._priority(rule, branch)
-            for fp, binding, matched in _plan(rule).join(branch, new_from):
+            plan = _plan(rule)
+            prio = 5 if early and rule.kind == "blocking" else plan.priority
+            for fp, binding, matched in plan.join(branch, new_from):
                 terms = ()
                 if rule.produces_terms:
                     terms = tuple({t for lit in matched
@@ -443,16 +422,14 @@ class Engine:
         self._discover(branch)
         heap = branch.heap
         while heap:
-            prio, _, fp, rule, binding, terms = entry = heap[0]
+            _, _, fp, rule, binding, terms = heap[0]
             if fp in branch.applied:
                 heapq.heappop(heap)
                 continue
-            current = self._priority(rule, branch)
-            if current != prio:
-                heapq.heapreplace(heap, (current,) + entry[1:])
-                continue
-            if self._suppressed(rule, branch, terms):
-                heapq.heappop(heap)  # blocking only grows; gone for good
+            if terms and self.blocking and not branch.blocked.isdisjoint(terms):
+                # a term-producing instance on a term equated with an older
+                # one; blocking only grows, so it is gone for good
+                heapq.heappop(heap)
                 continue
             if rule.branching_factor >= 1:
                 resolved, open_idx = self._denominator_state(branch, rule,
@@ -477,7 +454,7 @@ class Engine:
         branch.applied.add(fp)
         self.applications += 1
         if rule.produces_terms:
-            if self.blocking and self.blocking.enabled:
+            if self.blocking:
                 # online check of the blocking discipline: no term-producing
                 # step may touch a term already equated with an older one
                 for prem in rule.premises:

@@ -79,7 +79,8 @@ def refine_rule(calc, rule_id, fold, drop_dp=False, unsafe=False):
     folded = [rule.denominators[i] for i in fold]
     kept = [d for i, d in enumerate(rule.denominators) if i not in fold]
     flat = [l for d in folded for l in d]
-    if not fold_whitelisted(rule, flat, calc.signature) and not unsafe:
+    whitelisted = fold_whitelisted(rule, flat, calc.signature)
+    if not whitelisted and not unsafe:
         raise RefinementNotWhitelisted(
             "folding %s does not preserve model construction by construction; "
             "re-run with the unsafe-refine acknowledgement" % rule_id)
@@ -112,7 +113,7 @@ def refine_rule(calc, rule_id, fold, drop_dp=False, unsafe=False):
         else:
             rules.append(r)
     out = calc.replaced(rules)
-    if not fold_whitelisted(rule, flat, calc.signature):
+    if not whitelisted:
         out.completeness_warning = \
             "fold of %s is outside the whitelist: completeness not guaranteed" % rule_id
     return out

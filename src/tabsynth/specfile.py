@@ -244,9 +244,12 @@ def print_spec(spec):
 
 
 def preset_text(name):
-    res = importlib.resources.files("tabsynth").joinpath("presets/%s.spec" % name)
+    presets = importlib.resources.files("tabsynth").joinpath("presets")
+    res = presets.joinpath("%s.spec" % name)
     if not res.is_file():
-        raise UnknownPreset(name)
+        raise UnknownPreset("unknown preset %r (bundled: %s)" % (name, ", ".join(
+            sorted(f.name[:-5] for f in presets.iterdir()
+                   if f.name.endswith(".spec")))))
     return res.read_text(encoding="utf-8")
 
 

@@ -89,9 +89,6 @@ class UbConfig:
         self.enabled = enabled
         self.depth = depth
 
-    def __repr__(self):
-        return "UbConfig(enabled=%r, depth=%d)" % (self.enabled, self.depth)
-
 
 class Calculus:
     def __init__(self, name, signature, rules, skolems=None, blocking=None,

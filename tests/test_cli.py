@@ -171,6 +171,17 @@ BAD_FILES = [
      "check-wd needs --preset or --spec"),
     ("oracle-no-spec", None, ["oracle", "{f}"],
      "oracle needs --preset or --spec"),
+    ("synth-unknown-preset", None, ["synth", "--preset", "nosuch"],
+     "unknown preset 'nosuch' (bundled: ipc, so)"),
+    # a model is extracted under the specification the calculus came from
+    ("so-calc-ipc-spec", None,
+     ["prove", "--calc", "{work}/so_refined.calc", "--preset", "ipc", "--ub",
+      "--model", "{work}/m.txt", "{one_l0}"],
+     "specification ipc does not fit calculus so: 2 sorts"),
+    ("ipc-calc-so-spec", None,
+     ["prove", "--calc", "{work}/ipc_refined.calc", "--preset", "so", "--ub",
+      "--model", "{work}/m.txt", "{p0}"],
+     "specification so does not fit calculus ipc: 3 sorts"),
     ("unbound.calc",
      "sorts 2\nvars 1 p\nrule bad [equality]: eq(x, x) / eq(y, y)\n",
      ["prove", "--calc", "{f}", "{work}/none.txt"], "binds y at 3:?"),
@@ -264,6 +275,13 @@ def test_bad_file_is_error_without_traceback(work, tmp_path, name, text, args,
     assert proc.stderr.startswith("error: ")
     assert names.format(**fields) in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_unknown_oracle_preset_is_input_error(tmp_path, capsys):
+    prob = _write(tmp_path / "p.txt", "p0\n")
+    assert run_cli(["oracle", "--preset", "nosuch", prob]) == 2
+    assert capsys.readouterr().err == \
+        "input error: unknown preset 'nosuch' (bundled: ipc, so)\n"
 
 
 @pytest.mark.parametrize("args", [
@@ -540,21 +558,28 @@ def test_replay_checks_that_a_saturated_branch_is_saturated():
         engine.replay_trace(calc, [c], cut)
 
 
-# --trace and --model of two blocked SO derivations, the second with Skolem
-# terms, recorded before object expressions and domain terms shared one node
-TRACE_GOLDEN = [("so_refined.calc", "exists(r0, p0)", "so_refined_exists"),
+# (calculus, problem, golden file name, blocking depth) of the --trace and
+# --model of blocked SO derivations, the second with Skolem terms; the first
+# two were recorded before object expressions and domain terms shared one
+# node, the third before each rule's priority was fixed in its plan
+TRACE_GOLDEN = [("so_refined.calc", "exists(r0, p0)", "so_refined_exists", 0),
                 ("so_generated.calc", "exists(r0, one(l0))",
-                 "so_generated_exists_one")]
+                 "so_generated_exists_one", 0),
+                # a blocking pair queued before the second term-producing
+                # step keeps waiting behind term production
+                ("so_refined.calc", "exists(r0, p0)",
+                 "so_refined_exists_depth2", 2)]
 
 
-@pytest.mark.parametrize("calc, concept, golden", TRACE_GOLDEN,
+@pytest.mark.parametrize("calc, concept, golden, depth", TRACE_GOLDEN,
                          ids=[c[2] for c in TRACE_GOLDEN])
-def test_trace_and_model_are_golden_bytes(tmp_path, calc, concept, golden):
+def test_trace_and_model_are_golden_bytes(tmp_path, calc, concept, golden,
+                                          depth):
     prob = _write(tmp_path / "p.txt", concept + "\n")
     trace, model = tmp_path / "t.txt", tmp_path / "m.txt"
     assert run_cli(["prove", "--calc", os.path.join(GOLDEN, calc), "--preset",
-                    "so", "--ub", "--trace", str(trace), "--model", str(model),
-                    prob]) == 0
+                    "so", "--ub", "--ub-depth", str(depth), "--trace",
+                    str(trace), "--model", str(model), prob]) == 0
     for path, ext in ((trace, "trace"), (model, "model")):
         with open(os.path.join(GOLDEN, "%s.%s" % (golden, ext)), "rb") as fh:
             assert path.read_bytes() == fh.read()

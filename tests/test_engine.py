@@ -57,7 +57,7 @@ def test_or_rule_single_instance(so_calc):
     lit = sx.atom(sx.nu(1), [pc(so_calc, "or(p0, q0)"), a0])
     dp = sx.atom(sx.EQ, [a0, a0])
     b = _branch_with(eng, [lit, dp])
-    insts = list(eng.applicable_instances(so_calc.rule("or_pos"), b))
+    insts = list(engine._plan(so_calc.rule("or_pos")).join(b, 0))
     assert len(insts) == 1
     _, binding, _ = insts[0]
     assert binding[sx.lvar(1, "p")].text() == "p0"
@@ -72,7 +72,7 @@ def test_refined_exists_binds_successor(so_calc):
     lits = [sx.atom(sx.nu(1), [pc(so_calc, "exists(r0, p0)"), a0]).negate(),
             sx.atom(sx.nu(2), [pc_role(so_calc, "r0"), a0, b0])]
     b = _branch_with(eng, lits)
-    insts = list(eng.applicable_instances(refined.rule("exists_neg_1"), b))
+    insts = list(engine._plan(refined.rule("exists_neg_1")).join(b, 0))
     assert len(insts) == 1
     assert insts[0][1][sx.dvar("y")] is b0
 
@@ -87,10 +87,10 @@ def test_applied_instances_are_excluded(so_calc):
     lit = sx.atom(sx.nu(1), [pc(so_calc, "or(p0, q0)"), a0])
     b = _branch_with(eng, [lit])
     rule = so_calc.rule("or_pos")
-    fp, binding, _ = next(iter(eng.applicable_instances(rule, b)))
-    tab = engine.Tableau(so_calc, b)
+    fp, binding, _ = next(engine._plan(rule).join(b, 0))
+    tab = engine.Tableau(b)
     eng.apply(tab, b, rule, fp, binding)
-    assert list(eng.applicable_instances(rule, b)) == []
+    assert list(engine._plan(rule).join(b, 0)) == []
 
 
 # -- application ---------------------------------------------------------------
@@ -100,7 +100,7 @@ def test_apply_positive_exists_registers_term(so_calc, so_ns):
     tab = eng.init([pc(so_calc, "exists(r0, p0)")])
     b = tab.root
     rule = so_calc.rule("exists_pos")
-    fp, binding, _ = next(iter(eng.applicable_instances(rule, b)))
+    fp, binding, _ = next(engine._plan(rule).join(b, 0))
     succ = eng.apply(tab, b, rule, fp, binding)
     assert succ == [b]
     sks = [t for t in b.term_birth if t.kind == "app" and t.sym is not sx.NU0]
@@ -118,8 +118,8 @@ def test_apply_closure_closes(so_calc):
             sx.atom(sx.nu(1), [p0, a0]).negate()]
     b = _branch_with(eng, lits)
     rule = so_calc.rule("closure_nu1")
-    fp, binding, _ = next(iter(eng.applicable_instances(rule, b)))
-    tab = engine.Tableau(so_calc, b)
+    fp, binding, _ = next(engine._plan(rule).join(b, 0))
+    tab = engine.Tableau(b)
     assert eng.apply(tab, b, rule, fp, binding) == []
     assert b.closed
 
@@ -132,9 +132,9 @@ def test_apply_ub_two_successors(ipc_calc):
             sx.atom(sx.EQ, [b0, b0])]
     b = _branch_with(eng, lits)
     rule = blocked.rule("ub")
-    insts = list(eng.applicable_instances(rule, b))
+    insts = list(engine._plan(rule).join(b, 0))
     assert len(insts) == 1  # birth-ordered pair a0 < b0, once
-    tab = engine.Tableau(blocked, b)
+    tab = engine.Tableau(b)
     fp, binding, _ = insts[0]
     succ = eng.apply(tab, b, rule, fp, binding)
     assert [l.text() for l in succ[0].literals[-1:]] == ["eq(a0, b0)"]
@@ -551,7 +551,7 @@ def test_blocking_join_yields_pairs_with_a_new_marker_in_birth_order(ipc_calc):
     assert pairs(4) == pairs(5) == [(a0, d0), (b0, d0), (c0, d0)]
     assert pairs(6) == []
     fp, binding, _ = next(join(b, 5))
-    eng.apply(engine.Tableau(blocked, b), b, rule, fp, binding)
+    eng.apply(engine.Tableau(b), b, rule, fp, binding)
     assert pairs(0) == everything[:2] + everything[3:]
 
 
