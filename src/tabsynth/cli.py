@@ -97,7 +97,7 @@ def _load_problem(sig, skolems, path):
         else:
             inputs.append((el.lexpr(tree, 1), True))
     if not inputs:
-        raise engine.EmptyInput("empty problem")
+        raise sx.TabError("empty problem")
     return inputs
 
 

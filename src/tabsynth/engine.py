@@ -46,10 +46,6 @@ from . import syntax as sx
 _POSITION = operator.itemgetter(1)  # a candidate's index on its branch
 
 
-class EmptyInput(sx.TabError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # mode adapters: what counts as a term and an equality
 
@@ -341,10 +337,10 @@ class Engine:
         """
         signed = [c if isinstance(c, tuple) else (c, True) for c in concepts]
         if not signed:
-            raise EmptyInput("no input concepts")
+            raise sx.TabError("no input concepts")
         for c, _ in signed:
             if c.sort != 1:
-                raise sx.IllSorted("inputs must be concepts (sort 1)")
+                raise sx.TabError("inputs must be concepts (sort 1)")
         # the online subexpression check runs for unrefined generated calculi
         if self.ns is not None and not self.calc.refined \
                 and self.calc.mode == "base":
@@ -378,8 +374,6 @@ class Engine:
         since the last round.  Such an instance was never queued before: the
         literal did not exist, and a join walks each combination once."""
         new_from = branch.scan_upto
-        if len(branch.literals) <= new_from and new_from != 0:
-            return
         branch.scan_upto = len(branch.literals)
         push = heapq.heappush
         # the blocking rule waits behind term production until the branch

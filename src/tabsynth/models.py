@@ -24,14 +24,6 @@ from . import syntax as sx
 from .normalize import induced_ordering, occurring_preds
 
 
-class BranchClosed(sx.TabError):
-    pass
-
-
-class UnassignedVariable(sx.TabError):
-    pass
-
-
 class CarrierTooLarge(sx.TabError):
     pass
 
@@ -87,7 +79,7 @@ class LStructure:
             graph = self.funs.get(t.name, {})
             key = tuple(self.eval_term(a, val) for a in t.args)
         if key not in graph:
-            raise UnassignedVariable(t.text())
+            raise sx.TabError("no value for domain term %s" % t.text())
         return graph[key]
 
     def format(self):
@@ -242,7 +234,7 @@ def extract_model(branch, ns, ctx=None, skolems=None):
     from .engine import Branch
     if isinstance(branch, Branch):
         if branch.closed:
-            raise BranchClosed("cannot extract a model from a closed branch")
+            raise sx.TabError("cannot extract a model from a closed branch")
         literals = branch.literals
     else:
         literals = list(branch)
@@ -344,7 +336,7 @@ class Semantics:
     :func:`evaluate`.  ``slots`` holds one domain element per domain
     variable given at compilation, then one per quantifier, which loops over
     ``range(m.size)``; any other free domain variable raises
-    :class:`UnassignedVariable` when it is reached.  Compound expressions
+    :class:`~tabsynth.syntax.TabError` when it is reached.  Compound expressions
     unfold through the compiled definitions, memoized in ``m._memo`` under
     keys of their own.  Nothing here calls :func:`evaluate` or
     :meth:`LStructure.holds`: they stay the tree-walking reference that
@@ -434,8 +426,8 @@ def _compile(f, lvars, dvars, holds):
         def get(m, o, s):
             graph, key = graph_key(m, o, s)
             if key not in graph:
-                raise UnassignedVariable(
-                    sx.substitute_expr(t, dict(zip(lvars, o))).text())
+                e = sx.substitute_expr(t, dict(zip(lvars, o)))
+                raise sx.TabError("no value for domain term %s" % e.text())
             return graph[key]
         return get
 

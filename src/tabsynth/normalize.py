@@ -15,10 +15,6 @@ from . import syntax as sx
 from .specfile import DirectedSentence, SemanticSpec
 
 
-class NonAtomicBackground(sx.TabError):
-    pass
-
-
 class Xi(DirectedSentence):
     """One directed, normalized sentence: (¬)nu_n(E(p..), x..) vs body."""
 
@@ -122,7 +118,7 @@ def normalize(spec: SemanticSpec) -> NormalizedSpec:
     for ax in spec.axioms:
         for e in sx.lexprs_of_formula(ax):
             if e.kind == "app":
-                raise NonAtomicBackground(
+                raise sx.TabError(
                     "background sentence mentions compound expression %s" % e.text())
     return NormalizedSpec(spec, plus, minus, spec.axioms)
 

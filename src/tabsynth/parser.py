@@ -20,8 +20,6 @@ class SpecSyntaxError(sx.TabError):
     def __init__(self, message, line=None, col=None):
         at = "" if line is None else " at %s:%s" % (line, "?" if col is None else col)
         super().__init__(message + at)
-        self.line = line
-        self.col = col
 
 
 class Token:
@@ -39,7 +37,6 @@ class Token:
 
 _PUNCT = {"(": "lpar", ")": "rpar", ",": "comma", ".": "dot", "|": "bar",
           "/": "slash", ":": "colon", "[": "lbrk", "]": "rbrk"}
-_MULTI = {"<->": "equiv", "->": "arrow"}
 
 
 def tokenize(text, line_offset=1):
@@ -149,9 +146,6 @@ class TreeParser:
             self.expect("rpar")
             return ("app", t.value, args, t)
         return ("name", t.value, t)
-
-
-_FO_CONNECTIVES = {"and", "or", "not", "implies", "iff"}
 
 
 class Elaborator:

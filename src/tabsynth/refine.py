@@ -19,26 +19,6 @@ from .parser import (Elaborator, SpecSyntaxError, TreeParser, connective_text,
 from .synth import Calculus, TableauRule, UbConfig, UnboundVariable
 
 
-class NoSuchRule(sx.TabError):
-    pass
-
-
-class NoDenominator(sx.TabError):
-    pass
-
-
-class IncompleteContext(sx.TabError):
-    pass
-
-
-class NoEqualityAvailable(sx.TabError):
-    pass
-
-
-class RefinementNotWhitelisted(sx.TabError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # folding
 
@@ -68,20 +48,20 @@ def refine_rule(calc, rule_id, fold, drop_dp=False, unsafe=False):
     predication premises afterwards."""
     rule = calc.rule(rule_id)
     if rule is None:
-        raise NoSuchRule(rule_id)
+        raise sx.TabError("no rule %s" % rule_id)
     if not rule.denominators:
-        raise NoDenominator(rule_id)
+        raise sx.TabError("rule %s has no denominators" % rule_id)
     fold = sorted(set(fold))
     for i in fold:
         if not (0 <= i < len(rule.denominators)):
-            raise NoDenominator("%s has no denominator %d" % (rule_id, i))
+            raise sx.TabError("%s has no denominator %d" % (rule_id, i))
 
     folded = [rule.denominators[i] for i in fold]
     kept = [d for i, d in enumerate(rule.denominators) if i not in fold]
     flat = [l for d in folded for l in d]
     whitelisted = fold_whitelisted(rule, flat, calc.signature)
     if not whitelisted and not unsafe:
-        raise RefinementNotWhitelisted(
+        raise sx.TabError(
             "folding %s does not preserve model construction by construction; "
             "re-run with the unsafe-refine acknowledgement" % rule_id)
 
@@ -131,11 +111,11 @@ class Template:
 
     def instantiate(self, args):
         if len(args) != len(self.params):
-            raise IncompleteContext("template arity mismatch")
+            raise sx.TabError("template arity mismatch")
         sub = {}
         for v, a in zip(self.params, args):
             if a.sort != v.sort:
-                raise sx.SortMismatch("template argument sort mismatch")
+                raise sx.TabError("template argument sort mismatch")
             sub[v] = a
         return sx.substitute_expr(self.expr, sub)
 
@@ -161,7 +141,7 @@ class TrContext:
         word = kind + ("+" if pos else "-")
         tpl = self.templates[word].get(key)
         if tpl is None:
-            raise IncompleteContext("missing %s template for %s" % (
+            raise sx.TabError("missing %s template for %s" % (
                 word, "sort %d" % key if kind == "c" else key))
         return tpl
 
@@ -180,7 +160,7 @@ def parse_context(text, sig, skolems):
             fname, cname = fname.strip(), cname.strip()
             fn = skolems.get(fname)
             if fn is None:
-                raise IncompleteContext("unknown function %s" % fname)
+                raise sx.TabError("unknown function %s" % fname)
             conn = sx.Conn(cname, fn.lsorts + (0,) * fn.n_dom, 0)
             new_conns.append(conn)
             fn_conns[fname] = conn
@@ -284,7 +264,7 @@ class _Internalizer:
     def individual(self, t, eps):
         """The sort-0 expression standing for a domain term."""
         if t.sort != sx.DOMAIN:
-            raise IncompleteContext("object expression in domain position")
+            raise sx.TabError("object expression in domain position")
         if t.kind == "var":
             return eps[t]
         if t.kind == "const":
@@ -293,7 +273,7 @@ class _Internalizer:
             return t.args[0]
         conn = self.ctx.fn_conns.get(t.name)
         if conn is None:
-            raise IncompleteContext("no connective for function %s" % t.name)
+            raise sx.TabError("no connective for function %s" % t.name)
         return sx.app(conn, [self.individual(a, eps) if a.sort == sx.DOMAIN else a
                              for a in t.args])
 
@@ -314,8 +294,8 @@ class _Internalizer:
             if s.sort != sx.DOMAIN:
                 if s is t:
                     return None  # reflexive object-sort predication dissolves
-                raise IncompleteContext("object-sort equality %s cannot be "
-                                        "internalized" % lit.text())
+                raise sx.TabError("object-sort equality %s cannot be "
+                                  "internalized" % lit.text())
             tpl = self.ctx.template("d", lit.pos, "eq")
             # put a bare domain variable side first; keeps rules whose premise
             # and conclusion say the same thing literally identical
@@ -340,7 +320,7 @@ class _Internalizer:
             # an object-sort predication premise was load bearing: nothing in
             # the object language can express it, so the rule must be folded
             # into a form whose remaining premises carry its variables first
-            raise IncompleteContext(
+            raise sx.TabError(
                 "rule %s instantiates over object-sort predication the "
                 "context cannot express; fold it before internalizing"
                 % r.id) from None
@@ -419,14 +399,13 @@ def attach_ub(calc, cfg):
         ctx = calc.ctx
         if ctx is None or "eq" not in ctx.templates["d+"] \
                 or "eq" not in ctx.templates["d-"]:
-            raise NoEqualityAvailable("internalized calculus lacks equality "
-                                      "templates")
+            raise sx.TabError("internalized calculus lacks equality templates")
         ub = _Internalizer(calc, ctx).rule(ub)
     elif not any(l.pred[0] == "eq"
                  for r in calc.rules
                  for lits in (r.premises,) + r.denominators
                  for l in lits):
-        raise NoEqualityAvailable("calculus never mentions equality")
+        raise sx.TabError("calculus never mentions equality")
     rules = [r for r in calc.rules if r.id != "ub"] + [ub]
     out = calc.replaced(rules, refined=calc.refined)
     out.blocking = cfg
@@ -474,23 +453,6 @@ def parse_script(text):
     return steps
 
 
-def print_script(steps):
-    out = []
-    for s in steps:
-        if s.kind == "rf":
-            line = "rf %s fold %s" % (s.rule_id, " ".join(str(i) for i in s.fold))
-            if s.drop_dp:
-                line += " drop-dp"
-            out.append(line)
-        elif s.kind == "tr":
-            out.append("tr")
-        elif s.kind == "simplify":
-            out.append("simplify")
-        else:
-            out.append("ub depth %d" % s.depth)
-    return "\n".join(out) + "\n"
-
-
 def apply_script(calc, steps, ctx=None, unsafe=False):
     """Run the steps in order; ``tr`` uses the supplied context."""
     log = []
@@ -500,7 +462,7 @@ def apply_script(calc, steps, ctx=None, unsafe=False):
             log.append("rf %s" % s.rule_id)
         elif s.kind == "tr":
             if ctx is None:
-                raise IncompleteContext("script has a tr step but no context given")
+                raise sx.TabError("script has a tr step but no context given")
             calc = internalize(calc, ctx)
             log.append("tr")
         elif s.kind == "simplify":

@@ -28,34 +28,6 @@ from .parser import (Elaborator, SignatureBlock, SpecSyntaxError, TreeParser,
                      print_signature, read_directives, tokenize)
 
 
-class UndefinedConnective(sx.TabError):
-    pass
-
-
-class DuplicateDefinition(sx.TabError):
-    pass
-
-
-class NotLOpen(sx.TabError):
-    pass
-
-
-class ConnectiveSelfReference(sx.TabError):
-    pass
-
-
-class UnknownPreset(sx.TabError):
-    pass
-
-
-class SpecErrors(sx.TabError):
-    """Bundle of errors found while reading a specification."""
-
-    def __init__(self, errors):
-        super().__init__("; ".join(str(e) for e in errors))
-        self.errors = list(errors)
-
-
 class Definition:
     """One connective definition: forall xs. nu_n(sigma(ps), xs) <-> body."""
 
@@ -97,7 +69,7 @@ class SemanticSpec:
         for d in self.definitions:
             if d.conn.name == conn_name:
                 return d
-        raise UndefinedConnective(conn_name)
+        raise sx.TabError("connective %s has no definition" % conn_name)
 
 
 def _parse_quant_prefix(tp, sig):
@@ -144,11 +116,11 @@ def parse_spec(text, name="spec"):
 
     read_directives(text, directive, errors)
     if errors and block.n_sorts is not None:
-        raise SpecErrors(errors)
+        raise _joined(errors)
     try:
         sig = block.signature()
     except sx.TabError as e:
-        raise SpecErrors(errors + [e])
+        raise _joined(errors + [e])
 
     el = Elaborator(sig)
     definitions, axioms, directed = [], [], []
@@ -160,8 +132,8 @@ def parse_spec(text, name="spec"):
                 if not tp.at_end():
                     raise SpecSyntaxError("trailing input", lineno)
                 if sx.free_dvars(f):
-                    raise NotLOpen("free domain variable in axiom (line %d): %s"
-                                   % (lineno, sx.formula_text(f)))
+                    raise sx.TabError("free domain variable in axiom (line %d): %s"
+                                      % (lineno, sx.formula_text(f)))
                 axioms.append(f)
                 continue
             dvs = _parse_quant_prefix(tp, sig)
@@ -194,33 +166,39 @@ def parse_spec(text, name="spec"):
                     raise SpecSyntaxError("define head variables must be distinct",
                                           lineno)
                 if sent_free:
-                    raise NotLOpen("free domain variable %s in definition body"
-                                   % sent_free[0].name)
+                    raise sx.TabError("free domain variable %s in definition body"
+                                      % sent_free[0].name)
                 if any(x.kind == "app" and x.sym is e.sym
                        for x in sx.lexprs_of_formula(body)):
-                    raise ConnectiveSelfReference(e.name)
+                    raise sx.TabError("definition of %s mentions %s"
+                                      % (e.name, e.name))
                 definitions.append(Definition(e.sym, head, body, head_dvs))
             else:
                 if sent_free:
-                    raise NotLOpen("free domain variable %s" % sent_free[0].name)
+                    raise sx.TabError("free domain variable %s" % sent_free[0].name)
                 directed.append(DirectedSentence("+" if word == "define+" else "-",
                                                  head, body, head_dvs))
         except sx.TabError as exc:
             errors.append(exc)
     if errors:
-        raise SpecErrors(errors)
+        raise _joined(errors)
 
     defined = {}
     for d in definitions:
         if d.conn.name in defined:
-            errors.append(DuplicateDefinition(d.conn.name))
+            errors.append("connective %s is defined twice" % d.conn.name)
         defined[d.conn.name] = d
     for cname in sig.conns:
         if cname not in defined:
-            errors.append(UndefinedConnective(cname))
+            errors.append("connective %s has no definition" % cname)
     if errors:
-        raise SpecErrors(errors)
+        raise _joined(errors)
     return SemanticSpec(name, sig, definitions, axioms, directed)
+
+
+def _joined(errors):
+    """One error whose message joins every error found in a specification."""
+    return sx.TabError("; ".join(str(e) for e in errors))
 
 
 def print_spec(spec):
@@ -245,12 +223,12 @@ def print_spec(spec):
 
 def preset_text(name):
     presets = importlib.resources.files("tabsynth").joinpath("presets")
-    res = presets.joinpath("%s.spec" % name)
-    if not res.is_file():
-        raise UnknownPreset("unknown preset %r (bundled: %s)" % (name, ", ".join(
-            sorted(f.name[:-5] for f in presets.iterdir()
-                   if f.name.endswith(".spec")))))
-    return res.read_text(encoding="utf-8")
+    bundled = sorted(f.name[:-5] for f in presets.iterdir()
+                     if f.name.endswith(".spec"))
+    if name not in bundled:  # a bundled name, never a path
+        raise sx.TabError("unknown preset %r (bundled: %s)"
+                          % (name, ", ".join(bundled)))
+    return presets.joinpath(name + ".spec").read_text(encoding="utf-8")
 
 
 def preset(name):

@@ -45,17 +45,8 @@ def _reserved_name(name):
 
 
 class TabError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class IllSorted(TabError):
-    def __init__(self, message, position=None):
-        super().__init__(message)
-        self.position = position
-
-
-class SortMismatch(TabError):
-    pass
+    """The error every stage raises when it refuses its input; the message
+    says what failed.  A subclass exists only where a caller tells it apart."""
 
 
 def _strip_digits(name):
@@ -97,7 +88,7 @@ class LSignature:
     def __init__(self, n_lsorts, conns=(), var_prefixes=None, const_prefixes=None,
                  preds=None):
         if n_lsorts < 2:
-            raise IllSorted("need at least sorts 0 (individuals) and 1 (concepts)")
+            raise TabError("need at least sorts 0 (individuals) and 1 (concepts)")
         self.n_lsorts = n_lsorts
         self.conns = {}
         self.var_prefixes = {s: tuple() for s in range(n_lsorts)}
@@ -119,7 +110,7 @@ class LSignature:
 
     def _check_sort(self, s):
         if not (0 <= s < self.n_lsorts):
-            raise IllSorted("sort %r not declared (have 0..%d)" % (s, self.max_sort))
+            raise TabError("sort %r not declared (have 0..%d)" % (s, self.max_sort))
 
     def _check_prefixes(self):
         seen = {}
@@ -322,12 +313,12 @@ def app(sym, args):
     args = tuple(args)
     want = sym.arg_sorts
     if len(args) != len(want):
-        raise IllSorted("%s expects %d arguments, got %d"
-                        % (sym.name, len(want), len(args)))
+        raise TabError("%s expects %d arguments, got %d"
+                       % (sym.name, len(want), len(args)))
     for k, (a, s) in enumerate(zip(args, want)):
         if a.sort != s:
-            raise IllSorted("argument %d of %s has sort %d, expected %d"
-                            % (k + 1, sym.name, a.sort, s), position=k)
+            raise TabError("argument %d of %s has sort %d, expected %d"
+                           % (k + 1, sym.name, a.sort, s))
     return _intern(Term, (sym,) + args, "app", sym.res_sort, sym.name, sym, args)
 
 
@@ -405,23 +396,23 @@ def literal(pos, p, args):
     if p[0] == "nu":
         n = p[1]
         if len(args) != n + 1:
-            raise IllSorted("nu%d takes %d arguments" % (n, n + 1))
+            raise TabError("nu%d takes %d arguments" % (n, n + 1))
         if args[0].sort != n:
-            raise IllSorted("first argument of nu%d must be a sort-%d expression" % (n, n))
+            raise TabError("first argument of nu%d must be a sort-%d expression" % (n, n))
         for t in args[1:]:
             if t.sort != DOMAIN:
-                raise IllSorted("nu%d takes domain terms after the expression" % n)
+                raise TabError("nu%d takes domain terms after the expression" % n)
     elif p[0] == "eq":
         if len(args) != 2 or args[0].sort != args[1].sort:
-            raise SortMismatch("eq relates two terms of one sort: %s / %s"
-                               % (args[0].text(), args[1].text()))
+            raise TabError("eq relates two terms of one sort: %s / %s"
+                           % (args[0].text(), args[1].text()))
     elif p[0] == "pred":
         for t in args:
             if t.sort != DOMAIN:
-                raise IllSorted("predicate %s takes domain terms" % p[1])
+                raise TabError("predicate %s takes domain terms" % p[1])
     elif p[0] == "holds":
         if len(args) != 1 or args[0].sort != 1:
-            raise IllSorted("a held concept must have the primary sort")
+            raise TabError("a held concept must have the primary sort")
     return _intern(Literal, ("lit", pos, p) + args, pos, p, args, None)
 
 
@@ -550,8 +541,8 @@ def substitute_expr(t, sub):
         if x.kind == "var":
             r = sub.get(x, x)
             if r.sort != x.sort:
-                raise SortMismatch("cannot substitute sort-%d expression for %s"
-                                   % (r.sort, x.name))
+                raise TabError("cannot substitute sort-%d expression for %s"
+                               % (r.sort, x.name))
             done[x] = r
         elif x.kind == "const":
             done[x] = x

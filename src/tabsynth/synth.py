@@ -20,14 +20,6 @@ from .normalize import (NormalizedSpec, check_well_founded, head_key,
                         induced_ordering, occurring_preds)
 
 
-class DnfTooLarge(sx.TabError):
-    pass
-
-
-class NotWellFounded(sx.TabError):
-    pass
-
-
 DNF_LITERAL_CAP = 4096
 
 
@@ -215,8 +207,7 @@ def _dnf(tree):
         for s in subs:
             out.extend(_dnf(s))
             if sum(len(c) for c in out) > DNF_LITERAL_CAP:
-                raise DnfTooLarge("matrix exceeds %d literals"
-                                  % DNF_LITERAL_CAP)
+                raise sx.TabError("matrix exceeds %d literals" % DNF_LITERAL_CAP)
         return out
     # and: distribute
     out = [[]]
@@ -228,7 +219,7 @@ def _dnf(tree):
                 nxt.append(left + [l for l in right if l not in left])
         out = nxt
         if sum(len(c) for c in out) > DNF_LITERAL_CAP:
-            raise DnfTooLarge("matrix exceeds %d literals" % DNF_LITERAL_CAP)
+            raise sx.TabError("matrix exceeds %d literals" % DNF_LITERAL_CAP)
     return out
 
 
@@ -289,8 +280,8 @@ def make_decomposition_rule(xi, namer=None):
 def make_theory_rule(idx, sentence, namer=None):
     for e in sx.lexprs_of_formula(sentence):
         if e.kind == "app":
-            from .normalize import NonAtomicBackground
-            raise NonAtomicBackground(e.text())
+            raise sx.TabError("background sentence mentions compound "
+                              "expression %s" % e.text())
     lvars = sx.lvars(sentence)
     matrix, fns = _matrix(sentence, True, lvars, [], namer, "bg%d" % idx)
     premises = [_eq(v, v) for v in lvars + sx.dvars(matrix)]
@@ -433,10 +424,10 @@ def closure_rules(sig, ns):
 def synthesize(ns: NormalizedSpec, assume_well_founded=False) -> Calculus:
     verdict = check_well_founded(induced_ordering(ns))
     if verdict.kind == "cycle":
-        raise NotWellFounded("induced ordering has a cycle: %r" % (verdict.witness,))
+        raise sx.TabError("induced ordering has a cycle: %r" % (verdict.witness,))
     if verdict.kind == "unknown" and not assume_well_founded:
-        raise NotWellFounded("cannot prove the induced ordering well-founded; "
-                             "pass assume_well_founded to proceed")
+        raise sx.TabError("cannot prove the induced ordering well-founded; "
+                          "pass assume_well_founded to proceed")
     sig = ns.signature
     namer = _SkolemNamer()
     decomp = []

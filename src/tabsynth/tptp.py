@@ -105,10 +105,6 @@ def write_obligations(obligations, sig, outdir):
 # ---------------------------------------------------------------------------
 # a small validator for the FOF subset we emit (and a little more)
 
-class TptpSyntaxError(sx.TabError):
-    pass
-
-
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+|%[^\n]*)
   | (?P<punct><=>|=>|!=|[=~&|!?\[\]:,().])
@@ -123,7 +119,7 @@ def _tptp_tokens(text):
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if not m:
-            raise TptpSyntaxError("bad character %r at offset %d" % (text[pos], pos))
+            raise sx.TabError("bad character %r at offset %d" % (text[pos], pos))
         pos = m.end()
         if m.lastgroup != "ws":
             out.append((m.lastgroup, m.group()))
@@ -142,7 +138,7 @@ class _TptpParser:
     def eat(self, val=None, kind=None):
         k, v = self.toks[self.i]
         if (val is not None and v != val) or (kind is not None and k != kind):
-            raise TptpSyntaxError("expected %r, found %r" % (val or kind, v))
+            raise sx.TabError("expected %r, found %r" % (val or kind, v))
         self.i += 1
         return v
 
@@ -203,11 +199,11 @@ class _TptpParser:
                 self.eat(")")
                 return ("app", v, args)
             return ("const", v)
-        raise TptpSyntaxError("expected a term, found %r" % v)
+        raise sx.TabError("expected a term, found %r" % v)
 
 
 def validate_tptp(text):
-    """Parse the document; raises TptpSyntaxError when malformed."""
+    """Parse the document; raises TabError when malformed."""
     p = _TptpParser(_tptp_tokens(text))
     n = 0
     while p.peek()[0] != "eof":
@@ -217,12 +213,12 @@ def validate_tptp(text):
         p.eat(",")
         role = p.eat(kind="lword")
         if role not in ("axiom", "conjecture", "hypothesis", "lemma", "definition"):
-            raise TptpSyntaxError("bad role %r" % role)
+            raise sx.TabError("bad role %r" % role)
         p.eat(",")
         p.formula()
         p.eat(")")
         p.eat(".")
         n += 1
     if n == 0:
-        raise TptpSyntaxError("no fof annotated formulae found")
+        raise sx.TabError("no fof annotated formulae found")
     return n

@@ -173,6 +173,23 @@ BAD_FILES = [
      "oracle needs --preset or --spec"),
     ("synth-unknown-preset", None, ["synth", "--preset", "nosuch"],
      "unknown preset 'nosuch' (bundled: ipc, so)"),
+    # a preset is a bundled name, never a path to another .spec file
+    ("synth-preset-path", None, ["synth", "--preset", "../presets/so"],
+     "unknown preset '../presets/so' (bundled: ipc, so)"),
+    # each refusal says what failed, not only the symbol it failed on
+    ("twice-and-undefined.spec",
+     "sorts 2\nvars 1 p\nconnective a 1 -> 1\nconnective b 1 -> 1\n"
+     "define forall x. nu1(a(p), x) <-> nu1(p, x)\n"
+     "define forall x. nu1(a(p), x) <-> not(nu1(p, x))\n",
+     ["synth", "--spec", "{f}"],
+     "error: connective a is defined twice; connective b has no definition\n"),
+    ("self-reference.spec",
+     "sorts 2\nvars 1 p\nconnective a 1 -> 1\n"
+     "define forall x. nu1(a(p), x) <-> nu1(a(p), x)\n",
+     ["synth", "--spec", "{f}"], "error: definition of a mentions a\n"),
+    ("no-such-rule.refine", "rf nosuch fold 0\n",
+     ["refine", "--calc", "{work}/so.calc", "--refine-script", "{f}"],
+     "error: no rule nosuch\n"),
     # a model is extracted under the specification the calculus came from
     ("so-calc-ipc-spec", None,
      ["prove", "--calc", "{work}/so_refined.calc", "--preset", "ipc", "--ub",
@@ -282,6 +299,9 @@ def test_unknown_oracle_preset_is_input_error(tmp_path, capsys):
     assert run_cli(["oracle", "--preset", "nosuch", prob]) == 2
     assert capsys.readouterr().err == \
         "input error: unknown preset 'nosuch' (bundled: ipc, so)\n"
+    assert run_cli(["oracle", "--preset", "../presets/so", prob]) == 2
+    assert capsys.readouterr().err == \
+        "input error: unknown preset '../presets/so' (bundled: ipc, so)\n"
 
 
 @pytest.mark.parametrize("args", [
@@ -507,13 +527,55 @@ def test_replay_rejects_a_step_whose_premise_is_absent():
     ("apply dp_pos_nu1 {l:=i0; p:=exists(r0, p0)} den#7 branch#0 -> branch#0",
      "no denominator 7"),
     ("apply dp_pos_nu1 {l:=i7; l:=i0; p:=exists(r0, p0)} den#0 branch#0 -> "
-     "branch#0", "names l twice")])
+     "branch#0", "names l twice"),
+    ("apply foo {} den#0 branch#0 -> branch#0", "unknown rule foo"),
+    ("apply dp_pos_nu1 {i0:=i0} den#0 branch#0 -> branch#0",
+     "bad binding variable 'i0'"),
+    ("apply dp_pos_nu1 {l:=i0; p:=exists(r0, p0)} den#0 branch#5 -> branch#5",
+     "unknown or closed branch 5")])
 def test_replay_rejects_a_malformed_step_line(line, why):
     from tabsynth import engine, parser
     calc = _golden_calc_ub("so_refined.calc")
     c = parser.parse_lexpr(calc.signature, "exists(r0, p0)", 1)
     with pytest.raises(sx.TabError, match=why):
         engine.replay_trace(calc, [c], line)
+
+
+@pytest.mark.parametrize("keep, line, why", [
+    # line 4 made branch#1 already
+    (4, "apply ub {l:=i0; l1:=fex(r0, p0, i0)} den#1 branch#0 -> branch#1",
+     "reuses branch 1"),
+    # branch#1 inherits the instance line 1 applied on branch#0
+    (6, "apply dp_pos_nu1 {l:=i0; p:=exists(r0, p0)} den#0 branch#1 -> branch#1",
+     "instance already applied"),
+    (3, "apply ub {l:=fex(r0, p0, i0); l1:=i0} den#0 branch#0 -> branch#1",
+     "terms not distinct and in birth order")])
+def test_replay_rejects_a_tampered_golden_step(keep, line, why):
+    from tabsynth import engine, parser
+    calc = _golden_calc_ub("so_refined.calc")
+    c = parser.parse_lexpr(calc.signature, "exists(r0, p0)", 1)
+    with open(os.path.join(GOLDEN, "so_refined_exists.trace")) as fh:
+        lines = fh.read().splitlines()
+    with pytest.raises(sx.TabError, match=why):
+        engine.replay_trace(calc, [c], "\n".join(lines[:keep] + [line]))
+
+
+def test_replay_checks_a_closure_by_exhaustion(ipc_blocked):
+    from tabsynth import engine, parser
+    # problem 161 of the IPC corpus, the shortest the refined blocked
+    # calculus closes by exhaustion
+    c = parser.parse_lexpr(ipc_blocked.signature,
+                           "impl(and(p1, and(q0, p1)), p1)", 1)
+    v = engine.prove(ipc_blocked, [(c, False)], trace=True)
+    lines = v.engine.trace
+    assert v.kind == "unsat" and len(lines) == 8
+    assert lines[6].startswith("apply and_pos {")
+    assert lines[6].endswith("} den#x branch#0 -> branch#0")
+    assert engine.replay_trace(ipc_blocked, [(c, False)], "\n".join(lines)) == 7
+    # the first step's denominator is not contradicted on the root
+    with pytest.raises(sx.TabError, match="exhaustion close not justified"):
+        engine.replay_trace(ipc_blocked, [(c, False)],
+                            lines[0].replace(" den#0 ", " den#x "))
 
 
 def test_replay_checks_where_the_trace_ends():

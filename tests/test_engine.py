@@ -32,12 +32,12 @@ def test_init_negative_root(ipc_calc, ipc_ns):
 
 
 def test_init_empty_input(so_calc):
-    with pytest.raises(engine.EmptyInput):
+    with pytest.raises(sx.TabError, match="no input concepts"):
         engine.Engine(so_calc).init([])
 
 
 def test_init_ill_sorted(so_calc):
-    with pytest.raises(sx.IllSorted):
+    with pytest.raises(sx.TabError, match="inputs must be concepts"):
         engine.Engine(so_calc).init([parser.parse_lexpr(so_calc.signature, "l0")])
 
 

@@ -49,7 +49,7 @@ def test_merging_conjoins_and_disjoins():
 def test_non_atomic_background_rejected():
     text = specfile.preset_text("so") + \
         "axiom forall x. implies(nu1(or(p, q), x), nu1(p, x))\n"
-    with pytest.raises(normalize.NonAtomicBackground):
+    with pytest.raises(sx.TabError, match=r"compound expression or\(p, q\)"):
         normalize.normalize(specfile.parse_spec(text))
 
 

@@ -224,7 +224,7 @@ def test_dnf_cap():
     text = ("sorts 2\nvars 1 p q\nconnective wide 1 1 -> 1\n"
             "define forall x. nu1(wide(p, q), x) <-> %s\n" % inner)
     ns = normalize.normalize(specfile.parse_spec(text))
-    with pytest.raises(synth.DnfTooLarge):
+    with pytest.raises(sx.TabError, match="matrix exceeds 4096 literals"):
         synth.synthesize(ns)
 
 
@@ -236,7 +236,7 @@ def test_unknown_well_foundedness_needs_flag():
     ns = normalize.normalize(specfile.parse_spec(text))
     assert normalize.check_well_founded(
         normalize.induced_ordering(ns)).kind == "unknown"
-    with pytest.raises(synth.NotWellFounded):
+    with pytest.raises(sx.TabError, match="cannot prove the induced ordering"):
         synth.synthesize(ns)
     calc = synth.synthesize(ns, assume_well_founded=True)
     assert calc.rule("or_pos") is not None

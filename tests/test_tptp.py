@@ -42,11 +42,11 @@ def test_files_written(tmp_path, so_ns):
 
 
 def test_validator_rejects_malformed():
-    with pytest.raises(tptp.TptpSyntaxError):
+    with pytest.raises(sx.TabError, match=r"expected '\)', found '\.'"):
         tptp.validate_tptp("fof(broken, axiom, p(X).")
-    with pytest.raises(tptp.TptpSyntaxError):
+    with pytest.raises(sx.TabError, match="expected 'fof', found 'cnf'"):
         tptp.validate_tptp("cnf(x, axiom, p).")
-    with pytest.raises(tptp.TptpSyntaxError):
+    with pytest.raises(sx.TabError, match="no fof annotated formulae found"):
         tptp.validate_tptp("")
 
 
