@@ -82,12 +82,13 @@ def _parse_rule_line(el, rest, lineno):
 
 def parse_calculus(text):
     block, head, skolems, ctx_lines, rule_lines = SignatureBlock(), {}, {}, {}, []
+    at = {}  # the line of each head directive
 
     def directive(lineno, word, rest):
         if block.read(word, rest):
             return
         if word in ("calculus", "mode", "refined", "spec"):
-            head[word] = rest
+            head[word], at[word] = rest, lineno
         elif word == "skolem":
             sig_part, _, ndom = rest.partition("/")
             name, *lsorts = sig_part.split()
@@ -119,12 +120,15 @@ def parse_calculus(text):
                             sig, skolems)
     el = Elaborator(sig, skolems)
     rules = [_parse_rule_line(el, rest, lineno) for rest, lineno in rule_lines]
-    mode = head.get("mode", "base")
-    if mode == "internalized" and ctx is None:
-        raise SpecSyntaxError("missing 'ctx' directives for mode internalized")
+    # a calculus is internalized exactly when it carries a context
+    mode = "base" if ctx is None else "internalized"
+    if head.get("mode", mode) != mode:
+        raise SpecSyntaxError("mode %s, but a calculus %s 'ctx' lines is %s"
+                              % (head["mode"], "without" if ctx is None
+                                 else "with", mode), at["mode"])
     try:
         return Calculus(head.get("calculus", "calculus"), sig, rules, skolems,
-                        head.get("blocking"), mode, ctx, spec_name=head.get("spec"),
-                        refined=head.get("refined") == "yes" or mode != "base")
+                        head.get("blocking"), ctx, spec_name=head.get("spec"),
+                        refined=head.get("refined") == "yes" or ctx is not None)
     except DuplicateRuleId as e:
         raise SpecSyntaxError(str(e), rule_lines[e.index][1]) from None

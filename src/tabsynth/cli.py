@@ -120,8 +120,7 @@ def cmd_refine(args):
     calc, log = refine.apply_script(calc, steps, ctx=ctx,
                                     unsafe=args.unsafe_refine)
     _save(args.out, calcfile.print_calculus(calc))
-    warning = getattr(calc, "completeness_warning", None)
-    if warning:
+    for warning in calc.warnings:
         print("warning: %s" % warning, file=sys.stderr)
     for entry in log:
         print(entry, file=sys.stderr)

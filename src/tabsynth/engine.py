@@ -11,8 +11,9 @@ generic ``syntax._match`` and ``syntax.substitute_literal`` are the
 references they are tested against.  Each round a rule's join yields only
 the instances that use a literal added since the round before (semi-naive
 evaluation), so every instance is queued once.  Every rule fires at most
-once per premise instantiation, enforced with fingerprints.  Closure rules
-(zero denominators) close the branch.
+once per premise instantiation, enforced with fingerprints.  A step takes
+none, one or all of an instance's denominators (:meth:`Engine.collect`):
+it closes the branch, extends it in place, or splits it.
 
 Each branch queues its instances on a heap by the priority fixed in their
 rule's plan (see :class:`RulePlan`), then by discovery order.  With blocking
@@ -391,30 +392,18 @@ class Engine:
                                    terms))
                 branch.seen_next += 1
 
-    def _denominator_state(self, branch, rule, binding):
-        """(resolved, open indices): an instance with a fully present
-        denominator asks for nothing; contradicted denominators cannot
-        survive on this branch."""
-        open_idx = []
-        for i, den in enumerate(_plan(rule).denominators):
-            lits = den(binding)
-            if all(l in branch.present for l in lits):
-                return True, []
-            if any(l.negate() in branch.present for l in lits):
-                continue
-            open_idx.append(i)
-        return False, open_idx
-
     def collect(self, branch):
         """Queue the new instances and pick the next step.
 
-        Returns None when saturated, or (kind, rule, fp, binding, data):
-        kind "apply" branches normally, "unit" extends in place with the one
-        surviving denominator (data is its index), "exhausted" closes the
-        branch because every denominator is contradicted.
+        Returns None when saturated, or (rule, fp, binding, dens) where
+        ``dens`` are the indices of the denominators the step takes: every
+        one, unless at most one is left uncontradicted on the branch, and
+        then that one or none (none, too, for a closure rule).  An instance
+        with a denominator wholly on the branch asks for nothing and is
+        dropped.
         """
         self._discover(branch)
-        heap = branch.heap
+        heap, present = branch.heap, branch.present
         while heap:
             _, _, fp, rule, binding, terms = heap[0]
             if fp in branch.applied:
@@ -425,26 +414,27 @@ class Engine:
                 # one; blocking only grows, so it is gone for good
                 heapq.heappop(heap)
                 continue
-            if rule.branching_factor >= 1:
-                resolved, open_idx = self._denominator_state(branch, rule,
-                                                             binding)
-                if resolved:
-                    heapq.heappop(heap)
-                    branch.applied.add(fp)
-                    continue
-                if not open_idx:
-                    return ("exhausted", rule, fp, binding, None)
-                if rule.branching_factor > 1 and len(open_idx) == 1:
-                    return ("unit", rule, fp, binding, open_idx[0])
-            return ("apply", rule, fp, binding, None)
+            dens = _plan(rule).denominators
+            left = []
+            for i, den in enumerate(dens):
+                lits = den(binding)
+                if all(l in present for l in lits):
+                    break
+                if not any(l.negate() in present for l in lits):
+                    left.append(i)
+            else:
+                return (rule, fp, binding,
+                        tuple(range(len(dens))) if len(left) > 1 else tuple(left))
+            heapq.heappop(heap)
+            branch.applied.add(fp)
         return None
 
     # -- application ---------------------------------------------------------
-    def apply(self, tableau, branch, rule, fp, binding, only_den=None):
-        """Apply one instance; returns the successor branches (empty when the
-        rule closes the branch, the same branch when nothing splits).  With
-        ``only_den`` the named denominator extends the branch in place (the
-        caller established the others cannot survive)."""
+    def apply(self, tableau, branch, rule, fp, binding, dens):
+        """Apply one instance taking the denominators ``dens`` (see
+        :meth:`collect`); returns the successor branches.  No denominator
+        closes the branch (a closure rule), one extends it in place, and
+        more split it into a child each."""
         branch.applied.add(fp)
         self.applications += 1
         if rule.produces_terms:
@@ -458,22 +448,16 @@ class Engine:
                             self.c1_violations.append(
                                 (rule.id, t.text()))
             branch.tp_count += 1
-        if rule.is_closure():
+        if not dens:
             branch.closed = True
             self._trace_step(rule, binding, 0, branch, branch)
-            return []
-        dens = _plan(rule).denominators
-        if rule.branching_factor == 1 or only_den is not None:
-            j = only_den or 0
-            for lit in dens[j](binding):
-                self._add(branch, lit)
-            self._trace_step(rule, binding, j, branch, branch)
-            return [branch]
         out = []
-        for j, den in enumerate(dens):
-            child = branch.clone(tableau.next_bid)
-            tableau.next_bid += 1
-            for lit in den(binding):
+        for j in dens:
+            child = branch
+            if len(dens) > 1:
+                child = branch.clone(tableau.next_bid)
+                tableau.next_bid += 1
+            for lit in _plan(rule).denominators[j](binding):
                 self._add(child, lit)
             self._trace_step(rule, binding, j, branch, child)
             out.append(child)
@@ -517,12 +501,11 @@ class Engine:
                 if self.trace_enabled:
                     self.trace.append("saturated branch#%d" % branch.bid)
                 return Verdict("sat", branch=branch)
-            kind, rule, fp, binding, extra = best
-            if kind == "exhausted":
+            rule, fp, binding, dens = best
+            if not dens and rule.denominators:
                 self.close_by_exhaustion(branch, rule, fp, binding)
                 continue
-            succ = self.apply(tableau, branch, rule, fp, binding,
-                              only_den=extra if kind == "unit" else None)
+            succ = self.apply(tableau, branch, rule, fp, binding, dens)
             open_succ = [c for c in succ if not c.closed]
             if self.search == "bfs" and succ != [branch]:
                 work.extendleft(open_succ)
@@ -543,8 +526,7 @@ def prove(calc, concepts, ns=None, node_budget=10 ** 6, time_budget=None,
           search="dfs", trace=False):
     eng = Engine(calc, ns=ns, node_budget=node_budget, time_budget=time_budget,
                  search=search, trace=trace)
-    tab = eng.init(concepts)
-    verdict = eng.expand(tab)
+    verdict = eng.expand(eng.init(concepts))
     verdict.engine = eng
     return verdict
 
@@ -557,13 +539,17 @@ def replay_trace(calc, concepts, trace_text, ns=None):
     that it ends as its trace says.
 
     The steps are checked without the matcher: see ``_check_step``.  A
-    ``close`` line must name the branch the step before it closed.  The
-    trace must end with every branch it created closed, or with
-    ``saturated`` on an open branch on which the engine finds no step left
-    (``Engine.collect`` returns None).  That last check uses the engine's
-    matcher, so the independent certificate of a SAT answer is still its
-    model under ``models.verify_reflection``.  Returns the number of
-    application steps replayed; raises on mismatch.
+    split is one step written as a line per denominator, in order, each
+    into a fresh child: its first line is checked, and the step lines after
+    it must finish it.  A step in place taking one of several denominators
+    needs the others contradicted on the branch, and a closure by
+    exhaustion (``den#x``) all of them.  A ``close`` line must name the
+    branch the step before it closed.  The trace must end with every branch
+    it created closed, or with ``saturated`` on an open branch on which the
+    engine finds no step left (``Engine.collect`` returns None).  That last
+    check uses the engine's matcher, so the independent certificate of a SAT
+    answer is still its model under ``models.verify_reflection``.  Returns
+    the number of application lines replayed; raises on mismatch.
     """
     eng = Engine(calc, ns=ns)
     tab = eng.init(concepts)
@@ -572,7 +558,7 @@ def replay_trace(calc, concepts, trace_text, ns=None):
     just_closed = None  # the branch the step on the line before closed
     saturated = False
     steps = 0
-    verified = set()  # (fingerprint, source bid) already checked applicable
+    splitting = None  # (fingerprint, source bid, next denominator) of a split
     for line in trace_text.splitlines():
         line = line.strip()
         if not line:
@@ -613,40 +599,52 @@ def replay_trace(calc, concepts, trace_text, ns=None):
         if src is None or src.closed:
             raise sx.TabError("trace targets an unknown or closed branch %d"
                               % src_bid)
-        if (fp, src_bid) not in verified:
+        if dst_bid != src_bid and dst_bid in branches:
+            raise sx.TabError("trace reuses branch %d: %s" % (dst_bid, line))
+        j = None if den_tok == "x" else int(den_tok)
+        if splitting is None:
             _check_step(rule, binding, fp, src, line)
             src.applied.add(fp)
-            verified.add((fp, src_bid))
+        elif splitting != (fp, src_bid, j) or dst_bid == src_bid:
+            raise sx.TabError("split left unfinished: %s" % line)
         child = src
-        if den_tok == "x":
-            # closure by exhaustion: every denominator must be contradicted
-            for den in rule.denominators:
-                lits = [sx.substitute_literal(l, binding) for l in den]
-                if not any(l.negate() in src.present for l in lits):
-                    raise sx.TabError("exhaustion close not justified: %s" % line)
-            src.closed = True
-        elif rule.is_closure():
+        if j is None or rule.is_closure():
+            if not _contradicted(src, rule, binding):
+                raise sx.TabError("exhaustion close not justified: %s" % line)
             src.closed = True
         else:
-            j = int(den_tok)
-            if j >= len(rule.denominators):
+            n = len(rule.denominators)
+            if j >= n:
                 raise sx.TabError("rule %s has no denominator %d: %s"
                                   % (rid, j, line))
-            if dst_bid != src_bid:
-                if dst_bid in branches:
-                    raise sx.TabError("trace reuses branch %d: %s"
-                                      % (dst_bid, line))
+            if dst_bid == src_bid:
+                if not _contradicted(src, rule, binding, j):
+                    raise sx.TabError("step in place not justified: %s" % line)
+            elif splitting is None and j:
+                raise sx.TabError("split does not start at den#0: %s" % line)
+            else:
                 child = branches[dst_bid] = src.clone(dst_bid)
                 split.add(src_bid)
+                splitting = (fp, src_bid, j + 1) if j + 1 < n else None
             for lit in rule.denominators[j]:
                 child.add(sx.substitute_literal(lit, binding), eng.mode)
         just_closed = child if child.closed else None
         steps += 1
+    if splitting is not None:
+        raise sx.TabError("trace ends inside a split")
     if not saturated:
         for bid, b in branches.items():
             if not b.closed and bid not in split:
                 raise sx.TabError("trace ends with branch %d open" % bid)
     return steps
+
+
+def _contradicted(branch, rule, binding, but=None):
+    """Whether every denominator of the instance other than ``but`` has a
+    literal whose negation is on the branch."""
+    return all(any(sx.substitute_literal(l, binding).negate() in branch.present
+                   for l in den)
+               for i, den in enumerate(rule.denominators) if i != but)
 
 
 def _check_step(rule, binding, fp, branch, line):

@@ -94,8 +94,8 @@ def refine_rule(calc, rule_id, fold, drop_dp=False, unsafe=False):
             rules.append(r)
     out = calc.replaced(rules)
     if not whitelisted:
-        out.completeness_warning = \
-            "fold of %s is outside the whitelist: completeness not guaranteed" % rule_id
+        out.warnings += ("fold of %s is outside the whitelist: completeness "
+                         "not guaranteed" % rule_id,)
     return out
 
 
@@ -335,10 +335,8 @@ def internalize(calc, ctx):
         nr = intern.rule(r)
         if nr is not None:
             rules.append(nr)
-    out = Calculus(calc.name, intern.sig, rules, calc.skolems, calc.blocking,
-                   mode="internalized", ctx=ctx, spec_name=calc.spec_name,
-                   refined=True)
-    return out
+    return Calculus(calc.name, intern.sig, rules, calc.skolems, calc.blocking,
+                    ctx, calc.spec_name, refined=True, warnings=calc.warnings)
 
 
 # ---------------------------------------------------------------------------

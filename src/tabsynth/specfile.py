@@ -72,20 +72,17 @@ class SemanticSpec:
         raise sx.TabError("connective %s has no definition" % conn_name)
 
 
-def _parse_quant_prefix(tp, sig):
-    """Leading ``forall v.`` tokens of a define line; returns the dvars."""
+def _peel_quant_prefix(tree, sig):
+    """The domain variables of the ``forall v.`` nodes that open a define
+    line's left side, and the tree under them."""
     dvs = []
-    while tp.peek().kind == "name" and tp.peek().value == "forall":
-        save = tp.i
-        tp.next()
-        v = tp.expect("name")
-        cls = sig.classify_name(v.value)
+    while tree[0] == "quant" and tree[1] == "forall":
+        cls = sig.classify_name(tree[2])
         if cls is None or cls[0] != "dvar":
-            tp.i = save
             break
-        tp.expect("dot")
-        dvs.append(sx.dvar(v.value))
-    return dvs
+        dvs.append(sx.dvar(tree[2]))
+        tree = tree[3]
+    return dvs, tree
 
 
 def _head_shape(at, line):
@@ -136,8 +133,8 @@ def parse_spec(text, name="spec"):
                                       % (lineno, sx.formula_text(f)))
                 axioms.append(f)
                 continue
-            dvs = _parse_quant_prefix(tp, sig)
-            lhs = el.formula(tp.tree())
+            dvs, lhs = _peel_quant_prefix(tp.tree(), sig)
+            lhs = el.formula(lhs)
             conn_tok = tp.next()
             if word == "define" and conn_tok.kind != "equiv":
                 raise SpecSyntaxError("define uses <->", lineno, conn_tok.col)

@@ -29,6 +29,8 @@ the matcher generated for it on first use.
 
 from __future__ import annotations
 
+import itertools
+
 DOMAIN = -1  # pseudo sort id for the meta-language domain sort
 
 # name families reserved by the meta-language, never available to signatures.
@@ -580,29 +582,16 @@ def substitute_formula(f, sub):
 def restrict(sentences, x_set):
     """Instances of L-open ``sentences`` all of whose L-expressions lie in
     ``x_set``.  Substitutions draw from ``x_set`` members of matching sort."""
-    x_set = list(dict.fromkeys(x_set))
+    x_set = dict.fromkeys(x_set)
     out = []
     for f in sentences:
         fvars = lvars(f)
-        choices = [[x for x in x_set if x.sort == v.sort] for v in fvars]
-        if any(not c for c in choices):
-            continue
-        idx = [0] * len(fvars)
-        while True:
-            sub = {v: choices[k][idx[k]] for k, v in enumerate(fvars)}
-            inst = substitute_formula(f, sub)
-            if all(e in x_set for e in lexprs_of_formula(inst)):
-                if inst not in out:
-                    out.append(inst)
-            k = len(fvars) - 1
-            while k >= 0:
-                idx[k] += 1
-                if idx[k] < len(choices[k]):
-                    break
-                idx[k] = 0
-                k -= 1
-            if k < 0:
-                break
+        for values in itertools.product(*([x for x in x_set if x.sort == v.sort]
+                                          for v in fvars)):
+            inst = substitute_formula(f, dict(zip(fvars, values)))
+            if inst not in out and all(e in x_set
+                                       for e in lexprs_of_formula(inst)):
+                out.append(inst)
     return out
 
 

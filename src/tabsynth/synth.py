@@ -84,16 +84,16 @@ class UbConfig:
 
 class Calculus:
     def __init__(self, name, signature, rules, skolems=None, blocking=None,
-                 mode="base", ctx=None, spec_name=None, refined=False):
+                 ctx=None, spec_name=None, refined=False, warnings=()):
         self.name = name
         self.signature = signature
         self.rules = list(rules)
         self.skolems = dict(skolems or {})
         self.blocking = blocking
-        self.mode = mode              # "base" | "internalized"
         self.ctx = ctx                # TrContext when internalized
         self.spec_name = spec_name
         self.refined = refined        # any transformation applied post-synthesis
+        self.warnings = tuple(warnings)  # what a refinement leaves unproven
         # fingerprints are keyed by rule id: a second rule with an id in use
         # would never fire
         ids = set()
@@ -101,6 +101,11 @@ class Calculus:
             if r.id in ids:
                 raise DuplicateRuleId(r.id, k)
             ids.add(r.id)
+
+    @property
+    def mode(self):
+        """"internalized" exactly when the calculus carries a context."""
+        return "base" if self.ctx is None else "internalized"
 
     def rule(self, rid):
         for r in self.rules:
@@ -116,10 +121,9 @@ class Calculus:
         return out
 
     def replaced(self, rules, refined=True):
-        c = Calculus(self.name, self.signature, rules, self.skolems,
-                     self.blocking, self.mode, self.ctx, self.spec_name,
-                     refined=self.refined or refined)
-        return c
+        return Calculus(self.name, self.signature, rules, self.skolems,
+                        self.blocking, self.ctx, self.spec_name,
+                        refined=self.refined or refined, warnings=self.warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +454,7 @@ def synthesize(ns: NormalizedSpec, assume_well_founded=False) -> Calculus:
     rules = decomp + theory + equality + closure
     return Calculus(ns.spec.name, sig, rules,
                     skolems={f.name: f for f in skolems},
-                    blocking=None, mode="base", spec_name=ns.spec.name,
-                    refined=False)
+                    spec_name=ns.spec.name)
 
 
 # ---------------------------------------------------------------------------

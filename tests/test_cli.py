@@ -112,6 +112,32 @@ def test_refine_unsafe_needs_flag(tmp_path, work):
                     "-o", out]) == 0
 
 
+@pytest.mark.parametrize("script", [
+    "rf or_pos fold 0 drop-dp\nsimplify\n",
+    # the preset's steps, internalization among them, and blocking keep it too
+    "rf or_pos fold 0 drop-dp\nrf exists_neg fold 0 drop-dp\n"
+    "rf theory_0 fold 0 1 drop-dp\ntr\nsimplify\nub\n"])
+def test_refine_warns_of_an_unsafe_fold_whatever_follows(tmp_path, work,
+                                                         capsys, script):
+    path = _write(tmp_path / "ke.refine", script)
+    assert run_cli(["refine", "--calc", str(work / "so.calc"),
+                    "--refine-script", path, "--unsafe-refine",
+                    "--ctx", os.path.join(PRESETS, "so.ctx"),
+                    "-o", str(tmp_path / "ke.calc")]) == 0
+    assert "warning: fold of or_pos is outside the whitelist: completeness " \
+        "not guaranteed\n" in capsys.readouterr().err
+
+
+def test_a_calc_without_its_mode_line_follows_its_ctx_lines(tmp_path):
+    text = _golden_text("so_refined.calc")
+    assert text.splitlines()[1] == "mode internalized"
+    calc = _write(tmp_path / "no-mode.calc",
+                  text.replace("mode internalized\n", "", 1))
+    prob = _write(tmp_path / "unsat.txt",
+                  "exists(r0, exists(r0, p0))\nnot(exists(r0, p0))\n")
+    assert run_cli(["prove", "--calc", calc, "--ub", prob]) == 20
+
+
 def test_synth_deterministic_bytes(work, tmp_path):
     out2 = str(tmp_path / "so2.calc")
     assert run_cli(["synth", "--preset", "so", "-o", out2]) == 0
@@ -204,8 +230,14 @@ BAD_FILES = [
      ["prove", "--calc", "{f}", "{work}/none.txt"], "binds y at 3:?"),
     ("no-premises.calc", "sorts 2\nvars 1 p\nrule bad [closure]: / false\n",
      ["prove", "--calc", "{f}", "{work}/none.txt"], "no premises at 3:?"),
+    # a calculus is internalized exactly when it has ctx lines
     ("no-ctx.calc", "mode internalized\nsorts 2\nvars 0 l\nvars 1 p\n",
-     ["prove", "--calc", "{f}", "{work}/none.txt"], "'ctx'"),
+     ["prove", "--calc", "{f}", "{work}/none.txt"],
+     "mode internalized, but a calculus without 'ctx' lines is base at 1:?"),
+    ("mode-base.calc", _golden_text("so_refined.calc").replace(
+        "mode internalized", "mode base"),
+     ["prove", "--calc", "{f}", "--ub", "{p0}"],
+     "mode base, but a calculus with 'ctx' lines is internalized at 2:?"),
     ("ub-depth", "exists(r0, p0)\n",
      ["prove", "--calc", "{work}/so_refined.calc", "--ub", "--ub-depth", "-1",
       "{f}"], "depth"),
@@ -548,6 +580,9 @@ def test_replay_rejects_a_malformed_step_line(line, why):
     # branch#1 inherits the instance line 1 applied on branch#0
     (6, "apply dp_pos_nu1 {l:=i0; p:=exists(r0, p0)} den#0 branch#1 -> branch#1",
      "instance already applied"),
+    # line 1 repeated
+    (1, "apply dp_pos_nu1 {l:=i0; p:=exists(r0, p0)} den#0 branch#0 -> branch#0",
+     "instance already applied"),
     (3, "apply ub {l:=fex(r0, p0, i0); l1:=i0} den#0 branch#0 -> branch#1",
      "terms not distinct and in birth order")])
 def test_replay_rejects_a_tampered_golden_step(keep, line, why):
@@ -558,6 +593,33 @@ def test_replay_rejects_a_tampered_golden_step(keep, line, why):
         lines = fh.read().splitlines()
     with pytest.raises(sx.TabError, match=why):
         engine.replay_trace(calc, [c], "\n".join(lines[:keep] + [line]))
+
+
+def test_replay_rejects_an_unsat_claim_that_skips_a_denominator():
+    # or(p0, q0) with not(p0) is satisfiable: the q0 branch stays open
+    from tabsynth import engine, parser
+    calc = _golden_calc_ub("so_refined.calc")
+    cs = [parser.parse_lexpr(calc.signature, t, 1)
+          for t in ("or(p0, q0)", "not(p0)")]
+    v = engine.prove(calc, cs, trace=True)
+    lines = v.engine.trace
+    assert v.kind == "sat" and len(lines) == 6
+    assert engine.replay_trace(calc, cs, "\n".join(lines)) == 4
+    assert " den#1 branch#0 -> branch#2" in lines[2]
+    # the split's line into branch#2 left out
+    with pytest.raises(sx.TabError, match="split left unfinished"):
+        engine.replay_trace(calc, cs, "\n".join(lines[:2] + lines[3:5]))
+    with pytest.raises(sx.TabError, match="ends inside a split"):
+        engine.replay_trace(calc, cs, "\n".join(lines[:2]))
+    # the split's second line alone
+    with pytest.raises(sx.TabError, match="start at den#0"):
+        engine.replay_trace(calc, cs, "\n".join(lines[:1] + lines[2:3]))
+    # p0 taken in place although q0 is not contradicted
+    in_place = [l.replace("-> branch#1", "-> branch#0").replace(
+        "branch#1 ->", "branch#0 ->") for l in (lines[1], lines[3])]
+    with pytest.raises(sx.TabError, match="step in place not justified"):
+        engine.replay_trace(calc, cs, "\n".join(lines[:1] + in_place
+                                                + ["close branch#0"]))
 
 
 def test_replay_checks_a_closure_by_exhaustion(ipc_blocked):

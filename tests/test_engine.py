@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -89,7 +90,7 @@ def test_applied_instances_are_excluded(so_calc):
     rule = so_calc.rule("or_pos")
     fp, binding, _ = next(engine._plan(rule).join(b, 0))
     tab = engine.Tableau(b)
-    eng.apply(tab, b, rule, fp, binding)
+    eng.apply(tab, b, rule, fp, binding, (0, 1))
     assert list(engine._plan(rule).join(b, 0)) == []
 
 
@@ -101,7 +102,7 @@ def test_apply_positive_exists_registers_term(so_calc, so_ns):
     b = tab.root
     rule = so_calc.rule("exists_pos")
     fp, binding, _ = next(engine._plan(rule).join(b, 0))
-    succ = eng.apply(tab, b, rule, fp, binding)
+    succ = eng.apply(tab, b, rule, fp, binding, (0,))
     assert succ == [b]
     sks = [t for t in b.term_birth if t.kind == "app" and t.sym is not sx.NU0]
     assert len(sks) == 1
@@ -120,7 +121,7 @@ def test_apply_closure_closes(so_calc):
     rule = so_calc.rule("closure_nu1")
     fp, binding, _ = next(engine._plan(rule).join(b, 0))
     tab = engine.Tableau(b)
-    assert eng.apply(tab, b, rule, fp, binding) == []
+    assert eng.apply(tab, b, rule, fp, binding, ()) == []
     assert b.closed
 
 
@@ -136,7 +137,7 @@ def test_apply_ub_two_successors(ipc_calc):
     assert len(insts) == 1  # birth-ordered pair a0 < b0, once
     tab = engine.Tableau(b)
     fp, binding, _ = insts[0]
-    succ = eng.apply(tab, b, rule, fp, binding)
+    succ = eng.apply(tab, b, rule, fp, binding, (0, 1))
     assert [l.text() for l in succ[0].literals[-1:]] == ["eq(a0, b0)"]
     assert [l.text() for l in succ[1].literals[-1:]] == ["not(eq(a0, b0))"]
 
@@ -284,30 +285,26 @@ def test_blocking_suppresses_blocked_term_production(so_blocked):
     while True:
         best = eng.collect(b)
         assert best is not None
-        kind, rule, fp, binding, extra = best
-        if rule.id == "ub":
-            succ = eng.apply(tab, b, rule, fp, binding)
+        succ = eng.apply(tab, b, *best)
+        if best[0].id == "ub":
             eq_branch = succ[0]
             break
-        succ = eng.apply(tab, b, rule, fp, binding,
-                         only_den=extra if kind == "unit" else None)
-        assert succ and succ[0] is b
+        assert succ == [b]
     assert eq_branch.blocked
     blocked_term = next(iter(eq_branch.blocked))
     while True:
         best = eng.collect(eq_branch)
         if best is None:
             break
-        kind, rule, fp, binding, extra = best
-        if kind == "exhausted":
+        rule, fp, binding, dens = best
+        if not dens and rule.denominators:
             eng.close_by_exhaustion(eq_branch, rule, fp, binding)
             break
         if rule.produces_terms:
             for prem in rule.premises:
                 lit = sx.substitute_literal(prem, binding)
                 assert blocked_term not in eng.mode.terms_in_literal(lit)
-        eng.apply(tab, eq_branch, rule, fp, binding,
-                  only_den=extra if kind == "unit" else None)
+        eng.apply(tab, eq_branch, *best)
         if eq_branch.closed:
             break
     assert eng.c1_violations == []
@@ -416,6 +413,47 @@ def test_breadth_first_search_is_pinned(monkeypatch, so_blocked, ipc_calc,
     v = engine.prove(calc, prob, ns=ns, node_budget=budget, search="bfs")
     assert (v.kind, v.engine.applications) == (verdict, apps)
     assert counts == [attempts, hits]
+
+
+CORPUS_DIGESTS = {
+    ("so", 0, "dfs"):
+        "ef86f39bb681ada1243d8cf8f37d21f737bb29643938dc0a619511952d3268de",
+    ("so", 0, "bfs"):
+        "b3bd345e1bb935829462c06e1e15ad87bc2b684d82c3519ea80e1c25286101d8",
+    ("so", 2, "dfs"):
+        "b634c5a5ca375eb3802474cbd39dddc0bf2cbc116e23f146f79137619c44fdee",
+    ("so", 2, "bfs"):
+        "b269d31b766784b80c7d184f541834d5fee166ee6e988a39c736c0dff426bde1",
+    ("ipc", 0, "dfs"):
+        "7526a9985b9644c2021fa9ae9309124d4120b952c9dd253cd2453c2b9175b76d",
+    ("ipc", 0, "bfs"):
+        "99bdb7690d450ae5a9b8e9f2761b4a5c9b4fb43261e70752f8fc67d3624f130f",
+    ("ipc", 2, "dfs"):
+        "55a229f6a5ccd611ab8bd62a7fdfa5e3e68955e62059d314f45795e09d3ce14f",
+    ("ipc", 2, "bfs"):
+        "3f79af36242af3b96d709b06c361edf48a75400472c87e65833efeb38d67ffd9",
+}
+
+
+@pytest.mark.parametrize("logic, depth, search", CORPUS_DIGESTS)
+def test_corpus_derivations_are_pinned(so_refined, ipc_refined, so_ns, ipc_ns,
+                                       logic, depth, search):
+    """The first 20 corpus problems on the refined calculi under blocking:
+    the same verdicts, applications, blocking violations and traces as
+    recorded.  Between them the runs split, extend in place, close by a
+    closure rule and close by exhaustion."""
+    refined, ns, gen = ((so_refined, so_ns, so_concepts) if logic == "so"
+                        else (ipc_refined, ipc_ns, ipc_formulas))
+    calc = refine.attach_ub(refined, synth.UbConfig(True, depth))
+    h = hashlib.sha256()
+    for prob in gen(calc.signature, count=20):
+        v = engine.prove(calc, prob, ns=ns, node_budget=3000, search=search,
+                         trace=True)
+        e = v.engine
+        h.update(("%s %d %r\n" % (v.kind, e.applications,
+                                  e.c1_violations)).encode())
+        h.update("\n".join(e.trace).encode() + b"\n\n")
+    assert h.hexdigest() == CORPUS_DIGESTS[logic, depth, search]
 
 
 def _reference_match(pattern, value, binding):
@@ -551,7 +589,7 @@ def test_blocking_join_yields_pairs_with_a_new_marker_in_birth_order(ipc_calc):
     assert pairs(4) == pairs(5) == [(a0, d0), (b0, d0), (c0, d0)]
     assert pairs(6) == []
     fp, binding, _ = next(join(b, 5))
-    eng.apply(engine.Tableau(b), b, rule, fp, binding)
+    eng.apply(engine.Tableau(b), b, rule, fp, binding, (0, 1))
     assert pairs(0) == everything[:2] + everything[3:]
 
 

@@ -46,7 +46,8 @@ def test_fold_or_requires_acknowledgement(so_calc):
     assert [l.text() for l in r.premises] == \
         ["nu1(or(p, q), x)", "not(nu1(p, x))"]
     assert [[l.text() for l in d] for d in r.denominators] == [["nu1(q, x)"]]
-    assert "completeness not guaranteed" in out.completeness_warning
+    assert out.warnings == ("fold of or_pos is outside the whitelist: "
+                            "completeness not guaranteed",)
 
 
 def test_fold_ipc_impl_whitelisted(ipc_calc):
