@@ -543,8 +543,9 @@ def replay_trace(calc, concepts, trace_text, ns=None):
     into a fresh child: its first line is checked, and the step lines after
     it must finish it.  A step in place taking one of several denominators
     needs the others contradicted on the branch, and a closure by
-    exhaustion (``den#x``) all of them.  A ``close`` line must name the
-    branch the step before it closed.  The trace must end with every branch
+    exhaustion (``den#x``) all of them.  A closure or exhaustion line
+    targets the branch it closes, and a ``close`` line must name the branch
+    the step before it closed.  The trace must end with every branch
     it created closed, or with ``saturated`` on an open branch on which the
     engine finds no step left (``Engine.collect`` returns None).  That last
     check uses the engine's matcher, so the independent certificate of a SAT
@@ -609,6 +610,9 @@ def replay_trace(calc, concepts, trace_text, ns=None):
             raise sx.TabError("split left unfinished: %s" % line)
         child = src
         if j is None or rule.is_closure():
+            if dst_bid != src_bid:
+                raise sx.TabError("a closing step targets another branch: %s"
+                                  % line)
             if not _contradicted(src, rule, binding):
                 raise sx.TabError("exhaustion close not justified: %s" % line)
             src.closed = True

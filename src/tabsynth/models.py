@@ -14,6 +14,13 @@ parameters, domain variables slots, and quantifiers loops over the domain.
 :func:`evaluate` and :meth:`LStructure.holds` stay the tree-walking
 reference; they check what the oracle returns and never go through the
 compiled path.
+
+Nor does the oracle redo per call or per candidate what it already knows.
+Per specification it keeps a plan (:class:`_Plan`) with the induced
+ordering, the sentence classes and each frame's admissible relations; per
+call it works out only the input's carrier and atoms; and between
+candidates it keeps every memoized truth that the atom just assigned cannot
+reach.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ class LStructure:
         self.dconsts = {}           # domain constant name -> element
         self.term_class = {}        # ground domain term -> element
         self._memo = {}
+        self._memos = {}            # compound expr -> its memo, if not _memo
 
     def holds(self, n, expr, elems):
         """nu_n membership; compound expressions unfold their definition."""
@@ -337,10 +345,12 @@ class Semantics:
     variable given at compilation, then one per quantifier, which loops over
     ``range(m.size)``; any other free domain variable raises
     :class:`~tabsynth.syntax.TabError` when it is reached.  Compound expressions
-    unfold through the compiled definitions, memoized in ``m._memo`` under
-    keys of their own.  Nothing here calls :func:`evaluate` or
-    :meth:`LStructure.holds`: they stay the tree-walking reference that
-    checks what the oracle returns.
+    unfold through the compiled definitions, memoized under keys of their
+    own: in the memo ``m._memos`` names for the expression, else in
+    ``m._memo`` (the oracle keeps a memo per level, see
+    :func:`_search_valuations`).  Nothing here calls :func:`evaluate` or :meth:`LStructure.holds`: they
+    stay the tree-walking reference that checks what the oracle returns.
+    ``plan`` is the oracle's :class:`_Plan`, built on first use.
     """
 
     def __init__(self, ns):
@@ -349,12 +359,13 @@ class Semantics:
         def holds(m, n, expr, elems):
             if expr.kind != "app":
                 return (expr, elems) in m.nu.get(n, ())
+            memo = m._memos.get(expr, m._memo)
             key = (expr, n, elems)
-            hit = m._memo.get(key)
+            hit = memo.get(key)
             if hit is None:
-                m._memo[key] = False  # cut off accidental cycles, as holds does
+                memo[key] = False  # cut off accidental cycles, as holds does
                 body, pad = defs[expr.name]
-                hit = m._memo[key] = body(m, expr.args, [*elems, *pad])
+                hit = memo[key] = body(m, expr.args, [*elems, *pad])
             return hit
 
         for d in ns.spec.definitions:
@@ -363,6 +374,7 @@ class Semantics:
             defs[d.conn.name] = (body, [None] * (n_slots - len(d.dom_vars)))
         self.holds = holds  # (m, n, ground expression, elements) -> truth
         self._sentences = {}
+        self.plan = None  # the oracle's _Plan, built on first use
 
     def formula(self, f, lvars=(), dvars=()):
         """``f`` as a function ``(m, objs=(), elems=())`` of the expressions
@@ -529,79 +541,123 @@ def brute_force_sat(ns, inputs, max_size):
     The bound is taken as authoritative: exhausting it without a model is an
     unsat verdict, so callers choose bounds that are conclusive for their
     inputs.  Candidates are evaluated through the specification's compiled
-    :class:`Semantics`.
+    :class:`Semantics`.  What depends on the specification alone (its
+    :class:`_Plan`: the sentence classes, and each frame's admissible
+    relations) is worked out on first use and kept; a call works out only
+    its carrier, individuals, atoms and checks.
     """
     if max_size < 1:
         raise sx.TabError("max size must be at least 1, not %d" % max_size)
     signed = _signed(inputs)
-    exprs = [c for c, _ in signed]
-    ordering = induced_ordering(ns)
-    carrier = ordering.sub_closure(exprs)
-    if len(carrier) > CARRIER_CAP:
+    sem = semantics(ns)
+    if sem.plan is None:
+        sem.plan = _Plan(ns, sem)
+    plan = sem.plan
+    lower = plan.ordering.lower_sets([c for c, _ in signed])
+    if len(lower) > CARRIER_CAP:
         raise CarrierTooLarge("%d expressions exceed the cap %d"
-                              % (len(carrier), CARRIER_CAP))
+                              % (len(lower), CARRIER_CAP))
+    carrier = list(lower)
     individuals = sorted({e for e in carrier if e.sort == 0 and e.kind != "app"},
                          key=lambda e: e.text())
-    atoms_by_sort = {}
+    atoms = sorted({e for e in carrier if e.sort >= 1 and e.kind != "app"},
+                   key=lambda e: (e.sort, e.text()))
+
+    # a compound expression's level: 1 + the index of the last atom below it
+    # in the induced ordering, 0 if there is none
+    index = {a: i + 1 for i, a in enumerate(atoms)}
+    levels = {}
+
+    def level(e):
+        if e.kind != "app":
+            return index.get(e, 0)
+        if e not in levels:
+            levels[e] = len(atoms)  # what a cycle reaches stays on top
+            levels[e] = max(map(level, lower[e]), default=0)
+        return levels[e]
+
     for e in carrier:
-        if e.sort >= 1 and e.kind != "app":
-            atoms_by_sort.setdefault(e.sort, []).append(e)
-    for s in atoms_by_sort:
-        atoms_by_sort[s] = sorted(set(atoms_by_sort[s]), key=lambda e: e.text())
-    pred_names = occurring_preds(ns)
-    sem = semantics(ns)
-    no_var, one_var, multi_var = [], [], []
-    for f in ns.sb:
-        lvs, run = sem.sentence(f)
-        mentions_l = any(True for _ in sx.lexprs_of_formula(f))
-        if not lvs and not mentions_l:
-            no_var.append(f)  # a pure frame condition, filters predicates
-        elif len(lvs) == 1 and len(set(sx.lexprs_of_formula(f))) == 1:
-            one_var.append((f, lvs, run))
-        else:
-            # ground object symbols or several variables: checked against
-            # complete structures only
-            multi_var.append((f, lvs, run))
-    extra = [sem.sentence(xi.sentence()) for xi in ns.s_plus + ns.s_minus
-             if not xi.definitional]
-    prune = {}  # sort -> the one-variable sentences over it
-    for _, lvs, run in one_var:
-        prune.setdefault(lvs[0].sort, []).append(run)
+        level(e)
 
     def choices(lvs, atomic):
         return [[e for e in carrier if e.sort == v.sort
                  and not (atomic and e.kind == "app")] for v in lvs]
 
-    # the multi-variable sentences over the atomic carrier, then the final
-    # full gate: the background theory (and any non-definitional sentences)
-    # over the whole carrier
-    gate = [(lvs, run) for _, lvs, run in one_var + multi_var] + extra
-    checks = [(run, choices(lvs, True)) for _, lvs, run in multi_var]
-    checks += [(run, choices(lvs, False)) for lvs, run in gate]
-
-    # per-atom pruning results may be reused across nu0 assignments only when
-    # no pruning sentence mentions individuals
-    one_var_uses_nu0 = any(
-        any(t.sym is sx.NU0 for g in sx.subformulas(f) if type(g) is sx.Literal
-            for t in g.args)
-        for f, _, _ in one_var)
+    checks = [(run, choices(lvs, True)) for lvs, run in plan.multi]
+    checks += [(run, choices(lvs, False)) for lvs, run in plan.gate]
 
     for size in range(1, max_size + 1):
         elems = list(range(size))
-        pred_space = _frame_assignments(ns, pred_names, size, no_var)
-        for preds in pred_space:
-            rel_cache = {}
+        frames = _frame_assignments(ns, plan.pred_names, size, plan.frame)
+        for k, preds in enumerate(frames):
+            rels = [plan.relations(size, k, preds, a.sort) for a in atoms]
             for nu0_assign in itertools.product(elems, repeat=len(individuals)):
-                if one_var_uses_nu0:
-                    rel_cache = {}
                 base = LStructure(size, spec=ns.spec)
                 base.preds = {p: set(v) for p, v in preds.items()}
                 base.nu0 = {e: w for e, w in zip(individuals, nu0_assign)}
-                found = _search_valuations(base, sem, atoms_by_sort, prune,
-                                           rel_cache, signed, checks)
+                found = _search_valuations(base, sem, atoms, rels, levels,
+                                           signed, checks)
                 if found is not None:
                     return ("sat", found)
     return ("unsat", None)
+
+
+class _Plan:
+    """What the oracle reads off a specification alone, built on its first
+    call and kept on the specification's :class:`Semantics` (``plan``).
+
+    The background sentences fall into frame conditions (``frame``: no
+    object expression, they filter the predicate interpretations), pruning
+    sentences (``prune``, by sort: their one object expression is their
+    variable, so they judge each atom's relation alone) and the others
+    (``multi``, checked over the atomic carrier).  ``gate`` is the final
+    check over the whole carrier: the pruning and other sentences, then the
+    non-definitional directed ones."""
+
+    def __init__(self, ns, sem):
+        self.ordering = induced_ordering(ns)
+        self.pred_names = occurring_preds(ns)
+        self.frame, self.prune, self.multi, one_var = [], {}, [], []
+        for f in ns.sb:
+            lvs, run = sem.sentence(f)
+            lexprs = set(sx.lexprs_of_formula(f))
+            if not lvs and not lexprs:
+                self.frame.append(f)
+            elif len(lvs) == 1 and len(lexprs) == 1:
+                self.prune.setdefault(lvs[0].sort, []).append(run)
+                one_var.append((lvs, run))
+            else:
+                # ground object symbols or several variables: checked against
+                # complete structures only
+                self.multi.append((lvs, run))
+        self.gate = one_var + self.multi + [
+            sem.sentence(xi.sentence()) for xi in ns.s_plus + ns.s_minus
+            if not xi.definitional]
+        self._relations = {}
+
+    def relations(self, size, k, preds, sort):
+        """The relations over ``range(size)`` that an atom of ``sort`` may
+        take in frame ``k`` (``preds``) of that size: those the sort's
+        pruning sentences accept, in :func:`_subsets` order.  A pruning
+        sentence mentions no object expression but its variable, so it reads
+        the atom's relation and the frame only (nu0 takes sort-0
+        expressions, and atoms have sort 1 or more): the list holds for
+        every atom of the sort and every nu0 assignment.  ``stand_in`` plays
+        the atom."""
+        key = (size, k, sort)
+        hit = self._relations.get(key)
+        if hit is None:
+            runs = self.prune.get(sort, ())
+            stand_in = sx.lvar(sort, "p")
+            probe = LStructure(size)
+            probe.preds = preds
+            hit = self._relations[key] = []
+            for rel in _subsets(list(itertools.product(range(size),
+                                                       repeat=sort))):
+                probe.nu = {sort: {(stand_in, t) for t in rel}}
+                if all(run(probe, (stand_in,)) for run in runs):
+                    hit.append(rel)
+        return hit
 
 
 _FRAME_CACHE = {}
@@ -644,38 +700,29 @@ def _frame_assignments(ns, pred_names, size, no_var):
     return out
 
 
-def _search_valuations(base, sem, atoms_by_sort, prune, rel_cache, signed,
-                       checks):
-    """Assign relations to the atomic expressions sort by sort, pruning each
-    atom with the single-variable background sentences (``prune``, by sort),
-    then finish with the inputs at element 0 and ``checks``: compiled
-    sentences with the carrier expressions their parameters range over."""
-    sorts = sorted(atoms_by_sort)
-    atom_list = [(s, a) for s in sorts for a in atoms_by_sort[s]]
+def _search_valuations(base, sem, atoms, rels, levels, signed, checks):
+    """Assign each atom one of its admissible relations (``rels``, by atom),
+    in order, then finish with the inputs at element 0 and ``checks``:
+    compiled sentences with the carrier expressions their parameters range
+    over.
 
-    def admissible(sort, expr, rel):
-        key = (sort, frozenset(rel))
-        hit = rel_cache.get(key)
-        if hit is None:
-            probe = LStructure(base.size, spec=base.spec)
-            probe.preds = base.preds
-            probe.nu0 = base.nu0
-            probe.nu = {sort: {(expr, t) for t in rel}}
-            hit = all(run(probe, (expr,)) for run in prune.get(sort, ()))
-            rel_cache[key] = hit
-        return hit
+    A compound expression's truths are memoized by its level (``levels``;
+    any other expression is on the top level, ``base._memo``): assigning
+    atom ``i`` clears the levels above ``i`` only, and the rest stays valid
+    for every later candidate."""
+    memos = [{} for _ in atoms] + [base._memo]
+    base._memos = {e: memos[lv] for e, lv in levels.items()}
 
     def rec(i):
-        if i == len(atom_list):
+        if i == len(atoms):
             return finish()
-        sort, expr = atom_list[i]
-        universe = list(itertools.product(range(base.size), repeat=sort))
-        for rel in _subsets(universe):
-            if prune and not admissible(sort, expr, rel):
-                continue
-            prev = base.nu.get(sort, set())
+        expr = atoms[i]
+        sort, stale = expr.sort, memos[i + 1:]
+        prev = base.nu.get(sort, set())
+        for rel in rels[i]:
             base.nu[sort] = prev | {(expr, t) for t in rel}
-            base._memo.clear()
+            for memo in stale:
+                memo.clear()
             got = rec(i + 1)
             base.nu[sort] = prev
             if got is not None:
@@ -683,7 +730,6 @@ def _search_valuations(base, sem, atoms_by_sort, prune, rel_cache, signed,
         return None
 
     def finish():
-        base._memo.clear()
         for c, pos in signed:
             if bool(sem.holds(base, 1, c, (0,))) != pos:
                 return None
@@ -697,6 +743,4 @@ def _search_valuations(base, sem, atoms_by_sort, prune, rel_cache, signed,
         snapshot.nu = {s: set(v) for s, v in base.nu.items()}
         return snapshot
 
-    if not atom_list:
-        return finish()
     return rec(0)

@@ -149,15 +149,21 @@ class InducedOrdering:
 
     def sub_closure(self, exprs):
         """All expressions <=-below some member of ``exprs`` (reflexive)."""
-        seen = list(dict.fromkeys(exprs))
-        todo = list(seen)
+        return list(self.lower_sets(exprs))
+
+    def lower_sets(self, exprs):
+        """``{e: direct_lower(e)}`` for each expression of
+        ``sub_closure(exprs)``, in its order."""
+        lower = dict.fromkeys(exprs)
+        todo = list(lower)
         while todo:
             e = todo.pop()
-            for e2 in self.direct_lower(e):
-                if e2 not in seen:
-                    seen.append(e2)
+            lower[e] = self.direct_lower(e)
+            for e2 in lower[e]:
+                if e2 not in lower:
+                    lower[e2] = None
                     todo.append(e2)
-        return seen
+        return lower
 
 
 def induced_ordering(ns: NormalizedSpec) -> InducedOrdering:

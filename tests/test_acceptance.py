@@ -2,6 +2,7 @@
 pass/fail line.  Criteria 4-7 share the two corpus runs, which are executed
 once per session and cached."""
 
+import hashlib
 import os
 import shutil
 import subprocess
@@ -97,10 +98,10 @@ def so_corpus_run(so_blocked, so_ns):
     records = []
     t0 = time.monotonic()
     for prob in so_concepts(so_blocked.signature, count=220):
-        res, _ = models.brute_force_sat(so_ns, prob, 3)
+        res, structure = models.brute_force_sat(so_ns, prob, 3)
         eng = engine.Engine(so_blocked, ns=so_ns, node_budget=NODE_BUDGET)
         verdict = eng.expand(eng.init(prob))
-        records.append((prob, res, verdict, eng))
+        records.append((prob, res, structure, verdict, eng))
     return records, time.monotonic() - t0
 
 
@@ -118,10 +119,10 @@ def ipc_corpus_run(ipc_blocked, ipc_ns):
     records = []
     t0 = time.monotonic()
     for prob in probs:
-        res, _ = models.brute_force_sat(ipc_ns, prob, 4)
+        res, structure = models.brute_force_sat(ipc_ns, prob, 4)
         eng = engine.Engine(ipc_blocked, ns=ipc_ns, node_budget=NODE_BUDGET)
         verdict = eng.expand(eng.init(prob))
-        records.append((prob, res, verdict, eng))
+        records.append((prob, res, structure, verdict, eng))
     return records, time.monotonic() - t0
 
 
@@ -129,9 +130,9 @@ def ipc_corpus_run(ipc_blocked, ipc_ns):
 
 def test_criterion_4_so_agreement(so_corpus_run):
     records, elapsed = so_corpus_run
-    mismatches = [(p, res, v.kind) for p, res, v, _ in records
+    mismatches = [(p, res, v.kind) for p, res, _, v, _ in records
                   if v.kind != res]
-    unsound = [(p,) for p, res, v, _ in records
+    unsound = [(p,) for p, res, _, v, _ in records
                if res == "sat" and v.kind == "unsat"]
     ok = len(records) >= 200 and not mismatches and not unsound \
         and elapsed < 300
@@ -141,18 +142,18 @@ def test_criterion_4_so_agreement(so_corpus_run):
 
 def test_criterion_5_ipc_agreement(ipc_corpus_run, ipc_blocked, ipc_ns):
     records, elapsed = ipc_corpus_run
-    mismatches = [(p, res, v.kind) for p, res, v, _ in records
+    mismatches = [(p, res, v.kind) for p, res, _, v, _ in records
                   if v.kind != res]
-    unsound = [p for p, res, v, _ in records
+    unsound = [p for p, res, _, v, _ in records
                if res == "sat" and v.kind == "unsat"]
     # curated expectations: p->p valid; Peirce and (p->q)v(q->p) not valid
     curated = records[:3]
-    curated_ok = [curated[0][2].kind == "unsat",
-                  curated[1][2].kind == "sat",
-                  curated[2][2].kind == "sat"]
-    m = models.extract_model(curated[2][2].branch, ipc_ns)
+    curated_ok = [curated[0][3].kind == "unsat",
+                  curated[1][3].kind == "sat",
+                  curated[2][3].kind == "sat"]
+    m = models.extract_model(curated[2][3].branch, ipc_ns)
     countermodel_ok = m.size >= 3 and \
-        models.verify_reflection(m, curated[2][2].branch) == []
+        models.verify_reflection(m, curated[2][3].branch) == []
     ok = len(records) >= 200 and not mismatches and not unsound \
         and all(curated_ok) and countermodel_ok and elapsed < 300
     _report(5, ok, "%d instances, %d mismatches, curated %r, %.1fs"
@@ -165,7 +166,7 @@ def test_criterion_6_termination(so_corpus_run, ipc_corpus_run):
     worst = 0
     limited = 0
     for records, _ in (so_corpus_run, ipc_corpus_run):
-        for _, _, verdict, eng in records:
+        for _, _, _, verdict, eng in records:
             worst = max(worst, eng.applications)
             limited += verdict.kind == "limit"
     ok = limited == 0 and worst < NODE_BUDGET
@@ -203,7 +204,7 @@ def test_criterion_7_constructive_completeness(so_corpus_run, ipc_corpus_run,
     checked = violations = 0
     for (records, _), calc, ns in ((so_corpus_run, so_blocked, so_ns),
                                    (ipc_corpus_run, ipc_blocked, ipc_ns)):
-        for prob, _, verdict, _ in records:
+        for prob, _, _, verdict, _ in records:
             if verdict.kind != "sat":
                 continue
             checked += 1
@@ -223,6 +224,48 @@ def test_criterion_7_constructive_completeness(so_corpus_run, ipc_corpus_run,
     ok = checked > 0 and violations == 0
     _report(7, ok, "%d satisfiable runs checked, %d violations"
             % (checked, violations))
+
+
+# -- what the corpus runs return, beyond their verdicts --------------------------
+
+# SHA-256 over each corpus problem's oracle verdict and structure, SO at bound
+# 3 then IPC at bound 4, computed before the oracle reused its work across
+# calls and candidates
+ORACLE_DIGEST = \
+    "da3f8e6203b1eff5093fd36fa02c77c623e5b32339a487a741e5a1437e9ac8e7"
+
+
+def test_oracle_structures_are_pinned(so_corpus_run, ipc_corpus_run):
+    h = hashlib.sha256()
+    count = 0
+    for records, _ in (so_corpus_run, ipc_corpus_run):
+        for _, res, structure, _, _ in records:
+            text = structure.format() if structure is not None else ""
+            h.update(("%s\n%s\0" % (res, text)).encode("utf-8"))
+            count += 1
+    assert count == 443
+    assert h.hexdigest() == ORACLE_DIGEST
+
+
+def test_every_corpus_unsat_replays(so_corpus_run, ipc_corpus_run, so_blocked,
+                                    ipc_blocked, so_ns, ipc_ns):
+    # the refined calculi's refutations of the oracle's unsat problems, each
+    # re-checked step by step from its trace
+    replayed = []
+    for (records, _), calc, ns in ((so_corpus_run, so_blocked, so_ns),
+                                   (ipc_corpus_run, ipc_blocked, ipc_ns)):
+        count = 0
+        for prob, res, _, _, _ in records:
+            if res != "unsat":
+                continue
+            v = engine.prove(calc, prob, ns=ns, node_budget=NODE_BUDGET,
+                             trace=True)
+            assert v.kind == "unsat"
+            assert engine.replay_trace(calc, prob, "\n".join(v.engine.trace),
+                                       ns=ns) > 0
+            count += 1
+        replayed.append(count)
+    assert replayed == [11, 33]
 
 
 # -- criterion 8: subexpression property ----------------------------------------

@@ -622,6 +622,19 @@ def test_replay_rejects_an_unsat_claim_that_skips_a_denominator():
                                                 + ["close branch#0"]))
 
 
+def test_replay_rejects_a_closing_step_into_another_branch():
+    from tabsynth import engine, parser
+    calc = _golden_calc_ub("so_refined.calc")
+    cs = [parser.parse_lexpr(calc.signature, t, 1) for t in ("p0", "not(p0)")]
+    lines = engine.prove(calc, cs, trace=True).engine.trace
+    assert lines == ["apply closure_nu1 {l:=i0; p:=p0} den#0 branch#0 -> "
+                     "branch#0", "close branch#0"]
+    assert engine.replay_trace(calc, cs, "\n".join(lines)) == 1
+    moved = lines[0].replace("-> branch#0", "-> branch#9")
+    with pytest.raises(sx.TabError, match="closing step targets another"):
+        engine.replay_trace(calc, cs, "\n".join([moved] + lines[1:]))
+
+
 def test_replay_checks_a_closure_by_exhaustion(ipc_blocked):
     from tabsynth import engine, parser
     # problem 161 of the IPC corpus, the shortest the refined blocked

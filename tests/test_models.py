@@ -4,7 +4,7 @@ import random
 import pytest
 
 from corpus import so_concepts
-from tabsynth import engine, models, parser, refine, specfile, synth
+from tabsynth import engine, models, normalize, parser, refine, specfile, synth
 from tabsynth import syntax as sx
 
 
@@ -259,6 +259,24 @@ def test_oracle_frames_one_per_class_fixing_element_0(ipc_ns, size, labelled,
     # the enumeration goes by the number of pairs, then lexicographically
     for k in kept:
         assert min(images(k), key=lambda r: (len(r), sorted(r))) == k
+
+
+def test_oracle_caches_are_per_specification(ipc_ns, ipc_spec):
+    # IPC without persistence: the same frames, and every relation admissible
+    *frame, persistence = ipc_spec.axioms
+    assert sx.lvars(persistence) == [sx.lvar(1, "p")]
+    variant = normalize.normalize(specfile.SemanticSpec(
+        "ipc-", ipc_spec.signature, ipc_spec.definitions, frame,
+        ipc_spec.directed))
+    for size in (1, 2, 3):
+        assert models._frame_assignments(variant, ["R"], size, frame) is \
+            models._frame_assignments(ipc_ns, ["R"], size, frame)
+    # valid only where truth persists along R
+    k = [(pc(ipc_spec, "impl(p0, impl(q0, p0))"), False)]
+    assert models.brute_force_sat(ipc_ns, k, 3) == ("unsat", None)
+    res, m = models.brute_force_sat(variant, k, 3)
+    assert res == "sat" and m.size == 2
+    assert models.brute_force_sat(ipc_ns, k, 3) == ("unsat", None)
 
 
 def test_oracle_carrier_cap(so_ns, so_spec):
