@@ -3,7 +3,9 @@
 The file embeds the signature (the directives of a ``.spec`` file, read and
 written by ``parser``), Skolem function declarations, the blocking
 configuration and (for internalized calculi) the rewrite context, followed by
-one ``rule`` line per rule.  Zero denominators print as ``/ false``.
+one ``rule`` line per rule.  Zero denominators print as ``/ false``.  A
+calculus whose refinement left its completeness unproven carries one
+``warning`` line per warning after its head.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ def print_calculus(calc):
         out.append("refined yes")
     if calc.spec_name:
         out.append("spec %s" % calc.spec_name)
+    out.extend("warning %s" % w for w in calc.warnings)
     out.extend(print_signature(calc.signature))
     for fn in calc.skolems.values():
         ls = " ".join(str(s) for s in fn.lsorts)
@@ -82,6 +85,7 @@ def _parse_rule_line(el, rest, lineno):
 
 def parse_calculus(text):
     block, head, skolems, ctx_lines, rule_lines = SignatureBlock(), {}, {}, {}, []
+    warnings = []
     at = {}  # the line of each head directive
 
     def directive(lineno, word, rest):
@@ -101,6 +105,8 @@ def parse_calculus(text):
                 head["blocking"] = UbConfig(True, int(parts[2]))
             else:
                 raise ValueError(rest)
+        elif word == "warning":
+            warnings.append(rest)
         elif word == "ctx":
             ctx_lines[lineno] = rest
         elif word == "rule":
@@ -129,6 +135,7 @@ def parse_calculus(text):
     try:
         return Calculus(head.get("calculus", "calculus"), sig, rules, skolems,
                         head.get("blocking"), ctx, spec_name=head.get("spec"),
-                        refined=head.get("refined") == "yes" or ctx is not None)
+                        refined=head.get("refined") == "yes" or ctx is not None,
+                        warnings=warnings)
     except DuplicateRuleId as e:
         raise SpecSyntaxError(str(e), rule_lines[e.index][1]) from None

@@ -131,6 +131,8 @@ def cmd_prove(args):
     if args.model and not (args.spec or args.preset):
         raise sx.TabError("--model needs --spec or --preset")
     calc = calcfile.parse_calculus(_read(args.calc))
+    for warning in calc.warnings:
+        print("warning: %s" % warning, file=sys.stderr)
     ns = _load_spec(args, needed=False, as_input=True)
     if ns is not None:
         # the calculus's signature may add its context's connectives

@@ -663,39 +663,96 @@ class _Plan:
 _FRAME_CACHE = {}
 
 
+class _Unassigned(Exception):
+    """A frame sentence read a tuple that has no value yet; the arguments
+    are the partial relation and the tuple."""
+
+
+class _PartialRelation(dict):
+    """A relation known on the tuples it maps (to True: in, False: out).
+    Reading any other tuple raises :class:`_Unassigned`."""
+
+    def __contains__(self, t):
+        got = self.get(t)
+        if got is None:
+            raise _Unassigned(self, t)
+        return got
+
+
 def _frame_assignments(ns, pred_names, size, no_var):
     """Predicate interpretations satisfying the variable-free sentences, one
     per class of frames isomorphic by a permutation fixing element 0: the
-    first of each class in enumeration order.
+    first of each class in enumeration order (per predicate, the number of
+    tuples, then the tuples, as :func:`_subsets` yields them).
+
+    The frames are found by a backtracking search over the predicates'
+    tuples, evaluating the compiled sentences on a partial frame.  Frame
+    sentences mention no object expression, so they never reach a memo, and
+    a compiled sentence is deterministic and short-circuits: an evaluation
+    that reads only tuples with a value has that value on every completion.
+    A false sentence prunes the subtree, a true one is dropped for it, and
+    one that read a tuple without a value (:class:`_Unassigned`) is kept;
+    the search branches on that tuple of the first such sentence, and once
+    none is left, on the first tuple without a value.  The frames found are
+    sorted into enumeration order before the first of each class is kept.
 
     The inputs are read at element 0, every other sentence is closed, and
     every nu0 and atom valuation is enumerated, so a frame has a model
     exactly when its images do.  The first frame with a model is therefore
     kept, and the oracle's verdicts and structures are those of the full
     enumeration.  Cached per (sentences, predicates with their arities,
-    size): the filter is instance independent and dominates the enumeration
-    cost at size four."""
+    size): the frames are instance independent."""
     preds = tuple((p, ns.signature.preds[p]) for p in pred_names)
     key = (tuple(no_var), preds, size)
     hit = _FRAME_CACHE.get(key)
     if hit is not None:
         return hit
     runs = [semantics(ns).sentence(f)[1] for f in no_var]
-    spaces = [list(_subsets(list(itertools.product(range(size), repeat=n))))
-              for _, n in preds]
+    universes = [list(itertools.product(range(size), repeat=n))
+                 for _, n in preds]
+    probe = LStructure(size, spec=ns.spec)  # the sentences read only preds
+    probe.preds = {p: _PartialRelation() for p, _ in preds}
+    rels = list(probe.preds.values())
+    cells = [(rel, t) for rel, universe in zip(rels, universes)
+             for t in universe]
+    found = []
+
+    def search(undecided):
+        left, cell = [], None
+        for run in undecided:
+            try:
+                if not run(probe):
+                    return
+            except _Unassigned as unassigned:
+                left.append(run)
+                if cell is None:
+                    cell = unassigned.args
+        if cell is None:
+            cell = next(((rel, t) for rel, t in cells if t not in rel.keys()),
+                        None)
+            if cell is None:
+                # as _subsets yields them: the tuples in product order
+                found.append(tuple(tuple(t for t in universe if rel[t])
+                                   for rel, universe in zip(rels, universes)))
+                return
+        rel, t = cell
+        for value in (False, True):
+            rel[t] = value
+            search(left)
+        del rel[t]
+
+    search(runs)
+    found.sort(key=lambda combo: [(len(v), v) for v in combo])
     perms = [(0,) + rest for rest in itertools.permutations(range(1, size))]
     out, seen = [], set()
-    probe = LStructure(size, spec=ns.spec)  # the sentences read only preds
-    for combo in itertools.product(*spaces):
+    for combo in found:
         if combo in seen:
             continue
-        probe.preds = {p: set(v) for (p, _), v in zip(preds, combo)}
-        if all(run(probe) for run in runs):
-            out.append({p: frozenset(v) for (p, _), v in zip(preds, combo)})
-            # the images, as the sorted tuples that _subsets yields
-            seen.update(tuple(tuple(sorted(tuple(pi[e] for e in t) for t in v))
-                              for v in combo)
-                        for pi in perms)
+        out.append({p: frozenset(v) for (p, _), v in zip(preds, combo)})
+        # the images, as the sorted tuples that _subsets yields
+        seen.update(tuple(tuple(sorted(tuple(pi[e] for e in t) for t in v))
+                          for v in combo)
+                    for pi in perms)
     _FRAME_CACHE[key] = out
     return out
 

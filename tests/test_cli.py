@@ -128,6 +128,25 @@ def test_refine_warns_of_an_unsafe_fold_whatever_follows(tmp_path, work,
         "not guaranteed\n" in capsys.readouterr().err
 
 
+def test_an_unsafe_fold_warning_survives_a_calc_file(tmp_path, work, capsys):
+    warning = ("fold of or_pos is outside the whitelist: completeness "
+               "not guaranteed")
+    ke = str(tmp_path / "ke.calc")
+    script = _write(tmp_path / "ke.refine", "rf or_pos fold 0 drop-dp\n")
+    assert run_cli(["refine", "--calc", str(work / "so.calc"),
+                    "--refine-script", script, "--unsafe-refine",
+                    "-o", ke]) == 0
+    capsys.readouterr()
+    prob = _write(tmp_path / "p.txt", "or(p0, q0)\nnot(p0)\n")
+    assert run_cli(["prove", "--calc", ke, prob]) == 0
+    assert "warning: %s\n" % warning in capsys.readouterr().err
+    simplify = _write(tmp_path / "simplify.refine", "simplify\n")
+    again = tmp_path / "again.calc"
+    assert run_cli(["refine", "--calc", ke, "--refine-script", simplify,
+                    "-o", str(again)]) == 0
+    assert "\nwarning %s\n" % warning in again.read_text(encoding="utf-8")
+
+
 def test_a_calc_without_its_mode_line_follows_its_ctx_lines(tmp_path):
     text = _golden_text("so_refined.calc")
     assert text.splitlines()[1] == "mode internalized"

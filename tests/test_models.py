@@ -237,6 +237,86 @@ def _labelled_partial_orders(size):
             yield frozenset(rel)
 
 
+def _swept_frames(ns, pred_names, size, no_var):
+    """The reference for models._frame_assignments: every combination of
+    relations in _subsets order is tested against the sentences, and the
+    first of each class under permutations fixing element 0 is kept."""
+    preds = [(p, ns.signature.preds[p]) for p in pred_names]
+    runs = [models.semantics(ns).sentence(f)[1] for f in no_var]
+    spaces = [list(models._subsets(list(itertools.product(range(size),
+                                                          repeat=n))))
+              for _, n in preds]
+    perms = [(0,) + rest for rest in itertools.permutations(range(1, size))]
+    out, seen = [], set()
+    probe = models.LStructure(size, spec=ns.spec)
+    for combo in itertools.product(*spaces):
+        if combo in seen:
+            continue
+        probe.preds = {p: set(v) for (p, _), v in zip(preds, combo)}
+        if all(run(probe) for run in runs):
+            out.append({p: frozenset(v) for (p, _), v in zip(preds, combo)})
+            seen.update(tuple(tuple(sorted(tuple(pi[e] for e in t) for t in v))
+                              for v in combo)
+                        for pi in perms)
+    return out
+
+
+_FRAME_SPEC = """sorts 2
+vars 1 p
+%s
+connective c 1 -> 1
+define forall x. nu1(c(p), x) <-> %s
+%s
+"""
+
+# each reaches a path of the frame search that IPC does not
+FRAME_SPECS = {
+    "existential": ("predicate R 2",
+                    "exists y. and(R(x, y), nu1(p, y))",
+                    "axiom forall x. exists y. R(x, y)"),
+    "no-tuple-read": ("predicate R 2",
+                      "forall y. implies(R(x, y), nu1(p, y))",
+                      "axiom forall x. forall y. eq(x, y)"),
+    "unary-and-binary": ("predicate P 1\npredicate R 2",
+                         "and(P(x), exists y. and(R(x, y), nu1(p, y)))",
+                         "axiom forall x. forall y. "
+                         "implies(and(P(x), R(x, y)), P(y))"),
+    "unconstrained": ("predicate Q 1\npredicate R 2",
+                      "and(Q(x), exists y. and(R(x, y), nu1(p, y)))",
+                      "axiom forall x. R(x, x)"),
+}
+
+
+def _frame_plan(ns):
+    plan = models._Plan(ns, models.semantics(ns))
+    return plan.pred_names, plan.frame
+
+
+def test_oracle_frames_match_the_swept_reference(monkeypatch, ipc_ns,
+                                                 ipc_spec, so_ns):
+    *frame, _ = ipc_spec.axioms
+    variant = normalize.normalize(specfile.SemanticSpec(
+        "ipc-", ipc_spec.signature, ipc_spec.definitions, frame,
+        ipc_spec.directed))
+    cases = [(ipc_ns, size) for size in (1, 2, 3, 4)] + [(variant, 4)]
+    cases += [(so_ns, size) for size in (1, 2, 3)]
+    for name, (decls, body, axiom) in FRAME_SPECS.items():
+        ns = normalize.normalize(specfile.parse_spec(
+            _FRAME_SPEC % (decls, body, axiom), name))
+        cases += [(ns, size) for size in (1, 2, 3)]
+    kept = {}
+    for ns, size in cases:
+        pred_names, no_var = _frame_plan(ns)
+        monkeypatch.setattr(models, "_FRAME_CACHE", {})  # search, not recall
+        got = models._frame_assignments(ns, pred_names, size, no_var)
+        assert got == _swept_frames(ns, pred_names, size, no_var), \
+            (ns.spec.name, size)
+        kept[ns.spec.name, size] = got
+    # no frame once eq fails; Q free beside the 4 reflexive R at size 2
+    assert kept["no-tuple-read", 1] and not kept["no-tuple-read", 2]
+    assert len(kept["unconstrained", 2]) == 16
+
+
 @pytest.mark.parametrize("size, labelled, classes",
                          [(1, 1, 1), (2, 3, 3), (3, 19, 11), (4, 219, 47)])
 def test_oracle_frames_one_per_class_fixing_element_0(ipc_ns, size, labelled,
