@@ -163,6 +163,12 @@ def cmd_prove(args):
         return EXIT_UNSAT
     if verdict.kind == "limit":
         print("UNKNOWN")
+        if verdict.budget == "nodes":
+            print("limit: node budget %d reached" % args.budget_nodes,
+                  file=sys.stderr)
+        else:
+            print("limit: time budget %gs reached" % args.budget_secs,
+                  file=sys.stderr)
         return EXIT_UNKNOWN
     print("SAT")
     if args.model:

@@ -299,9 +299,10 @@ class Tableau:
 
 
 class Verdict:
-    def __init__(self, kind, branch=None):
+    def __init__(self, kind, branch=None, budget=None):
         self.kind = kind  # "unsat" | "sat" | "limit"
         self.branch = branch
+        self.budget = budget  # the one a "limit" ran out of: "nodes" | "seconds"
 
     def __repr__(self):
         return "Verdict(%s)" % self.kind
@@ -489,10 +490,11 @@ class Engine:
         start = time.monotonic()
         work = collections.deque([tableau.root])
         while work:
-            if self.applications >= self.node_budget or \
-                    self.time_budget is not None and \
+            if self.applications >= self.node_budget:
+                return Verdict("limit", budget="nodes")
+            if self.time_budget is not None and \
                     time.monotonic() - start > self.time_budget:
-                return Verdict("limit")
+                return Verdict("limit", budget="seconds")
             branch = work.pop()
             if branch.closed:
                 continue

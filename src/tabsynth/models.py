@@ -16,11 +16,11 @@ reference; they check what the oracle returns and never go through the
 compiled path.
 
 Nor does the oracle redo per call or per candidate what it already knows.
-Per specification it keeps a plan (:class:`_Plan`) with the induced
-ordering, the sentence classes and each frame's admissible relations; per
-call it works out only the input's carrier and atoms; and between
-candidates it keeps every memoized truth that the atom just assigned cannot
-reach.
+Per specification its :class:`Semantics` keeps the induced ordering, the
+sentence classes, each size's frames and each frame's admissible relations,
+and they are freed with the specification; per call it works out only the
+input's carrier and atoms; and between candidates it keeps every memoized
+truth that the atom just assigned cannot reach.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 
 from . import syntax as sx
-from .normalize import induced_ordering, occurring_preds
+from .normalize import induced_ordering, occurring
 
 
 class CarrierTooLarge(sx.TabError):
@@ -334,10 +334,11 @@ def verify_reflection(m, branch, ctx=None, skolems=None):
 # compiled semantics, which the oracle evaluates
 
 class Semantics:
-    """The connective definitions and the sentences of a normalized
-    specification compiled into closures, once per specification: use
-    :func:`semantics`, which keeps them on ``ns.semantics``.
+    """The oracle's view of a normalized specification, built once per
+    specification: use :func:`semantics`, which keeps it on
+    ``ns.semantics``, so it is freed with the specification.
 
+    It compiles the connective definitions and the sentences into closures.
     A compiled formula is a function ``(m, objs, slots)``.  ``objs`` holds
     the object expressions its object variables stand for, in the order it
     was compiled with; any other object variable names itself, as in
@@ -350,7 +351,16 @@ class Semantics:
     ``m._memo`` (the oracle keeps a memo per level, see
     :func:`_search_valuations`).  Nothing here calls :func:`evaluate` or :meth:`LStructure.holds`: they
     stay the tree-walking reference that checks what the oracle returns.
-    ``plan`` is the oracle's :class:`_Plan`, built on first use.
+
+    The background sentences fall into frame conditions (``frame``, compiled:
+    no object expression, they filter the interpretations of ``preds``, the
+    (predicate, arity) pairs the sentences mention), pruning sentences
+    (``prune``, by sort: their one object expression is their variable, so
+    they judge each atom's relation alone) and the others (``multi``,
+    checked over the atomic carrier).  ``gate`` is the final check over the
+    whole carrier: the pruning and other sentences, then the
+    non-definitional directed ones.  The frames (:meth:`frames`) and their
+    admissible relations (:meth:`relations`) are listed on first use.
     """
 
     def __init__(self, ns):
@@ -374,7 +384,27 @@ class Semantics:
             defs[d.conn.name] = (body, [None] * (n_slots - len(d.dom_vars)))
         self.holds = holds  # (m, n, ground expression, elements) -> truth
         self._sentences = {}
-        self.plan = None  # the oracle's _Plan, built on first use
+
+        self.ordering = induced_ordering(ns)
+        self.preds = [(p, ns.signature.preds[p]) for p in occurring(ns, "pred")]
+        self.frame, self.prune, self.multi, one_var = [], {}, [], []
+        for f in ns.sb:
+            lvs, run = self.sentence(f)
+            lexprs = set(sx.lexprs_of_formula(f))
+            if not lvs and not lexprs:
+                self.frame.append(run)
+            elif len(lvs) == 1 and len(lexprs) == 1:
+                self.prune.setdefault(lvs[0].sort, []).append(run)
+                one_var.append((lvs, run))
+            else:
+                # ground object symbols or several variables: checked against
+                # complete structures only
+                self.multi.append((lvs, run))
+        self.gate = one_var + self.multi + [
+            self.sentence(xi.sentence()) for xi in ns.s_plus + ns.s_minus
+            if not xi.definitional]
+        self._frames = {}
+        self._relations = {}
 
     def formula(self, f, lvars=(), dvars=()):
         """``f`` as a function ``(m, objs=(), elems=())`` of the expressions
@@ -390,6 +420,38 @@ class Semantics:
         if hit is None:
             lvs = sorted(sx.lvars(f), key=lambda e: e.text())
             hit = self._sentences[f] = (lvs, self.formula(f, lvs))
+        return hit
+
+    def frames(self, size):
+        """The frames of ``size`` elements (see :func:`_frame_assignments`),
+        found once."""
+        hit = self._frames.get(size)
+        if hit is None:
+            hit = self._frames[size] = _frame_assignments(self.frame,
+                                                          self.preds, size)
+        return hit
+
+    def relations(self, size, k, sort):
+        """The relations over ``range(size)`` that an atom of ``sort`` may
+        take in frame ``k`` of that size: those the sort's pruning sentences
+        accept, in :func:`_subsets` order.  A pruning sentence mentions no
+        object expression but its variable, so it reads the atom's relation
+        and the frame only (nu0 takes sort-0 expressions, and atoms have sort
+        1 or more): the list holds for every atom of the sort and every nu0
+        assignment.  ``stand_in`` plays the atom."""
+        key = (size, k, sort)
+        hit = self._relations.get(key)
+        if hit is None:
+            runs = self.prune.get(sort, ())
+            stand_in = sx.lvar(sort, "p")
+            probe = LStructure(size)
+            probe.preds = self.frames(size)[k]
+            hit = self._relations[key] = []
+            for rel in _subsets(list(itertools.product(range(size),
+                                                       repeat=sort))):
+                probe.nu = {sort: {(stand_in, t) for t in rel}}
+                if all(run(probe, (stand_in,)) for run in runs):
+                    hit.append(rel)
         return hit
 
 
@@ -540,20 +602,17 @@ def brute_force_sat(ns, inputs, max_size):
 
     The bound is taken as authoritative: exhausting it without a model is an
     unsat verdict, so callers choose bounds that are conclusive for their
-    inputs.  Candidates are evaluated through the specification's compiled
-    :class:`Semantics`.  What depends on the specification alone (its
-    :class:`_Plan`: the sentence classes, and each frame's admissible
-    relations) is worked out on first use and kept; a call works out only
-    its carrier, individuals, atoms and checks.
+    inputs.  Candidates are evaluated through the specification's
+    :class:`Semantics`, which also keeps what depends on the specification
+    alone (the sentence classes, the frames and each frame's admissible
+    relations); a call works out only its carrier, individuals, atoms and
+    checks.
     """
     if max_size < 1:
         raise sx.TabError("max size must be at least 1, not %d" % max_size)
     signed = _signed(inputs)
     sem = semantics(ns)
-    if sem.plan is None:
-        sem.plan = _Plan(ns, sem)
-    plan = sem.plan
-    lower = plan.ordering.lower_sets([c for c, _ in signed])
+    lower = sem.ordering.lower_sets([c for c, _ in signed])
     if len(lower) > CARRIER_CAP:
         raise CarrierTooLarge("%d expressions exceed the cap %d"
                               % (len(lower), CARRIER_CAP))
@@ -583,14 +642,13 @@ def brute_force_sat(ns, inputs, max_size):
         return [[e for e in carrier if e.sort == v.sort
                  and not (atomic and e.kind == "app")] for v in lvs]
 
-    checks = [(run, choices(lvs, True)) for lvs, run in plan.multi]
-    checks += [(run, choices(lvs, False)) for lvs, run in plan.gate]
+    checks = [(run, choices(lvs, True)) for lvs, run in sem.multi]
+    checks += [(run, choices(lvs, False)) for lvs, run in sem.gate]
 
     for size in range(1, max_size + 1):
         elems = list(range(size))
-        frames = _frame_assignments(ns, plan.pred_names, size, plan.frame)
-        for k, preds in enumerate(frames):
-            rels = [plan.relations(size, k, preds, a.sort) for a in atoms]
+        for k, preds in enumerate(sem.frames(size)):
+            rels = [sem.relations(size, k, a.sort) for a in atoms]
             for nu0_assign in itertools.product(elems, repeat=len(individuals)):
                 base = LStructure(size, spec=ns.spec)
                 base.preds = {p: set(v) for p, v in preds.items()}
@@ -600,67 +658,6 @@ def brute_force_sat(ns, inputs, max_size):
                 if found is not None:
                     return ("sat", found)
     return ("unsat", None)
-
-
-class _Plan:
-    """What the oracle reads off a specification alone, built on its first
-    call and kept on the specification's :class:`Semantics` (``plan``).
-
-    The background sentences fall into frame conditions (``frame``: no
-    object expression, they filter the predicate interpretations), pruning
-    sentences (``prune``, by sort: their one object expression is their
-    variable, so they judge each atom's relation alone) and the others
-    (``multi``, checked over the atomic carrier).  ``gate`` is the final
-    check over the whole carrier: the pruning and other sentences, then the
-    non-definitional directed ones."""
-
-    def __init__(self, ns, sem):
-        self.ordering = induced_ordering(ns)
-        self.pred_names = occurring_preds(ns)
-        self.frame, self.prune, self.multi, one_var = [], {}, [], []
-        for f in ns.sb:
-            lvs, run = sem.sentence(f)
-            lexprs = set(sx.lexprs_of_formula(f))
-            if not lvs and not lexprs:
-                self.frame.append(f)
-            elif len(lvs) == 1 and len(lexprs) == 1:
-                self.prune.setdefault(lvs[0].sort, []).append(run)
-                one_var.append((lvs, run))
-            else:
-                # ground object symbols or several variables: checked against
-                # complete structures only
-                self.multi.append((lvs, run))
-        self.gate = one_var + self.multi + [
-            sem.sentence(xi.sentence()) for xi in ns.s_plus + ns.s_minus
-            if not xi.definitional]
-        self._relations = {}
-
-    def relations(self, size, k, preds, sort):
-        """The relations over ``range(size)`` that an atom of ``sort`` may
-        take in frame ``k`` (``preds``) of that size: those the sort's
-        pruning sentences accept, in :func:`_subsets` order.  A pruning
-        sentence mentions no object expression but its variable, so it reads
-        the atom's relation and the frame only (nu0 takes sort-0
-        expressions, and atoms have sort 1 or more): the list holds for
-        every atom of the sort and every nu0 assignment.  ``stand_in`` plays
-        the atom."""
-        key = (size, k, sort)
-        hit = self._relations.get(key)
-        if hit is None:
-            runs = self.prune.get(sort, ())
-            stand_in = sx.lvar(sort, "p")
-            probe = LStructure(size)
-            probe.preds = preds
-            hit = self._relations[key] = []
-            for rel in _subsets(list(itertools.product(range(size),
-                                                       repeat=sort))):
-                probe.nu = {sort: {(stand_in, t) for t in rel}}
-                if all(run(probe, (stand_in,)) for run in runs):
-                    hit.append(rel)
-        return hit
-
-
-_FRAME_CACHE = {}
 
 
 class _Unassigned(Exception):
@@ -679,9 +676,10 @@ class _PartialRelation(dict):
         return got
 
 
-def _frame_assignments(ns, pred_names, size, no_var):
-    """Predicate interpretations satisfying the variable-free sentences, one
-    per class of frames isomorphic by a permutation fixing element 0: the
+def _frame_assignments(runs, preds, size):
+    """Interpretations of ``preds`` ((predicate, arity) pairs) over
+    ``range(size)`` satisfying the compiled variable-free sentences ``runs``,
+    one per class of frames isomorphic by a permutation fixing element 0: the
     first of each class in enumeration order (per predicate, the number of
     tuples, then the tuples, as :func:`_subsets` yields them).
 
@@ -700,17 +698,10 @@ def _frame_assignments(ns, pred_names, size, no_var):
     every nu0 and atom valuation is enumerated, so a frame has a model
     exactly when its images do.  The first frame with a model is therefore
     kept, and the oracle's verdicts and structures are those of the full
-    enumeration.  Cached per (sentences, predicates with their arities,
-    size): the frames are instance independent."""
-    preds = tuple((p, ns.signature.preds[p]) for p in pred_names)
-    key = (tuple(no_var), preds, size)
-    hit = _FRAME_CACHE.get(key)
-    if hit is not None:
-        return hit
-    runs = [semantics(ns).sentence(f)[1] for f in no_var]
+    enumeration."""
     universes = [list(itertools.product(range(size), repeat=n))
                  for _, n in preds]
-    probe = LStructure(size, spec=ns.spec)  # the sentences read only preds
+    probe = LStructure(size)  # the sentences read only preds
     probe.preds = {p: _PartialRelation() for p, _ in preds}
     rels = list(probe.preds.values())
     cells = [(rel, t) for rel, universe in zip(rels, universes)
@@ -753,7 +744,6 @@ def _frame_assignments(ns, pred_names, size, no_var):
         seen.update(tuple(tuple(sorted(tuple(pi[e] for e in t) for t in v))
                           for v in combo)
                     for pi in perms)
-    _FRAME_CACHE[key] = out
     return out
 
 

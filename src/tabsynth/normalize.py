@@ -43,14 +43,14 @@ class NormalizedSpec:
         return all(x.definitional for x in self.s_plus + self.s_minus)
 
 
-def occurring_preds(ns):
-    """Names of the domain predicates the sentences mention, sorted."""
-    seen = []
+def occurring(ns, kind):
+    """What the sentences' literals of ``kind`` name, sorted: the domain
+    predicates for "pred", the sorts for "nu"."""
+    seen = set()
     for f in [xi.sentence() for xi in ns.s_plus + ns.s_minus] + list(ns.sb):
         for g in sx.subformulas(f):
-            if type(g) is sx.Literal and g.pred[0] == "pred" \
-                    and g.pred[1] not in seen:
-                seen.append(g.pred[1])
+            if type(g) is sx.Literal and g.pred[0] == kind:
+                seen.add(g.pred[1])
     return sorted(seen)
 
 

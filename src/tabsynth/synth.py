@@ -17,7 +17,7 @@ import re
 
 from . import syntax as sx
 from .normalize import (NormalizedSpec, check_well_founded, head_key,
-                        induced_ordering, occurring_preds)
+                        induced_ordering, occurring)
 
 
 DNF_LITERAL_CAP = 4096
@@ -321,15 +321,6 @@ class _RuleVars:
         return sx.lvar(sort, "%s%d" % (pfx[i % len(pfx)], i // len(pfx)))
 
 
-def _occurring_nu_sorts(ns):
-    seen = {1}  # the primary sort is always exercised by the input layer
-    for f in [xi.sentence() for xi in ns.s_plus + ns.s_minus] + list(ns.sb):
-        for g in sx.subformulas(f):
-            if type(g) is sx.Literal and g.pred[0] == "nu":
-                seen.add(g.pred[1])
-    return sorted(seen)
-
-
 def _eq(a, b):
     return sx.atom(sx.EQ, [a, b])
 
@@ -340,8 +331,10 @@ def _families(sig, ns):
     arguments) for eq, each occurring predicate and each occurring
     holds-predicate nu_n."""
     return ([("eq", sx.EQ, None, 2)]
-            + [(p, sx.pred(p), None, sig.preds[p]) for p in occurring_preds(ns)]
-            + [("nu%d" % n, sx.nu(n), n, n) for n in _occurring_nu_sorts(ns)])
+            + [(p, sx.pred(p), None, sig.preds[p]) for p in occurring(ns, "pred")]
+            # the primary sort is always exercised by the input layer
+            + [("nu%d" % n, sx.nu(n), n, n)
+               for n in sorted({1, *occurring(ns, "nu")})])
 
 
 def _fresh_args(sig, lead, k):

@@ -70,11 +70,13 @@ def test_exit_code_sat_with_model(work):
     assert "nu1 p0:" in text
 
 
-def test_exit_code_unknown_on_budget(work):
+def test_exit_code_unknown_on_budget(work, capsys):
     prob = _write(work / "p3.txt", "exists(r0, p0)\n")
     code = run_cli(["prove", "--calc", str(work / "so_refined.calc"),
                     "--preset", "so", "--ub", "--budget-nodes", "2", prob])
     assert code == 30
+    assert capsys.readouterr() == ("UNKNOWN\n",
+                                   "limit: node budget 2 reached\n")
 
 
 def test_exit_code_malformed_problem(work):
@@ -748,11 +750,13 @@ def test_console_entry_point(work):
     assert "decomposition: 8" in proc.stderr
 
 
-def test_time_budget_gives_unknown(work):
+def test_time_budget_gives_unknown(work, capsys):
     prob = _write(work / "p10.txt", "exists(r0, p0)\n")
     code = run_cli(["prove", "--calc", str(work / "so_refined.calc"),
                     "--preset", "so", "--ub", "--budget-secs", "0", prob])
     assert code == 30
+    assert capsys.readouterr() == ("UNKNOWN\n",
+                                   "limit: time budget 0s reached\n")
 
 
 def test_model_requires_spec(work, tmp_path):

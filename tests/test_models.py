@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -237,18 +239,16 @@ def _labelled_partial_orders(size):
             yield frozenset(rel)
 
 
-def _swept_frames(ns, pred_names, size, no_var):
+def _swept_frames(runs, preds, size):
     """The reference for models._frame_assignments: every combination of
     relations in _subsets order is tested against the sentences, and the
     first of each class under permutations fixing element 0 is kept."""
-    preds = [(p, ns.signature.preds[p]) for p in pred_names]
-    runs = [models.semantics(ns).sentence(f)[1] for f in no_var]
     spaces = [list(models._subsets(list(itertools.product(range(size),
                                                           repeat=n))))
               for _, n in preds]
     perms = [(0,) + rest for rest in itertools.permutations(range(1, size))]
     out, seen = [], set()
-    probe = models.LStructure(size, spec=ns.spec)
+    probe = models.LStructure(size)
     for combo in itertools.product(*spaces):
         if combo in seen:
             continue
@@ -288,12 +288,11 @@ FRAME_SPECS = {
 
 
 def _frame_plan(ns):
-    plan = models._Plan(ns, models.semantics(ns))
-    return plan.pred_names, plan.frame
+    sem = models.semantics(ns)
+    return sem.frame, sem.preds
 
 
-def test_oracle_frames_match_the_swept_reference(monkeypatch, ipc_ns,
-                                                 ipc_spec, so_ns):
+def test_oracle_frames_match_the_swept_reference(ipc_ns, ipc_spec, so_ns):
     *frame, _ = ipc_spec.axioms
     variant = normalize.normalize(specfile.SemanticSpec(
         "ipc-", ipc_spec.signature, ipc_spec.definitions, frame,
@@ -306,11 +305,9 @@ def test_oracle_frames_match_the_swept_reference(monkeypatch, ipc_ns,
         cases += [(ns, size) for size in (1, 2, 3)]
     kept = {}
     for ns, size in cases:
-        pred_names, no_var = _frame_plan(ns)
-        monkeypatch.setattr(models, "_FRAME_CACHE", {})  # search, not recall
-        got = models._frame_assignments(ns, pred_names, size, no_var)
-        assert got == _swept_frames(ns, pred_names, size, no_var), \
-            (ns.spec.name, size)
+        runs, preds = _frame_plan(ns)
+        got = models._frame_assignments(runs, preds, size)
+        assert got == _swept_frames(runs, preds, size), (ns.spec.name, size)
         kept[ns.spec.name, size] = got
     # no frame once eq fails; Q free beside the 4 reflexive R at size 2
     assert kept["no-tuple-read", 1] and not kept["no-tuple-read", 2]
@@ -321,10 +318,11 @@ def test_oracle_frames_match_the_swept_reference(monkeypatch, ipc_ns,
                          [(1, 1, 1), (2, 3, 3), (3, 19, 11), (4, 219, 47)])
 def test_oracle_frames_one_per_class_fixing_element_0(ipc_ns, size, labelled,
                                                       classes):
-    no_var = [f for f in ipc_ns.sb if not sx.lvars(f)
-              and not any(True for _ in sx.lexprs_of_formula(f))]
+    sem = models.semantics(ipc_ns)
+    runs = [sem.sentence(f)[1] for f in ipc_ns.sb if not sx.lvars(f)
+            and not any(True for _ in sx.lexprs_of_formula(f))]
     kept = [frame["R"] for frame in
-            models._frame_assignments(ipc_ns, ["R"], size, no_var)]
+            models._frame_assignments(runs, [("R", 2)], size)]
     assert len(kept) == classes
     perms = [(0,) + p for p in itertools.permutations(range(1, size))]
 
@@ -348,15 +346,28 @@ def test_oracle_caches_are_per_specification(ipc_ns, ipc_spec):
     variant = normalize.normalize(specfile.SemanticSpec(
         "ipc-", ipc_spec.signature, ipc_spec.definitions, frame,
         ipc_spec.directed))
+    sem, other = models.semantics(ipc_ns), models.semantics(variant)
     for size in (1, 2, 3):
-        assert models._frame_assignments(variant, ["R"], size, frame) is \
-            models._frame_assignments(ipc_ns, ["R"], size, frame)
+        assert other.frames(size) == sem.frames(size)
+        assert sem.frames(size) is sem.frames(size)
+        assert other.relations(size, 0, 1) == \
+            list(models._subsets(list(itertools.product(range(size)))))
     # valid only where truth persists along R
     k = [(pc(ipc_spec, "impl(p0, impl(q0, p0))"), False)]
     assert models.brute_force_sat(ipc_ns, k, 3) == ("unsat", None)
     res, m = models.brute_force_sat(variant, k, 3)
     assert res == "sat" and m.size == 2
     assert models.brute_force_sat(ipc_ns, k, 3) == ("unsat", None)
+
+
+def test_oracle_state_is_freed_with_its_specification(ipc_spec):
+    ns = normalize.normalize(ipc_spec)
+    k = [(pc(ipc_spec, "impl(p0, p0)"), False)]
+    assert models.brute_force_sat(ns, k, 3) == ("unsat", None)
+    sem = weakref.ref(models.semantics(ns))
+    del ns
+    gc.collect()
+    assert sem() is None
 
 
 def test_oracle_carrier_cap(so_ns, so_spec):
