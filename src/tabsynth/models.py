@@ -2,33 +2,41 @@
 reflection checking, and the brute-force satisfiability oracle.
 
 A structure interprets atomic expressions directly and compound expressions
-through the connective definitions, by recursion on the definition bodies
-(memoized; the recursion terminates because definitions are well founded).
-The oracle enumerates all structures up to a domain bound, so its verdicts
-are independent of the tableau machinery and usable as a test oracle.
+through the connective definitions.  The reference, :func:`evaluate` and
+:meth:`LStructure.holds`, unfolds a definition body per truth it is asked
+for (memoized; the recursion terminates because definitions are well
+founded).  The oracle enumerates all structures up to a domain bound, so its
+verdicts are independent of the tableau machinery and usable as a test
+oracle.
 
 The oracle does not walk formula trees per candidate structure.  The
 connective definitions and the background sentences are compiled once per
 specification into closures (:class:`Semantics`): object variables are
 parameters, domain variables slots, and quantifiers loops over the domain.
-:func:`evaluate` and :meth:`LStructure.holds` stay the tree-walking
-reference; they check what the oracle returns and never go through the
-compiled path.
+Each candidate labels every expression of the input's closure with its
+extension, an ``int`` with a bit per tuple, bottom-up in the induced
+ordering.  Within a frame a compound's extension depends only on the labels
+of the expressions its definition names, so a connective is a table per
+frame, and a compound is labelled by one lookup.  A compiled sentence reads
+``nu_n(e, t)`` as a bit of ``e``'s label.  The reference checks what the
+oracle returns and never goes through the compiled path.
 
 Nor does the oracle redo per call or per candidate what it already knows.
 Per specification its :class:`Semantics` keeps the induced ordering, the
-sentence classes, each size's frames and each frame's admissible relations,
-and they are freed with the specification; per call it works out only the
-input's carrier and atoms; and between candidates it keeps every memoized
-truth that the atom just assigned cannot reach.
+sentence classes, each size's frames, each frame's admissible relations and
+its connective tables, and they are freed with the specification; per call
+it works out only the input's carrier, atoms and labelling plan; and between
+candidates it relabels only what the atom just assigned reaches.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
+import operator
 
 from . import syntax as sx
-from .normalize import induced_ordering, occurring
+from .normalize import induced_ordering, occurring, refuse_cycle
 
 
 class CarrierTooLarge(sx.TabError):
@@ -52,16 +60,14 @@ class LStructure:
         self.funs = {}              # function name -> {args key: element}
         self.dconsts = {}           # domain constant name -> element
         self.term_class = {}        # ground domain term -> element
-        self._memo = {}
-        self._memos = {}            # compound expr -> its memo, if not _memo
+        self.labels = {}            # expr -> extension, for Semantics only
+        self._memo = {}             # LStructure.holds' truths
 
     def holds(self, n, expr, elems):
         """nu_n membership; compound expressions unfold their definition."""
         elems = tuple(elems)
         if expr.kind != "app":
             return (expr, elems) in self.nu.get(n, ())
-        # ordered apart from the compiled semantics' keys, so the reference
-        # never reads what the compiled path stored
         key = (n, expr, elems)
         hit = self._memo.get(key)
         if hit is not None:
@@ -336,7 +342,8 @@ def verify_reflection(m, branch, ctx=None, skolems=None):
 class Semantics:
     """The oracle's view of a normalized specification, built once per
     specification: use :func:`semantics`, which keeps it on
-    ``ns.semantics``, so it is freed with the specification.
+    ``ns.semantics``, so it is freed with the specification.  A
+    specification whose induced ordering has a cycle is refused.
 
     It compiles the connective definitions and the sentences into closures.
     A compiled formula is a function ``(m, objs, slots)``.  ``objs`` holds
@@ -345,12 +352,21 @@ class Semantics:
     :func:`evaluate`.  ``slots`` holds one domain element per domain
     variable given at compilation, then one per quantifier, which loops over
     ``range(m.size)``; any other free domain variable raises
-    :class:`~tabsynth.syntax.TabError` when it is reached.  Compound expressions
-    unfold through the compiled definitions, memoized under keys of their
-    own: in the memo ``m._memos`` names for the expression, else in
-    ``m._memo`` (the oracle keeps a memo per level, see
-    :func:`_search_valuations`).  Nothing here calls :func:`evaluate` or :meth:`LStructure.holds`: they
-    stay the tree-walking reference that checks what the oracle returns.
+    :class:`~tabsynth.syntax.TabError` when it is reached.
+
+    A compiled formula reads ``nu_n(e, t)`` as a bit of ``e``'s label in
+    ``m.labels`` (see :meth:`label`): the extension of ``e`` as an ``int``
+    over ``range(m.size) ** n`` in product order, bit ``i`` for the
+    ``i``-th tuple.  A definition body reads nothing of the structure but
+    the frame and the labels of the object expressions it names: its
+    parameters, constants, and compounds of them (an individual's label is
+    its nu0 element).  So within one frame a compound's extension is a
+    function of those labels, each connective is a table, kept per size
+    and frame (:meth:`table`), and a compound is labelled by one lookup
+    (:meth:`plan`); a miss runs the compiled definition body once per
+    tuple.  Nothing here calls :func:`evaluate` or :meth:`LStructure.holds`:
+    they stay the tree-walking reference that checks what the oracle
+    returns.
 
     The background sentences fall into frame conditions (``frame``, compiled:
     no object expression, they filter the interpretations of ``preds``, the
@@ -359,33 +375,37 @@ class Semantics:
     they judge each atom's relation alone) and the others (``multi``,
     checked over the atomic carrier).  ``gate`` is the final check over the
     whole carrier: the pruning and other sentences, then the
-    non-definitional directed ones.  The frames (:meth:`frames`) and their
-    admissible relations (:meth:`relations`) are listed on first use.
+    non-definitional directed ones.  Each entry of ``multi`` and ``gate`` is
+    ``(lvars, run, reads)``: :meth:`sentence`, and the object expressions
+    other than variables the sentence reads.  The frames (:meth:`frames`),
+    their admissible relations (:meth:`relations`) and their connective
+    tables are found on first use.
     """
 
     def __init__(self, ns):
-        defs = {}
-
-        def holds(m, n, expr, elems):
-            if expr.kind != "app":
-                return (expr, elems) in m.nu.get(n, ())
-            memo = m._memos.get(expr, m._memo)
-            key = (expr, n, elems)
-            hit = memo.get(key)
-            if hit is None:
-                memo[key] = False  # cut off accidental cycles, as holds does
-                body, pad = defs[expr.name]
-                hit = memo[key] = body(m, expr.args, [*elems, *pad])
-            return hit
-
+        self.ordering = induced_ordering(ns)
+        refuse_cycle(self.ordering)
+        self._defs = {}
         for d in ns.spec.definitions:
-            body, n_slots = _compile(d.body, d.head_atom.args[0].args,
-                                     d.dom_vars, holds)
-            defs[d.conn.name] = (body, [None] * (n_slots - len(d.dom_vars)))
-        self.holds = holds  # (m, n, ground expression, elements) -> truth
+            params = d.head_atom.args[0].args
+            body, n_slots = _compile(d.body, params, d.dom_vars)
+            # the body reads the frame and the labels of the object
+            # expressions it names (a parameter as its index in the head)
+            named = [params.index(t) if t in params else t
+                     for t in dict.fromkeys(sx.lexprs_of_formula(d.body))]
+            # a body that compares objects reads its arguments themselves
+            by_name = any(type(g) is sx.Literal and g.pred == sx.EQ
+                          and g.args[0].sort != sx.DOMAIN
+                          for g in sx.subformulas(d.body))
+            self._defs[d.conn.name] = (
+                body, len(d.dom_vars), [None] * (n_slots - len(d.dom_vars)),
+                params, named, by_name)
         self._sentences = {}
 
-        self.ordering = induced_ordering(ns)
+        def check(f):
+            return (*self.sentence(f), [e for e in dict.fromkeys(
+                sx.lexprs_of_formula(f)) if e.kind != "var"])
+
         self.preds = [(p, ns.signature.preds[p]) for p in occurring(ns, "pred")]
         self.frame, self.prune, self.multi, one_var = [], {}, [], []
         for f in ns.sb:
@@ -395,21 +415,22 @@ class Semantics:
                 self.frame.append(run)
             elif len(lvs) == 1 and len(lexprs) == 1:
                 self.prune.setdefault(lvs[0].sort, []).append(run)
-                one_var.append((lvs, run))
+                one_var.append(check(f))
             else:
                 # ground object symbols or several variables: checked against
                 # complete structures only
-                self.multi.append((lvs, run))
+                self.multi.append(check(f))
         self.gate = one_var + self.multi + [
-            self.sentence(xi.sentence()) for xi in ns.s_plus + ns.s_minus
+            check(xi.sentence()) for xi in ns.s_plus + ns.s_minus
             if not xi.definitional]
         self._frames = {}
         self._relations = {}
+        self._tables = {}
 
     def formula(self, f, lvars=(), dvars=()):
         """``f`` as a function ``(m, objs=(), elems=())`` of the expressions
         standing for ``lvars`` and the elements standing for ``dvars``."""
-        body, n_slots = _compile(f, lvars, dvars, self.holds)
+        body, n_slots = _compile(f, lvars, dvars)
         pad = [None] * (n_slots - len(dvars))
         return lambda m, objs=(), elems=(): body(m, objs, [*elems, *pad])
 
@@ -433,12 +454,12 @@ class Semantics:
 
     def relations(self, size, k, sort):
         """The relations over ``range(size)`` that an atom of ``sort`` may
-        take in frame ``k`` of that size: those the sort's pruning sentences
-        accept, in :func:`_subsets` order.  A pruning sentence mentions no
-        object expression but its variable, so it reads the atom's relation
-        and the frame only (nu0 takes sort-0 expressions, and atoms have sort
-        1 or more): the list holds for every atom of the sort and every nu0
-        assignment.  ``stand_in`` plays the atom."""
+        take in frame ``k`` of that size, as labels: those the sort's pruning
+        sentences accept, in :func:`_subsets` order.  A pruning sentence
+        mentions no object expression but its variable, so it reads the
+        atom's relation and the frame only (nu0 takes sort-0 expressions,
+        and atoms have sort 1 or more): the list holds for every atom of the
+        sort and every nu0 assignment.  ``stand_in`` plays the atom."""
         key = (size, k, sort)
         hit = self._relations.get(key)
         if hit is None:
@@ -449,10 +470,140 @@ class Semantics:
             hit = self._relations[key] = []
             for rel in _subsets(list(itertools.product(range(size),
                                                        repeat=sort))):
-                probe.nu = {sort: {(stand_in, t) for t in rel}}
+                mask = probe.labels[stand_in] = _mask(rel, size)
                 if all(run(probe, (stand_in,)) for run in runs):
-                    hit.append(rel)
+                    hit.append(mask)
         return hit
+
+    def table(self, size, k):
+        """The connective tables of frame ``k`` of ``size`` elements: for
+        each head (see :meth:`plan`), a dict from a key to its extension,
+        filled by :meth:`label_steps` and shared by every structure on that
+        frame."""
+        hit = self._tables.get((size, k))
+        if hit is None:
+            hit = self._tables[size, k] = collections.defaultdict(dict)
+        return hit
+
+    def plan(self, lower, atoms):
+        """How the compounds of ``lower`` (as
+        :meth:`~tabsynth.normalize.InducedOrdering.lower_sets` gives it) are
+        labelled as ``atoms`` get their relations: ``plan[i]`` holds the
+        steps of level ``i``, the compounds whose last atom below is
+        ``atoms[i - 1]`` (level 0: none), each after what it reads.
+
+        A step ``(e, head, read)`` labels ``e`` through the entries of
+        ``head`` in a table: its connective, or ``e`` itself when the
+        definition compares objects.  ``read(labels)`` is the key: the
+        labels of the expressions the definition names, instantiated for
+        ``e`` (one label, a tuple of several, or None).  Within a frame the
+        body reads nothing else, so the key fixes ``e``'s extension."""
+        level = {a: i + 1 for i, a in enumerate(atoms)}
+        plan = [[] for _ in range(len(atoms) + 1)]
+        for e in _topological(lower):
+            if e.kind != "app":
+                continue
+            level[e] = max((level.get(b, 0) for b in lower[e]), default=0)
+            _, _, _, params, named, by_name = self._defs[e.name]
+            read = [e.args[t] if type(t) is int else
+                    sx.substitute_expr(t, dict(zip(params, e.args)))
+                    for t in named]
+            plan[level[e]].append((e, e if by_name else e.sym,
+                                   operator.itemgetter(*read) if read
+                                   else lambda labels: None))
+        return plan
+
+    def label_steps(self, m, steps, table):
+        """Label the compounds of ``steps`` (a level of :meth:`plan`) on
+        ``m``, in order, through ``table``.  A compound whose body cannot be
+        evaluated (an individual without a nu0 element below it) gets a
+        label that raises that error when read."""
+        labels = m.labels
+        for e, head, read in steps:
+            entries, key = table[head], read(labels)
+            ext = entries.get(key)
+            if ext is None:
+                try:
+                    ext = entries[key] = self._extension(m, e)
+                except sx.TabError as error:
+                    ext = _Unlabelled(error)
+            labels[e] = ext
+
+    def label(self, m, exprs, table=None):
+        """Label ``m`` on the closure of ``exprs`` under the induced
+        ordering: an atom gets its relation in ``m.nu``, an individual its
+        nu0 element, and a compound its extension by :meth:`plan` and
+        :meth:`label_steps`, read from ``table`` (the :meth:`table` of
+        ``m``'s size and frame) or worked out into it; a fresh table when
+        None."""
+        lower = self.ordering.lower_sets(exprs)
+        for e in lower:
+            if e.kind == "app":
+                continue
+            m.labels[e] = (m.nu0.get(e) if e.sort == 0 else
+                           _mask([t for a, t in m.nu.get(e.sort, ()) if a is e],
+                                 m.size))
+        steps, = self.plan(lower, ())
+        self.label_steps(m, steps, collections.defaultdict(dict)
+                         if table is None else table)
+
+    def _extension(self, m, e):
+        """The extension of compound ``e`` on ``m``, by its compiled
+        definition body, once per tuple."""
+        body, n, pad, _, _, _ = self._defs[e.name]
+        ext = 0
+        for i, t in enumerate(itertools.product(range(m.size), repeat=n)):
+            if body(m, e.args, [*t, *pad]):
+                ext |= 1 << i
+        return ext
+
+
+class _Unlabelled:
+    """The label of an expression whose extension could not be worked out:
+    reading a bit of it raises the error that stopped it."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def __rshift__(self, _):
+        raise self.error
+
+
+def _position(elems, size):
+    """The index of the tuple ``elems`` in ``range(size) ** len(elems)``,
+    product order."""
+    i = 0
+    for e in elems:
+        i = i * size + e
+    return i
+
+
+def _mask(rel, size):
+    """The label of a relation: a bit per tuple of ``rel``."""
+    return sum(1 << _position(t, size) for t in rel)
+
+
+def _topological(lower):
+    """The expressions of ``lower`` (as :meth:`InducedOrdering.lower_sets`
+    gives them) with each after every expression directly below it; the
+    ordering has no cycle (:class:`Semantics` refuses one)."""
+    order, seen = [], set()
+    for root in lower:
+        if root in seen:
+            continue
+        seen.add(root)
+        path = [(root, iter(lower[root]))]
+        while path:
+            e, below = path[-1]
+            for b in below:
+                if b not in seen:
+                    seen.add(b)
+                    path.append((b, iter(lower[b])))
+                    break
+            else:
+                path.pop()
+                order.append(e)
+    return order
 
 
 def semantics(ns):
@@ -462,7 +613,7 @@ def semantics(ns):
     return ns.semantics
 
 
-def _compile(f, lvars, dvars, holds):
+def _compile(f, lvars, dvars):
     """``f`` as a closure ``(m, objs, slots)`` (see :class:`Semantics`) and
     the number of slots it needs."""
     objs = {v: k for k, v in enumerate(lvars)}
@@ -518,6 +669,20 @@ def _compile(f, lvars, dvars, holds):
         gs = [term(t, scope) for t in ts]
         return lambda m, o, s: tuple([g(m, o, s) for g in gs])
 
+    def position(ts, scope):
+        # where the domain arguments of a nu atom stand in a label: a
+        # function (m, o, s) -> the bit's index (see _position)
+        if all(t in scope for t in ts):
+            idx = [scope[t] for t in ts]  # the common shapes, without calls
+            if len(idx) == 1:
+                i, = idx
+                return lambda m, o, s: s[i]
+            if len(idx) == 2:
+                i, j = idx
+                return lambda m, o, s: s[i] * m.size + s[j]
+        el = elems(ts, scope)
+        return lambda m, o, s: _position(el(m, o, s), m.size)
+
     def atom(a, scope):
         # the truth of the literal ``a`` read as positive
         kind, args = a.pred[0], a.args
@@ -534,12 +699,12 @@ def _compile(f, lvars, dvars, holds):
             name, el = a.pred[1], elems(args, scope)
             return lambda m, o, s: el(m, o, s) in m.preds.get(name, ())
         if kind == "nu":
-            n, e, ts = a.pred[1], args[0], args[1:]
+            e, ts = args[0], args[1:]
             if e in objs and len(ts) == 1 and ts[0] in scope:
                 k, i = objs[e], scope[ts[0]]
-                return lambda m, o, s: holds(m, n, o[k], (s[i],))
-            g, el = expr(e), elems(ts, scope)
-            return lambda m, o, s: holds(m, n, g(o), el(m, o, s))
+                return lambda m, o, s: m.labels[o[k]] >> s[i] & 1
+            g, at = expr(e), position(ts, scope)
+            return lambda m, o, s: m.labels[g(o)] >> at(m, o, s) & 1
         raise sx.TabError("cannot compile %s" % a.text())
 
     def comp(g, scope):
@@ -602,11 +767,11 @@ def brute_force_sat(ns, inputs, max_size):
 
     The bound is taken as authoritative: exhausting it without a model is an
     unsat verdict, so callers choose bounds that are conclusive for their
-    inputs.  Candidates are evaluated through the specification's
+    inputs.  Candidates are labelled and checked through the specification's
     :class:`Semantics`, which also keeps what depends on the specification
-    alone (the sentence classes, the frames and each frame's admissible
-    relations); a call works out only its carrier, individuals, atoms and
-    checks.
+    alone (the sentence classes, the frames, each frame's admissible
+    relations and its connective tables); a call works out only its
+    carrier, individuals, atoms, labelling plan and checks.
     """
     if max_size < 1:
         raise sx.TabError("max size must be at least 1, not %d" % max_size)
@@ -622,39 +787,38 @@ def brute_force_sat(ns, inputs, max_size):
     atoms = sorted({e for e in carrier if e.sort >= 1 and e.kind != "app"},
                    key=lambda e: (e.sort, e.text()))
 
-    # a compound expression's level: 1 + the index of the last atom below it
-    # in the induced ordering, 0 if there is none
-    index = {a: i + 1 for i, a in enumerate(atoms)}
-    levels = {}
-
-    def level(e):
-        if e.kind != "app":
-            return index.get(e, 0)
-        if e not in levels:
-            levels[e] = len(atoms)  # what a cycle reaches stays on top
-            levels[e] = max(map(level, lower[e]), default=0)
-        return levels[e]
-
-    for e in carrier:
-        level(e)
-
     def choices(lvs, atomic):
         return [[e for e in carrier if e.sort == v.sort
                  and not (atomic and e.kind == "app")] for v in lvs]
 
-    checks = [(run, choices(lvs, True)) for lvs, run in sem.multi]
-    checks += [(run, choices(lvs, False)) for lvs, run in sem.gate]
+    checks, built = [], []
+    for atomic, group in ((True, sem.multi), (False, sem.gate)):
+        for lvs, run, reads in group:
+            ranges = choices(lvs, atomic)
+            checks.append((run, ranges))
+            for combo in itertools.product(*ranges) if reads else ():
+                sub = dict(zip(lvs, combo))
+                built += [sx.substitute_expr(e, sub) for e in reads]
+    # the checks read the carrier and what their sentences build from it; an
+    # atom or individual below the latter alone has no relation or element
+    labelled = {**lower, **sem.ordering.lower_sets(built)}
+    unassigned = {e: None if e.sort == 0 else 0 for e in labelled
+                  if e.kind != "app" and e not in lower}
+
+    plan = sem.plan(labelled, atoms)
 
     for size in range(1, max_size + 1):
-        elems = list(range(size))
         for k, preds in enumerate(sem.frames(size)):
-            rels = [sem.relations(size, k, a.sort) for a in atoms]
-            for nu0_assign in itertools.product(elems, repeat=len(individuals)):
-                base = LStructure(size, spec=ns.spec)
-                base.preds = {p: set(v) for p, v in preds.items()}
-                base.nu0 = {e: w for e, w in zip(individuals, nu0_assign)}
-                found = _search_valuations(base, sem, atoms, rels, levels,
-                                           signed, checks)
+            masks = [sem.relations(size, k, a.sort) for a in atoms]
+            base = LStructure(size, spec=ns.spec)
+            base.preds = preds
+            base.labels.update(unassigned)
+            for nu0_assign in itertools.product(range(size),
+                                                repeat=len(individuals)):
+                base.nu0 = dict(zip(individuals, nu0_assign))
+                base.labels.update(base.nu0)
+                found = _search_valuations(base, sem, sem.table(size, k),
+                                           atoms, masks, plan, signed, checks)
                 if found is not None:
                     return ("sat", found)
     return ("unsat", None)
@@ -685,8 +849,8 @@ def _frame_assignments(runs, preds, size):
 
     The frames are found by a backtracking search over the predicates'
     tuples, evaluating the compiled sentences on a partial frame.  Frame
-    sentences mention no object expression, so they never reach a memo, and
-    a compiled sentence is deterministic and short-circuits: an evaluation
+    sentences mention no object expression, so they read no label, and a
+    compiled sentence is deterministic and short-circuits: an evaluation
     that reads only tuples with a value has that value on every completion.
     A false sentence prunes the subtree, a true one is dropped for it, and
     one that read a tuple without a value (:class:`_Unassigned`) is kept;
@@ -747,47 +911,48 @@ def _frame_assignments(runs, preds, size):
     return out
 
 
-def _search_valuations(base, sem, atoms, rels, levels, signed, checks):
-    """Assign each atom one of its admissible relations (``rels``, by atom),
-    in order, then finish with the inputs at element 0 and ``checks``:
-    compiled sentences with the carrier expressions their parameters range
-    over.
+def _search_valuations(base, sem, table, atoms, masks, plan, signed, checks):
+    """Assign each atom one of its admissible relations (``masks``, by
+    atom), in order, then finish with the inputs at element 0 and
+    ``checks``: compiled sentences with the carrier expressions their
+    parameters range over.
 
-    A compound expression's truths are memoized by its level (``levels``;
-    any other expression is on the top level, ``base._memo``): assigning
-    atom ``i`` clears the levels above ``i`` only, and the rest stays valid
-    for every later candidate."""
-    memos = [{} for _ in atoms] + [base._memo]
-    base._memos = {e: memos[lv] for e, lv in levels.items()}
+    ``base`` carries a frame and a nu0 assignment, and its labels name them.
+    The compounds of level ``i`` (``plan[i]``, see :meth:`Semantics.plan`)
+    are labelled through ``table`` when atom ``i - 1`` gets its relation,
+    those of level 0 once; every other label stays valid for every later
+    candidate."""
+    labels, label_steps = base.labels, sem.label_steps
+    label_steps(base, plan[0], table)
 
     def rec(i):
         if i == len(atoms):
             return finish()
-        expr = atoms[i]
-        sort, stale = expr.sort, memos[i + 1:]
-        prev = base.nu.get(sort, set())
-        for rel in rels[i]:
-            base.nu[sort] = prev | {(expr, t) for t in rel}
-            for memo in stale:
-                memo.clear()
+        atom, steps = atoms[i], plan[i + 1]
+        for mask in masks[i]:
+            labels[atom] = mask
+            label_steps(base, steps, table)
             got = rec(i + 1)
-            base.nu[sort] = prev
             if got is not None:
                 return got
         return None
 
     def finish():
         for c, pos in signed:
-            if bool(sem.holds(base, 1, c, (0,))) != pos:
+            if (labels[c] & 1) != pos:
                 return None
         for run, choices in checks:
             for combo in itertools.product(*choices):
                 if not run(base, combo):
                     return None
-        snapshot = LStructure(base.size, spec=base.spec)
+        size = base.size
+        snapshot = LStructure(size, spec=base.spec)
         snapshot.preds = {p: set(v) for p, v in base.preds.items()}
         snapshot.nu0 = dict(base.nu0)
-        snapshot.nu = {s: set(v) for s, v in base.nu.items()}
+        for a in atoms:
+            tuples = itertools.product(range(size), repeat=a.sort)
+            snapshot.nu.setdefault(a.sort, set()).update(
+                (a, t) for i, t in enumerate(tuples) if labels[a] >> i & 1)
         return snapshot
 
     return rec(0)

@@ -239,6 +239,15 @@ def check_well_founded(ordering: InducedOrdering) -> WellFoundedVerdict:
                               witness=[(h.text(), o.text()) for h, o in suspicious])
 
 
+def refuse_cycle(ordering: InducedOrdering) -> WellFoundedVerdict:
+    """The verdict of :func:`check_well_founded`, "proved" or "unknown": an
+    ordering with a cycle is refused with a TabError that names it."""
+    verdict = check_well_founded(ordering)
+    if verdict.kind == "cycle":
+        raise sx.TabError("induced ordering has a cycle: %r" % (verdict.witness,))
+    return verdict
+
+
 # ---------------------------------------------------------------------------
 # well-definedness obligations
 

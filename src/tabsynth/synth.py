@@ -16,8 +16,8 @@ from __future__ import annotations
 import re
 
 from . import syntax as sx
-from .normalize import (NormalizedSpec, check_well_founded, head_key,
-                        induced_ordering, occurring)
+from .normalize import (NormalizedSpec, head_key, induced_ordering, occurring,
+                        refuse_cycle)
 
 
 DNF_LITERAL_CAP = 4096
@@ -419,9 +419,7 @@ def closure_rules(sig, ns):
 
 
 def synthesize(ns: NormalizedSpec, assume_well_founded=False) -> Calculus:
-    verdict = check_well_founded(induced_ordering(ns))
-    if verdict.kind == "cycle":
-        raise sx.TabError("induced ordering has a cycle: %r" % (verdict.witness,))
+    verdict = refuse_cycle(induced_ordering(ns))
     if verdict.kind == "unknown" and not assume_well_founded:
         raise sx.TabError("cannot prove the induced ordering well-founded; "
                           "pass assume_well_founded to proceed")

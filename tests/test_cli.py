@@ -234,6 +234,14 @@ BAD_FILES = [
      "sorts 2\nvars 1 p\nconnective a 1 -> 1\n"
      "define forall x. nu1(a(p), x) <-> nu1(a(p), x)\n",
      ["synth", "--spec", "{f}"], "error: definition of a mentions a\n"),
+    # the oracle refuses a cyclic ordering as synthesis does; no structure
+    # satisfies a(p) <-> not(a(p))
+    ("cyclic.spec",
+     "sorts 2\nvars 1 p\nconnective a 1 -> 1\nconnective b 1 -> 1\n"
+     "define forall x. nu1(a(p), x) <-> nu1(b(p), x)\n"
+     "define forall x. nu1(b(p), x) <-> not(nu1(a(p), x))\n",
+     ["oracle", "--spec", "{f}", "--max-size", "1", "{a_p0}"],
+     "error: induced ordering has a cycle: ['a', 'b', 'a']\n"),
     ("no-such-rule.refine", "rf nosuch fold 0\n",
      ["refine", "--calc", "{work}/so.calc", "--refine-script", "{f}"],
      "error: no rule nosuch\n"),
@@ -339,6 +347,7 @@ def test_bad_file_is_error_without_traceback(work, tmp_path, name, text, args,
               "so_refine": os.path.join(PRESETS, "so.refine"),
               "p0": _write(tmp_path / "p0.txt", "p0\n"),
               "one_l0": _write(tmp_path / "one_l0.txt", "exists(r0, one(l0))\n"),
+              "a_p0": _write(tmp_path / "a_p0.txt", "a(p0)\n"),
               "fold": _write(tmp_path / "fold.refine", "rf theory_0 fold 0\n")}
     proc = _run_module([a.format(**fields) for a in args])
     assert proc.returncode == 1

@@ -81,6 +81,7 @@ def test_negative_leaves_evaluate_to_the_negation(so_spec, so_ns):
     m.nu[1] = {(pc(so_spec, "p0"), (0,))}
     x = sx.dvar("x")
     sem = models.semantics(so_ns)
+    sem.label(m, [pc(so_spec, "not(p0)")])
     for text in ("nu1(p0, x)", "nu1(not(p0), x)", "eq(x, x)", "false"):
         lit = parser.parse_formula(so_spec.signature, text)
         assert lit.pos
@@ -350,8 +351,9 @@ def test_oracle_caches_are_per_specification(ipc_ns, ipc_spec):
     for size in (1, 2, 3):
         assert other.frames(size) == sem.frames(size)
         assert sem.frames(size) is sem.frames(size)
-        assert other.relations(size, 0, 1) == \
-            list(models._subsets(list(itertools.product(range(size)))))
+        assert other.relations(size, 0, 1) == [
+            models._mask(rel, size)
+            for rel in models._subsets(list(itertools.product(range(size))))]
     # valid only where truth persists along R
     k = [(pc(ipc_spec, "impl(p0, impl(q0, p0))"), False)]
     assert models.brute_force_sat(ipc_ns, k, 3) == ("unsat", None)
@@ -385,6 +387,125 @@ def test_oracle_respects_nominals(so_ns, so_spec):
     res, m = models.brute_force_sat(
         so_ns, [pc(so_spec, "one(l0)"), pc(so_spec, "not(one(l0))")], 2)
     assert res == "unsat"
+
+
+def _assert_labels_agree(sem, m, exprs, table):
+    """Label ``m`` on the closure of ``exprs`` through ``table``; every label
+    must agree with the reference at every tuple."""
+    sem.label(m, exprs, table)
+    m._memo.clear()
+    for e in sem.ordering.lower_sets(exprs):
+        if e.sort == 0:
+            assert m.labels[e] == m.nu0[e]
+            continue
+        for i, t in enumerate(itertools.product(range(m.size), repeat=e.sort)):
+            assert bool(m.labels[e] >> i & 1) == m.holds(e.sort, e, t), \
+                (e.text(), t)
+
+
+# per preset, two problems whose compounds share connectives, and so table
+# entries, without being the same expressions
+TABLE_PROBLEMS = {
+    "ipc": (["impl(and(p0, q0), or(q0, bot))", "impl(impl(p0, q0), p0)"],
+            ["and(impl(q0, p0), or(p0, impl(p0, bot)))", "or(q0, p0)"]),
+    "so": (["exists(r0, or(one(l0), not(p0)))", "not(exists(r0, one(l0)))"],
+           ["or(one(l0), exists(r0, not(q0)))", "or(not(q0), p0)"]),
+}
+
+
+@pytest.mark.parametrize("preset, sizes", [("ipc", (1, 2, 3)), ("so", (1, 2))])
+def test_oracle_tables_agree_with_the_reference(request, preset, sizes):
+    spec = request.getfixturevalue(preset + "_spec")
+    sem = models.semantics(normalize.normalize(spec))  # tables of its own
+    problems = [[pc(spec, t) for t in texts] for texts in TABLE_PROBLEMS[preset]]
+    rng = random.Random(20261019)
+    reused = 0
+    for size in sizes:
+        for k, frame in enumerate(sem.frames(size)):
+            table = sem.table(size, k)
+            for _ in range(4):
+                for exprs in problems:
+                    closure = sem.ordering.lower_sets(exprs)
+                    atoms = [e for e in closure if e.sort >= 1 and e.kind != "app"]
+                    individuals = [e for e in closure if e.sort == 0]
+                    m = models.LStructure(size, spec=spec)
+                    m.preds = {p: set(v) for p, v in frame.items()}
+                    for a in atoms:
+                        mask = rng.choice(sem.relations(size, k, a.sort))
+                        m.nu.setdefault(a.sort, set()).update(
+                            (a, t) for i, t in enumerate(itertools.product(
+                                range(size), repeat=a.sort)) if mask >> i & 1)
+                    # every nu0 assignment in one frame, so one(l0) keys on
+                    # its individual's element
+                    for nu0 in itertools.product(range(size),
+                                                 repeat=len(individuals)):
+                        m.nu0 = dict(zip(individuals, nu0))
+                        before = sum(map(len, table.values()))
+                        _assert_labels_agree(sem, m, exprs, table)
+                        added = sum(map(len, table.values())) - before
+                        reused += sum(e.kind == "app" for e in closure) - added
+    assert reused > 0
+
+
+def test_oracle_tables_key_what_a_definition_reads():
+    # c compares its arguments as objects, so c(p0, p0) and c(p0, q0) differ
+    # even where p0 and q0 hold at the same elements; d never reads q, so
+    # q0 is outside the closure of d(p0, q0)
+    ns = normalize.normalize(specfile.parse_spec(
+        "sorts 2\nvars 1 p q\nconnective c 1 1 -> 1\nconnective d 1 1 -> 1\n"
+        "define forall x. nu1(c(p, q), x) <-> and(eq(p, q), nu1(p, x))\n"
+        "define forall x. nu1(d(p, q), x) <-> nu1(p, x)\n"))
+    sem = models.semantics(ns)
+    same, other = pc(ns.spec, "c(p0, p0)"), pc(ns.spec, "c(p0, q0)")
+    table = sem.table(1, 0)
+    m = models.LStructure(1, spec=ns.spec)
+    m.nu[1] = {(pc(ns.spec, "p0"), (0,)), (pc(ns.spec, "q0"), (0,))}
+    for exprs in ([same], [other], [same]):
+        _assert_labels_agree(sem, m, exprs, table)
+    assert (m.labels[same], m.labels[other]) == (1, 0)
+    assert models.brute_force_sat(ns, [same, other], 2) == ("unsat", None)
+    res, m = models.brute_force_sat(ns, [pc(ns.spec, "d(p0, q0)")], 2)
+    assert res == "sat" and m.format() == "domain: e0\nnu1 p0: e0\n"
+    # d reads the constant k0, and c reads it through d(p): the key of
+    # c(p0) must change with k0's relation, though c's head names only p
+    ns = normalize.normalize(specfile.parse_spec(
+        "sorts 2\nvars 1 p\nconsts 1 k\nconnective c 1 -> 1\n"
+        "connective d 1 -> 1\n"
+        "define forall x. nu1(d(p), x) <-> and(nu1(p, x), nu1(k0, x))\n"
+        "define forall x. nu1(c(p), x) <-> nu1(d(p), x)\n"))
+    sem = models.semantics(ns)
+    k0, p0 = pc(ns.spec, "k0"), pc(ns.spec, "p0")
+    table = sem.table(1, 0)
+    for head in ("d", "c"):
+        e = pc(ns.spec, head + "(p0)")
+        for k0_holds in (False, True, False):
+            m = models.LStructure(1, spec=ns.spec)
+            m.nu[1] = {(p0, (0,))} | ({(k0, (0,))} if k0_holds else set())
+            _assert_labels_agree(sem, m, [e], table)
+            assert m.labels[e] == k0_holds
+        # atoms are searched k0 first: k0 empty, then k0 = {e0}
+        assert models.brute_force_sat(ns, [(e, False), k0, p0], 1) == \
+            ("unsat", None)
+
+
+def test_oracle_checks_read_beyond_the_carrier():
+    # the directed sentence reads c(p0), and the axiom k0: neither is in the
+    # closure of p0, and an atom outside it holds nowhere
+    ns = normalize.normalize(specfile.parse_spec(
+        "sorts 2\nvars 1 p\nconsts 1 k\nconnective c 1 -> 1\n"
+        "define forall x. nu1(c(p), x) <-> nu1(p, x)\n"
+        "define+ forall x. nu1(c(p), x) -> false\n"))
+    p0 = pc(ns.spec, "p0")
+    assert models.brute_force_sat(ns, [p0], 2) == ("unsat", None)
+    res, m = models.brute_force_sat(ns, [(p0, False)], 2)
+    assert res == "sat" and m.format() == "domain: e0\n"
+    axiom = normalize.normalize(specfile.parse_spec(
+        "sorts 2\nvars 1 p\nconsts 1 k\nconnective c 1 -> 1\n"
+        "define forall x. nu1(c(p), x) <-> nu1(p, x)\n"
+        "axiom forall x. nu1(k0, x)\n"))
+    assert models.brute_force_sat(axiom, [p0], 2) == ("unsat", None)
+    res, m = models.brute_force_sat(axiom, [pc(axiom.spec, "c(k0)")], 2)
+    assert res == "sat" and m.format() == "domain: e0\nnu1 k0: e0\n"
 
 
 # -- agreement and the independent evaluator -------------------------------------
@@ -516,10 +637,14 @@ def test_compiled_semantics_agree_with_evaluate(request, preset, leaves):
     if preset == "so":
         pool.update({0: [pc(spec, "l0", 0)], 2: [pc(spec, "r0", 2)]})
     p, x, y = sx.lvar(1, "p"), sx.dvar("x"), sx.dvar("y")
+    # the compiled semantics reads labels: the pool's closure, and p, which
+    # names itself where no parameter binds it
+    labelled = [e for exprs in pool.values() for e in exprs] + [p]
     rng = random.Random(20261018)
     for _ in range(1000):
         size = rng.choice((1, 2, 3))
         m = _random_structure(rng, spec, size)
+        sem.label(m, labelled)
         # the background sentences, their object variables bound to the pool
         for g in ns.sb:
             lvs, run = sem.sentence(g)
@@ -528,7 +653,7 @@ def test_compiled_semantics_agree_with_evaluate(request, preset, leaves):
             assert run(m, objs) == models.evaluate(m, inst), sx.formula_text(g)
         for c in pool[1]:
             e = rng.randrange(size)
-            assert sem.holds(m, 1, c, (e,)) == m.holds(1, c, (e,)), c.text()
+            assert bool(m.labels[c] >> e & 1) == m.holds(1, c, (e,)), c.text()
         # a random formula over p, x and y, any of which may stay unbound
         f = _random_formula(rng, spec, rng.choice((1, 2, 3)),
                             (leaves[0] + ["p"], leaves[1]))
@@ -537,6 +662,8 @@ def test_compiled_semantics_agree_with_evaluate(request, preset, leaves):
         objs = [rng.choice(pool[1]) for _ in lvs]
         if m.nu0 and rng.random() < 0.2:
             m.nu0.clear()
+            m._memo.clear()
+            sem.label(m, labelled)
         inst = sx.substitute_formula(f, dict(zip(lvs, objs)))
         want = _outcome(lambda: models.evaluate(m, inst, dict(val)))
         run = sem.formula(f, lvs, list(val))
