@@ -368,9 +368,10 @@ class Semantics:
     they stay the tree-walking reference that checks what the oracle
     returns.
 
-    The background sentences fall into frame conditions (``frame``, compiled:
-    no object expression, they filter the interpretations of ``preds``, the
-    (predicate, arity) pairs the sentences mention), pruning sentences
+    The background sentences fall into frame conditions (``frame``, the
+    sentences themselves: no object expression, they filter the
+    interpretations of ``preds``, the (predicate, arity) pairs the sentences
+    mention, and are grounded into clauses per size), pruning sentences
     (``prune``, by sort: their one object expression is their variable, so
     they judge each atom's relation alone) and the others (``multi``,
     checked over the atomic carrier).  ``gate`` is the final check over the
@@ -412,7 +413,7 @@ class Semantics:
             lvs, run = self.sentence(f)
             lexprs = set(sx.lexprs_of_formula(f))
             if not lvs and not lexprs:
-                self.frame.append(run)
+                self.frame.append(f)
             elif len(lvs) == 1 and len(lexprs) == 1:
                 self.prune.setdefault(lvs[0].sort, []).append(run)
                 one_var.append(check(f))
@@ -444,8 +445,9 @@ class Semantics:
         return hit
 
     def frames(self, size):
-        """The frames of ``size`` elements (see :func:`_frame_assignments`),
-        found once."""
+        """The frames of ``size`` elements, found once by unit propagation
+        over the frame sentences grounded over ``range(size)`` (see
+        :func:`_frame_assignments`)."""
         hit = self._frames.get(size)
         if hit is None:
             hit = self._frames[size] = _frame_assignments(self.frame,
@@ -824,39 +826,20 @@ def brute_force_sat(ns, inputs, max_size):
     return ("unsat", None)
 
 
-class _Unassigned(Exception):
-    """A frame sentence read a tuple that has no value yet; the arguments
-    are the partial relation and the tuple."""
-
-
-class _PartialRelation(dict):
-    """A relation known on the tuples it maps (to True: in, False: out).
-    Reading any other tuple raises :class:`_Unassigned`."""
-
-    def __contains__(self, t):
-        got = self.get(t)
-        if got is None:
-            raise _Unassigned(self, t)
-        return got
-
-
-def _frame_assignments(runs, preds, size):
+def _frame_assignments(sentences, preds, size):
     """Interpretations of ``preds`` ((predicate, arity) pairs) over
-    ``range(size)`` satisfying the compiled variable-free sentences ``runs``,
+    ``range(size)`` satisfying the variable-free sentences ``sentences``,
     one per class of frames isomorphic by a permutation fixing element 0: the
     first of each class in enumeration order (per predicate, the number of
     tuples, then the tuples, as :func:`_subsets` yields them).
 
-    The frames are found by a backtracking search over the predicates'
-    tuples, evaluating the compiled sentences on a partial frame.  Frame
-    sentences mention no object expression, so they read no label, and a
-    compiled sentence is deterministic and short-circuits: an evaluation
-    that reads only tuples with a value has that value on every completion.
-    A false sentence prunes the subtree, a true one is dropped for it, and
-    one that read a tuple without a value (:class:`_Unassigned`) is kept;
-    the search branches on that tuple of the first such sentence, and once
-    none is left, on the first tuple without a value.  The frames found are
-    sorted into enumeration order before the first of each class is kept.
+    Finding the frames is a finite all-models SAT problem.  Each sentence is
+    grounded over ``range(size)`` into negation normal form (:func:`_ground`)
+    and then into clauses over the cells, one per (predicate, tuple), and
+    auxiliary variables (:func:`_clauses`).  :func:`_models` lists every
+    assignment of the cells that satisfies them, by backtracking over the
+    cells in order with unit propagation.  The frames found are sorted into
+    enumeration order before the first of each class is kept.
 
     The inputs are read at element 0, every other sentence is closed, and
     every nu0 and atom valuation is enumerated, so a frame has a model
@@ -865,38 +848,21 @@ def _frame_assignments(runs, preds, size):
     enumeration."""
     universes = [list(itertools.product(range(size), repeat=n))
                  for _, n in preds]
-    probe = LStructure(size)  # the sentences read only preds
-    probe.preds = {p: _PartialRelation() for p, _ in preds}
-    rels = list(probe.preds.values())
-    cells = [(rel, t) for rel, universe in zip(rels, universes)
-             for t in universe]
-    found = []
-
-    def search(undecided):
-        left, cell = [], None
-        for run in undecided:
-            try:
-                if not run(probe):
-                    return
-            except _Unassigned as unassigned:
-                left.append(run)
-                if cell is None:
-                    cell = unassigned.args
-        if cell is None:
-            cell = next(((rel, t) for rel, t in cells if t not in rel.keys()),
-                        None)
-            if cell is None:
-                # as _subsets yields them: the tuples in product order
-                found.append(tuple(tuple(t for t in universe if rel[t])
-                                   for rel, universe in zip(rels, universes)))
-                return
-        rel, t = cell
-        for value in (False, True):
-            rel[t] = value
-            search(left)
-        del rel[t]
-
-    search(runs)
+    cells = {}
+    for (p, _), universe in zip(preds, universes):
+        for t in universe:
+            cells[p, t] = len(cells)
+    grounded = [_ground(f, True, {}, cells, size) for f in sentences]
+    if any(node is False for node in grounded):
+        return []
+    clauses, n_vars = _clauses(grounded, len(cells))
+    # the positive literal of each cell, by predicate, in product order
+    lits = [[2 * cells[p, t] for t in universe]
+            for (p, _), universe in zip(preds, universes)]
+    # as _subsets yields them: the tuples in product order
+    found = [tuple(tuple(t for t, lit in zip(universe, row) if val[lit])
+                   for universe, row in zip(universes, lits))
+             for val in _models(clauses, n_vars, len(cells))]
     found.sort(key=lambda combo: [(len(v), v) for v in combo])
     perms = [(0,) + rest for rest in itertools.permutations(range(1, size))]
     out, seen = [], set()
@@ -909,6 +875,177 @@ def _frame_assignments(runs, preds, size):
                           for v in combo)
                     for pi in perms)
     return out
+
+
+def _ground(f, pos, env, cells, size):
+    """``f``, or its negation when ``pos`` is false, over ``range(size)``
+    with the domain variables of ``env`` valued, in negation normal form:
+    True, False, a cell literal (``2 * cells[p, t]``, plus 1 when negated),
+    or ``(op, children)`` with ``op`` ``and`` or ``or``.  A quantifier
+    becomes a conjunction or a disjunction over the elements, and ``eq`` and
+    ``false`` become constants, which :func:`_join` folds away.  The parts
+    of a junction are grounded left to right until a constant decides it, so
+    a domain term without a value raises :class:`~tabsynth.syntax.TabError`
+    only where evaluation would reach it."""
+    if type(f) is sx.Literal:
+        pos = pos == f.pos
+        if f.pred[0] == "false":
+            return not pos
+        elems = []
+        for t in f.args:
+            if t not in env:
+                raise sx.TabError("no value for domain term %s" % t.text())
+            elems.append(env[t])
+        if f.pred[0] == "eq":
+            return (elems[0] == elems[1]) == pos
+        return 2 * cells[f.pred[1], tuple(elems)] + (not pos)
+    op, subs = f.op, f.subs
+    if op == "not":
+        return _ground(subs[0], not pos, env, cells, size)
+    if f.var is not None:
+        return _join("and" if op == "forall" else "or", pos, (
+            _ground(subs[0], pos, {**env, f.var: e}, cells, size)
+            for e in range(size)))
+    if op in ("and", "or"):
+        return _join(op, pos, (_ground(g, pos, env, cells, size)
+                               for g in subs))
+    # an implication is a disjunction, an equivalence two implications
+    return _join("and", pos, (
+        _join("or", pos, (_ground(g, sign == pos, env, cells, size)
+                          for g, sign in ((a, False), (b, True))))
+        for a, b in ([subs] if op == "implies" else [subs, subs[::-1]])))
+
+
+def _join(op, pos, nodes):
+    """The ``op`` (``and`` or ``or``) of ``nodes`` (as :func:`_ground` gives
+    them, an iterable), or its dual when ``pos`` is false, in negation normal
+    form.  A constant that decides it is returned before the later nodes are
+    grounded, the other constant drops out, a nested junction of the same
+    kind is flattened and a repeated child kept once."""
+    if not pos:
+        op = "or" if op == "and" else "and"
+    unit = op == "and"
+    children = {}
+    for node in nodes:
+        if type(node) is bool:
+            if node is not unit:
+                return node
+        elif type(node) is tuple and node[0] == op:
+            children.update(dict.fromkeys(node[1]))
+        else:
+            children[node] = None
+    if len(children) < 2:
+        return next(iter(children), unit)
+    return (op, tuple(children))
+
+
+def _clauses(nodes, n_cells):
+    """Clauses whose models are those of the conjunction of ``nodes`` (as
+    :func:`_ground` gives them) over the variables ``0..n_cells - 1``, and
+    the number of variables they use.  A clause is a list of literals,
+    ``2 * v`` for variable ``v`` and ``2 * v + 1`` for its negation.  A
+    junction below a disjunction gets an auxiliary variable defined in both
+    directions (Tseitin), one per distinct junction, so once every cell has
+    a value unit propagation fixes every auxiliary variable."""
+    clauses, defined = [], {}
+
+    def literal(node):
+        if type(node) is int:
+            return node
+        hit = defined.get(node)
+        if hit is None:
+            op, children = node
+            kids = [literal(c) for c in children]
+            hit = defined[node] = 2 * (n_cells + len(defined))
+            if op == "and":
+                clauses.extend([hit ^ 1, k] for k in kids)
+                clauses.append([hit] + [k ^ 1 for k in kids])
+            else:
+                clauses.append([hit ^ 1] + kids)
+                clauses.extend([hit, k ^ 1] for k in kids)
+        return hit
+
+    for node in nodes:
+        if node is True:
+            continue
+        conjuncts = node[1] if type(node) is tuple and node[0] == "and" \
+            else (node,)
+        for c in conjuncts:
+            clauses.append([literal(k) for k in c[1]]
+                           if type(c) is tuple else [c])
+    return clauses, n_cells + len(defined)
+
+
+def _models(clauses, n_vars, n_cells):
+    """Every assignment of the variables ``0..n_cells - 1`` that, with the
+    others fixed by unit propagation, satisfies ``clauses`` (as
+    :func:`_clauses` gives them, none empty), as a list of truths by
+    literal; the list is reused, so read it before the next.  The cells are decided in order,
+    false first; a clause that propagation leaves with every literal false
+    backtracks."""
+    val = [None] * (2 * n_vars)  # by literal: True, False, None unassigned
+    falsified = [[] for _ in val]  # by literal: the clauses it makes false
+    for c in clauses:
+        for lit in c:
+            falsified[lit ^ 1].append(c)
+    trail, pending = [], []
+
+    def assume(lit):
+        if val[lit] is None:
+            val[lit], val[lit ^ 1] = True, False
+            trail.append(lit)
+            pending.append(lit)
+        return val[lit]
+
+    def propagate():
+        while pending:
+            for c in falsified[pending.pop()]:
+                unit = None
+                for lit in c:
+                    v = val[lit]
+                    if v is None:
+                        if unit is not None:
+                            break
+                        unit = lit
+                    elif v:
+                        break
+                else:
+                    if unit is None:
+                        del pending[:]
+                        return False
+                    assume(unit)
+        return True
+
+    for c in clauses:
+        if len(c) == 1 and not assume(c[0]):
+            return
+    if not propagate():
+        return
+    decisions, cell = [], 0  # (cell, trail length before it)
+    while True:
+        while cell < n_cells and val[2 * cell] is not None:
+            cell += 1
+        if cell < n_cells:
+            decisions.append((cell, len(trail)))
+            assume(2 * cell + 1)
+            if propagate():
+                continue
+        else:
+            yield val
+        # back to the last cell decided false, which now goes true
+        while decisions:
+            cell, mark = decisions.pop()
+            was_false = val[2 * cell + 1]
+            for lit in trail[mark:]:
+                val[lit] = val[lit ^ 1] = None
+            del trail[mark:]
+            if was_false:
+                decisions.append((cell, mark))
+                assume(2 * cell)
+                if propagate():
+                    break
+        else:
+            return
 
 
 def _search_valuations(base, sem, table, atoms, masks, plan, signed, checks):

@@ -242,6 +242,11 @@ BAD_FILES = [
      "define forall x. nu1(b(p), x) <-> not(nu1(a(p), x))\n",
      ["oracle", "--spec", "{f}", "--max-size", "1", "{a_p0}"],
      "error: induced ordering has a cycle: ['a', 'b', 'a']\n"),
+    # a frame sentence over a domain constant: no frame gives it a value
+    ("frame-const.spec",
+     "sorts 2\nvars 1 p\npredicate R 2\naxiom R(a0, a0)\n",
+     ["oracle", "--spec", "{f}", "--max-size", "2", "{p0}"],
+     "error: no value for domain term a0\n"),
     ("no-such-rule.refine", "rf nosuch fold 0\n",
      ["refine", "--calc", "{work}/so.calc", "--refine-script", "{f}"],
      "error: no rule nosuch\n"),

@@ -228,15 +228,22 @@ def test_oracle_ipc_fork(ipc_ns, ipc_spec):
     assert models.evaluate(m, inst)
 
 
+def _is_partial_order(rel, size):
+    """Whether ``rel`` is reflexive, antisymmetric and transitive on
+    range(size)."""
+    return all((x, x) in rel for x in range(size)) and all(
+        (y, x) not in rel for x, y in rel if x != y) and all(
+        (x, z) in rel for x, y in rel for y2, z in rel if y == y2)
+
+
 def _labelled_partial_orders(size):
-    """Every reflexive, antisymmetric and transitive relation on
-    range(size), found by testing each set of off-diagonal pairs."""
+    """Every partial order on range(size), found by testing each set of
+    off-diagonal pairs."""
     diag = {(x, x) for x in range(size)}
     off = [(x, y) for x in range(size) for y in range(size) if x != y]
     for bits in range(2 ** len(off)):
         rel = diag | {pair for i, pair in enumerate(off) if bits >> i & 1}
-        if all((y, x) not in rel for x, y in rel if x != y) and all(
-                (x, z) in rel for x, y in rel for y2, z in rel if y == y2):
+        if _is_partial_order(rel, size):
             yield frozenset(rel)
 
 
@@ -285,6 +292,14 @@ FRAME_SPECS = {
     "unconstrained": ("predicate Q 1\npredicate R 2",
                       "and(Q(x), exists y. and(R(x, y), nu1(p, y)))",
                       "axiom forall x. R(x, x)"),
+    # a conjunction under two existentials: distributed into clauses it
+    # would give 3 ** (size * size) clauses per element
+    "nested-existential": ("predicate P 1\npredicate R 2",
+                           "exists y. and(R(x, y), nu1(p, y))",
+                           "axiom forall x. forall y. "
+                           "implies(R(x, y), eq(x, y))\n"
+                           "axiom forall x. exists y. exists z. "
+                           "and(R(x, y), and(R(y, z), P(z)))"),
 }
 
 
@@ -300,41 +315,54 @@ def test_oracle_frames_match_the_swept_reference(ipc_ns, ipc_spec, so_ns):
         ipc_spec.directed))
     cases = [(ipc_ns, size) for size in (1, 2, 3, 4)] + [(variant, 4)]
     cases += [(so_ns, size) for size in (1, 2, 3)]
+    specs = {}
     for name, (decls, body, axiom) in FRAME_SPECS.items():
-        ns = normalize.normalize(specfile.parse_spec(
+        ns = specs[name] = normalize.normalize(specfile.parse_spec(
             _FRAME_SPEC % (decls, body, axiom), name))
         cases += [(ns, size) for size in (1, 2, 3)]
     kept = {}
     for ns, size in cases:
-        runs, preds = _frame_plan(ns)
-        got = models._frame_assignments(runs, preds, size)
+        sentences, preds = _frame_plan(ns)
+        runs = [models.semantics(ns).sentence(f)[1] for f in sentences]
+        got = models._frame_assignments(sentences, preds, size)
         assert got == _swept_frames(runs, preds, size), (ns.spec.name, size)
         kept[ns.spec.name, size] = got
     # no frame once eq fails; Q free beside the 4 reflexive R at size 2
     assert kept["no-tuple-read", 1] and not kept["no-tuple-read", 2]
     assert len(kept["unconstrained", 2]) == 16
+    # R is the identity and P holds everywhere, at every size
+    assert [len(kept["nested-existential", size]) for size in (1, 2, 3)] \
+        == [1, 1, 1]
+    assert len(models._frame_assignments(
+        *_frame_plan(specs["nested-existential"]), 5)) == 1
 
 
 @pytest.mark.parametrize("size, labelled, classes",
-                         [(1, 1, 1), (2, 3, 3), (3, 19, 11), (4, 219, 47)])
+                         [(1, 1, 1), (2, 3, 3), (3, 19, 11), (4, 219, 47),
+                          (5, 4231, 243)])
 def test_oracle_frames_one_per_class_fixing_element_0(ipc_ns, size, labelled,
                                                       classes):
-    sem = models.semantics(ipc_ns)
-    runs = [sem.sentence(f)[1] for f in ipc_ns.sb if not sx.lvars(f)
-            and not any(True for _ in sx.lexprs_of_formula(f))]
+    sentences = [f for f in ipc_ns.sb if not sx.lvars(f)
+                 and not any(True for _ in sx.lexprs_of_formula(f))]
     kept = [frame["R"] for frame in
-            models._frame_assignments(runs, [("R", 2)], size)]
+            models._frame_assignments(sentences, [("R", 2)], size)]
     assert len(kept) == classes
     perms = [(0,) + p for p in itertools.permutations(range(1, size))]
 
     def images(rel):
         return [frozenset((pi[x], pi[y]) for x, y in rel) for pi in perms]
 
-    orders = list(_labelled_partial_orders(size))
-    assert len(orders) == labelled
-    assert set(kept) <= set(orders)
-    for rel in orders:
-        assert sum(k in images(rel) for k in kept) == 1
+    # the kept frames are partial orders in distinct classes, which cover
+    # the labelled partial orders (OEIS A001035)
+    assert all(_is_partial_order(k, size) for k in kept)
+    orbits = [set(images(k)) for k in kept]
+    assert len(set().union(*orbits)) == sum(map(len, orbits)) == labelled
+    if size < 5:  # 2 ** 20 off-diagonal sets at size 5: too many to sweep
+        orders = list(_labelled_partial_orders(size))
+        assert len(orders) == labelled
+        assert set(kept) <= set(orders)
+        for rel in orders:
+            assert sum(k in images(rel) for k in kept) == 1
     # the enumeration goes by the number of pairs, then lexicographically
     for k in kept:
         assert min(images(k), key=lambda r: (len(r), sorted(r))) == k
