@@ -13,6 +13,9 @@ The oracle does not walk formula trees per candidate structure.  The
 connective definitions and the background sentences are compiled once per
 specification into closures (:class:`Semantics`): object variables are
 parameters, domain variables slots, and quantifiers loops over the domain.
+They are compiled, and the frame sentences grounded, from negation normal
+form (:func:`~tabsynth.syntax.nnf`, as in synthesis); the reference reads
+the connectives as written.
 Each candidate labels every expression of the input's closure with its
 extension, an ``int`` with a bit per tuple, bottom-up in the induced
 ordering.  Within a frame a compound's extension depends only on the labels
@@ -570,6 +573,8 @@ class _Unlabelled:
     def __rshift__(self, _):
         raise self.error
 
+    __and__ = __rshift__  # an input is read at element 0 as ``label & 1``
+
 
 def _position(elems, size):
     """The index of the tuple ``elems`` in ``range(size) ** len(elems)``,
@@ -617,7 +622,7 @@ def semantics(ns):
 
 def _compile(f, lvars, dvars):
     """``f`` as a closure ``(m, objs, slots)`` (see :class:`Semantics`) and
-    the number of slots it needs."""
+    the number of slots it needs, compiled from ``sx.nnf(f)``."""
     objs = {v: k for k, v in enumerate(lvars)}
     n_slots = len(dvars)
 
@@ -686,34 +691,34 @@ def _compile(f, lvars, dvars):
         return lambda m, o, s: _position(el(m, o, s), m.size)
 
     def atom(a, scope):
-        # the truth of the literal ``a`` read as positive
-        kind, args = a.pred[0], a.args
+        # the truth of the literal ``a``, its sign included
+        kind, args, pos = a.pred[0], a.args, a.pos
         if kind == "false":
-            return lambda m, o, s: False
+            return lambda m, o, s: not pos
         if kind == "eq":
             x, y = args
             if x.sort != sx.DOMAIN:
                 gx, gy = expr(x), expr(y)
-                return lambda m, o, s: gx(o) is gy(o)
+                return lambda m, o, s: (gx(o) is gy(o)) is pos
             gx, gy = term(x, scope), term(y, scope)
-            return lambda m, o, s: gx(m, o, s) == gy(m, o, s)
+            return lambda m, o, s: (gx(m, o, s) == gy(m, o, s)) is pos
         if kind == "pred":
             name, el = a.pred[1], elems(args, scope)
-            return lambda m, o, s: el(m, o, s) in m.preds.get(name, ())
+            return lambda m, o, s: (el(m, o, s) in m.preds.get(name, ())) \
+                is pos
         if kind == "nu":
-            e, ts = args[0], args[1:]
+            e, ts, flip = args[0], args[1:], int(not pos)
             if e in objs and len(ts) == 1 and ts[0] in scope:
                 k, i = objs[e], scope[ts[0]]
-                return lambda m, o, s: m.labels[o[k]] >> s[i] & 1
+                return lambda m, o, s: m.labels[o[k]] >> s[i] & 1 ^ flip
             g, at = expr(e), position(ts, scope)
-            return lambda m, o, s: m.labels[g(o)] >> at(m, o, s) & 1
+            return lambda m, o, s: m.labels[g(o)] >> at(m, o, s) & 1 ^ flip
         raise sx.TabError("cannot compile %s" % a.text())
 
     def comp(g, scope):
         nonlocal n_slots
         if type(g) is sx.Literal:
-            run = atom(g, scope)
-            return run if g.pos else lambda m, o, s: not run(m, o, s)
+            return atom(g, scope)
         op = g.op
         if g.var is not None:
             i = n_slots
@@ -729,15 +734,6 @@ def _compile(f, lvars, dvars):
                 return want
             return quantifier
         parts = [comp(x, scope) for x in g.subs]
-        if op == "not":
-            a, = parts
-            return lambda m, o, s: not a(m, o, s)
-        if op == "implies":
-            a, b = parts
-            return lambda m, o, s: not a(m, o, s) or b(m, o, s)
-        if op == "iff":
-            a, b = parts
-            return lambda m, o, s: a(m, o, s) == b(m, o, s)
         if len(parts) == 2:
             a, b = parts
             if op == "and":
@@ -747,7 +743,7 @@ def _compile(f, lvars, dvars):
             return lambda m, o, s: all(p(m, o, s) for p in parts)
         return lambda m, o, s: any(p(m, o, s) for p in parts)
 
-    body = comp(f, {v: i for i, v in enumerate(dvars)})
+    body = comp(sx.nnf(f), {v: i for i, v in enumerate(dvars)})
     return body, n_slots
 
 
@@ -833,13 +829,14 @@ def _frame_assignments(sentences, preds, size):
     first of each class in enumeration order (per predicate, the number of
     tuples, then the tuples, as :func:`_subsets` yields them).
 
-    Finding the frames is a finite all-models SAT problem.  Each sentence is
-    grounded over ``range(size)`` into negation normal form (:func:`_ground`)
-    and then into clauses over the cells, one per (predicate, tuple), and
-    auxiliary variables (:func:`_clauses`).  :func:`_models` lists every
-    assignment of the cells that satisfies them, by backtracking over the
-    cells in order with unit propagation.  The frames found are sorted into
-    enumeration order before the first of each class is kept.
+    Finding the frames is a finite all-models SAT problem.  Each sentence's
+    negation normal form (:func:`~tabsynth.syntax.nnf`) is grounded over
+    ``range(size)`` (:func:`_ground`) and then into clauses over the cells,
+    one per (predicate, tuple), and auxiliary variables (:func:`_clauses`).
+    :func:`_models` lists every assignment of the cells that satisfies them,
+    by backtracking over the cells in order with unit propagation.  The
+    frames found are sorted into enumeration order before the first of each
+    class is kept.
 
     The inputs are read at element 0, every other sentence is closed, and
     every nu0 and atom valuation is enumerated, so a frame has a model
@@ -852,7 +849,7 @@ def _frame_assignments(sentences, preds, size):
     for (p, _), universe in zip(preds, universes):
         for t in universe:
             cells[p, t] = len(cells)
-    grounded = [_ground(f, True, {}, cells, size) for f in sentences]
+    grounded = [_ground(sx.nnf(f), {}, cells, size) for f in sentences]
     if any(node is False for node in grounded):
         return []
     clauses, n_vars = _clauses(grounded, len(cells))
@@ -877,53 +874,40 @@ def _frame_assignments(sentences, preds, size):
     return out
 
 
-def _ground(f, pos, env, cells, size):
-    """``f``, or its negation when ``pos`` is false, over ``range(size)``
-    with the domain variables of ``env`` valued, in negation normal form:
-    True, False, a cell literal (``2 * cells[p, t]``, plus 1 when negated),
-    or ``(op, children)`` with ``op`` ``and`` or ``or``.  A quantifier
-    becomes a conjunction or a disjunction over the elements, and ``eq`` and
+def _ground(f, env, cells, size):
+    """``f``, in negation normal form (:func:`~tabsynth.syntax.nnf`), over
+    ``range(size)`` with the domain variables of ``env`` valued: True,
+    False, a cell literal (``2 * cells[p, t]``, plus 1 when negated), or
+    ``(op, children)`` with ``op`` ``and`` or ``or``.  A quantifier becomes
+    a conjunction or a disjunction over the elements, and ``eq`` and
     ``false`` become constants, which :func:`_join` folds away.  The parts
     of a junction are grounded left to right until a constant decides it, so
     a domain term without a value raises :class:`~tabsynth.syntax.TabError`
     only where evaluation would reach it."""
     if type(f) is sx.Literal:
-        pos = pos == f.pos
         if f.pred[0] == "false":
-            return not pos
+            return not f.pos
         elems = []
         for t in f.args:
             if t not in env:
                 raise sx.TabError("no value for domain term %s" % t.text())
             elems.append(env[t])
         if f.pred[0] == "eq":
-            return (elems[0] == elems[1]) == pos
-        return 2 * cells[f.pred[1], tuple(elems)] + (not pos)
-    op, subs = f.op, f.subs
-    if op == "not":
-        return _ground(subs[0], not pos, env, cells, size)
+            return (elems[0] == elems[1]) == f.pos
+        return 2 * cells[f.pred[1], tuple(elems)] + (not f.pos)
     if f.var is not None:
-        return _join("and" if op == "forall" else "or", pos, (
-            _ground(subs[0], pos, {**env, f.var: e}, cells, size)
+        return _join("and" if f.op == "forall" else "or", (
+            _ground(f.subs[0], {**env, f.var: e}, cells, size)
             for e in range(size)))
-    if op in ("and", "or"):
-        return _join(op, pos, (_ground(g, pos, env, cells, size)
-                               for g in subs))
-    # an implication is a disjunction, an equivalence two implications
-    return _join("and", pos, (
-        _join("or", pos, (_ground(g, sign == pos, env, cells, size)
-                          for g, sign in ((a, False), (b, True))))
-        for a, b in ([subs] if op == "implies" else [subs, subs[::-1]])))
+    return _join(f.op, (_ground(g, env, cells, size) for g in f.subs))
 
 
-def _join(op, pos, nodes):
+def _join(op, nodes):
     """The ``op`` (``and`` or ``or``) of ``nodes`` (as :func:`_ground` gives
-    them, an iterable), or its dual when ``pos`` is false, in negation normal
-    form.  A constant that decides it is returned before the later nodes are
-    grounded, the other constant drops out, a nested junction of the same
-    kind is flattened and a repeated child kept once."""
-    if not pos:
-        op = "or" if op == "and" else "and"
+    them, an iterable).  A constant that decides it is returned before the
+    later nodes are grounded, the other constant drops out, a nested
+    junction of the same kind is flattened and a repeated child kept
+    once."""
     unit = op == "and"
     children = {}
     for node in nodes:

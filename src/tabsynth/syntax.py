@@ -14,10 +14,11 @@ positive literal is the atomic formula, and the negative one its negation as
 the prover reads it.  :class:`Formula` holds every compound formula: a
 connective or quantifier word (``op``), its subformulas, and the variable a
 quantifier binds.  The formula reader spells negation as a ``not`` formula;
-only the prover's literals and synthesis's normal forms hold negative
-leaves.  Printing, substitution, matching and the variable walks are loops
-over an explicit stack, so nesting depth is not limited by the interpreter's
-recursion limit.
+only the prover's literals and the negation normal forms of :func:`nnf`
+(which synthesis and the oracle start from) hold negative leaves.  Printing,
+negation normal form, substitution, matching and the variable walks are
+loops over an explicit stack, so nesting depth is not limited by the
+interpreter's recursion limit.
 
 Everything here is immutable after construction.  Symbols, terms, literals
 and formulas are hash-consed in one table, keyed by their kind and parts:
@@ -460,6 +461,39 @@ def subformulas(f):
         yield g
         if type(g) is Formula:
             stack.extend(reversed(g.subs))
+
+
+_DUAL = {"and": "or", "or": "and", "forall": "exists", "exists": "forall"}
+
+
+def nnf(f, pos=True):
+    """``f`` (negated unless ``pos``) in negation normal form: ``and``,
+    ``or`` and quantifiers over literals.  An implication becomes a
+    disjunction, an equivalence two implications, in the order written, and
+    a junction or quantifier under a negation takes its dual."""
+    out, stack = [], [(f, pos)]
+    while stack:
+        g, pos = stack.pop()
+        if g is None:  # join the last n results under (op, n, var)
+            op, n, var = pos
+            k = len(out) - n
+            out[k:] = [formula(op, out[k:], var)]
+        elif type(g) is Literal:
+            out.append(g if pos else g.negate())
+        elif g.op == "not":
+            stack.append((g.subs[0], not pos))
+        elif g.op in ("implies", "iff"):
+            a, b = g.subs
+            inner = (None, ("or" if pos else "and", 2, None))
+            if g.op == "iff":
+                stack += [(None, ("and" if pos else "or", 2, None)),
+                          inner, (a, pos), (b, not pos)]
+            stack += [inner, (b, pos), (a, not pos)]
+        else:
+            stack.append((None, (g.op if pos else _DUAL[g.op], len(g.subs),
+                                 g.var)))
+            stack.extend((s, pos) for s in reversed(g.subs))
+    return out[0]
 
 
 # ---------------------------------------------------------------------------

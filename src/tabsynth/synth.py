@@ -127,29 +127,7 @@ class Calculus:
 
 
 # ---------------------------------------------------------------------------
-# NNF / Skolemization / DNF
-
-_DUAL = {"and": "or", "or": "and", "forall": "exists", "exists": "forall"}
-
-
-def _nnf(f, pos=True):
-    """``f`` (negated unless ``pos``) in negation normal form: and, or and
-    quantifiers over literals."""
-    if type(f) is sx.Literal:
-        return f if pos else f.negate()
-    op, subs = f.op, f.subs
-    if op == "not":
-        return _nnf(subs[0], not pos)
-    if op == "implies":
-        return _nnf(sx.formula("or", (sx.formula("not", subs[:1]), subs[1])), pos)
-    if op == "iff":
-        l, r = subs
-        both = sx.formula("and", (sx.formula("implies", (l, r)),
-                                  sx.formula("implies", (r, l))))
-        return _nnf(both, pos)
-    return sx.formula(op if pos else _DUAL[op], [_nnf(s, pos) for s in subs],
-                      f.var)
-
+# Skolemization / DNF
 
 class _SkolemNamer:
     """Deterministic sk_<origin>_<j> names, globally unique per synthesis."""
@@ -257,8 +235,9 @@ def head_slug(xi):
 
 def _matrix(f, pos, head_lvars, scope, namer, slug):
     """(DNF matrix, fresh Skolem functions) of ``f``, negated unless
-    ``pos``: NNF, Skolemization, DNF and clean-up in turn."""
-    tree, fns = _skolemize(_nnf(f, pos), head_lvars, scope,
+    ``pos``: negation normal form (:func:`~tabsynth.syntax.nnf`),
+    Skolemization, DNF and clean-up in turn."""
+    tree, fns = _skolemize(sx.nnf(f, pos), head_lvars, scope,
                            namer or _SkolemNamer(), slug, [0])
     return _clean_matrix(_dnf(tree)), fns
 

@@ -247,6 +247,13 @@ BAD_FILES = [
      "sorts 2\nvars 1 p\npredicate R 2\naxiom R(a0, a0)\n",
      ["oracle", "--spec", "{f}", "--max-size", "2", "{p0}"],
      "error: no value for domain term a0\n"),
+    # a definition body over a domain constant: an input read through it
+    # has no value there
+    ("body-const.spec",
+     "sorts 2\nvars 1 p\npredicate R 2\nconnective a 1 -> 1\n"
+     "define forall x. nu1(a(p), x) <-> R(x, a0)\n",
+     ["oracle", "--spec", "{f}", "--max-size", "2", "{a_p0}"],
+     "error: no value for domain term a0\n"),
     ("no-such-rule.refine", "rf nosuch fold 0\n",
      ["refine", "--calc", "{work}/so.calc", "--refine-script", "{f}"],
      "error: no rule nosuch\n"),

@@ -82,7 +82,8 @@ def test_negative_leaves_evaluate_to_the_negation(so_spec, so_ns):
     x = sx.dvar("x")
     sem = models.semantics(so_ns)
     sem.label(m, [pc(so_spec, "not(p0)")])
-    for text in ("nu1(p0, x)", "nu1(not(p0), x)", "eq(x, x)", "false"):
+    for text in ("nu1(p0, x)", "nu1(not(p0), x)", "eq(x, x)", "eq(p0, q0)",
+                 "false"):
         lit = parser.parse_formula(so_spec.signature, text)
         assert lit.pos
         for e in range(m.size):
@@ -300,6 +301,15 @@ FRAME_SPECS = {
                            "implies(R(x, y), eq(x, y))\n"
                            "axiom forall x. exists y. exists z. "
                            "and(R(x, y), and(R(y, z), P(z)))"),
+    # a negated eq and a negated false: R is irreflexive
+    "irreflexive": ("predicate R 2",
+                    "exists y. and(R(x, y), nu1(p, y))",
+                    "axiom forall x. forall y. "
+                    "implies(R(x, y), not(or(eq(x, y), false)))"),
+    # a negated equivalence: R is symmetric
+    "symmetric": ("predicate R 2",
+                  "forall y. implies(R(x, y), nu1(p, y))",
+                  "axiom forall x. forall y. not(iff(R(x, y), not(R(y, x))))"),
 }
 
 
@@ -335,6 +345,8 @@ def test_oracle_frames_match_the_swept_reference(ipc_ns, ipc_spec, so_ns):
         == [1, 1, 1]
     assert len(models._frame_assignments(
         *_frame_plan(specs["nested-existential"]), 5)) == 1
+    # symmetric relations up to permutations fixing element 0
+    assert [len(kept["symmetric", size]) for size in (1, 2, 3)] == [2, 8, 40]
 
 
 @pytest.mark.parametrize("size, labelled, classes",

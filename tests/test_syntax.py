@@ -215,6 +215,91 @@ def test_ten_thousand_deep_formula_is_walked_without_recursion(so_spec):
     assert sx.lvars(f) == [p] and sx.dvars(f) == [x]
 
 
+_DUAL = {"and": "or", "or": "and", "forall": "exists", "exists": "forall"}
+
+
+def _nnf(f, pos=True):
+    """The recursive negation normal form ``sx.nnf`` replaced: the
+    reference it must agree with, node for node."""
+    if type(f) is sx.Literal:
+        return f if pos else f.negate()
+    op, subs = f.op, f.subs
+    if op == "not":
+        return _nnf(subs[0], not pos)
+    if op == "implies":
+        return _nnf(sx.formula("or", (sx.formula("not", subs[:1]), subs[1])),
+                    pos)
+    if op == "iff":
+        l, r = subs
+        both = sx.formula("and", (sx.formula("implies", (l, r)),
+                                  sx.formula("implies", (r, l))))
+        return _nnf(both, pos)
+    return sx.formula(op if pos else _DUAL[op], [_nnf(s, pos) for s in subs],
+                      f.var)
+
+
+def _assert_nnf_is_the_reference(f):
+    for pos in (True, False):
+        got = sx.nnf(f, pos)
+        assert got is _nnf(f, pos), (sx.formula_text(f), pos)
+        assert all(type(g) is sx.Literal or g.op in _DUAL
+                   for g in sx.subformulas(got))
+
+
+@pytest.mark.parametrize("logic", ["so", "ipc"])
+def test_nnf_matches_the_recursive_reference_on_the_presets(logic, request):
+    ns = request.getfixturevalue(logic + "_ns")
+    spec = ns.spec
+    formulas = [f for d in spec.definitions for f in (d.body, d.sentence())]
+    formulas += spec.axioms + ns.sb
+    formulas += [f for xi in spec.directed + ns.s_plus + ns.s_minus
+                 for f in (xi.body, xi.sentence())]
+    assert formulas
+    for f in formulas:
+        _assert_nnf_is_the_reference(f)
+
+
+def test_nnf_matches_the_recursive_reference_on_random_formulas():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    x, y, p = sx.dvar("x"), sx.dvar("y"), sx.lvar(1, "p")
+    leaves = st.sampled_from([
+        sx.atom(sx.nu(1), [p, x]), sx.atom(sx.nu(1), [p, y]),
+        sx.atom(sx.pred("R"), [x, y]), sx.atom(sx.EQ, [x, y]), sx.FALSE,
+        sx.literal(False, sx.pred("R"), [y, x])])
+
+    def compounds(kids):
+        return st.one_of(
+            kids.map(lambda a: sx.formula("not", (a,))),
+            st.tuples(st.sampled_from(["implies", "iff"]), kids, kids).map(
+                lambda t: sx.formula(t[0], t[1:])),
+            st.tuples(st.sampled_from(["and", "or"]),
+                      st.lists(kids, min_size=1, max_size=3)).map(
+                lambda t: sx.formula(*t)),
+            st.tuples(st.sampled_from(["forall", "exists"]),
+                      st.sampled_from([x, y]), kids).map(
+                lambda t: sx.formula(t[0], (t[2],), t[1])))
+
+    @hypothesis.settings(max_examples=200, derandomize=True, deadline=None)
+    @hypothesis.given(st.recursive(leaves, compounds, max_leaves=12))
+    def check(f):
+        _assert_nnf_is_the_reference(f)
+
+    check()
+
+
+def test_nnf_of_a_ten_thousand_deep_negation_needs_no_recursion():
+    a = sx.atom(sx.nu(1), [sx.lvar(1, "p"), sx.dvar("x")])
+    f = a
+    for _ in range(10000):
+        f = sx.formula("not", (f,))
+    with pytest.raises(RecursionError):
+        _nnf(f)
+    assert sx.nnf(f) is a and sx.nnf(f, False) is a.negate()
+    g = sx.formula("not", (f,))
+    assert sx.nnf(g) is a.negate() and sx.nnf(g, False) is a
+
+
 def test_symbols_are_interned():
     assert sx.Conn("one", (0,), 1) is sx.Conn("one", (0,), 1)
     assert sx.Conn("one", [0], 1) is sx.Conn("one", (0,), 1)
