@@ -314,6 +314,11 @@ class Verdict:
 class Engine:
     def __init__(self, calc, ns=None, node_budget=10 ** 6, time_budget=None,
                  search="dfs", trace=False):
+        if node_budget < 0:
+            raise sx.TabError("node budget must be >= 0, not %d" % node_budget)
+        if time_budget is not None and not time_budget >= 0:  # NaN too
+            raise sx.TabError("time budget must be >= 0 seconds, not %g"
+                              % time_budget)
         self.calc = calc
         self.ns = ns
         self.node_budget = node_budget

@@ -11,11 +11,11 @@ oracle.
 
 The oracle does not walk formula trees per candidate structure.  The
 connective definitions and the background sentences are compiled once per
-specification into closures (:class:`Semantics`): object variables are
-parameters, domain variables slots, and quantifiers loops over the domain.
-They are compiled, and the frame sentences grounded, from negation normal
-form (:func:`~tabsynth.syntax.nnf`, as in synthesis); the reference reads
-the connectives as written.
+specification into generated functions (:class:`Semantics`, through
+:class:`~tabsynth.syntax.Codegen`): variables are parameters, quantifiers
+``all``/``any`` over the domain.  They are compiled, and the frame sentences
+grounded, from negation normal form (:func:`~tabsynth.syntax.nnf`, as in
+synthesis); the reference reads the connectives as written.
 Each candidate labels every expression of the input's closure with its
 extension, an ``int`` with a bit per tuple, bottom-up in the induced
 ordering.  Within a frame a compound's extension depends only on the labels
@@ -35,6 +35,7 @@ candidates it relabels only what the atom just assigned reaches.
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import operator
 
@@ -348,13 +349,13 @@ class Semantics:
     ``ns.semantics``, so it is freed with the specification.  A
     specification whose induced ordering has a cycle is refused.
 
-    It compiles the connective definitions and the sentences into closures.
-    A compiled formula is a function ``(m, objs, slots)``.  ``objs`` holds
+    It compiles the connective definitions and the sentences into generated
+    functions ``(m, objs=(), elems=())`` (:func:`_compile`).  ``objs`` holds
     the object expressions its object variables stand for, in the order it
     was compiled with; any other object variable names itself, as in
-    :func:`evaluate`.  ``slots`` holds one domain element per domain
-    variable given at compilation, then one per quantifier, which loops over
-    ``range(m.size)``; any other free domain variable raises
+    :func:`evaluate`.  ``elems`` holds one domain element per domain
+    variable given at compilation.  Any other free domain variable, or a
+    domain constant or nu0 term without a value, raises
     :class:`~tabsynth.syntax.TabError` when it is reached.
 
     A compiled formula reads ``nu_n(e, t)`` as a bit of ``e``'s label in
@@ -392,7 +393,7 @@ class Semantics:
         self._defs = {}
         for d in ns.spec.definitions:
             params = d.head_atom.args[0].args
-            body, n_slots = _compile(d.body, params, d.dom_vars)
+            body = _compile(d.body, params, d.dom_vars)
             # the body reads the frame and the labels of the object
             # expressions it names (a parameter as its index in the head)
             named = [params.index(t) if t in params else t
@@ -401,9 +402,8 @@ class Semantics:
             by_name = any(type(g) is sx.Literal and g.pred == sx.EQ
                           and g.args[0].sort != sx.DOMAIN
                           for g in sx.subformulas(d.body))
-            self._defs[d.conn.name] = (
-                body, len(d.dom_vars), [None] * (n_slots - len(d.dom_vars)),
-                params, named, by_name)
+            self._defs[d.conn.name] = (body, len(d.dom_vars), params, named,
+                                       by_name)
         self._sentences = {}
 
         def check(f):
@@ -434,9 +434,7 @@ class Semantics:
     def formula(self, f, lvars=(), dvars=()):
         """``f`` as a function ``(m, objs=(), elems=())`` of the expressions
         standing for ``lvars`` and the elements standing for ``dvars``."""
-        body, n_slots = _compile(f, lvars, dvars)
-        pad = [None] * (n_slots - len(dvars))
-        return lambda m, objs=(), elems=(): body(m, objs, [*elems, *pad])
+        return _compile(f, lvars, dvars)
 
     def sentence(self, f):
         """``(lvars, run)``: the object variables of ``f`` sorted by name,
@@ -509,7 +507,7 @@ class Semantics:
             if e.kind != "app":
                 continue
             level[e] = max((level.get(b, 0) for b in lower[e]), default=0)
-            _, _, _, params, named, by_name = self._defs[e.name]
+            _, _, params, named, by_name = self._defs[e.name]
             read = [e.args[t] if type(t) is int else
                     sx.substitute_expr(t, dict(zip(params, e.args)))
                     for t in named]
@@ -555,10 +553,10 @@ class Semantics:
     def _extension(self, m, e):
         """The extension of compound ``e`` on ``m``, by its compiled
         definition body, once per tuple."""
-        body, n, pad, _, _, _ = self._defs[e.name]
+        body, n, _, _, _ = self._defs[e.name]
         ext = 0
         for i, t in enumerate(itertools.product(range(m.size), repeat=n)):
-            if body(m, e.args, [*t, *pad]):
+            if body(m, e.args, t):
                 ext |= 1 << i
         return ext
 
@@ -576,18 +574,11 @@ class _Unlabelled:
     __and__ = __rshift__  # an input is read at element 0 as ``label & 1``
 
 
-def _position(elems, size):
-    """The index of the tuple ``elems`` in ``range(size) ** len(elems)``,
-    product order."""
-    i = 0
-    for e in elems:
-        i = i * size + e
-    return i
-
-
 def _mask(rel, size):
-    """The label of a relation: a bit per tuple of ``rel``."""
-    return sum(1 << _position(t, size) for t in rel)
+    """The label of a relation: a bit per tuple of ``rel``, at the tuple's
+    index in ``range(size) ** n``, product order."""
+    return sum(1 << functools.reduce(lambda i, e: i * size + e, t, 0)
+               for t in rel)
 
 
 def _topological(lower):
@@ -620,131 +611,100 @@ def semantics(ns):
     return ns.semantics
 
 
+SPLIT = 50  # formula levels per generated function (see _compile)
+
+
 def _compile(f, lvars, dvars):
-    """``f`` as a closure ``(m, objs, slots)`` (see :class:`Semantics`) and
-    the number of slots it needs, compiled from ``sx.nnf(f)``."""
-    objs = {v: k for k, v in enumerate(lvars)}
-    n_slots = len(dvars)
+    """``sx.nnf(f)`` as a generated function ``(m, objs=(), elems=())`` (see
+    :class:`Semantics`): junctions become ``and``/``or``, quantifiers
+    ``all``/``any`` over the domain, and atoms read the labels, the frame
+    and the elements in scope inline.  The subformulas ``SPLIT`` levels down
+    are compiled after ``f``, each into a function of its own called with
+    the elements in scope, so neither compile(), which takes 200 nested
+    brackets, nor this walk nests deeper."""
+    g = sx.Codegen()
+    app, value = g.const(sx.app), g.const(_value)
+    objs = {v: "o[%d]" % k for k, v in enumerate(lvars)}
+    names = ["e%d" % i for i in range(len(dvars))]
+    fresh = itertools.count(len(names))
+    later = []  # (const index, subformula, domain variables in scope)
 
     def expr(e):
-        # an object expression: a function of objs
-        if e.kind == "var" and e in objs:
-            k = objs[e]
-            return lambda o: o[k]
+        # an object expression
+        if e in objs:
+            return objs[e]
         if not any(v in objs for v in sx.lvars(e)):
-            return lambda o: e
-        sym, parts = e.sym, [expr(a) for a in e.args]
-        return lambda o: sx.app(sym, [g(o) for g in parts])
+            return g.const(e)
+        return "%s(%s, (%s,))" % (app, g.const(e.sym),
+                                  ", ".join(map(expr, e.args)))
 
     def term(t, scope):
-        # a domain term: a function (m, o, s) -> element
+        # a domain term: an element, or the helper that raises without one
         if t in scope:
-            i = scope[t]
-            return lambda m, o, s: s[i]
+            return scope[t]
         if t.kind == "var":
-            def graph_key(m, o, s):
-                return {}, t  # a free variable no slot holds
+            graph, key = "{}", g.const(t)  # a free variable no scope holds
         elif t.kind == "const":
-            def graph_key(m, o, s):
-                return m.dconsts, t.name
+            graph, key = "m.dconsts", g.const(t.name)
         elif t.sym is sx.NU0:
-            g = expr(t.args[0])
-
-            def graph_key(m, o, s):
-                return m.nu0, g(o)
+            graph, key = "m.nu0", expr(t.args[0])
         else:  # specification sentences apply no other domain function
             raise sx.TabError("cannot compile %s" % t.text())
-
-        def get(m, o, s):
-            graph, key = graph_key(m, o, s)
-            if key not in graph:
-                e = sx.substitute_expr(t, dict(zip(lvars, o)))
-                raise sx.TabError("no value for domain term %s" % e.text())
-            return graph[key]
-        return get
-
-    def elems(ts, scope):
-        # the domain arguments of an atom: a function (m, o, s) -> tuple
-        if all(t in scope for t in ts):
-            idx = [scope[t] for t in ts]  # the common shapes, without calls
-            if len(idx) == 1:
-                i, = idx
-                return lambda m, o, s: (s[i],)
-            if len(idx) == 2:
-                i, j = idx
-                return lambda m, o, s: (s[i], s[j])
-        gs = [term(t, scope) for t in ts]
-        return lambda m, o, s: tuple([g(m, o, s) for g in gs])
-
-    def position(ts, scope):
-        # where the domain arguments of a nu atom stand in a label: a
-        # function (m, o, s) -> the bit's index (see _position)
-        if all(t in scope for t in ts):
-            idx = [scope[t] for t in ts]  # the common shapes, without calls
-            if len(idx) == 1:
-                i, = idx
-                return lambda m, o, s: s[i]
-            if len(idx) == 2:
-                i, j = idx
-                return lambda m, o, s: s[i] * m.size + s[j]
-        el = elems(ts, scope)
-        return lambda m, o, s: _position(el(m, o, s), m.size)
+        return "%s(%s, %s, %s, %s, o)" % (value, graph, key, g.const(t),
+                                          g.const(lvars))
 
     def atom(a, scope):
         # the truth of the literal ``a``, its sign included
-        kind, args, pos = a.pred[0], a.args, a.pos
+        kind, args, neg = a.pred[0], a.args, "" if a.pos else "not "
         if kind == "false":
-            return lambda m, o, s: not pos
+            return str(not a.pos)
+        if kind == "eq" and args[0].sort != sx.DOMAIN:
+            return "%s is %s%s" % (expr(args[0]), neg, expr(args[1]))
         if kind == "eq":
-            x, y = args
-            if x.sort != sx.DOMAIN:
-                gx, gy = expr(x), expr(y)
-                return lambda m, o, s: (gx(o) is gy(o)) is pos
-            gx, gy = term(x, scope), term(y, scope)
-            return lambda m, o, s: (gx(m, o, s) == gy(m, o, s)) is pos
+            return "%s %s %s" % (term(args[0], scope), "!=" if neg else "==",
+                                 term(args[1], scope))
         if kind == "pred":
-            name, el = a.pred[1], elems(args, scope)
-            return lambda m, o, s: (el(m, o, s) in m.preds.get(name, ())) \
-                is pos
-        if kind == "nu":
-            e, ts, flip = args[0], args[1:], int(not pos)
-            if e in objs and len(ts) == 1 and ts[0] in scope:
-                k, i = objs[e], scope[ts[0]]
-                return lambda m, o, s: m.labels[o[k]] >> s[i] & 1 ^ flip
-            g, at = expr(e), position(ts, scope)
-            return lambda m, o, s: m.labels[g(o)] >> at(m, o, s) & 1 ^ flip
-        raise sx.TabError("cannot compile %s" % a.text())
+            return "(%s) %sin m.preds.get(%s, ())" % (
+                "".join(term(t, scope) + ", " for t in args), neg,
+                g.const(a.pred[1]))
+        if kind != "nu":
+            raise sx.TabError("cannot compile %s" % a.text())
+        # the bit of the tuple's index in product order, as in _mask
+        at, *rest = [term(t, scope) for t in args[1:]]
+        for t in rest:
+            at = "(%s) * m.size + %s" % (at, t)
+        return "%sm.labels[%s] >> (%s) & 1" % (neg, expr(args[0]), at)
 
-    def comp(g, scope):
-        nonlocal n_slots
-        if type(g) is sx.Literal:
-            return atom(g, scope)
-        op = g.op
-        if g.var is not None:
-            i = n_slots
-            n_slots += 1
-            body = comp(g.subs[0], {**scope, g.var: i})
-            want = op == "forall"
+    def walk(h, scope, depth):
+        if type(h) is sx.Literal:
+            return atom(h, scope)
+        if depth == SPLIT:
+            later.append((len(g.consts), h, list(scope)))
+            return "%s(m, o, (%s))" % (g.const(None), "".join(
+                e + ", " for e in scope.values()))
+        if h.var is not None:
+            e = "e%d" % next(fresh)
+            return "%s(%s for %s in range(m.size))" % (
+                "all" if h.op == "forall" else "any",
+                walk(h.subs[0], {**scope, h.var: e}, depth + 1), e)
+        parts = [walk(s, scope, depth + 1) for s in h.subs]
+        return "(%s)" % (" %s " % h.op).join(parts) if parts \
+            else str(h.op == "and")
 
-            def quantifier(m, o, s):
-                for e in range(m.size):
-                    s[i] = e
-                    if body(m, o, s) != want:
-                        return not want
-                return want
-            return quantifier
-        parts = [comp(x, scope) for x in g.subs]
-        if len(parts) == 2:
-            a, b = parts
-            if op == "and":
-                return lambda m, o, s: a(m, o, s) and b(m, o, s)
-            return lambda m, o, s: a(m, o, s) or b(m, o, s)
-        if op == "and":
-            return lambda m, o, s: all(p(m, o, s) for p in parts)
-        return lambda m, o, s: any(p(m, o, s) for p in parts)
+    body = walk(sx.nnf(f), dict(zip(dvars, names)), 0)
+    for k, h, scope in later:
+        g.consts[k] = _compile(h, lvars, scope)
+    unpack = ["%s, = s" % ", ".join(names)] if names else []
+    return g.function("formula(m, o=(), s=())", unpack + ["return " + body])
 
-    body = comp(sx.nnf(f), {v: i for i, v in enumerate(dvars)})
-    return body, n_slots
+
+def _value(graph, key, t, lvars, objs):
+    """``graph[key]``, the element of the domain term ``t`` with ``objs``
+    for its object variables ``lvars``, or the error that it has none."""
+    if key not in graph:
+        e = sx.substitute_expr(t, dict(zip(lvars, objs)))
+        raise sx.TabError("no value for domain term %s" % e.text())
+    return graph[key]
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,8 @@ def refine_rule(calc, rule_id, fold, drop_dp=False, unsafe=False):
         raise sx.TabError("no rule %s" % rule_id)
     if not rule.denominators:
         raise sx.TabError("rule %s has no denominators" % rule_id)
+    if not fold:
+        raise sx.TabError("no denominator of %s to fold" % rule_id)
     fold = sorted(set(fold))
     for i in fold:
         if not (0 <= i < len(rule.denominators)):
@@ -428,10 +430,10 @@ def parse_script(text):
     def directive(lineno, word, rest):
         parts = rest.split()
         if word == "rf":
-            if len(parts) < 3 or parts[1] != "fold":
-                raise SpecSyntaxError("rf <rule> fold <i>... [drop-dp]", lineno)
-            drop = parts[-1] == "drop-dp"
+            drop = parts[-1:] == ["drop-dp"]
             nums = parts[2:-1] if drop else parts[2:]
+            if not nums or parts[1] != "fold":
+                raise SpecSyntaxError("rf <rule> fold <i>... [drop-dp]", lineno)
             try:
                 fold = [int(n) for n in nums]
             except ValueError:

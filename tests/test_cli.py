@@ -257,6 +257,10 @@ BAD_FILES = [
     ("no-such-rule.refine", "rf nosuch fold 0\n",
      ["refine", "--calc", "{work}/so.calc", "--refine-script", "{f}"],
      "error: no rule nosuch\n"),
+    # a fold with no index would only rename the rule
+    ("fold-nothing.refine", "simplify\nrf exists_neg fold drop-dp\n",
+     ["refine", "--calc", "{work}/so.calc", "--refine-script", "{f}"],
+     "rf <rule> fold <i>... [drop-dp] at 2:?"),
     # a model is extracted under the specification the calculus came from
     ("so-calc-ipc-spec", None,
      ["prove", "--calc", "{work}/so_refined.calc", "--preset", "ipc", "--ub",
@@ -282,6 +286,16 @@ BAD_FILES = [
     ("ub-depth", "exists(r0, p0)\n",
      ["prove", "--calc", "{work}/so_refined.calc", "--ub", "--ub-depth", "-1",
       "{f}"], "depth"),
+    # a NaN time budget never runs out
+    ("budget-secs-nan", "exists(r0, p0)\n",
+     ["prove", "--calc", "{work}/so_refined.calc", "--ub", "--budget-secs",
+      "nan", "{f}"], "time budget must be >= 0 seconds, not nan"),
+    ("budget-secs", "exists(r0, p0)\n",
+     ["prove", "--calc", "{work}/so_refined.calc", "--ub", "--budget-secs",
+      "-1", "{f}"], "time budget must be >= 0 seconds, not -1"),
+    ("budget-nodes", "exists(r0, p0)\n",
+     ["prove", "--calc", "{work}/so_refined.calc", "--ub", "--budget-nodes",
+      "-5", "{f}"], "node budget must be >= 0, not -5"),
     ("no-equality.calc",
      "sorts 2\nvars 1 p\nrule c [closure]: nu1(p, x), not(nu1(p, x)) / false\n",
      ["prove", "--calc", "{f}", "--ub", "{p0}"], "equality"),
@@ -406,6 +420,19 @@ def test_deep_problem_is_input_error_without_traceback(work, tmp_path, args):
     assert proc.stderr.startswith("input error: ")
     assert "nested too deeply" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_oracle_compiles_a_deeply_nested_definition(tmp_path):
+    # f's definition alternates or and and 450 levels deep: compiled as one
+    # function, its source would nest more brackets than compile() takes
+    body = "nu1(p, x)"
+    for i in range(450):
+        body = "%s(nu1(p, x), %s)" % ("and" if i % 2 else "or", body)
+    spec = _write(tmp_path / "deep.spec", "sorts 2\nvars 1 p\nconnective f 1 "
+                  "-> 1\ndefine forall x. nu1(f(p), x) <-> %s\n" % body)
+    prob = _write(tmp_path / "f.txt", "f(p0)\n")
+    proc = _run_module(["oracle", "--spec", spec, "--max-size", "2", prob])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "SAT\n", "")
 
 
 def test_blocking_rule_variables_follow_the_signature(tmp_path):

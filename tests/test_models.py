@@ -711,6 +711,52 @@ def test_compiled_semantics_agree_with_evaluate(request, preset, leaves):
         assert got == want, sx.formula_text(f)
 
 
+# connectives of sort 3: the presets stop at sort 2, so only this spec has
+# nu atoms whose position in a label takes three domain arguments
+TERNARY_SPEC = """sorts 4
+vars 1 p
+vars 3 t
+connective rot 3 -> 3
+connective meet 3 1 -> 1
+define forall x. forall y. forall z. nu3(rot(t), x, y, z) <-> nu3(t, y, z, x)
+define forall x. nu1(meet(t, p), x) <-> exists y. and(nu3(t, x, y, y), nu1(p, y))
+"""
+
+
+def test_compiled_semantics_read_ternary_atoms():
+    spec = specfile.parse_spec(TERNARY_SPEC, "ternary")
+    sem = models.semantics(normalize.normalize(spec))
+    t0, p0 = pc(spec, "t0", 3), pc(spec, "p0")
+    roles = [t0, pc(spec, "rot(t0)", 3), pc(spec, "rot(rot(t0))", 3)]
+    labelled = roles + [p0, pc(spec, "meet(rot(t0), p0)")]
+    t, dvars = sx.lvar(3, "t"), [sx.dvar(v) for v in "xyz"]
+    texts = ["nu3(t, x, y, z)", "not(nu3(t, z, a0, x))",
+             "exists y. nu3(t, x, y, z)",
+             "forall z. or(nu3(t, x, y, z), not(nu3(t, z, y, x)))"]
+    rng = random.Random(20261019)
+    for _ in range(300):
+        size = rng.choice((1, 2, 3))
+        m = models.LStructure(size, spec=spec)
+        m.nu[3] = {(t0, tup) for tup in itertools.product(range(size), repeat=3)
+                   if rng.random() < 0.4}
+        m.nu[1] = {(p0, (e,)) for e in range(size) if rng.random() < 0.5}
+        if rng.random() < 0.5:
+            m.dconsts["a0"] = rng.randrange(size)
+        sem.label(m, labelled)
+        for e in labelled:
+            tuples = itertools.product(range(size), repeat=e.sort)
+            assert all(bool(m.labels[e] >> i & 1) == m.holds(e.sort, e, tup)
+                       for i, tup in enumerate(tuples)), e.text()
+        f = parser.parse_formula(spec.signature, rng.choice(texts))
+        val = {v: rng.randrange(size) for v in dvars if rng.random() < 0.9}
+        role = rng.choice(roles)
+        inst = sx.substitute_formula(f, {t: role})
+        want = _outcome(lambda: models.evaluate(m, inst, dict(val)))
+        run = sem.formula(f, [t], list(val))
+        got = _outcome(lambda: run(m, (role,), list(val.values())))
+        assert got == want, sx.formula_text(f)
+
+
 def test_oracle_prover_agreement_smoke(so_blocked, so_ns):
     cases = ["p0", "not(p0)", "or(p0, not(p0))", "exists(r0, one(l0))",
              "not(or(p0, not(p0)))"]

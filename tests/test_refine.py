@@ -64,6 +64,8 @@ def test_fold_errors(so_calc):
         refine.refine_rule(so_calc, "closure_nu1", [0])
     with pytest.raises(sx.TabError, match="or_pos has no denominator 5"):
         refine.refine_rule(so_calc, "or_pos", [5], unsafe=True)
+    with pytest.raises(sx.TabError, match="no denominator of exists_neg to fold"):
+        refine.refine_rule(so_calc, "exists_neg", [])
 
 
 # -- internalization ----------------------------------------------------------
@@ -205,6 +207,13 @@ def test_script_roundtrip():
         ("rf", "exists_neg", (0,), True, 0), ("rf", "theory_0", (0, 1), True, 0),
         ("tr", None, (), False, 0), ("simplify", None, (), False, 0),
         ("ub", None, (), False, 2)]
+
+
+def test_script_refuses_rf_without_fold_index():
+    for line in ("rf exists_neg fold", "rf exists_neg fold drop-dp",
+                 "rf exists_neg drop-dp", "rf exists_neg 0"):
+        with pytest.raises(refine.SpecSyntaxError, match="at 2:"):
+            refine.parse_script("tr\n%s\n" % line)
 
 
 def test_context_roundtrip(so_calc, so_ctx):
