@@ -6,14 +6,16 @@ rule is compiled whole on its first use into a :class:`RulePlan` kept on
 the rule: a generated join (one ``for`` loop per premise, each attempt a
 call of the premise's generated matcher through ``syntax.match_literal``),
 fingerprints over the plan's variable slots, and one generated function per
-denominator; the blocking rule's join pairs the branch's marked terms.  The
-generic ``syntax._match`` and ``syntax.substitute_literal`` are the
-references they are tested against.  Each round a rule's join yields only
-the instances that use a literal added since the round before (semi-naive
-evaluation), so every instance is queued once.  Every rule fires at most
-once per premise instantiation, enforced with fingerprints.  A step takes
-none, one or all of an instance's denominators (:meth:`Engine.collect`):
-it closes the branch, extends it in place, or splits it.
+denominator; the blocking rule's join pairs the branch's marked terms.
+Generated matchers serve every production caller of ``syntax``'s
+matching; ``tests/test_engine.py`` holds them to a tree-walking reference
+matcher of its own, and the denominators to ``syntax.substitute_literal``.
+Each round a rule's join yields only the instances that use a literal
+added since the round before (semi-naive evaluation), so every instance is
+queued once.  Every rule fires at most once per premise instantiation,
+enforced with fingerprints.  A step takes none, one or all of an
+instance's denominators (:meth:`Engine.collect`): it closes the branch,
+extends it in place, or splits it.
 
 Each branch queues its instances on a heap by the priority fixed in their
 rule's plan (see :class:`RulePlan`), then by discovery order.  With blocking
@@ -541,7 +543,7 @@ def prove(calc, concepts, ns=None, node_budget=10 ** 6, time_budget=None,
 # ---------------------------------------------------------------------------
 # trace replay
 
-def replay_trace(calc, concepts, trace_text, ns=None):
+def replay_trace(calc, concepts, trace_text):
     """Re-run a recorded derivation, checking each step was applicable and
     that it ends as its trace says.
 
@@ -559,7 +561,7 @@ def replay_trace(calc, concepts, trace_text, ns=None):
     answer is still its model under ``models.verify_reflection``.  Returns
     the number of application lines replayed; raises on mismatch.
     """
-    eng = Engine(calc, ns=ns)
+    eng = Engine(calc)
     tab = eng.init(concepts)
     branches = {tab.root.bid: tab.root}
     split = set()      # bids of branches a step split into children

@@ -431,18 +431,13 @@ class Semantics:
         self._relations = {}
         self._tables = {}
 
-    def formula(self, f, lvars=(), dvars=()):
-        """``f`` as a function ``(m, objs=(), elems=())`` of the expressions
-        standing for ``lvars`` and the elements standing for ``dvars``."""
-        return _compile(f, lvars, dvars)
-
     def sentence(self, f):
         """``(lvars, run)``: the object variables of ``f`` sorted by name,
         and ``f`` compiled with them as its parameters; compiled once."""
         hit = self._sentences.get(f)
         if hit is None:
             lvs = sorted(sx.lvars(f), key=lambda e: e.text())
-            hit = self._sentences[f] = (lvs, self.formula(f, lvs))
+            hit = self._sentences[f] = (lvs, _compile(f, lvs, ()))
         return hit
 
     def frames(self, size):
@@ -924,9 +919,9 @@ def _models(clauses, n_vars, n_cells):
     """Every assignment of the variables ``0..n_cells - 1`` that, with the
     others fixed by unit propagation, satisfies ``clauses`` (as
     :func:`_clauses` gives them, none empty), as a list of truths by
-    literal; the list is reused, so read it before the next.  The cells are decided in order,
-    false first; a clause that propagation leaves with every literal false
-    backtracks."""
+    literal; the list is reused, so read it before the next.  The cells are
+    decided in order, false first; a clause that propagation leaves with
+    every literal false backtracks."""
     val = [None] * (2 * n_vars)  # by literal: True, False, None unassigned
     falsified = [[] for _ in val]  # by literal: the clauses it makes false
     for c in clauses:

@@ -24,8 +24,8 @@ Everything here is immutable after construction.  Symbols, terms, literals
 and formulas are hash-consed in one table, keyed by their kind and parts:
 structurally equal values are the same object, so ``==`` and ``hash`` are
 O(1).  The table is a plain dict; build nodes from a single thread (reads
-are safe to share afterwards).  A literal used as a pattern also carries
-the matcher generated for it on first use.
+are safe to share afterwards).  A literal or expression used as a pattern
+also carries the matcher generated for it on first use.
 """
 
 from __future__ import annotations
@@ -271,10 +271,12 @@ class Term:
     Use the factories :func:`lvar`, :func:`lconst`, :func:`app` and their
     domain shorthands :func:`dvar`, :func:`dconst`, :func:`nu0`.  Instances
     are interned, so identity coincides with structural equality.  ``name``
-    is the variable's or constant's name, or the applied symbol's.
+    is the variable's or constant's name, or the applied symbol's.  A term
+    used as a pattern keeps its generated matcher (see :func:`match_expr`),
+    built on first use.
     """
 
-    __slots__ = ("kind", "sort", "name", "sym", "args")
+    __slots__ = ("kind", "sort", "name", "sym", "args", "matcher")
 
     def __repr__(self):
         return "Term(%s)" % self.text()
@@ -296,11 +298,12 @@ class Term:
 
 
 def lvar(sort, name):
-    return _intern(Term, ("var", sort, name), "var", sort, name, None, ())
+    return _intern(Term, ("var", sort, name), "var", sort, name, None, (), None)
 
 
 def lconst(sort, name):
-    return _intern(Term, ("const", sort, name), "const", sort, name, None, ())
+    return _intern(Term, ("const", sort, name), "const", sort, name, None, (),
+                   None)
 
 
 def dvar(name):
@@ -322,7 +325,8 @@ def app(sym, args):
         if a.sort != s:
             raise TabError("argument %d of %s has sort %d, expected %d"
                            % (k + 1, sym.name, a.sort, s))
-    return _intern(Term, (sym,) + args, "app", sym.res_sort, sym.name, sym, args)
+    return _intern(Term, (sym,) + args, "app", sym.res_sort, sym.name, sym, args,
+                   None)
 
 
 def nu0(ind):
@@ -632,42 +636,21 @@ def restrict(sentences, x_set):
 # ---------------------------------------------------------------------------
 # one-way pattern matching (rule patterns against ground data)
 
-def _match(pairs, binding):
-    """Extend ``binding`` so each (pattern, value) pair of the stack
-    ``pairs`` matches, the top pair first.  The reference matcher: the
-    generated ones of :func:`match_literal` must agree with it."""
-    while pairs:
-        p, v = pairs.pop()
-        if p.kind == "var":
-            bound = binding.get(p)
-            if bound is None:
-                if v.sort != p.sort:
-                    return False
-                binding[p] = v
-            elif bound is not v:
-                return False
-        elif p.kind == "const":
-            if p is not v:
-                return False
-        elif p.sym is not v.sym:
-            return False
-        else:
-            # no shortcut when p is v: a value may hold variables named as
-            # the pattern's, and they must bind like any other
-            pairs += zip(reversed(p.args), reversed(v.args))
-    return True
-
-
 def match_expr(pattern, value, binding):
-    return _match([(pattern, value)], binding)
+    """Extend ``binding`` so the expression ``pattern`` instantiates to
+    ``value``, as :func:`match_literal` does for literals."""
+    m = pattern.matcher
+    if m is None:
+        m = pattern.matcher = _compile_matcher(pattern)
+    return m(value, binding)
 
 
 def match_literal(pattern, value, binding):
     """Extend ``binding`` so pattern instantiates to ``value``; one-way only.
 
-    Runs the matcher generated for ``pattern``, which gives what ``_match``
-    gives.  All or nothing: every variable is checked before any is bound,
-    so a failed match leaves ``binding`` as it was.
+    Runs the matcher generated for ``pattern``, built on first use.  All
+    or nothing: every variable is checked before any is bound, so a failed
+    match leaves ``binding`` as it was.
     """
     m = pattern.matcher
     if m is None:
@@ -718,27 +701,34 @@ def _open_subterms(terms):
 
 
 def _compile_matcher(pattern):
-    """A function ``(value, binding)`` matching the literal ``pattern``.
+    """A function ``(value, binding)`` matching ``pattern``, a literal or an
+    object expression.
 
-    Polarity, predicate and arity are tested first, then each symbol, each
-    ground subterm and each repeat of a subterm where it stands, by
-    identity (nodes are interned).  Then each variable is looked up and
-    checked, sort-checked where it is unbound unless its position fixes
-    the sort.  Only when every check has passed are the unbound variables
-    bound, in preorder as ``_match`` binds them.
+    A literal's polarity, predicate and arity are tested first; an
+    expression is itself the one argument, in a position that leaves its
+    sort open.  Then each symbol, each ground subterm and each repeat of a
+    subterm is tested where it stands, by identity (nodes are interned).
+    Then each variable is looked up and checked, sort-checked where it is
+    unbound unless its position fixes the sort.  Only when every check has
+    passed are the unbound variables bound, in preorder.  The tests hold
+    every generated matcher to a tree-walking reference.
     """
     g = Codegen()
-    args = pattern.args
-    code = ["if %sv.pos: return False" % ("not " if pattern.pos else ""),
-            "if v.pred != %s: return False" % g.const(pattern.pred)]
-    if pattern.pred[0] == "pred":  # the other predicates fix their arity
-        code.append("if len(v.args) != %d: return False" % len(args))
+    args = (pattern,) if type(pattern) is Term else pattern.args
     names = ["t%d" % k for k in range(len(args))]
-    if names:
-        code.append("%s, = v.args" % ", ".join(names))
+    if type(pattern) is Term:  # the value itself is t0
+        head, code, typed = "match(t0, b)", [], False
+    else:
+        head = "match(v, b)"
+        code = ["if %sv.pos: return False" % ("not " if pattern.pos else ""),
+                "if v.pred != %s: return False" % g.const(pattern.pred)]
+        if pattern.pred[0] == "pred":  # the other predicates fix their arity
+            code.append("if len(v.args) != %d: return False" % len(args))
+        if names:
+            code.append("%s, = v.args" % ", ".join(names))
+        # only eq leaves the sorts of a literal's arguments open
+        typed = pattern.pred != EQ
     open_ = _open_subterms(args)
-    # only eq leaves the sorts of a literal's arguments open
-    typed = pattern.pred != EQ
     stack = [(p, n, typed) for p, n in zip(reversed(args), reversed(names))]
     first = {}  # pattern subterm -> the local holding its first value
     variables = []
@@ -772,7 +762,7 @@ def _compile_matcher(pattern):
     code += ["if %s is None: b[%s] = %s" % (x, c, n)
              for c, n, x, _ in variables]
     code.append("return True")
-    return g.function("match(v, b)", code)
+    return g.function(head, code)
 
 
 def compile_substitution(lits):

@@ -261,8 +261,8 @@ def test_every_corpus_unsat_replays(so_corpus_run, ipc_corpus_run, so_blocked,
             v = engine.prove(calc, prob, ns=ns, node_budget=NODE_BUDGET,
                              trace=True)
             assert v.kind == "unsat"
-            assert engine.replay_trace(calc, prob, "\n".join(v.engine.trace),
-                                       ns=ns) > 0
+            assert engine.replay_trace(calc, prob,
+                                       "\n".join(v.engine.trace)) > 0
             count += 1
         replayed.append(count)
     assert replayed == [11, 33]

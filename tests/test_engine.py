@@ -6,7 +6,8 @@ import sys
 import pytest
 
 from corpus import ipc_formulas, so_concepts
-from tabsynth import calcfile, engine, models, parser, refine, synth
+from tabsynth import (calcfile, engine, models, normalize, parser, refine,
+                      synth)
 from tabsynth import syntax as sx
 from test_cli import GOLDEN, _golden_calc_ub
 
@@ -327,7 +328,7 @@ def test_trace_replay(so_blocked, so_ns):
     assert v.kind == "sat"
     text = "\n".join(eng.trace)
     steps = engine.replay_trace(so_blocked, [pc(so_blocked, "exists(r0, p0)")],
-                                text, ns=so_ns)
+                                text)
     assert steps == sum(1 for l in eng.trace if l.startswith("apply"))
 
 
@@ -456,22 +457,53 @@ def test_corpus_derivations_are_pinned(so_refined, ipc_refined, so_ns, ipc_ns,
     assert h.hexdigest() == CORPUS_DIGESTS[logic, depth, search]
 
 
+def _match(pairs, binding):
+    """Extend ``binding`` so each (pattern, value) pair of the stack
+    ``pairs`` matches, the top pair first: the tree-walking reference."""
+    while pairs:
+        p, v = pairs.pop()
+        if p.kind == "var":
+            bound = binding.get(p)
+            if bound is None:
+                if v.sort != p.sort:
+                    return False
+                binding[p] = v
+            elif bound is not v:
+                return False
+        elif p.kind == "const":
+            if p is not v:
+                return False
+        elif p.sym is not v.sym:
+            return False
+        else:
+            # no shortcut when p is v: a value may hold variables named as
+            # the pattern's, and they must bind like any other
+            pairs += zip(reversed(p.args), reversed(v.args))
+    return True
+
+
 def _reference_match(pattern, value, binding):
-    """The generic matcher over a literal: what each generated one must do."""
+    """The generic matcher over a literal or an expression: what each
+    generated one must do."""
+    if type(pattern) is sx.Term:
+        return _match([(pattern, value)], binding)
     if pattern.pos != value.pos or pattern.pred != value.pred \
             or len(pattern.args) != len(value.args):
         return False
-    return sx._match(list(zip(reversed(pattern.args), reversed(value.args))),
-                     binding)
+    return _match(list(zip(reversed(pattern.args), reversed(value.args))),
+                  binding)
 
 
 def _agree(pattern, value, binding):
-    """Both matchers on copies of ``binding``: the same result, the same
-    binding (in the same order) on success, and on failure the generated
-    matcher's copy as it was.  Returns the result."""
+    """The reference and the generated matcher (``sx.match_expr`` for an
+    expression, ``sx.match_literal`` for a literal) on copies of
+    ``binding``: the same result, the same binding (in the same order) on
+    success, and on failure the generated matcher's copy as it was.
+    Returns the result."""
     want, got = dict(binding), dict(binding)
     ok = _reference_match(pattern, value, want)
-    assert sx.match_literal(pattern, value, got) == ok, \
+    generated = sx.match_expr if type(pattern) is sx.Term else sx.match_literal
+    assert generated(pattern, value, got) == ok, \
         (pattern.text(), value.text(), binding)
     assert list(got.items()) == list((want if ok else binding).items())
     return ok
@@ -644,3 +676,75 @@ def test_generated_matchers_on_the_hard_cases(so_blocked, so_calc):
     value = sx.substitute_literal(sk, {x: a0, p: parser.parse_lexpr(sig, "p0"),
                                        sx.lvar(2, "r"): parser.parse_lexpr(sig, "r0", 2)})
     assert _agree(sk, value, {})
+    # expression patterns, as sx.match_expr meets them
+    q = sx.lvar(1, "q")
+
+    def e(text, sort=1):
+        return parser.parse_lexpr(sig, text, sort)
+
+    # a top-level variable against a value of another sort, bound or not
+    assert not _agree(p, e("r0", 2), {})
+    assert not _agree(x, e("p0"), {})
+    assert not _agree(p, e("r0", 2), {p: e("p0")})
+    assert _agree(p, e("or(p0, q0)"), {})
+    assert _agree(p, e("p0"), {p: e("p0")})
+    assert not _agree(p, e("q0"), {p: e("p0")})
+    # a repeated variable
+    assert not _agree(e("or(p, p)"), e("or(p0, q0)"), {})
+    assert _agree(e("or(p, p)"), e("or(not(p0), not(p0))"), {})
+    # a value holding the pattern's own variables binds them all the same
+    own = e("or(p, q)")
+    assert _agree(own, own, {}) and _agree(own, e("or(q, p)"), {})
+    assert not _agree(own, own, {p: q})
+    # a ground subterm inside an open pattern is compared whole
+    ground = e("or(p, not(one(i0)))")
+    assert _agree(ground, e("or(p0, not(one(i0)))"), {})
+    assert not _agree(ground, e("or(p0, not(one(i1)))"), {})
+    assert not _agree(ground, e("or(p0, one(i0))"), {})
+    # ground and atomic patterns, and a symbol the value lacks
+    assert _agree(i0, i0, {}) and not _agree(i0, i1, {})
+    assert not _agree(i0, e("l0", 0), {})
+    assert _agree(e("one(i0)"), e("one(i0)"), {})
+    assert not _agree(e("one(i0)"), e("one(l0)"), {})
+    assert not _agree(e("not(p)"), e("p0"), {})
+    assert not _agree(e("exists(r, p)"), e("or(p0, q0)"), {})
+    assert _agree(e("exists(r, p)"), e("exists(r0, not(q0))"), {})
+
+
+def test_expression_matchers_agree_with_the_reference(monkeypatch, so_blocked,
+                                                      so_ns, ipc_ns):
+    """Every expression match asked for by the induced ordering on the first
+    60 problems of each corpus, by the well-definedness obligations of both
+    presets, and by the refined SO prover and its model extraction on the
+    first 60 SO problems gives the same answer from the generated matcher
+    as from ``_match``."""
+    triples = []
+    generated = sx.match_expr
+
+    def recorded(pattern, value, binding):
+        triples.append((pattern, value, dict(binding)))
+        return generated(pattern, value, binding)
+
+    monkeypatch.setattr(sx, "match_expr", recorded)
+    ends = []  # the number of triples after each source
+    for ns, gen in ((so_ns, so_concepts), (ipc_ns, ipc_formulas)):
+        ordering = models.semantics(ns).ordering
+        for prob in gen(ns.signature, count=60):
+            ordering.lower_sets([c[0] if type(c) is tuple else c for c in prob])
+        ends.append(len(triples))
+        normalize.emit_wd_obligations(ns)
+        ends.append(len(triples))
+    extracted = 0  # SAT branches whose extraction matched
+    for prob in so_concepts(so_blocked.signature, count=60):
+        v = engine.prove(so_blocked, prob, ns=so_ns)
+        if v.kind == "sat":
+            before = len(triples)
+            models.extract_model(v.branch, so_ns, ctx=so_blocked.ctx,
+                                 skolems=so_blocked.skolems)
+            extracted += len(triples) > before
+    monkeypatch.undo()
+    ends.append(len(triples))
+    sizes = [b - a for a, b in zip([0] + ends, ends)]
+    assert extracted > 50 and min(sizes) > 50, (sizes, extracted)
+    hits = sum(_agree(p, v, b) for p, v, b in triples)
+    assert hits > 3000, hits

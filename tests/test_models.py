@@ -90,7 +90,7 @@ def test_negative_leaves_evaluate_to_the_negation(so_spec, so_ns):
             want = models.evaluate(m, lit, {x: e})
             for f in (lit.negate(), sx.formula("not", (lit,))):
                 assert models.evaluate(m, f, {x: e}) == (not want)
-                assert sem.formula(f, dvars=(x,))(m, (), (e,)) == (not want)
+                assert models._compile(f, (), (x,))(m, (), (e,)) == (not want)
 
 
 def test_evaluate_transitivity_no_chain(so_spec, so_ns):
@@ -706,7 +706,7 @@ def test_compiled_semantics_agree_with_evaluate(request, preset, leaves):
             sem.label(m, labelled)
         inst = sx.substitute_formula(f, dict(zip(lvs, objs)))
         want = _outcome(lambda: models.evaluate(m, inst, dict(val)))
-        run = sem.formula(f, lvs, list(val))
+        run = models._compile(f, lvs, list(val))
         got = _outcome(lambda: run(m, objs, list(val.values())))
         assert got == want, sx.formula_text(f)
 
@@ -752,7 +752,7 @@ def test_compiled_semantics_read_ternary_atoms():
         role = rng.choice(roles)
         inst = sx.substitute_formula(f, {t: role})
         want = _outcome(lambda: models.evaluate(m, inst, dict(val)))
-        run = sem.formula(f, [t], list(val))
+        run = models._compile(f, [t], list(val))
         got = _outcome(lambda: run(m, (role,), list(val.values())))
         assert got == want, sx.formula_text(f)
 
