@@ -1,21 +1,20 @@
 """Executing a calculus: branches, rule matching, blocking, verdicts.
 
 A branch is a growing set of ground literals.  Rule premises are matched
-one-way against branch literals (no unification of branch terms).  Each
-rule is compiled whole on its first use into a :class:`RulePlan` kept on
-the rule: a generated join (one ``for`` loop per premise, each attempt a
-call of the premise's generated matcher through ``syntax.match_literal``),
-fingerprints over the plan's variable slots, and one generated function per
-denominator; the blocking rule's join pairs the branch's marked terms.
-Generated matchers serve every production caller of ``syntax``'s
-matching; ``tests/test_engine.py`` holds them to a tree-walking reference
-matcher of its own, and the denominators to ``syntax.substitute_literal``.
-Each round a rule's join yields only the instances that use a literal
-added since the round before (semi-naive evaluation), so every instance is
-queued once.  Every rule fires at most once per premise instantiation,
-enforced with fingerprints.  A step takes none, one or all of an
-instance's denominators (:meth:`Engine.collect`): it closes the branch,
-extends it in place, or splits it.
+one-way against branch literals (no unification of branch terms).  The
+calculus is compiled whole on its first use into one generated round kept
+on the calculus (:func:`_compile_round`), and each rule into a
+:class:`RulePlan` kept on the rule: its priority, fingerprints over its
+variable slots, and one generated function per denominator.  Generated
+matchers serve every production caller of ``syntax``'s matching;
+``tests/test_engine.py`` holds them to a tree-walking reference matcher of
+its own, and the denominators to ``syntax.substitute_literal``.  Each
+round queues only the instances that use a literal added since the round
+before (semi-naive evaluation), so every instance is queued once.  Every
+rule fires at most once per premise instantiation, enforced with
+fingerprints.  A step takes none, one or all of an instance's denominators
+(:meth:`Engine.collect`): it closes the branch, extends it in place, or
+splits it.
 
 Each branch queues its instances on a heap by the priority fixed in their
 rule's plan (see :class:`RulePlan`), then by discovery order.  With blocking
@@ -179,18 +178,16 @@ class RulePlan:
     ones, each in order of first occurrence over the premises.  An
     instance's fingerprint is the rule id with the nodes its binding gives
     the slots, in slot order (nodes are interned, so identity is equality).
-    ``join(branch, new_from)`` yields (fingerprint, binding, matched
-    literals) for each instance not yet applied on the branch that matches
-    at least one premise to a literal at or after index ``new_from`` (0
-    yields them all): the generated matching loop of :func:`_compile_join`,
-    or :meth:`blocking_pairs` for the blocking rule.  ``denominators`` are
-    one generated function per denominator from a binding to its literals
-    (``sx.compile_substitution``).  ``priority`` orders the rule's
-    instances on the heap, lowest first: closure 0, equality 1, other
-    non-branching 2, branching and blocking 3, term-producing 4.
+    ``denominators`` are one generated function per denominator from a
+    binding to its literals (``sx.compile_substitution``).  ``priority``
+    orders the rule's instances on the heap, lowest first: closure 0,
+    equality 1, other non-branching 2, branching and blocking 3,
+    term-producing 4.  The calculus's round (:func:`_compile_round`)
+    matches the other rules' premises itself, and calls
+    :meth:`blocking_pairs` for the blocking rule.
     """
 
-    __slots__ = ("rid", "priority", "slots", "join", "denominators")
+    __slots__ = ("rid", "priority", "slots", "denominators")
 
     def __init__(self, rule):
         self.rid = rule.id
@@ -200,8 +197,6 @@ class RulePlan:
                          4 if rule.produces_terms else
                          2 if rule.branching_factor <= 1 else 3)
         self.slots = tuple(sx.lvars(rule.premises) + sx.dvars(rule.premises))
-        self.join = self.blocking_pairs if rule.kind == "blocking" \
-            else _compile_join(rule, self.fingerprint)
         self.denominators = tuple(sx.compile_substitution(d)
                                   for d in rule.denominators)
 
@@ -209,11 +204,12 @@ class RulePlan:
         return self.rid, tuple(map(binding.get, self.slots))
 
     def blocking_pairs(self, branch, new_from):
-        """The blocking rule's join: pairs of marked terms in birth order,
-        each premise binding one, with a marker literal at or after
-        ``new_from``.  Markers arrive in index order, so the newest is the
-        last one in ``branch.markers``.  A term with an old marker is paired
-        only with the later-born terms whose markers are new."""
+        """The blocking rule's instances as (fingerprint, binding): pairs
+        of marked terms in birth order, each premise binding one, with a
+        marker literal at or after ``new_from``, not applied yet.  Markers
+        arrive in index order, so the newest is the last one in
+        ``branch.markers``.  A term with an old marker is paired only with
+        the later-born terms whose markers are new."""
         markers = branch.markers
         if not markers or next(reversed(markers.values())) < new_from:
             return
@@ -231,7 +227,7 @@ class RulePlan:
                 binding = {v1: t1, v2: t2}
                 fp = self.fingerprint(binding)
                 if fp not in branch.applied:
-                    yield fp, binding, []
+                    yield fp, binding
 
 
 def _plan(rule):
@@ -241,57 +237,84 @@ def _plan(rule):
     return plan
 
 
-def _compile_join(rule, fingerprint):
-    """The generated ``join(branch, new_from)`` of a rule (see
-    :class:`RulePlan`).
+def _compile_round(calc):
+    """The generated ``round(branch, early, terms)`` of a calculus, kept on
+    it (``calc.round``): it queues on ``branch`` every instance not yet
+    applied that matches a premise to a literal added since the round
+    before, rule by rule in calculus order, and marks the branch's
+    literals as matched.  ``early`` holds the blocking rule's pairs back
+    (priority 5); ``terms`` gives a literal's terms.
 
-    One ``for`` loop per premise, nested in premise order: level ``i``
-    walks the index bucket of premise ``i`` under the binding of the
-    levels before it.  It starts at the bucket's first new literal unless
-    an earlier level matched a new one (``u<i>``) or a later premise has
-    one (``L<i+1>``, computed once per call).  Every attempt is one call
-    of ``sx.match_literal`` on one scratch binding: a failed match leaves
-    it as it was, a level removes what its premise bound before its next
-    candidate, and only an instance gets a copy.
+    Each index bucket a premise reads is looked up once per round, with
+    whether it holds a new literal (``N<k>``) and its new literals
+    (``T<k>``).  A rule runs only when one of its buckets has a new
+    literal, as one ``for`` loop per premise, nested in premise order:
+    level ``i`` walks its bucket under the binding of the levels before
+    it, whole if an earlier level matched a new literal (``u<i>``) or a
+    later premise's bucket has one, its new literals otherwise.  Every
+    attempt is one call of ``sx.match_literal``, looked up as the round
+    starts, on one scratch binding: a failed match leaves it as it was, a
+    level removes what its premise bound before its next candidate, and
+    only an instance gets a copy.
     """
     g = sx.Codegen()
-    prems = rule.premises
-    n = len(prems)
+    keys, code = {}, []  # keys: index bucket key -> k of B<k>, N<k>, T<k>
+    for rule in calc.rules:
+        plan = _plan(rule)
+        entry = "%s, s, fp, %s" % (plan.priority, g.const(rule))
+        if rule.kind == "blocking":
+            code += ["for fp, bb in %s(branch, new_from):"
+                     % g.const(plan.blocking_pairs),
+                     " push(heap, (5 if early else %s, bb, ())); s += 1"
+                     % entry]
+            continue
+        prems = rule.premises
+        ks = [keys.setdefault(_head_key(p) or _coarse_key(p), len(keys))
+              for p in prems]
+        # new_in[i]: a bucket of premise i or of a later one has a new literal
+        new_in = [" or ".join("N%d" % k for k in sorted(set(ks[i:])))
+                  for i in range(len(ks))]
+        code.append("if %s:" % (new_in[0] if prems else "not new_from"))
+        bound, dels = set(), []
+        for i, (p, k) in enumerate(zip(prems, ks)):
+            ind = " " * (i + 1)
+            whole = (["u%d" % i] if i else []) + new_in[i + 1:i + 2]
+            rest = "B%d if %s else T%d" % (k, " or ".join(whole), k) \
+                if whole else "T%d" % k
+            code += ["%sfor l%d, i%d in %s:" % (ind, i, i, rest),
+                     "%s if not match(%s, l%d, b): continue"
+                     % (ind, g.const(p), i)]
+            if i < len(prems) - 1:
+                code.append("%s u%d = %si%d >= new_from"
+                            % (ind, i + 1, "u%d or " % i if i else "", i))
+            new = [v for v in sx.lvars(p) + sx.dvars(p) if v not in bound]
+            bound.update(new)
+            if new:
+                dels.append("%s del %s" % (ind, ", ".join(
+                    "b[%s]" % g.const(v) for v in new)))
+        ind = " " * (len(prems) + 1)
+        terms = "tuple({%s})" % ", ".join("*terms(l%d)" % i
+                                          for i in range(len(prems))) \
+            if rule.produces_terms and prems else "()"
+        code += ["%sfp = %s, (%s)" % (ind, g.const(rule.id), "".join(
+                     "b[%s], " % g.const(v) for v in plan.slots)),
+                 "%sif fp not in applied:" % ind,
+                 "%s push(heap, (%s, dict(b), %s)); s += 1" % (ind, entry, terms)]
+        code += reversed(dels)
     bisect_, pos = g.const(bisect.bisect_left), g.const(_POSITION)
-    code = ["B%d = branch.index.get(%s, ())"
-            % (i, g.const(_head_key(p) or _coarse_key(p)))
-            for i, p in enumerate(prems)]
-    code += ["L%d = %sbool(B%d) and B%d[-1][1] >= new_from"
-             % (i, "L%d or " % (i + 1) if i < n - 1 else "", i, i)
-             for i in reversed(range(n))]
-    code += ["if not L0: return" if n else "if new_from: return",
-             "match = %s.match_literal" % g.const(sx),
-             "applied = branch.applied", "b = {}"]
-    bound, dels = set(), []
-    for i, p in enumerate(prems):
-        ind = " " * i
-        whole = ["u%d" % i] if i else []
-        if i < n - 1:
-            whole.append("L%d" % (i + 1))
-        rest = "B%d[%s(B%d, new_from, key=%s):]" % (i, bisect_, i, pos)
-        if whole:
-            rest = "B%d if %s else %s" % (i, " or ".join(whole), rest)
-        code += ["%sfor l%d, i%d in %s:" % (ind, i, i, rest),
-                 "%s if not match(%s, l%d, b): continue" % (ind, g.const(p), i)]
-        if i < n - 1:
-            code.append("%s u%d = %si%d >= new_from"
-                        % (ind, i + 1, "u%d or " % i if i else "", i))
-        new = [v for v in sx.lvars(p) + sx.dvars(p) if v not in bound]
-        bound.update(new)
-        if new:
-            dels.append("%s del %s" % (ind, ", ".join("b[%s]" % g.const(v)
-                                                      for v in new)))
-    ind = " " * n
-    code += ["%sfp = %s(b)" % (ind, g.const(fingerprint)),
-             "%sif fp not in applied: yield fp, dict(b), [%s]"
-             % (ind, ", ".join("l%d" % i for i in range(n)))]
-    code += reversed(dels)
-    return g.function("join(branch, new_from)", code)
+    head = ["new_from = branch.scan_upto",
+            "branch.scan_upto = len(branch.literals)",
+            "index, heap, applied = branch.index, branch.heap, branch.applied",
+            "match, push = %s.match_literal, %s" % (g.const(sx),
+                                                    g.const(heapq.heappush)),
+            "s, b = branch.seen_next, {}"]
+    for key, k in keys.items():
+        head += ["B%d = index.get(%s, ())" % (k, g.const(key)),
+                 "N%d = bool(B%d) and B%d[-1][1] >= new_from" % (k, k, k),
+                 "T%d = B%d[%s(B%d, new_from, key=%s):] if N%d else ()"
+                 % (k, k, bisect_, k, pos, k)]
+    return g.function("round(branch, early, terms)",
+                      head + code + ["branch.seen_next = s"])
 
 
 class Tableau:
@@ -381,24 +404,13 @@ class Engine:
     def _discover(self, branch):
         """Queue the instances with a premise matched to a literal added
         since the last round.  Such an instance was never queued before: the
-        literal did not exist, and a join walks each combination once."""
-        new_from = branch.scan_upto
-        branch.scan_upto = len(branch.literals)
-        push = heapq.heappush
-        # the blocking rule waits behind term production until the branch
-        # has had ``depth`` term-producing steps
+        literal did not exist, and a round walks each combination once.  The
+        blocking rule waits behind term production until the branch has had
+        ``depth`` term-producing steps."""
+        if self.calc.round is None:
+            self.calc.round = _compile_round(self.calc)
         early = self.blocking and branch.tp_count < self.blocking.depth
-        for rule in self.calc.rules:
-            plan = _plan(rule)
-            prio = 5 if early and rule.kind == "blocking" else plan.priority
-            for fp, binding, matched in plan.join(branch, new_from):
-                terms = ()
-                if rule.produces_terms:
-                    terms = tuple({t for lit in matched
-                                   for t in self.mode.terms_in_literal(lit)})
-                push(branch.heap, (prio, branch.seen_next, fp, rule, binding,
-                                   terms))
-                branch.seen_next += 1
+        self.calc.round(branch, early, self.mode.terms_in_literal)
 
     def collect(self, branch):
         """Queue the new instances and pick the next step.

@@ -769,29 +769,44 @@ def compile_substitution(lits):
     """A function ``binding -> tuple`` giving ``substitute_literal(l,
     binding)`` for each literal ``l`` of ``lits``.
 
-    Ground subterms (no variable of either sort) are constants; the rest
-    are built through :func:`app` and :func:`literal`, which keep their sort
-    checks.  Every variable of ``lits`` must be bound.
+    Ground subterms (no variable of either sort) are constants.  Each open
+    subterm and literal is built once per call, in postorder: its intern
+    key is looked up in ``_NODES``, and only on a miss is the node made
+    through :func:`app` or :func:`literal`, which keep their sort checks.
+    A hit needs no check: every node in the table passed them when it was
+    made.  Every variable of ``lits`` must be bound.
     """
     g = Codegen()
-    app_, literal_ = g.const(app), g.const(literal)
+    get, app_, literal_ = g.const(_NODES.get), g.const(app), g.const(literal)
     open_ = _open_subterms([t for l in lits for t in l.args])
-    out = []  # each literal and each argument ends in ", "
+    code, value, out = [], {}, []  # value: subterm -> the expression giving it
     for l in lits:
-        if not any(t in open_ for t in l.args):
-            out.append(g.const(l) + ", ")
-            continue
-        out.append("%s(%s, %s, (" % (literal_, l.pos, g.const(l.pred)))
-        stack = [")), "] + list(reversed(l.args))
+        stack = [(t, False) for t in l.args]
         while stack:
-            t = stack.pop()
-            if type(t) is str:
-                out.append(t)
-            elif t not in open_:
-                out.append(g.const(t) + ", ")
+            t, ready = stack.pop()
+            if t in value:
+                continue
+            if t not in open_:
+                value[t] = g.const(t)
             elif t.kind == "var":
-                out.append("b[%s], " % g.const(t))
+                value[t] = "b[%s]" % g.const(t)
+            elif not ready:
+                stack.append((t, True))
+                stack += [(a, False) for a in t.args]
             else:
-                out.append("%s(%s, (" % (app_, g.const(t.sym)))
-                stack += [")), "] + list(reversed(t.args))
-    return g.function("instances(b)", ["return (%s)" % "".join(out)])
+                sym = g.const(t.sym)
+                value[t] = n = "n%d" % len(value)
+                code += ["k = (%s, %s)" % (sym, "".join(value[a] + ", "
+                                                        for a in t.args)),
+                         "%s = %s(k) or %s(%s, k[1:])" % (n, get, app_, sym)]
+        if not any(t in open_ for t in l.args):
+            out.append(g.const(l))
+            continue
+        p = g.const(l.pred)
+        code += ["k = ('lit', %s, %s, %s)" % (l.pos, p, "".join(
+                     value[t] + ", " for t in l.args)),
+                 "l%d = %s(k) or %s(%s, %s, k[3:])"
+                 % (len(out), get, literal_, l.pos, p)]
+        out.append("l%d" % len(out))
+    code.append("return (%s)" % "".join(x + ", " for x in out))
+    return g.function("instances(b)", code)

@@ -94,6 +94,7 @@ class Calculus:
         self.spec_name = spec_name
         self.refined = refined        # any transformation applied post-synthesis
         self.warnings = tuple(warnings)  # what a refinement leaves unproven
+        self.round = None  # the engine's generated round, built on first use
         # fingerprints are keyed by rule id: a second rule with an id in use
         # would never fire
         ids = set()

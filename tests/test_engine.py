@@ -52,6 +52,15 @@ def _branch_with(eng, lits):
     return b
 
 
+def _instances(eng, b, rule):
+    """(fingerprint, binding) of each instance of ``rule`` not applied on
+    ``b``, in discovery order: what a round queues with every literal new."""
+    b.scan_upto, b.heap = 0, []
+    eng._discover(b)
+    return [(fp, binding) for _, _, fp, r, binding, _
+            in sorted(b.heap, key=lambda entry: entry[1]) if r is rule]
+
+
 def test_or_rule_single_instance(so_calc):
     eng = engine.Engine(so_calc)
     sig = so_calc.signature
@@ -59,9 +68,9 @@ def test_or_rule_single_instance(so_calc):
     lit = sx.atom(sx.nu(1), [pc(so_calc, "or(p0, q0)"), a0])
     dp = sx.atom(sx.EQ, [a0, a0])
     b = _branch_with(eng, [lit, dp])
-    insts = list(engine._plan(so_calc.rule("or_pos")).join(b, 0))
+    insts = _instances(eng, b, so_calc.rule("or_pos"))
     assert len(insts) == 1
-    _, binding, _ = insts[0]
+    _, binding = insts[0]
     assert binding[sx.lvar(1, "p")].text() == "p0"
     assert binding[sx.lvar(1, "q")].text() == "q0"
     assert binding[sx.dvar("x")] is a0
@@ -74,7 +83,7 @@ def test_refined_exists_binds_successor(so_calc):
     lits = [sx.atom(sx.nu(1), [pc(so_calc, "exists(r0, p0)"), a0]).negate(),
             sx.atom(sx.nu(2), [pc_role(so_calc, "r0"), a0, b0])]
     b = _branch_with(eng, lits)
-    insts = list(engine._plan(refined.rule("exists_neg_1")).join(b, 0))
+    insts = _instances(eng, b, refined.rule("exists_neg_1"))
     assert len(insts) == 1
     assert insts[0][1][sx.dvar("y")] is b0
 
@@ -89,10 +98,10 @@ def test_applied_instances_are_excluded(so_calc):
     lit = sx.atom(sx.nu(1), [pc(so_calc, "or(p0, q0)"), a0])
     b = _branch_with(eng, [lit])
     rule = so_calc.rule("or_pos")
-    fp, binding, _ = next(engine._plan(rule).join(b, 0))
+    fp, binding = _instances(eng, b, rule)[0]
     tab = engine.Tableau(b)
     eng.apply(tab, b, rule, fp, binding, (0, 1))
-    assert list(engine._plan(rule).join(b, 0)) == []
+    assert _instances(eng, b, rule) == []
 
 
 # -- application ---------------------------------------------------------------
@@ -102,7 +111,7 @@ def test_apply_positive_exists_registers_term(so_calc, so_ns):
     tab = eng.init([pc(so_calc, "exists(r0, p0)")])
     b = tab.root
     rule = so_calc.rule("exists_pos")
-    fp, binding, _ = next(engine._plan(rule).join(b, 0))
+    fp, binding = _instances(eng, b, rule)[0]
     succ = eng.apply(tab, b, rule, fp, binding, (0,))
     assert succ == [b]
     sks = [t for t in b.term_birth if t.kind == "app" and t.sym is not sx.NU0]
@@ -120,7 +129,7 @@ def test_apply_closure_closes(so_calc):
             sx.atom(sx.nu(1), [p0, a0]).negate()]
     b = _branch_with(eng, lits)
     rule = so_calc.rule("closure_nu1")
-    fp, binding, _ = next(engine._plan(rule).join(b, 0))
+    fp, binding = _instances(eng, b, rule)[0]
     tab = engine.Tableau(b)
     assert eng.apply(tab, b, rule, fp, binding, ()) == []
     assert b.closed
@@ -134,13 +143,56 @@ def test_apply_ub_two_successors(ipc_calc):
             sx.atom(sx.EQ, [b0, b0])]
     b = _branch_with(eng, lits)
     rule = blocked.rule("ub")
-    insts = list(engine._plan(rule).join(b, 0))
+    insts = _instances(eng, b, rule)
     assert len(insts) == 1  # birth-ordered pair a0 < b0, once
     tab = engine.Tableau(b)
-    fp, binding, _ = insts[0]
+    fp, binding = insts[0]
     succ = eng.apply(tab, b, rule, fp, binding, (0, 1))
     assert [l.text() for l in succ[0].literals[-1:]] == ["eq(a0, b0)"]
     assert [l.text() for l in succ[1].literals[-1:]] == ["not(eq(a0, b0))"]
+
+
+def test_the_round_is_built_once_per_calculus(monkeypatch, so_refined):
+    """A calculus's round is generated on its first solve and kept for the
+    engines after it; a calculus from ``attach_ub`` generates its own, and
+    only that one queues the blocking rule's pairs."""
+    built = []
+    compile_round = engine._compile_round
+    monkeypatch.setattr(engine, "_compile_round",
+                        lambda calc: built.append(calc) or compile_round(calc))
+    blocked = refine.attach_ub(so_refined, synth.UbConfig(True, 0))
+    assert blocked.round is None
+    c = pc(so_refined, "exists(r0, p0)")
+    first = engine.prove(blocked, [c], trace=True)
+    rnd = blocked.round
+    assert built == [blocked] and rnd is not None
+    assert engine.prove(blocked, [c], trace=True).engine.trace == \
+        first.engine.trace
+    assert built == [blocked] and blocked.round is rnd
+    deeper = refine.attach_ub(so_refined, synth.UbConfig(True, 2))
+    engine.prove(deeper, [c])
+    assert built == [blocked, deeper] and deeper.round not in (None, rnd)
+    assert any(l.startswith("apply ub ") for l in first.engine.trace)
+    unblocked = engine.prove(so_refined, [c], node_budget=200, trace=True)
+    assert so_refined.round not in (None, rnd)
+    assert not any(l.startswith("apply ub ") for l in unblocked.engine.trace)
+
+
+def test_a_rule_without_premises_applies_once(so_calc):
+    """A theory rule with no premises is queued by the first round: it adds
+    its literal once, or closes a branch that contradicts it."""
+    p0 = sx.lconst(1, "p0")
+    lit = sx.atom(sx.nu(1), [p0, sx.dconst("a0")])
+    calc = so_calc.replaced(so_calc.rules + [
+        synth.TableauRule("axiom_p0", "theory", [], [[lit]])])
+    sat = engine.prove(calc, [sx.lconst(1, "q0")], trace=True)
+    assert sat.kind == "sat" and lit in sat.branch.present
+    assert [l for l in sat.engine.trace if "axiom" in l] == \
+        ["apply axiom_p0 {} den#0 branch#0 -> branch#0"]
+    unsat = engine.prove(calc, [sx.app(so_calc.signature.conns["not"], [p0])],
+                         trace=True)
+    assert unsat.kind == "unsat"
+    assert "apply axiom_p0 {} den#x branch#0 -> branch#0" in unsat.engine.trace
 
 
 # -- term order ----------------------------------------------------------------
@@ -536,31 +588,43 @@ def test_generated_matchers_agree_with_the_reference(monkeypatch, so_blocked,
     assert hits == counts[1] > 1000
 
 
+def _queued(monkeypatch, check):
+    """Run ``check(branch, known, before, entries)`` after every round on
+    the recorded runs: ``known`` the fingerprints applied or waiting on
+    the branch before the round, ``before`` its ``seen_next`` then, and
+    ``entries`` the heap entries the round queued (those whose discovery
+    number is at least ``before``), in discovery order."""
+    discover = engine.Engine._discover
+
+    def wrapped(self, branch):
+        known = {entry[2] for entry in branch.heap} | branch.applied
+        before = branch.seen_next
+        discover(self, branch)
+        check(branch, known, before, sorted(
+            (e for e in branch.heap if e[1] >= before), key=lambda e: e[1]))
+
+    monkeypatch.setattr(engine.Engine, "_discover", wrapped)
+
+
 def test_generated_denominators_agree_with_substitution(
         monkeypatch, so_blocked, so_calc, ipc_calc, so_ns, ipc_ns):
-    """Every binding the engine yields on the recorded runs instantiates
-    each denominator of its rule to what ``sx.substitute_literal`` gives."""
-    yielded = []
+    """Every binding a round queues on the recorded runs instantiates each
+    denominator of its rule to what ``sx.substitute_literal`` gives."""
+    queued = []
 
-    def recorded(rule, instances):
-        def wrapped(*args):
-            for inst in instances(*args):
-                yielded.append((rule, inst[1]))
-                yield inst
-        return wrapped
+    def record(branch, known, before, entries):
+        queued.extend((rule, binding) for _, _, _, rule, binding, _ in entries)
 
+    _queued(monkeypatch, record)
     for calc, ns, problems, budget in _recorded_runs(
             so_blocked, so_calc, ipc_calc, so_ns, ipc_ns):
-        for rule in calc.rules:
-            plan = engine._plan(rule)
-            monkeypatch.setattr(plan, "join", recorded(rule, plan.join))
         for prob in problems:
             eng = engine.Engine(calc, ns=ns, node_budget=budget)
             eng.expand(eng.init(prob))
     monkeypatch.undo()
-    kinds = {rule.kind for rule, _ in yielded}
-    assert len(yielded) > 5000 and {"blocking", "theory"} <= kinds
-    for rule, binding in yielded:
+    kinds = {rule.kind for rule, _ in queued}
+    assert len(queued) > 5000 and {"blocking", "theory"} <= kinds
+    for rule, binding in queued:
         assert [den(binding) for den in engine._plan(rule).denominators] == \
             [tuple(sx.substitute_literal(l, binding) for l in d)
              for d in rule.denominators], (rule.id, binding)
@@ -569,38 +633,32 @@ def test_generated_denominators_agree_with_substitution(
 def test_every_instance_a_join_yields_is_queued(monkeypatch, so_blocked,
                                                 so_calc, ipc_calc, so_ns,
                                                 ipc_ns):
-    """A join yields an instance only when a premise meets a literal added
-    since the round before, so on the recorded runs no instance it yields
-    is applied or waiting on the branch already, and each one is queued."""
-    yielded = [0]
+    """A round queues an instance only when a premise meets a literal added
+    since the round before, so on the recorded runs no instance it queues
+    is applied or waiting on the branch already, and each one is queued
+    once, with consecutive discovery numbers."""
+    queued = [0]
 
-    def checked(join):
-        def wrapped(branch, new_from):
-            known = {entry[2] for entry in branch.heap} | branch.applied
-            for inst in join(branch, new_from):
-                assert inst[0] not in known
-                known.add(inst[0])
-                queued = branch.seen_next
-                yield inst
-                assert branch.seen_next == queued + 1
-                yielded[0] += 1
-        return wrapped
+    def check(branch, known, before, entries):
+        for _, _, fp, _, _, _ in entries:
+            assert fp not in known
+            known.add(fp)
+        assert [e[1] for e in entries] == list(range(before, branch.seen_next))
+        queued[0] += len(entries)
 
+    _queued(monkeypatch, check)
     for calc, ns, problems, budget in _recorded_runs(
             so_blocked, so_calc, ipc_calc, so_ns, ipc_ns):
-        for rule in calc.rules:
-            plan = engine._plan(rule)
-            monkeypatch.setattr(plan, "join", checked(plan.join))
         for prob in problems:
             engine.prove(calc, prob, ns=ns, node_budget=budget)
-    assert yielded[0] > 5000
+    assert queued[0] > 5000
 
 
 def test_blocking_join_yields_pairs_with_a_new_marker_in_birth_order(ipc_calc):
     blocked = refine.attach_ub(ipc_calc, synth.UbConfig(True, 0))
     eng = engine.Engine(blocked)
     rule = blocked.rule("ub")
-    join = engine._plan(rule).join
+    pairs_of = engine._plan(rule).blocking_pairs
     a0, b0, c0, d0 = (sx.dconst(n) for n in ("a0", "b0", "c0", "d0"))
     # births a0 < b0 < c0 < d0; markers c0 (1), b0 (2), a0 (3), d0 (5)
     marker = {t: sx.atom(sx.EQ, [t, t]) for t in (a0, b0, c0, d0)}
@@ -612,7 +670,7 @@ def test_blocking_join_yields_pairs_with_a_new_marker_in_birth_order(ipc_calc):
 
     def pairs(new_from):
         return [tuple(binding[v] for v in engine._plan(rule).slots)
-                for _, binding, _ in join(b, new_from)]
+                for _, binding in pairs_of(b, new_from)]
 
     everything = [(a0, b0), (a0, c0), (a0, d0), (b0, c0), (b0, d0), (c0, d0)]
     assert pairs(0) == pairs(1) == pairs(2) == everything
@@ -620,7 +678,7 @@ def test_blocking_join_yields_pairs_with_a_new_marker_in_birth_order(ipc_calc):
     assert pairs(3) == [(a0, b0), (a0, c0), (a0, d0), (b0, d0), (c0, d0)]
     assert pairs(4) == pairs(5) == [(a0, d0), (b0, d0), (c0, d0)]
     assert pairs(6) == []
-    fp, binding, _ = next(join(b, 5))
+    fp, binding = next(pairs_of(b, 5))
     eng.apply(engine.Tableau(b), b, rule, fp, binding, (0, 1))
     assert pairs(0) == everything[:2] + everything[3:]
 

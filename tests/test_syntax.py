@@ -178,6 +178,36 @@ def test_match_literal_one_way(so_spec):
         parser.parse_rule_literal(sig, "nu1(exists(r, p), x)"), lit, {})
 
 
+def test_compiled_substitution_looks_nodes_up_and_checks_misses(so_spec):
+    """A denominator's generated function returns the very nodes
+    ``substitute_literal`` gives, found in the intern table or made on a
+    miss, and a miss keeps the sort checks of ``app`` and ``literal``."""
+    sig = so_spec.signature
+    den = (parser.parse_rule_literal(sig, "nu1(or(p, not(q)), x)"),
+           parser.parse_rule_literal(sig, "not(nu2(r, x, y))"))
+    instances = sx.compile_substitution(den)
+    p, q, r = sx.lvar(1, "p"), sx.lvar(1, "q"), sx.lvar(2, "r")
+    x, y = sx.dvar("x"), sx.dvar("y")
+    p0, q0, r0 = (parser.parse_lexpr(sig, t) for t in ("p0", "q0", "r0"))
+    a0, b0 = sx.dconst("a0"), sx.dconst("b0")
+
+    def agree(binding):
+        got = instances(binding)
+        want = [sx.substitute_literal(l, binding) for l in den]
+        assert len(got) == 2 and all(g is w for g, w in zip(got, want))
+
+    hit = {p: p0, q: q0, r: r0, x: a0, y: b0}
+    for l in den:
+        sx.substitute_literal(l, hit)  # interns the instances
+    agree(hit)
+    fresh = sx.lconst(1, "p_compiled_substitution_miss")
+    agree({p: fresh, q: fresh, r: r0, x: a0, y: sx.dconst("b_miss")})
+    with pytest.raises(sx.TabError, match="argument 1 of or has sort 2"):
+        instances({p: r0, q: q0, r: r0, x: a0, y: b0})
+    with pytest.raises(sx.TabError, match="first argument of nu2 must be"):
+        instances({p: p0, q: q0, r: p0, x: a0, y: b0})
+
+
 def test_ten_thousand_deep_term_is_walked_without_recursion(so_spec):
     sig = so_spec.signature
     p, p0 = sx.lvar(1, "p"), parser.parse_lexpr(sig, "p0")
