@@ -146,8 +146,8 @@ def cmd_prove(args):
                               % (ns.spec.name, calc.name, ", ".join(misfit)))
     with _input():
         inputs = _load_problem(calc.signature, calc.skolems, args.problem)
-    if args.ub:
-        calc = refine.attach_ub(calc, synth.UbConfig(True, args.ub_depth))
+    if args.ub or args.ub_depth is not None:
+        calc = refine.attach_ub(calc, synth.UbConfig(True, args.ub_depth or 0))
     # without ns the engine skips its subexpression check, which nothing
     # here reads
     eng = engine.Engine(calc, node_budget=args.budget_nodes,
@@ -257,7 +257,8 @@ def build_parser():
     p.add_argument("--calc", required=True)
     _add_spec_opts(p)
     p.add_argument("--ub", action="store_true", help="attach the blocking rule")
-    p.add_argument("--ub-depth", type=int, default=0, metavar="D")
+    p.add_argument("--ub-depth", type=int, metavar="D",
+                   help="attach the blocking rule at this depth (--ub: 0)")
     p.add_argument("--search", choices=("dfs", "bfs"), default="dfs")
     p.add_argument("--budget-nodes", type=int, default=10 ** 6)
     p.add_argument("--budget-secs", type=float, default=None)

@@ -1,20 +1,23 @@
 """Executing a calculus: branches, rule matching, blocking, verdicts.
 
-A branch is a growing set of ground literals.  Rule premises are matched
-one-way against branch literals (no unification of branch terms).  The
-calculus is compiled whole on its first use into one generated round kept
-on the calculus (:func:`_compile_round`), and each rule into a
-:class:`RulePlan` kept on the rule: its priority, fingerprints over its
-variable slots, and one generated function per denominator.  Generated
-matchers serve every production caller of ``syntax``'s matching;
-``tests/test_engine.py`` holds them to a tree-walking reference matcher of
-its own, and the denominators to ``syntax.substitute_literal``.  Each
-round queues only the instances that use a literal added since the round
-before (semi-naive evaluation), so every instance is queued once.  Every
-rule fires at most once per premise instantiation, enforced with
-fingerprints.  A step takes none, one or all of an instance's denominators
-(:meth:`Engine.collect`): it closes the branch, extends it in place, or
-splits it.
+A branch is a growing set of ground literals, kept once, in a dict from
+each literal to its index in order of arrival; two functions picked per
+engine (:func:`_reader`) read a literal's terms and the equality pair it
+states.  Rule premises are matched one-way against branch literals (no
+unification of branch terms).  The calculus is compiled whole on its first
+use into one generated round kept on the calculus (:func:`_compile_round`),
+and each rule into a :class:`RulePlan` kept on the rule: its priority,
+fingerprints over its variable slots, and one generated function per
+denominator.  Generated matchers serve every production caller of
+``syntax``'s matching; ``tests/test_engine.py`` holds them to a
+tree-walking reference matcher of its own, and the denominators to
+``syntax.substitute_literal``.  Each round queues only the instances that
+use a literal added since the round before (semi-naive evaluation), so
+every instance is queued once, and is tested against the applied ones only
+on top of the heap.  Every rule fires at most once per premise
+instantiation, enforced with fingerprints.  A step takes none, one or all
+of an instance's denominators (:meth:`Engine.collect`): it closes the
+branch, extends it in place, or splits it.
 
 Each branch queues its instances on a heap by the priority fixed in their
 rule's plan (see :class:`RulePlan`), then by discovery order.  With blocking
@@ -49,38 +52,39 @@ _POSITION = operator.itemgetter(1)  # a candidate's index on its branch
 
 
 # ---------------------------------------------------------------------------
-# mode adapters: what counts as a term and an equality
+# the literal reader: what counts as a term and an equality
 
-class BaseMode:
-    def terms_in_literal(self, lit):
-        return sx.ground_terms(lit)
+def _domain_eq(lit):
+    """(t, t') when ``lit`` is a positive equality between ground domain
+    terms; t is t' for the domain marker t = t."""
+    if lit.pos and lit.pred[0] == "eq" and lit.args[0].sort == sx.DOMAIN \
+            and all(map(sx.term_is_ground, lit.args)):
+        return lit.args
+    return None
 
-    def eq_pair(self, lit):
-        """(t, t') when ``lit`` is a positive equality between ground
-        domain terms; t is t' for the domain marker t = t."""
-        if lit.pos and lit.pred[0] == "eq" and lit.args[0].sort == sx.DOMAIN \
-                and all(map(sx.term_is_ground, lit.args)):
-            return lit.args
+
+def _held_terms(lit):
+    # branch literals are fully instantiated, so any sort-0 subexpression of
+    # a held concept is an individual of the derivation
+    if lit.pred[0] != "holds":
+        return []
+    return [e for e in lit.args[0].subexprs() if e.sort == 0]
+
+
+def _reader(calc):
+    """The terms of a branch literal and the equality pair it states (or
+    None), as ``calc`` reads them: a base calculus reads its domain
+    literals, an internalized one the concepts its ``holds`` literals hold,
+    through its ``d+ eq`` template."""
+    if calc.mode != "internalized":
+        return sx.ground_terms, _domain_eq
+    deq_plus = calc.ctx.templates["d+"].get("eq")
+
+    def held_eq(lit):
+        if lit.pred[0] == "holds" and deq_plus is not None:
+            return deq_plus.match(lit.args[0])
         return None
-
-
-class InternalizedMode:
-    def __init__(self, ctx):
-        self.deq_plus = ctx.templates["d+"].get("eq")
-
-    # branch literals are always fully instantiated, so unlike the base mode
-    # there is no well-formedness filtering here: any sort-0 subexpression of
-    # a derived concept is an individual of the derivation
-
-    def terms_in_literal(self, lit):
-        if lit.pred[0] != "holds":
-            return []
-        return [e for e in lit.args[0].subexprs() if e.sort == 0]
-
-    def eq_pair(self, lit):
-        if lit.pred[0] != "holds" or self.deq_plus is None:
-            return None
-        return self.deq_plus.match(lit.args[0])
+    return _held_terms, held_eq
 
 
 # ---------------------------------------------------------------------------
@@ -102,14 +106,13 @@ def _head_key(lit):
 
 
 class Branch:
-    __slots__ = ("bid", "literals", "present", "index", "term_birth", "applied",
+    __slots__ = ("bid", "literals", "index", "term_birth", "applied",
                  "seen_next", "tp_count", "closed", "blocked", "markers",
                  "heap", "scan_upto")
 
     def __init__(self, bid):
         self.bid = bid
-        self.literals = []
-        self.present = set()
+        self.literals = {}     # literal -> its index, in order of arrival
         self.index = {}
         self.term_birth = {}
         self.applied = set()
@@ -126,7 +129,6 @@ class Branch:
     def clone(self, bid):
         b = Branch(bid)
         b.literals = self.literals.copy()
-        b.present = self.present.copy()
         b.index = {k: v.copy() for k, v in self.index.items()}
         b.term_birth = self.term_birth.copy()
         b.applied = self.applied.copy()
@@ -139,22 +141,21 @@ class Branch:
         b.scan_upto = self.scan_upto
         return b
 
-    def add(self, lit, mode):
-        if lit in self.present:
+    def add(self, lit, eng):
+        """Add ``lit`` if new, read by ``eng``'s reader; whether it was new."""
+        if lit in self.literals:
             return False
-        idx = len(self.literals)
-        self.literals.append(lit)
-        self.present.add(lit)
+        idx = self.literals[lit] = len(self.literals)
         self.index.setdefault(_coarse_key(lit), []).append((lit, idx))
         fine = _head_key(lit)
         if fine is not None:
             self.index.setdefault(fine, []).append((lit, idx))
         if lit.pos and lit.pred[0] == "false":
             self.closed = True
-        for t in mode.terms_in_literal(lit):
+        for t in eng.terms_of(lit):
             if t not in self.term_birth:
                 self.term_birth[t] = len(self.term_birth)
-        pair = mode.eq_pair(lit)
+        pair = eng.eq_pair(lit)
         if pair is None:
             return True
         t1, t2 = pair
@@ -206,7 +207,7 @@ class RulePlan:
     def blocking_pairs(self, branch, new_from):
         """The blocking rule's instances as (fingerprint, binding): pairs
         of marked terms in birth order, each premise binding one, with a
-        marker literal at or after ``new_from``, not applied yet.  Markers
+        marker literal at or after ``new_from``.  Markers
         arrive in index order, so the newest is the last one in
         ``branch.markers``.  A term with an old marker is paired only with
         the later-born terms whose markers are new."""
@@ -225,9 +226,7 @@ class RulePlan:
                 partners = fresh[k:]
             for t2 in partners:
                 binding = {v1: t1, v2: t2}
-                fp = self.fingerprint(binding)
-                if fp not in branch.applied:
-                    yield fp, binding
+                yield self.fingerprint(binding), binding
 
 
 def _plan(rule):
@@ -238,12 +237,13 @@ def _plan(rule):
 
 
 def _compile_round(calc):
-    """The generated ``round(branch, early, terms)`` of a calculus, kept on
-    it (``calc.round``): it queues on ``branch`` every instance not yet
-    applied that matches a premise to a literal added since the round
-    before, rule by rule in calculus order, and marks the branch's
-    literals as matched.  ``early`` holds the blocking rule's pairs back
-    (priority 5); ``terms`` gives a literal's terms.
+    """The generated ``round(branch, early)`` of a calculus, kept on it
+    (``calc.round``): it queues on ``branch`` every instance that matches
+    a premise to a literal added since the round before, rule by rule in
+    calculus order, and marks the branch's literals as matched.  No such
+    instance was queued before, so none is tested against ``applied``:
+    :meth:`Engine.collect` drops the applied ones it meets.  ``early``
+    holds the blocking rule's pairs back (priority 5).
 
     Each index bucket a premise reads is looked up once per round, with
     whether it holds a new literal (``N<k>``) and its new literals
@@ -258,6 +258,7 @@ def _compile_round(calc):
     only an instance gets a copy.
     """
     g = sx.Codegen()
+    terms_of = g.const(_reader(calc)[0])
     keys, code = {}, []  # keys: index bucket key -> k of B<k>, N<k>, T<k>
     for rule in calc.rules:
         plan = _plan(rule)
@@ -293,18 +294,17 @@ def _compile_round(calc):
                 dels.append("%s del %s" % (ind, ", ".join(
                     "b[%s]" % g.const(v) for v in new)))
         ind = " " * (len(prems) + 1)
-        terms = "tuple({%s})" % ", ".join("*terms(l%d)" % i
+        terms = "tuple({%s})" % ", ".join("*%s(l%d)" % (terms_of, i)
                                           for i in range(len(prems))) \
             if rule.produces_terms and prems else "()"
         code += ["%sfp = %s, (%s)" % (ind, g.const(rule.id), "".join(
                      "b[%s], " % g.const(v) for v in plan.slots)),
-                 "%sif fp not in applied:" % ind,
-                 "%s push(heap, (%s, dict(b), %s)); s += 1" % (ind, entry, terms)]
+                 "%spush(heap, (%s, dict(b), %s)); s += 1" % (ind, entry, terms)]
         code += reversed(dels)
     bisect_, pos = g.const(bisect.bisect_left), g.const(_POSITION)
     head = ["new_from = branch.scan_upto",
             "branch.scan_upto = len(branch.literals)",
-            "index, heap, applied = branch.index, branch.heap, branch.applied",
+            "index, heap = branch.index, branch.heap",
             "match, push = %s.match_literal, %s" % (g.const(sx),
                                                     g.const(heapq.heappush)),
             "s, b = branch.seen_next, {}"]
@@ -313,7 +313,7 @@ def _compile_round(calc):
                  "N%d = bool(B%d) and B%d[-1][1] >= new_from" % (k, k, k),
                  "T%d = B%d[%s(B%d, new_from, key=%s):] if N%d else ()"
                  % (k, k, bisect_, k, pos, k)]
-    return g.function("round(branch, early, terms)",
+    return g.function("round(branch, early)",
                       head + code + ["branch.seen_next = s"])
 
 
@@ -349,8 +349,7 @@ class Engine:
         self.node_budget = node_budget
         self.time_budget = time_budget
         self.search = search
-        self.mode = InternalizedMode(calc.ctx) if calc.mode == "internalized" \
-            else BaseMode()
+        self.terms_of, self.eq_pair = _reader(calc)
         self.trace_enabled = trace
         self.trace = []
         self.applications = 0
@@ -393,12 +392,10 @@ class Engine:
         return Tableau(root)
 
     def _add(self, branch, lit):
-        added = branch.add(lit, self.mode)
-        if added and self.allowed_exprs is not None:
+        if branch.add(lit, self) and self.allowed_exprs is not None:
             for e in sx.lexprs_of_formula(lit):
                 if e not in self.allowed_exprs:
                     self.subexpr_violations.append((lit.text(), e.text()))
-        return added
 
     # -- matching ------------------------------------------------------------
     def _discover(self, branch):
@@ -410,7 +407,7 @@ class Engine:
         if self.calc.round is None:
             self.calc.round = _compile_round(self.calc)
         early = self.blocking and branch.tp_count < self.blocking.depth
-        self.calc.round(branch, early, self.mode.terms_in_literal)
+        self.calc.round(branch, early)
 
     def collect(self, branch):
         """Queue the new instances and pick the next step.
@@ -423,7 +420,7 @@ class Engine:
         dropped.
         """
         self._discover(branch)
-        heap, present = branch.heap, branch.present
+        heap, present = branch.heap, branch.literals
         while heap:
             _, _, fp, rule, binding, terms = heap[0]
             if fp in branch.applied:
@@ -463,7 +460,7 @@ class Engine:
                 # step may touch a term already equated with an older one
                 for prem in rule.premises:
                     lit = sx.substitute_literal(prem, binding)
-                    for t in self.mode.terms_in_literal(lit):
+                    for t in self.terms_of(lit):
                         if t in branch.blocked:
                             self.c1_violations.append(
                                 (rule.id, t.text()))
@@ -652,7 +649,7 @@ def replay_trace(calc, concepts, trace_text):
                 split.add(src_bid)
                 splitting = (fp, src_bid, j + 1) if j + 1 < n else None
             for lit in rule.denominators[j]:
-                child.add(sx.substitute_literal(lit, binding), eng.mode)
+                child.add(sx.substitute_literal(lit, binding), eng)
         just_closed = child if child.closed else None
         steps += 1
     if splitting is not None:
@@ -667,7 +664,7 @@ def replay_trace(calc, concepts, trace_text):
 def _contradicted(branch, rule, binding, but=None):
     """Whether every denominator of the instance other than ``but`` has a
     literal whose negation is on the branch."""
-    return all(any(sx.substitute_literal(l, binding).negate() in branch.present
+    return all(any(sx.substitute_literal(l, binding).negate() in branch.literals
                    for l in den)
                for i, den in enumerate(rule.denominators) if i != but)
 
@@ -683,7 +680,7 @@ def _check_step(rule, binding, fp, branch, line):
     if fp in branch.applied:
         fail("instance already applied")
     for prem in rule.premises:
-        if sx.substitute_literal(prem, binding) not in branch.present:
+        if sx.substitute_literal(prem, binding) not in branch.literals:
             fail("premise %s absent" % prem.text())
     if rule.kind == "blocking":
         born = [branch.term_birth.get(binding[v]) for v in _plan(rule).slots]

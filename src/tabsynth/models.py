@@ -253,9 +253,8 @@ def extract_model(branch, ns, ctx=None, skolems=None):
     if isinstance(branch, Branch):
         if branch.closed:
             raise sx.TabError("cannot extract a model from a closed branch")
-        literals = branch.literals
-    else:
-        literals = list(branch)
+        branch = branch.literals
+    literals = list(branch)
     if ctx is not None:
         literals = detranslate(literals, ctx, skolems)
 
@@ -309,7 +308,7 @@ def verify_reflection(m, branch, ctx=None, skolems=None):
     """Check the structure agrees with every branch literal; returns the
     list of violations (empty means the branch is reflected)."""
     from .engine import Branch
-    literals = branch.literals if isinstance(branch, Branch) else list(branch)
+    literals = list(branch.literals if isinstance(branch, Branch) else branch)
     if ctx is not None:
         literals = detranslate(literals, ctx, skolems)
     violations = []

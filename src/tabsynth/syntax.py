@@ -636,17 +636,9 @@ def restrict(sentences, x_set):
 # ---------------------------------------------------------------------------
 # one-way pattern matching (rule patterns against ground data)
 
-def match_expr(pattern, value, binding):
-    """Extend ``binding`` so the expression ``pattern`` instantiates to
-    ``value``, as :func:`match_literal` does for literals."""
-    m = pattern.matcher
-    if m is None:
-        m = pattern.matcher = _compile_matcher(pattern)
-    return m(value, binding)
-
-
 def match_literal(pattern, value, binding):
-    """Extend ``binding`` so pattern instantiates to ``value``; one-way only.
+    """Extend ``binding`` so pattern, a literal or an object expression,
+    instantiates to ``value``; one-way only.
 
     Runs the matcher generated for ``pattern``, built on first use.  All
     or nothing: every variable is checked before any is bound, so a failed
@@ -656,6 +648,12 @@ def match_literal(pattern, value, binding):
     if m is None:
         m = pattern.matcher = _compile_matcher(pattern)
     return m(value, binding)
+
+
+# Expressions match through the same function.  A wrapper that counts
+# attempts by rebinding the module attribute ``match_literal`` leaves this
+# name on the original, so it counts the literal matches only.
+match_expr = match_literal
 
 
 class Codegen:

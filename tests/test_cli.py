@@ -791,6 +791,18 @@ def test_trace_and_model_are_golden_bytes(tmp_path, calc, concept, golden,
             assert path.read_bytes() == fh.read()
 
 
+def test_ub_depth_alone_attaches_blocking(tmp_path):
+    """``--ub-depth D`` without ``--ub`` attaches the blocking rule at depth
+    D: at 0 the run is the golden ``--ub`` one."""
+    prob = _write(tmp_path / "p.txt", "exists(r0, p0)\n")
+    trace = tmp_path / "t.txt"
+    assert run_cli(["prove", "--calc", os.path.join(GOLDEN, "so_refined.calc"),
+                    "--ub-depth", "0", "--budget-nodes", "2000", "--trace",
+                    str(trace), prob]) == 0
+    with open(os.path.join(GOLDEN, "so_refined_exists.trace"), "rb") as fh:
+        assert trace.read_bytes() == fh.read()
+
+
 def test_console_entry_point(work):
     proc = _run_module(["synth", "--preset", "so"])
     assert proc.returncode == 0

@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import os
 import subprocess
 import sys
@@ -48,17 +49,29 @@ def test_init_ill_sorted(so_calc):
 def _branch_with(eng, lits):
     b = engine.Branch(0)
     for l in lits:
-        b.add(l, eng.mode)
+        b.add(l, eng)
     return b
 
 
 def _instances(eng, b, rule):
-    """(fingerprint, binding) of each instance of ``rule`` not applied on
-    ``b``, in discovery order: what a round queues with every literal new."""
+    """(fingerprint, binding) of each instance of ``rule`` on ``b``, in
+    discovery order: what a round queues with every literal new."""
     b.scan_upto, b.heap = 0, []
     eng._discover(b)
     return [(fp, binding) for _, _, fp, r, binding, _
             in sorted(b.heap, key=lambda entry: entry[1]) if r is rule]
+
+
+def _offered(eng, b, rule):
+    """(fingerprint, binding) of each instance of ``rule`` that
+    ``eng.collect`` offers on ``b`` in turn after a round with every
+    literal new; each one offered is taken off the heap."""
+    b.scan_upto, b.heap, offered = 0, [], []
+    while (best := eng.collect(b)) is not None:
+        heapq.heappop(b.heap)
+        if best[0] is rule:
+            offered.append(best[1:3])
+    return offered
 
 
 def test_or_rule_single_instance(so_calc):
@@ -101,7 +114,7 @@ def test_applied_instances_are_excluded(so_calc):
     fp, binding = _instances(eng, b, rule)[0]
     tab = engine.Tableau(b)
     eng.apply(tab, b, rule, fp, binding, (0, 1))
-    assert _instances(eng, b, rule) == []
+    assert _offered(eng, b, rule) == []
 
 
 # -- application ---------------------------------------------------------------
@@ -148,8 +161,9 @@ def test_apply_ub_two_successors(ipc_calc):
     tab = engine.Tableau(b)
     fp, binding = insts[0]
     succ = eng.apply(tab, b, rule, fp, binding, (0, 1))
-    assert [l.text() for l in succ[0].literals[-1:]] == ["eq(a0, b0)"]
-    assert [l.text() for l in succ[1].literals[-1:]] == ["not(eq(a0, b0))"]
+    assert [l.text() for l in list(succ[0].literals)[-1:]] == ["eq(a0, b0)"]
+    assert [l.text() for l in list(succ[1].literals)[-1:]] == \
+        ["not(eq(a0, b0))"]
 
 
 def test_the_round_is_built_once_per_calculus(monkeypatch, so_refined):
@@ -186,7 +200,7 @@ def test_a_rule_without_premises_applies_once(so_calc):
     calc = so_calc.replaced(so_calc.rules + [
         synth.TableauRule("axiom_p0", "theory", [], [[lit]])])
     sat = engine.prove(calc, [sx.lconst(1, "q0")], trace=True)
-    assert sat.kind == "sat" and lit in sat.branch.present
+    assert sat.kind == "sat" and lit in sat.branch.literals
     assert [l for l in sat.engine.trace if "axiom" in l] == \
         ["apply axiom_p0 {} den#0 branch#0 -> branch#0"]
     unsat = engine.prove(calc, [sx.app(so_calc.signature.conns["not"], [p0])],
@@ -196,6 +210,22 @@ def test_a_rule_without_premises_applies_once(so_calc):
 
 
 # -- term order ----------------------------------------------------------------
+
+def test_the_reader_reads_only_its_own_literal_kind(so_calc, so_refined):
+    """A base calculus reads terms and equalities off its domain literals
+    only, an internalized one off its held concepts only, whatever other
+    kind of literal a hand-written calculus puts on a branch."""
+    a0, b0 = sx.dconst("a0"), sx.dconst("b0")
+    i0, i1 = sx.lconst(0, "i0"), sx.lconst(0, "i1")
+    deq = sx.atom(sx.EQ, [a0, b0])
+    held = sx.atom(sx.HOLDS, [pc(so_refined, "colon(i0, one(i1))")])
+    terms_of, eq_pair = engine._reader(so_calc)
+    assert terms_of(deq) == [a0, b0] and eq_pair(deq) == (a0, b0)
+    assert terms_of(held) == [] and eq_pair(held) is None
+    terms_of, eq_pair = engine._reader(so_refined)
+    assert terms_of(deq) == [] and eq_pair(deq) is None
+    assert terms_of(held) == [i0, i1] and eq_pair(held) == (i0, i1)
+
 
 def test_term_order(so_calc, so_ns):
     eng = engine.Engine(so_calc, ns=so_ns)
@@ -356,7 +386,7 @@ def test_blocking_suppresses_blocked_term_production(so_blocked):
         if rule.produces_terms:
             for prem in rule.premises:
                 lit = sx.substitute_literal(prem, binding)
-                assert blocked_term not in eng.mode.terms_in_literal(lit)
+                assert blocked_term not in eng.terms_of(lit)
         eng.apply(tab, eq_branch, *best)
         if eq_branch.closed:
             break
@@ -664,8 +694,8 @@ def test_blocking_join_yields_pairs_with_a_new_marker_in_birth_order(ipc_calc):
     marker = {t: sx.atom(sx.EQ, [t, t]) for t in (a0, b0, c0, d0)}
     b = _branch_with(eng, [sx.atom(sx.pred("R"), [a0, b0]),
                            marker[c0], marker[b0], marker[a0]])
-    b.add(sx.atom(sx.pred("R"), [c0, d0]), eng.mode)
-    b.add(marker[d0], eng.mode)
+    b.add(sx.atom(sx.pred("R"), [c0, d0]), eng)
+    b.add(marker[d0], eng)
     assert b.markers == {c0: 1, b0: 2, a0: 3, d0: 5}
 
     def pairs(new_from):
@@ -680,7 +710,9 @@ def test_blocking_join_yields_pairs_with_a_new_marker_in_birth_order(ipc_calc):
     assert pairs(6) == []
     fp, binding = next(pairs_of(b, 5))
     eng.apply(engine.Tableau(b), b, rule, fp, binding, (0, 1))
-    assert pairs(0) == everything[:2] + everything[3:]
+    assert [tuple(binding[v] for v in engine._plan(rule).slots)
+            for _, binding in _offered(eng, b, rule)] == \
+        everything[:2] + everything[3:]
 
 
 def test_generated_matchers_on_the_hard_cases(so_blocked, so_calc):
