@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import re
 import shutil
 import subprocess
@@ -181,6 +182,9 @@ def cmd_prove(args):
 def cmd_checkwd(args):
     if args.prover is not None and not args.prover.split():
         raise sx.TabError("--prover names no command")
+    if not (math.isfinite(args.prover_timeout) and args.prover_timeout >= 0):
+        raise sx.TabError("prover timeout must be a finite number >= 0 "
+                          "seconds, not %g" % args.prover_timeout)
     ns = _load_spec(args)
     obligations = normalize.emit_wd_obligations(ns)
     paths = tptp.write_obligations(obligations, ns.signature, args.outdir)

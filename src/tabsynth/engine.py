@@ -7,17 +7,17 @@ states.  Rule premises are matched one-way against branch literals (no
 unification of branch terms).  The calculus is compiled whole on its first
 use into one generated round kept on the calculus (:func:`_compile_round`),
 and each rule into a :class:`RulePlan` kept on the rule: its priority,
-fingerprints over its variable slots, and one generated function per
-denominator.  Generated matchers serve every production caller of
-``syntax``'s matching; ``tests/test_engine.py`` holds them to a
-tree-walking reference matcher of its own, and the denominators to
-``syntax.substitute_literal``.  Each round queues only the instances that
-use a literal added since the round before (semi-naive evaluation), so
-every instance is queued once, and is tested against the applied ones only
-on top of the heap.  Every rule fires at most once per premise
-instantiation, enforced with fingerprints.  A step takes none, one or all
-of an instance's denominators (:meth:`Engine.collect`): it closes the
-branch, extends it in place, or splits it.
+its variable slots, and one generated function per denominator.
+Generated matchers serve every production caller of ``syntax``'s
+matching; ``tests/test_engine.py`` holds them to a tree-walking reference
+matcher of its own, and the denominators to ``syntax.substitute_literal``.
+Each round queues only the instances that use a literal added since the
+round before (semi-naive evaluation), so every instance is queued once.  A
+step takes none, one or all of an instance's denominators
+(:meth:`Engine.collect`): it closes the branch, extends it in place, or
+splits it.  Then the instance asks for nothing more, with no record of
+the applied ones: the branch it extends, or each child, holds a
+denominator it took.
 
 Each branch queues its instances on a heap by the priority fixed in their
 rule's plan (see :class:`RulePlan`), then by discovery order.  With blocking
@@ -106,23 +106,22 @@ def _head_key(lit):
 
 
 class Branch:
-    __slots__ = ("bid", "literals", "index", "term_birth", "applied",
-                 "seen_next", "tp_count", "closed", "blocked", "markers",
-                 "heap", "scan_upto")
+    __slots__ = ("bid", "literals", "index", "term_birth", "seen_next",
+                 "tp_count", "closed", "blocked", "markers", "heap",
+                 "scan_upto")
 
     def __init__(self, bid):
         self.bid = bid
         self.literals = {}     # literal -> its index, in order of arrival
         self.index = {}
         self.term_birth = {}
-        self.applied = set()
         self.seen_next = 0
         self.tp_count = 0
         self.closed = False
         self.blocked = set()   # younger terms equated to an older one
         self.markers = {}      # term -> index of its first reflexive marker
-        # (priority, seen, fingerprint, rule, binding, terms) of the instances
-        # discovered; applied ones are pruned when they reach the top
+        # (priority, seen, rule, binding, terms) of the instances discovered;
+        # applied ones are dropped when they reach the top (see collect)
         self.heap = []
         self.scan_upto = 0     # literals before this index are fully matched
 
@@ -131,7 +130,6 @@ class Branch:
         b.literals = self.literals.copy()
         b.index = {k: v.copy() for k, v in self.index.items()}
         b.term_birth = self.term_birth.copy()
-        b.applied = self.applied.copy()
         b.seen_next = self.seen_next
         b.tp_count = self.tp_count
         b.closed = self.closed
@@ -176,9 +174,7 @@ class RulePlan:
     """A rule compiled for the engine, kept on the rule (``rule.plan``).
 
     ``slots`` are the rule's variables: the object ones, then the domain
-    ones, each in order of first occurrence over the premises.  An
-    instance's fingerprint is the rule id with the nodes its binding gives
-    the slots, in slot order (nodes are interned, so identity is equality).
+    ones, each in order of first occurrence over the premises.
     ``denominators`` are one generated function per denominator from a
     binding to its literals (``sx.compile_substitution``).  ``priority``
     orders the rule's instances on the heap, lowest first: closure 0,
@@ -188,10 +184,9 @@ class RulePlan:
     :meth:`blocking_pairs` for the blocking rule.
     """
 
-    __slots__ = ("rid", "priority", "slots", "denominators")
+    __slots__ = ("priority", "slots", "denominators")
 
     def __init__(self, rule):
-        self.rid = rule.id
         self.priority = (0 if rule.is_closure() else
                          1 if rule.kind == "equality" else
                          3 if rule.kind == "blocking" else
@@ -201,16 +196,12 @@ class RulePlan:
         self.denominators = tuple(sx.compile_substitution(d)
                                   for d in rule.denominators)
 
-    def fingerprint(self, binding):
-        return self.rid, tuple(map(binding.get, self.slots))
-
     def blocking_pairs(self, branch, new_from):
-        """The blocking rule's instances as (fingerprint, binding): pairs
-        of marked terms in birth order, each premise binding one, with a
-        marker literal at or after ``new_from``.  Markers
-        arrive in index order, so the newest is the last one in
-        ``branch.markers``.  A term with an old marker is paired only with
-        the later-born terms whose markers are new."""
+        """The blocking rule's instances as bindings: pairs of marked terms
+        in birth order, each premise binding one, with a marker literal at or
+        after ``new_from``.  Markers arrive in index order, so the newest is
+        the last one in ``branch.markers``.  A term with an old marker is
+        paired only with the later-born terms whose markers are new."""
         markers = branch.markers
         if not markers or next(reversed(markers.values())) < new_from:
             return
@@ -225,8 +216,7 @@ class RulePlan:
             else:
                 partners = fresh[k:]
             for t2 in partners:
-                binding = {v1: t1, v2: t2}
-                yield self.fingerprint(binding), binding
+                yield {v1: t1, v2: t2}
 
 
 def _plan(rule):
@@ -241,9 +231,9 @@ def _compile_round(calc):
     (``calc.round``): it queues on ``branch`` every instance that matches
     a premise to a literal added since the round before, rule by rule in
     calculus order, and marks the branch's literals as matched.  No such
-    instance was queued before, so none is tested against ``applied``:
-    :meth:`Engine.collect` drops the applied ones it meets.  ``early``
-    holds the blocking rule's pairs back (priority 5).
+    instance was queued before; an applied one has a denominator wholly on
+    the branch, so :meth:`Engine.collect` drops it.  ``early`` holds the
+    blocking rule's pairs back (priority 5).
 
     Each index bucket a premise reads is looked up once per round, with
     whether it holds a new literal (``N<k>``) and its new literals
@@ -262,9 +252,9 @@ def _compile_round(calc):
     keys, code = {}, []  # keys: index bucket key -> k of B<k>, N<k>, T<k>
     for rule in calc.rules:
         plan = _plan(rule)
-        entry = "%s, s, fp, %s" % (plan.priority, g.const(rule))
+        entry = "%s, s, %s" % (plan.priority, g.const(rule))
         if rule.kind == "blocking":
-            code += ["for fp, bb in %s(branch, new_from):"
+            code += ["for bb in %s(branch, new_from):"
                      % g.const(plan.blocking_pairs),
                      " push(heap, (5 if early else %s, bb, ())); s += 1"
                      % entry]
@@ -297,9 +287,8 @@ def _compile_round(calc):
         terms = "tuple({%s})" % ", ".join("*%s(l%d)" % (terms_of, i)
                                           for i in range(len(prems))) \
             if rule.produces_terms and prems else "()"
-        code += ["%sfp = %s, (%s)" % (ind, g.const(rule.id), "".join(
-                     "b[%s], " % g.const(v) for v in plan.slots)),
-                 "%spush(heap, (%s, dict(b), %s)); s += 1" % (ind, entry, terms)]
+        code.append("%spush(heap, (%s, dict(b), %s)); s += 1"
+                    % (ind, entry, terms))
         code += reversed(dels)
     bisect_, pos = g.const(bisect.bisect_left), g.const(_POSITION)
     head = ["new_from = branch.scan_upto",
@@ -412,20 +401,17 @@ class Engine:
     def collect(self, branch):
         """Queue the new instances and pick the next step.
 
-        Returns None when saturated, or (rule, fp, binding, dens) where
-        ``dens`` are the indices of the denominators the step takes: every
-        one, unless at most one is left uncontradicted on the branch, and
-        then that one or none (none, too, for a closure rule).  An instance
-        with a denominator wholly on the branch asks for nothing and is
-        dropped.
+        Returns None when saturated, or (rule, binding, dens) where ``dens``
+        are the indices of the denominators the step takes: every one,
+        unless at most one is left uncontradicted on the branch, and then
+        that one or none (none, too, for a closure rule).  An instance with
+        a denominator wholly on the branch asks for nothing and is dropped:
+        so is an applied one, as the steps leave it (see :meth:`apply`).
         """
         self._discover(branch)
         heap, present = branch.heap, branch.literals
         while heap:
-            _, _, fp, rule, binding, terms = heap[0]
-            if fp in branch.applied:
-                heapq.heappop(heap)
-                continue
+            _, _, rule, binding, terms = heap[0]
             if terms and self.blocking and not branch.blocked.isdisjoint(terms):
                 # a term-producing instance on a term equated with an older
                 # one; blocking only grows, so it is gone for good
@@ -440,19 +426,19 @@ class Engine:
                 if not any(l.negate() in present for l in lits):
                     left.append(i)
             else:
-                return (rule, fp, binding,
+                return (rule, binding,
                         tuple(range(len(dens))) if len(left) > 1 else tuple(left))
             heapq.heappop(heap)
-            branch.applied.add(fp)
         return None
 
     # -- application ---------------------------------------------------------
-    def apply(self, tableau, branch, rule, fp, binding, dens):
+    def apply(self, tableau, branch, rule, binding, dens):
         """Apply one instance taking the denominators ``dens`` (see
         :meth:`collect`); returns the successor branches.  No denominator
         closes the branch (a closure rule), one extends it in place, and
-        more split it into a child each."""
-        branch.applied.add(fp)
+        more split it into a child each.  The branch it extends, or each
+        child, holds the denominator it took, so the instance is not
+        offered there again."""
         self.applications += 1
         if rule.produces_terms:
             if self.blocking:
@@ -480,9 +466,8 @@ class Engine:
             out.append(child)
         return out
 
-    def close_by_exhaustion(self, branch, rule, fp, binding):
+    def close_by_exhaustion(self, branch, rule, binding):
         """Every denominator of the instance is contradicted on the branch."""
-        branch.applied.add(fp)
         self.applications += 1
         branch.closed = True
         self._trace_step(rule, binding, "x", branch, branch)
@@ -519,11 +504,11 @@ class Engine:
                 if self.trace_enabled:
                     self.trace.append("saturated branch#%d" % branch.bid)
                 return Verdict("sat", branch=branch)
-            rule, fp, binding, dens = best
+            rule, binding, dens = best
             if not dens and rule.denominators:
-                self.close_by_exhaustion(branch, rule, fp, binding)
+                self.close_by_exhaustion(branch, rule, binding)
                 continue
-            succ = self.apply(tableau, branch, rule, fp, binding, dens)
+            succ = self.apply(tableau, branch, rule, binding, dens)
             open_succ = [c for c in succ if not c.closed]
             if self.search == "bfs" and succ != [branch]:
                 work.extendleft(open_succ)
@@ -567,17 +552,20 @@ def replay_trace(calc, concepts, trace_text):
     it created closed, or with ``saturated`` on an open branch on which the
     engine finds no step left (``Engine.collect`` returns None).  That last
     check uses the engine's matcher, so the independent certificate of a SAT
-    answer is still its model under ``models.verify_reflection``.  Returns
-    the number of application lines replayed; raises on mismatch.
+    answer is still its model under ``models.verify_reflection``.  Each
+    branch has its own set of the instances applied on it (rule id and slot
+    nodes), which a split's children inherit.  Returns the number of
+    application lines replayed; raises on mismatch.
     """
     eng = Engine(calc)
     tab = eng.init(concepts)
     branches = {tab.root.bid: tab.root}
+    applied = {tab.root.bid: set()}  # bid -> (rule id, slot nodes) applied
     split = set()      # bids of branches a step split into children
     just_closed = None  # the branch the step on the line before closed
     saturated = False
     steps = 0
-    splitting = None  # (fingerprint, source bid, next denominator) of a split
+    splitting = None  # (instance, source bid, next denominator) of a split
     for line in trace_text.splitlines():
         line = line.strip()
         if not line:
@@ -610,10 +598,10 @@ def replay_trace(calc, concepts, trace_text):
         binding = _parse_binding(calc, body)
         plan = _plan(rule)
         if set(binding) != set(plan.slots):
-            # checked on every line: a fingerprint reads the slots only
+            # checked on every line: an instance is read off the slots only
             raise sx.TabError("step not applicable (binding does not match "
                               "the premise variables): %s" % line)
-        fp = plan.fingerprint(binding)
+        inst = rid, tuple(map(binding.get, plan.slots))
         src = branches.get(src_bid)
         if src is None or src.closed:
             raise sx.TabError("trace targets an unknown or closed branch %d"
@@ -622,9 +610,9 @@ def replay_trace(calc, concepts, trace_text):
             raise sx.TabError("trace reuses branch %d: %s" % (dst_bid, line))
         j = None if den_tok == "x" else int(den_tok)
         if splitting is None:
-            _check_step(rule, binding, fp, src, line)
-            src.applied.add(fp)
-        elif splitting != (fp, src_bid, j) or dst_bid == src_bid:
+            _check_step(rule, binding, src, line, inst in applied[src_bid])
+            applied[src_bid].add(inst)
+        elif splitting != (inst, src_bid, j) or dst_bid == src_bid:
             raise sx.TabError("split left unfinished: %s" % line)
         child = src
         if j is None or rule.is_closure():
@@ -646,8 +634,9 @@ def replay_trace(calc, concepts, trace_text):
                 raise sx.TabError("split does not start at den#0: %s" % line)
             else:
                 child = branches[dst_bid] = src.clone(dst_bid)
+                applied[dst_bid] = applied[src_bid].copy()
                 split.add(src_bid)
-                splitting = (fp, src_bid, j + 1) if j + 1 < n else None
+                splitting = (inst, src_bid, j + 1) if j + 1 < n else None
             for lit in rule.denominators[j]:
                 child.add(sx.substitute_literal(lit, binding), eng)
         just_closed = child if child.closed else None
@@ -669,15 +658,15 @@ def _contradicted(branch, rule, binding, but=None):
                for i, den in enumerate(rule.denominators) if i != but)
 
 
-def _check_step(rule, binding, fp, branch, line):
+def _check_step(rule, binding, branch, line, repeated):
     """A step whose binding binds exactly the premise variables applies
-    when every premise instance is on the branch, the instance is not
-    applied yet, and a blocking step pairs two distinct terms in birth
-    order."""
+    when the instance is not applied yet on the branch (``repeated``),
+    every premise instance is on the branch, and a blocking step pairs two
+    distinct terms in birth order."""
     def fail(why):
         raise sx.TabError("step not applicable (%s): %s" % (why, line))
 
-    if fp in branch.applied:
+    if repeated:
         fail("instance already applied")
     for prem in rule.premises:
         if sx.substitute_literal(prem, binding) not in branch.literals:

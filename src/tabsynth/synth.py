@@ -95,8 +95,8 @@ class Calculus:
         self.refined = refined        # any transformation applied post-synthesis
         self.warnings = tuple(warnings)  # what a refinement leaves unproven
         self.round = None  # the engine's generated round, built on first use
-        # fingerprints are keyed by rule id: a second rule with an id in use
-        # would never fire
+        # traces name a rule by its id, and ``rule`` finds the first one: a
+        # second rule with an id in use could not be told apart from it
         ids = set()
         for k, r in enumerate(self.rules):
             if r.id in ids:

@@ -194,6 +194,12 @@ BAD_FILES = [
     ("refine-out", "simplify\n",
      ["refine", "--calc", "{work}/so.calc", "--refine-script", "{f}",
       "-o", "{nodir}/x.calc"], "{nodir}"),
+    # a timeout that subprocess cannot take, or that times every call out,
+    # is refused before any obligation is written
+    *[("prover-timeout-%s" % t, None,
+       ["check-wd", "--preset", "so", "--outdir", "{nodir}", "--prover",
+        "true", "--prover-timeout", t], "prover timeout must be")
+      for t in ("nan", "inf", "-1")],
     ("prove-trace", "exists(r0, p0)\n",
      ["prove", "--calc", "{work}/so_refined.calc", "--preset", "so", "--ub",
       "--trace", "{nodir}/t.txt", "{f}"], "{nodir}"),
@@ -326,7 +332,7 @@ BAD_FILES = [
         "ctx c+ 1(p, l) = colon(l, p)", "ctx c+ 1(p, l) = colon(l, or(p, q))"),
      ["prove", "--calc", "{f}", "--ub", "{p0}"],
      "template variable 'q' is not a parameter at 19:?"),
-    # engine fingerprints are keyed by rule id: the second rule a never fired
+    # traces name a rule by its id: the two rules a could not be told apart
     ("repeated-rule.calc",
      "sorts 3\nvars 0 l\nvars 1 p q\nvars 2 r\nconnective not 1 -> 1\n"
      "rule a [decomposition+]: nu1(not(p), x) / not(nu1(p, x))\n"
@@ -613,8 +619,8 @@ def test_replay_rejects_a_step_whose_premise_is_absent():
     bad = trace.replace(first, first.replace("p0", "q0"), 1)
     with pytest.raises(sx.TabError, match="absent"):
         engine.replay_trace(calc, [c], bad)
-    # a fingerprint reads the rule's variables only: the second line of a
-    # split that binds one more is rejected all the same
+    # an instance is read off the rule's variables only: the second line of
+    # a split that binds one more is rejected all the same
     split = next(l for l in trace.splitlines() if " den#1 " in l)
     bad = trace.replace(split, split.replace("{", "{q:=p0; ", 1))
     with pytest.raises(sx.TabError, match="premise variables"):

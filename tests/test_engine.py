@@ -54,23 +54,23 @@ def _branch_with(eng, lits):
 
 
 def _instances(eng, b, rule):
-    """(fingerprint, binding) of each instance of ``rule`` on ``b``, in
-    discovery order: what a round queues with every literal new."""
+    """The binding of each instance of ``rule`` on ``b``, in discovery
+    order: what a round queues with every literal new."""
     b.scan_upto, b.heap = 0, []
     eng._discover(b)
-    return [(fp, binding) for _, _, fp, r, binding, _
+    return [binding for _, _, r, binding, _
             in sorted(b.heap, key=lambda entry: entry[1]) if r is rule]
 
 
 def _offered(eng, b, rule):
-    """(fingerprint, binding) of each instance of ``rule`` that
-    ``eng.collect`` offers on ``b`` in turn after a round with every
-    literal new; each one offered is taken off the heap."""
+    """The binding of each instance of ``rule`` that ``eng.collect`` offers
+    on ``b`` in turn after a round with every literal new; each one offered
+    is taken off the heap."""
     b.scan_upto, b.heap, offered = 0, [], []
     while (best := eng.collect(b)) is not None:
         heapq.heappop(b.heap)
         if best[0] is rule:
-            offered.append(best[1:3])
+            offered.append(best[1])
     return offered
 
 
@@ -83,7 +83,7 @@ def test_or_rule_single_instance(so_calc):
     b = _branch_with(eng, [lit, dp])
     insts = _instances(eng, b, so_calc.rule("or_pos"))
     assert len(insts) == 1
-    _, binding = insts[0]
+    binding = insts[0]
     assert binding[sx.lvar(1, "p")].text() == "p0"
     assert binding[sx.lvar(1, "q")].text() == "q0"
     assert binding[sx.dvar("x")] is a0
@@ -98,7 +98,7 @@ def test_refined_exists_binds_successor(so_calc):
     b = _branch_with(eng, lits)
     insts = _instances(eng, b, refined.rule("exists_neg_1"))
     assert len(insts) == 1
-    assert insts[0][1][sx.dvar("y")] is b0
+    assert insts[0][sx.dvar("y")] is b0
 
 
 def pc_role(calc, text):
@@ -111,10 +111,14 @@ def test_applied_instances_are_excluded(so_calc):
     lit = sx.atom(sx.nu(1), [pc(so_calc, "or(p0, q0)"), a0])
     b = _branch_with(eng, [lit])
     rule = so_calc.rule("or_pos")
-    fp, binding = _instances(eng, b, rule)[0]
+    binding = _instances(eng, b, rule)[0]
     tab = engine.Tableau(b)
-    eng.apply(tab, b, rule, fp, binding, (0, 1))
-    assert _offered(eng, b, rule) == []
+    # each child holds the denominator it took, so the instance asks for
+    # nothing there
+    succ = eng.apply(tab, b, rule, binding, (0, 1))
+    assert len(succ) == 2
+    for child in succ:
+        assert _offered(eng, child, rule) == []
 
 
 # -- application ---------------------------------------------------------------
@@ -124,8 +128,8 @@ def test_apply_positive_exists_registers_term(so_calc, so_ns):
     tab = eng.init([pc(so_calc, "exists(r0, p0)")])
     b = tab.root
     rule = so_calc.rule("exists_pos")
-    fp, binding = _instances(eng, b, rule)[0]
-    succ = eng.apply(tab, b, rule, fp, binding, (0,))
+    binding = _instances(eng, b, rule)[0]
+    succ = eng.apply(tab, b, rule, binding, (0,))
     assert succ == [b]
     sks = [t for t in b.term_birth if t.kind == "app" and t.sym is not sx.NU0]
     assert len(sks) == 1
@@ -142,9 +146,9 @@ def test_apply_closure_closes(so_calc):
             sx.atom(sx.nu(1), [p0, a0]).negate()]
     b = _branch_with(eng, lits)
     rule = so_calc.rule("closure_nu1")
-    fp, binding = _instances(eng, b, rule)[0]
+    binding = _instances(eng, b, rule)[0]
     tab = engine.Tableau(b)
-    assert eng.apply(tab, b, rule, fp, binding, ()) == []
+    assert eng.apply(tab, b, rule, binding, ()) == []
     assert b.closed
 
 
@@ -159,8 +163,7 @@ def test_apply_ub_two_successors(ipc_calc):
     insts = _instances(eng, b, rule)
     assert len(insts) == 1  # birth-ordered pair a0 < b0, once
     tab = engine.Tableau(b)
-    fp, binding = insts[0]
-    succ = eng.apply(tab, b, rule, fp, binding, (0, 1))
+    succ = eng.apply(tab, b, rule, insts[0], (0, 1))
     assert [l.text() for l in list(succ[0].literals)[-1:]] == ["eq(a0, b0)"]
     assert [l.text() for l in list(succ[1].literals)[-1:]] == \
         ["not(eq(a0, b0))"]
@@ -379,9 +382,9 @@ def test_blocking_suppresses_blocked_term_production(so_blocked):
         best = eng.collect(eq_branch)
         if best is None:
             break
-        rule, fp, binding, dens = best
+        rule, binding, dens = best
         if not dens and rule.denominators:
-            eng.close_by_exhaustion(eq_branch, rule, fp, binding)
+            eng.close_by_exhaustion(eq_branch, rule, binding)
             break
         if rule.produces_terms:
             for prem in rule.premises:
@@ -618,20 +621,43 @@ def test_generated_matchers_agree_with_the_reference(monkeypatch, so_blocked,
     assert hits == counts[1] > 1000
 
 
+def _instance(rule, binding):
+    """An instance as (rule id, slot nodes); nodes are interned, so
+    identity is equality."""
+    return rule.id, tuple(binding[v] for v in engine._plan(rule).slots)
+
+
+def _line_sets(monkeypatch):
+    """``line(branch)``: a set per branch, empty at a root, that each child
+    of a split starts as a copy of its parent's, so that it covers the
+    branch's ancestors too."""
+    sets, clone = {}, engine.Branch.clone
+
+    def wrapped(self, bid):
+        child = clone(self, bid)
+        sets[child] = set(sets.get(self, ()))
+        return child
+
+    monkeypatch.setattr(engine.Branch, "clone", wrapped)
+    return lambda branch: sets.setdefault(branch, set())
+
+
 def _queued(monkeypatch, check):
     """Run ``check(branch, known, before, entries)`` after every round on
-    the recorded runs: ``known`` the fingerprints applied or waiting on
-    the branch before the round, ``before`` its ``seen_next`` then, and
-    ``entries`` the heap entries the round queued (those whose discovery
-    number is at least ``before``), in discovery order."""
-    discover = engine.Engine._discover
+    the recorded runs: ``known`` the instances (see ``_instance``) queued
+    on the branch or on its ancestors before the round, which covers those
+    waiting on its heap and those applied, ``before`` its ``seen_next``
+    then, and ``entries`` the heap entries the round queued (those whose
+    discovery number is at least ``before``), in discovery order."""
+    discover, line = engine.Engine._discover, _line_sets(monkeypatch)
 
     def wrapped(self, branch):
-        known = {entry[2] for entry in branch.heap} | branch.applied
-        before = branch.seen_next
+        known, before = line(branch), branch.seen_next
         discover(self, branch)
-        check(branch, known, before, sorted(
-            (e for e in branch.heap if e[1] >= before), key=lambda e: e[1]))
+        entries = sorted((e for e in branch.heap if e[1] >= before),
+                         key=lambda e: e[1])
+        check(branch, known, before, entries)
+        known.update(_instance(e[2], e[3]) for e in entries)
 
     monkeypatch.setattr(engine.Engine, "_discover", wrapped)
 
@@ -643,7 +669,7 @@ def test_generated_denominators_agree_with_substitution(
     queued = []
 
     def record(branch, known, before, entries):
-        queued.extend((rule, binding) for _, _, _, rule, binding, _ in entries)
+        queued.extend((rule, binding) for _, _, rule, binding, _ in entries)
 
     _queued(monkeypatch, record)
     for calc, ns, problems, budget in _recorded_runs(
@@ -670,9 +696,10 @@ def test_every_instance_a_join_yields_is_queued(monkeypatch, so_blocked,
     queued = [0]
 
     def check(branch, known, before, entries):
-        for _, _, fp, _, _, _ in entries:
-            assert fp not in known
-            known.add(fp)
+        for _, _, rule, binding, _ in entries:
+            inst = _instance(rule, binding)
+            assert inst not in known
+            known.add(inst)
         assert [e[1] for e in entries] == list(range(before, branch.seen_next))
         queued[0] += len(entries)
 
@@ -682,6 +709,39 @@ def test_every_instance_a_join_yields_is_queued(monkeypatch, so_blocked,
         for prob in problems:
             engine.prove(calc, prob, ns=ns, node_budget=budget)
     assert queued[0] > 5000
+
+
+def test_no_instance_is_applied_twice_on_a_branch_line(
+        monkeypatch, so_blocked, so_calc, ipc_calc, so_ns, ipc_ns):
+    """The engine keeps no record of the applied instances: ``collect``
+    drops one because a denominator it took is on the branch.  So on the
+    recorded runs (SAT, UNSAT and node-capped) no instance is applied twice
+    on a branch, counting the steps on its ancestors."""
+    line, steps = _line_sets(monkeypatch), [0]
+    apply, close = engine.Engine.apply, engine.Engine.close_by_exhaustion
+
+    def record(branch, rule, binding):
+        inst = _instance(rule, binding)
+        assert inst not in line(branch), (branch.bid, inst)
+        line(branch).add(inst)
+        steps[0] += 1
+
+    def wrapped_apply(self, tableau, branch, rule, binding, dens):
+        record(branch, rule, binding)
+        return apply(self, tableau, branch, rule, binding, dens)
+
+    def wrapped_close(self, branch, rule, binding):
+        record(branch, rule, binding)
+        close(self, branch, rule, binding)
+
+    monkeypatch.setattr(engine.Engine, "apply", wrapped_apply)
+    monkeypatch.setattr(engine.Engine, "close_by_exhaustion", wrapped_close)
+    kinds = set()
+    for calc, ns, problems, budget in _recorded_runs(
+            so_blocked, so_calc, ipc_calc, so_ns, ipc_ns):
+        for prob in problems:
+            kinds.add(engine.prove(calc, prob, ns=ns, node_budget=budget).kind)
+    assert kinds == {"sat", "unsat", "limit"} and steps[0] > 500
 
 
 def test_blocking_join_yields_pairs_with_a_new_marker_in_birth_order(ipc_calc):
@@ -700,7 +760,7 @@ def test_blocking_join_yields_pairs_with_a_new_marker_in_birth_order(ipc_calc):
 
     def pairs(new_from):
         return [tuple(binding[v] for v in engine._plan(rule).slots)
-                for _, binding in pairs_of(b, new_from)]
+                for binding in pairs_of(b, new_from)]
 
     everything = [(a0, b0), (a0, c0), (a0, d0), (b0, c0), (b0, d0), (c0, d0)]
     assert pairs(0) == pairs(1) == pairs(2) == everything
@@ -708,11 +768,13 @@ def test_blocking_join_yields_pairs_with_a_new_marker_in_birth_order(ipc_calc):
     assert pairs(3) == [(a0, b0), (a0, c0), (a0, d0), (b0, d0), (c0, d0)]
     assert pairs(4) == pairs(5) == [(a0, d0), (b0, d0), (c0, d0)]
     assert pairs(6) == []
-    fp, binding = next(pairs_of(b, 5))
-    eng.apply(engine.Tableau(b), b, rule, fp, binding, (0, 1))
-    assert [tuple(binding[v] for v in engine._plan(rule).slots)
-            for _, binding in _offered(eng, b, rule)] == \
-        everything[:2] + everything[3:]
+    succ = eng.apply(engine.Tableau(b), b, rule, next(pairs_of(b, 5)), (0, 1))
+    # each child holds eq(a0, d0) or its negation, so (a0, d0) is not offered
+    assert len(succ) == 2
+    for child in succ:
+        assert [tuple(binding[v] for v in engine._plan(rule).slots)
+                for binding in _offered(eng, child, rule)] == \
+            everything[:2] + everything[3:]
 
 
 def test_generated_matchers_on_the_hard_cases(so_blocked, so_calc):
