@@ -42,7 +42,6 @@ import bisect
 import collections
 import heapq
 import operator
-import re
 import time
 
 from . import syntax as sx
@@ -532,168 +531,3 @@ def prove(calc, concepts, ns=None, node_budget=10 ** 6, time_budget=None,
     verdict = eng.expand(eng.init(concepts))
     verdict.engine = eng
     return verdict
-
-
-# ---------------------------------------------------------------------------
-# trace replay
-
-def replay_trace(calc, concepts, trace_text):
-    """Re-run a recorded derivation, checking each step was applicable and
-    that it ends as its trace says.
-
-    The steps are checked without the matcher: see ``_check_step``.  A
-    split is one step written as a line per denominator, in order, each
-    into a fresh child: its first line is checked, and the step lines after
-    it must finish it.  A step in place taking one of several denominators
-    needs the others contradicted on the branch, and a closure by
-    exhaustion (``den#x``) all of them.  A closure or exhaustion line
-    targets the branch it closes, and a ``close`` line must name the branch
-    the step before it closed.  The trace must end with every branch
-    it created closed, or with ``saturated`` on an open branch on which the
-    engine finds no step left (``Engine.collect`` returns None).  That last
-    check uses the engine's matcher, so the independent certificate of a SAT
-    answer is still its model under ``models.verify_reflection``.  Each
-    branch has its own set of the instances applied on it (rule id and slot
-    nodes), which a split's children inherit.  Returns the number of
-    application lines replayed; raises on mismatch.
-    """
-    eng = Engine(calc)
-    tab = eng.init(concepts)
-    branches = {tab.root.bid: tab.root}
-    applied = {tab.root.bid: set()}  # bid -> (rule id, slot nodes) applied
-    split = set()      # bids of branches a step split into children
-    just_closed = None  # the branch the step on the line before closed
-    saturated = False
-    steps = 0
-    splitting = None  # (instance, source bid, next denominator) of a split
-    for line in trace_text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if saturated:
-            raise sx.TabError("trace goes on after saturated: %s" % line)
-        closed, just_closed = just_closed, None
-        end = re.fullmatch(r"(close|saturated) branch#(\d+)", line)
-        if end:
-            b = branches.get(int(end[2]))
-            if end[1] == "close" and (b is None or b is not closed):
-                raise sx.TabError("the step before did not close it: %s" % line)
-            if end[1] == "saturated":
-                if b is None or b.closed or b.bid in split:
-                    raise sx.TabError("saturated branch is not open: %s" % line)
-                if eng.collect(b) is not None:
-                    raise sx.TabError("saturated branch has a step left: %s"
-                                      % line)
-                saturated = True
-            continue
-        step = re.fullmatch(r"apply (\S+) \{(.*)\} den#(\d+|x) "
-                            r"branch#(\d+) -> branch#(\d+)", line)
-        if not step:
-            raise sx.TabError("bad trace line: %s" % line)
-        rid, body, den_tok = step[1], step[2], step[3]
-        src_bid, dst_bid = int(step[4]), int(step[5])
-        rule = calc.rule(rid)
-        if rule is None:
-            raise sx.TabError("trace names unknown rule %s" % rid)
-        binding = _parse_binding(calc, body)
-        plan = _plan(rule)
-        if set(binding) != set(plan.slots):
-            # checked on every line: an instance is read off the slots only
-            raise sx.TabError("step not applicable (binding does not match "
-                              "the premise variables): %s" % line)
-        inst = rid, tuple(map(binding.get, plan.slots))
-        src = branches.get(src_bid)
-        if src is None or src.closed:
-            raise sx.TabError("trace targets an unknown or closed branch %d"
-                              % src_bid)
-        if dst_bid != src_bid and dst_bid in branches:
-            raise sx.TabError("trace reuses branch %d: %s" % (dst_bid, line))
-        j = None if den_tok == "x" else int(den_tok)
-        if splitting is None:
-            _check_step(rule, binding, src, line, inst in applied[src_bid])
-            applied[src_bid].add(inst)
-        elif splitting != (inst, src_bid, j) or dst_bid == src_bid:
-            raise sx.TabError("split left unfinished: %s" % line)
-        child = src
-        if j is None or rule.is_closure():
-            if dst_bid != src_bid:
-                raise sx.TabError("a closing step targets another branch: %s"
-                                  % line)
-            if not _contradicted(src, rule, binding):
-                raise sx.TabError("exhaustion close not justified: %s" % line)
-            src.closed = True
-        else:
-            n = len(rule.denominators)
-            if j >= n:
-                raise sx.TabError("rule %s has no denominator %d: %s"
-                                  % (rid, j, line))
-            if dst_bid == src_bid:
-                if not _contradicted(src, rule, binding, j):
-                    raise sx.TabError("step in place not justified: %s" % line)
-            elif splitting is None and j:
-                raise sx.TabError("split does not start at den#0: %s" % line)
-            else:
-                child = branches[dst_bid] = src.clone(dst_bid)
-                applied[dst_bid] = applied[src_bid].copy()
-                split.add(src_bid)
-                splitting = (inst, src_bid, j + 1) if j + 1 < n else None
-            for lit in rule.denominators[j]:
-                child.add(sx.substitute_literal(lit, binding), eng)
-        just_closed = child if child.closed else None
-        steps += 1
-    if splitting is not None:
-        raise sx.TabError("trace ends inside a split")
-    if not saturated:
-        for bid, b in branches.items():
-            if not b.closed and bid not in split:
-                raise sx.TabError("trace ends with branch %d open" % bid)
-    return steps
-
-
-def _contradicted(branch, rule, binding, but=None):
-    """Whether every denominator of the instance other than ``but`` has a
-    literal whose negation is on the branch."""
-    return all(any(sx.substitute_literal(l, binding).negate() in branch.literals
-                   for l in den)
-               for i, den in enumerate(rule.denominators) if i != but)
-
-
-def _check_step(rule, binding, branch, line, repeated):
-    """A step whose binding binds exactly the premise variables applies
-    when the instance is not applied yet on the branch (``repeated``),
-    every premise instance is on the branch, and a blocking step pairs two
-    distinct terms in birth order."""
-    def fail(why):
-        raise sx.TabError("step not applicable (%s): %s" % (why, line))
-
-    if repeated:
-        fail("instance already applied")
-    for prem in rule.premises:
-        if sx.substitute_literal(prem, binding) not in branch.literals:
-            fail("premise %s absent" % prem.text())
-    if rule.kind == "blocking":
-        born = [branch.term_birth.get(binding[v]) for v in _plan(rule).slots]
-        if None in born or born[0] >= born[1]:
-            fail("terms not distinct and in birth order")
-
-
-def _parse_binding(calc, body):
-    from .parser import parse_term
-    binding = {}
-    if not body.strip():
-        return binding
-    for part in body.split("; "):
-        name, _, val = part.partition(":=")
-        name = name.strip()
-        cls = calc.signature.classify_name(name)
-        t = parse_term(calc.signature, val.strip(), calc.skolems)
-        if cls and cls[0] == "var":
-            v = sx.lvar(cls[1], name)
-        elif cls and cls[0] == "dvar":
-            v = sx.dvar(name)
-        else:
-            raise sx.TabError("bad binding variable %r" % name)
-        if v in binding:
-            raise sx.TabError("binding names %s twice" % name)
-        binding[v] = t
-    return binding

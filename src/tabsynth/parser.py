@@ -318,18 +318,6 @@ def parse_lexpr(sig, text, want_sort=None, line_offset=1):
     return _parse_with(text, lambda t: Elaborator(sig).lexpr(t, want_sort), line_offset)
 
 
-def parse_formula(sig, text, skolems=None, line_offset=1):
-    return _parse_with(text, Elaborator(sig, skolems).formula, line_offset)
-
-
-def parse_term(sig, text, skolems=None, line_offset=1):
-    return _parse_with(text, Elaborator(sig, skolems).term, line_offset)
-
-
-def parse_rule_literal(sig, text, skolems=None, line_offset=1):
-    return _parse_with(text, Elaborator(sig, skolems).rule_literal, line_offset)
-
-
 # ---------------------------------------------------------------------------
 # line-oriented files (.spec, .calc, .ctx, .refine, problems)
 

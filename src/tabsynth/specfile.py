@@ -25,7 +25,7 @@ import importlib.resources
 
 from . import syntax as sx
 from .parser import (Elaborator, SignatureBlock, SpecSyntaxError, TreeParser,
-                     print_signature, read_directives, tokenize)
+                     read_directives, tokenize)
 
 
 class Definition:
@@ -196,26 +196,6 @@ def parse_spec(text, name="spec"):
 def _joined(errors):
     """One error whose message joins every error found in a specification."""
     return sx.TabError("; ".join(str(e) for e in errors))
-
-
-def print_spec(spec):
-    """Canonical text of a specification; parse(print(s)) == s."""
-    out = print_signature(spec.signature)
-    for d in spec.definitions:
-        pre = "".join("forall %s. " % v.name for v in d.dom_vars)
-        out.append("define %s%s <-> %s"
-                   % (pre, d.head_atom.text(), sx.formula_text(d.body)))
-    for ds in spec.directed:
-        pre = "".join("forall %s. " % v.name for v in ds.dom_vars)
-        if ds.polarity == "+":
-            out.append("define+ %s%s -> %s"
-                       % (pre, ds.head_atom.text(), sx.formula_text(ds.body)))
-        else:
-            out.append("define- %s%s -> %s"
-                       % (pre, sx.formula_text(ds.body), ds.head_atom.text()))
-    for ax in spec.axioms:
-        out.append("axiom %s" % sx.formula_text(ax))
-    return "\n".join(out) + "\n"
 
 
 def preset_text(name):

@@ -426,54 +426,3 @@ def synthesize(ns: NormalizedSpec, assume_well_founded=False) -> Calculus:
     return Calculus(ns.spec.name, sig, rules,
                     skolems={f.name: f for f in skolems},
                     spec_name=ns.spec.name)
-
-
-# ---------------------------------------------------------------------------
-# canonical renaming and comparison
-
-def canonical_rule_text(rule):
-    """Rule text under canonical injective renaming of L-variables, domain
-    variables and Skolem symbols, in traversal order."""
-    lmap, dmap, fmap = {}, {}, {}
-
-    def rterm(t):
-        domain = t.sort == sx.DOMAIN
-        if t.kind == "var":
-            if domain:
-                return dmap.setdefault(t, "W%d" % len(dmap))
-            return lmap.setdefault(t, "V%d_%d" % (t.sort, len(lmap)))
-        if t.kind == "const":
-            return t.name
-        head = t.name
-        if domain and t.sym is not sx.NU0:
-            head = fmap.setdefault(t.sym, "K%d" % len(fmap))
-        if not t.args and not domain:
-            return head
-        return "%s(%s)" % (head, ", ".join(rterm(a) for a in t.args))
-
-    def rlit(l):
-        if l.pred[0] == "false":
-            s = "false"
-        elif l.pred[0] == "holds":
-            s = rterm(l.args[0])
-        else:
-            s = "%s(%s)" % (sx.pred_text(l.pred),
-                            ", ".join(rterm(t) for t in l.args))
-        return s if l.pos else "not(%s)" % s
-
-    prem = ", ".join(rlit(l) for l in rule.premises)
-    den = " | ".join(", ".join(rlit(l) for l in d) for d in rule.denominators) \
-        if rule.denominators else "false"
-    return "[%s] %s / %s" % (rule.kind, prem, den)
-
-
-def calculus_fingerprint(calc):
-    """Kind-bucketed multiset of canonical rule texts."""
-    out = {}
-    for r in calc.rules:
-        out.setdefault(r.kind, []).append(canonical_rule_text(r))
-    return {k: sorted(v) for k, v in out.items()}
-
-
-def calculus_equal(a, b):
-    return calculus_fingerprint(a) == calculus_fingerprint(b)

@@ -15,9 +15,12 @@ from . import syntax as sx
 
 
 def _render_term(t):
+    """A variable's lowercase name is upper-cased (``p`` as ``P``); any other
+    keeps its case behind ``Vu_``, which no upper-cased name equals."""
     domain = t.sort == sx.DOMAIN
     if t.kind == "var":
-        return t.name.upper()
+        lower = re.fullmatch("[a-z][a-z0-9_]*", t.name)
+        return t.name.upper() if lower else "Vu_" + t.name
     if t.kind == "const":
         return ("d_%s" if domain else "q_%s") % t.name
     head = t.name if domain else "c_" + t.name
@@ -32,15 +35,14 @@ _QUANT = {"forall": ("!", "=>"), "exists": ("?", "&")}  # symbol, guard join
 
 def _render_formula(f):
     if type(f) is sx.Literal:
-        p = f.pred
+        p, args = f.pred, [_render_term(a) for a in f.args]
         if p[0] == "false":
             text = "$false"
         elif p[0] == "eq":
-            text = "(%s = %s)" % (_render_term(f.args[0]), _render_term(f.args[1]))
-        elif p[0] == "nu":
-            text = "nu%d(%s)" % (p[1], ",".join(_render_term(a) for a in f.args))
+            text = "(%s = %s)" % tuple(args)
         else:
-            text = "p_%s(%s)" % (p[1], ",".join(_render_term(a) for a in f.args))
+            head = "nu%d" % p[1] if p[0] == "nu" else "p_" + p[1]
+            text = "%s(%s)" % (head, ",".join(args))
         return text if f.pos else "~ " + text
     subs = [_render_formula(s) for s in f.subs]
     if f.op == "not":
@@ -48,7 +50,7 @@ def _render_formula(f):
     if f.op in _INFIX:
         return "(%s)" % _INFIX[f.op].join(subs)
     q, join = _QUANT[f.op]
-    v = f.var.name.upper()
+    v = _render_term(f.var)
     return "( %s [%s] : (dom(%s) %s %s) )" % (q, v, v, join, subs[0])
 
 
@@ -57,7 +59,7 @@ def _closed(f, lvars):
     body = _render_formula(f)
     if not lvars:
         return body
-    names = [v.name.upper() for v in lvars]
+    names = [_render_term(v) for v in lvars]
     guards = " & ".join("sort_%d(%s)" % (v.sort, n) for v, n in zip(lvars, names))
     return "( ! [%s] : ((%s) => %s) )" % (",".join(names), guards, body)
 
@@ -100,125 +102,3 @@ def write_obligations(obligations, sig, outdir):
             fh.write(render_obligation(ob, sig))
         paths.append(path)
     return paths
-
-
-# ---------------------------------------------------------------------------
-# a small validator for the FOF subset we emit (and a little more)
-
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+|%[^\n]*)
-  | (?P<punct><=>|=>|!=|[=~&|!?\[\]:,().])
-  | (?P<lword>[a-z][a-zA-Z0-9_]*|\$[a-z]+)
-  | (?P<uword>[A-Z][a-zA-Z0-9_]*)
-""", re.VERBOSE)
-
-
-def _tptp_tokens(text):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise sx.TabError("bad character %r at offset %d" % (text[pos], pos))
-        pos = m.end()
-        if m.lastgroup != "ws":
-            out.append((m.lastgroup, m.group()))
-    out.append(("eof", ""))
-    return out
-
-
-class _TptpParser:
-    def __init__(self, toks):
-        self.toks = toks
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def eat(self, val=None, kind=None):
-        k, v = self.toks[self.i]
-        if (val is not None and v != val) or (kind is not None and k != kind):
-            raise sx.TabError("expected %r, found %r" % (val or kind, v))
-        self.i += 1
-        return v
-
-    def formula(self):
-        left = self.unit()
-        k, v = self.peek()
-        while v in ("&", "|", "=>", "<=>"):
-            self.eat(v)
-            right = self.unit()
-            left = (v, left, right)
-            k, v = self.peek()
-        return left
-
-    def unit(self):
-        k, v = self.peek()
-        if v == "~":
-            self.eat("~")
-            return ("~", self.unit())
-        if v in ("!", "?"):
-            self.eat(v)
-            self.eat("[")
-            self.eat(kind="uword")
-            while self.peek()[1] == ",":
-                self.eat(",")
-                self.eat(kind="uword")
-            self.eat("]")
-            self.eat(":")
-            return ("q", v, self.unit())
-        if v == "(":
-            self.eat("(")
-            f = self.formula()
-            self.eat(")")
-            return f
-        return self.atomic()
-
-    def atomic(self):
-        t = self.term()
-        k, v = self.peek()
-        if v in ("=", "!="):
-            self.eat(v)
-            t2 = self.term()
-            return ("eq", t, t2)
-        return t
-
-    def term(self):
-        k, v = self.peek()
-        if k == "uword":
-            self.eat(kind="uword")
-            return ("var", v)
-        if k == "lword":
-            self.eat(kind="lword")
-            if self.peek()[1] == "(":
-                self.eat("(")
-                args = [self.term()]
-                while self.peek()[1] == ",":
-                    self.eat(",")
-                    args.append(self.term())
-                self.eat(")")
-                return ("app", v, args)
-            return ("const", v)
-        raise sx.TabError("expected a term, found %r" % v)
-
-
-def validate_tptp(text):
-    """Parse the document; raises TabError when malformed."""
-    p = _TptpParser(_tptp_tokens(text))
-    n = 0
-    while p.peek()[0] != "eof":
-        p.eat("fof")
-        p.eat("(")
-        p.eat(kind="lword")
-        p.eat(",")
-        role = p.eat(kind="lword")
-        if role not in ("axiom", "conjecture", "hypothesis", "lemma", "definition"):
-            raise sx.TabError("bad role %r" % role)
-        p.eat(",")
-        p.formula()
-        p.eat(")")
-        p.eat(".")
-        n += 1
-    if n == 0:
-        raise sx.TabError("no fof annotated formulae found")
-    return n

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import checkers
 from corpus import ipc_formulas, so_concepts
 from tabsynth import engine, models, normalize, parser, refine, synth, tptp
 from tabsynth import syntax as sx
@@ -39,8 +40,8 @@ def test_criterion_1_calculus_reproduction(so_ns, ipc_ns):
     ipc = synth.synthesize(ipc_ns)
     ipc_elapsed = time.monotonic() - t0
     counts = so.counts_by_kind()
-    ok = (synth.calculus_equal(so, golden("so_generated.calc"))
-          and synth.calculus_equal(ipc, golden("ipc_generated.calc"))
+    ok = (checkers.calculus_equal(so, golden("so_generated.calc"))
+          and checkers.calculus_equal(ipc, golden("ipc_generated.calc"))
           and counts["decomposition"] == 8 and counts["theory"] == 1
           and counts["closure"] == 3
           and len([r for r in so.rules if r.kind == "equality"]) == 17
@@ -66,8 +67,8 @@ def test_criterion_2_refinement_reproduction(so_calc, so_ctx, ipc_calc):
     ipc_ref, _ = refine.apply_script(
         ipc_calc, refine.parse_script(pt("ipc.refine")))
     ipc_elapsed = time.monotonic() - t0
-    ok = (synth.calculus_equal(so_ref, golden("so_refined.calc"))
-          and synth.calculus_equal(ipc_ref, golden("ipc_refined.calc"))
+    ok = (checkers.calculus_equal(so_ref, golden("so_refined.calc"))
+          and checkers.calculus_equal(ipc_ref, golden("ipc_refined.calc"))
           and all(rid in removed for rid in
                   ("not_pos", "one_pos", "one_neg", "closure_eq"))
           and so_elapsed < 1.0 and ipc_elapsed < 1.0)
@@ -261,8 +262,8 @@ def test_every_corpus_unsat_replays(so_corpus_run, ipc_corpus_run, so_blocked,
             v = engine.prove(calc, prob, ns=ns, node_budget=NODE_BUDGET,
                              trace=True)
             assert v.kind == "unsat"
-            assert engine.replay_trace(calc, prob,
-                                       "\n".join(v.engine.trace)) > 0
+            assert checkers.replay_trace(calc, prob,
+                                         "\n".join(v.engine.trace)) > 0
             count += 1
         replayed.append(count)
     assert replayed == [11, 33]
@@ -302,7 +303,7 @@ def test_criterion_9_wd_export(so_ns, ipc_ns, tmp_path):
         paths = tptp.write_obligations(obs, ns.signature,
                                        str(tmp_path / sub))
         for p in paths:
-            tptp.validate_tptp(Path(p).read_text(encoding="utf-8"))
+            checkers.validate_tptp(Path(p).read_text(encoding="utf-8"))
             names.append(os.path.basename(p))
     prover = next((p for p in ("eprover", "vampire") if shutil.which(p)), None)
     note = "no first-order prover installed; discharge step skipped"

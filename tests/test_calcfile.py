@@ -1,19 +1,20 @@
 import re
 
+import checkers
 from tabsynth import calcfile, normalize, specfile, synth
 
 
 def test_roundtrip_generated(so_calc):
     text = calcfile.print_calculus(so_calc)
     again = calcfile.parse_calculus(text)
-    assert synth.calculus_equal(so_calc, again)
+    assert checkers.calculus_equal(so_calc, again)
     assert calcfile.print_calculus(again) == text
 
 
 def test_roundtrip_internalized_with_blocking(so_blocked):
     text = calcfile.print_calculus(so_blocked)
     again = calcfile.parse_calculus(text)
-    assert synth.calculus_equal(so_blocked, again)
+    assert checkers.calculus_equal(so_blocked, again)
     assert again.blocking.enabled and again.blocking.depth == 0
     assert again.mode == "internalized"
     assert "eq" in again.ctx.templates["d+"]
@@ -28,7 +29,7 @@ def test_comparison_is_renaming_insensitive(so_calc):
     renamed = re.sub(r"\bq\b", "p", renamed)
     renamed = re.sub(r"\bptmp\b", "q", renamed)
     again = calcfile.parse_calculus(renamed)
-    assert synth.calculus_equal(so_calc, again)
+    assert checkers.calculus_equal(so_calc, again)
 
 
 def test_comparison_detects_real_difference(so_calc):
@@ -39,7 +40,7 @@ def test_comparison_detects_real_difference(so_calc):
         "rule or_pos [decomposition+]: nu1(or(p, q), x) / nu1(p, x), nu1(q, x)")
     assert broken != text
     again = calcfile.parse_calculus(broken)
-    assert not synth.calculus_equal(so_calc, again)
+    assert not checkers.calculus_equal(so_calc, again)
 
 
 def test_stable_rule_order(so_calc):
@@ -57,9 +58,9 @@ def test_roundtrip_consts_in_two_sorts():
     text = specfile.preset_text("so").replace("vars 0 l\n", "vars 0 l\nconsts 0 o\n") \
         .replace("vars 1 p q\n", "vars 1 p q\nconsts 1 k\n")
     spec = specfile.parse_spec(text, name="so")
-    printed = specfile.print_spec(spec)
+    printed = checkers.print_spec(spec)
     assert "vars 0 l\nconsts 0 o\nvars 1 p q\nconsts 1 k\nvars 2 r\n" in printed
-    assert specfile.print_spec(specfile.parse_spec(printed, name="so")) == printed
+    assert checkers.print_spec(specfile.parse_spec(printed, name="so")) == printed
     calc = synth.synthesize(normalize.normalize(spec))
     ctext = calcfile.print_calculus(calc)
     assert "vars 0 l\nconsts 0 o\nvars 1 p q\nconsts 1 k\nvars 2 r\n" in ctext

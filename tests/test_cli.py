@@ -1,3 +1,4 @@
+import ast
 import os
 import re
 import subprocess
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import checkers
 from tabsynth import cli
 from tabsynth import syntax as sx
 
@@ -584,6 +586,36 @@ def test_checkwd_unwritable_outdir(work):
                     "--outdir", "/proc/nonexistent/wd"]) == 1
 
 
+def test_every_public_name_has_a_product_caller():
+    # the package ships what a command or the benchmark reaches; a name only
+    # the tests use belongs in tests/ (checkers.py holds such checkers)
+    root = Path(__file__).resolve().parent.parent
+    package = sorted((root / "src" / "tabsynth").glob("*.py"))
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"))
+             for p in package + sorted((root / "perfbench").glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.rsplit(".", 1)[-1])
+    unreached = []
+    for p in package:
+        for node in trees[p].body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unreached += ["%s.%s" % (p.stem, name) for name in names
+                          if not name.startswith("_") and name not in used]
+    assert unreached == []
+
+
 def test_trace_written_and_replayable(work, tmp_path):
     prob = _write(work / "p9.txt", "exists(r0, p0)\n")
     trace = str(tmp_path / "run.trace")
@@ -595,7 +627,7 @@ def test_trace_written_and_replayable(work, tmp_path):
         (work / "so_refined.calc").read_text(encoding="utf-8"))
     calc = refine.attach_ub(calc, synth.UbConfig(True, 0))
     c = parser.parse_lexpr(calc.signature, "exists(r0, p0)", 1)
-    steps = engine.replay_trace(calc, [c], Path(trace).read_text(encoding="utf-8"))
+    steps = checkers.replay_trace(calc, [c], Path(trace).read_text(encoding="utf-8"))
     assert steps > 0
 
 
@@ -612,19 +644,19 @@ def test_replay_rejects_a_step_whose_premise_is_absent():
     c = parser.parse_lexpr(calc.signature, "exists(r0, p0)", 1)
     with open(os.path.join(GOLDEN, "so_refined_exists.trace")) as fh:
         trace = fh.read()
-    assert engine.replay_trace(calc, [c], trace) == 22
+    assert checkers.replay_trace(calc, [c], trace) == 22
     # the root holds exists(r0, p0) at i0, not exists(r0, q0)
     first = "apply dp_pos_nu1 {l:=i0; p:=exists(r0, p0)}"
     assert trace.startswith(first)
     bad = trace.replace(first, first.replace("p0", "q0"), 1)
     with pytest.raises(sx.TabError, match="absent"):
-        engine.replay_trace(calc, [c], bad)
+        checkers.replay_trace(calc, [c], bad)
     # an instance is read off the rule's variables only: the second line of
     # a split that binds one more is rejected all the same
     split = next(l for l in trace.splitlines() if " den#1 " in l)
     bad = trace.replace(split, split.replace("{", "{q:=p0; ", 1))
     with pytest.raises(sx.TabError, match="premise variables"):
-        engine.replay_trace(calc, [c], bad)
+        checkers.replay_trace(calc, [c], bad)
 
 
 @pytest.mark.parametrize("line, why", [
@@ -645,7 +677,7 @@ def test_replay_rejects_a_malformed_step_line(line, why):
     calc = _golden_calc_ub("so_refined.calc")
     c = parser.parse_lexpr(calc.signature, "exists(r0, p0)", 1)
     with pytest.raises(sx.TabError, match=why):
-        engine.replay_trace(calc, [c], line)
+        checkers.replay_trace(calc, [c], line)
 
 
 @pytest.mark.parametrize("keep, line, why", [
@@ -667,7 +699,7 @@ def test_replay_rejects_a_tampered_golden_step(keep, line, why):
     with open(os.path.join(GOLDEN, "so_refined_exists.trace")) as fh:
         lines = fh.read().splitlines()
     with pytest.raises(sx.TabError, match=why):
-        engine.replay_trace(calc, [c], "\n".join(lines[:keep] + [line]))
+        checkers.replay_trace(calc, [c], "\n".join(lines[:keep] + [line]))
 
 
 def test_replay_rejects_an_unsat_claim_that_skips_a_denominator():
@@ -679,22 +711,22 @@ def test_replay_rejects_an_unsat_claim_that_skips_a_denominator():
     v = engine.prove(calc, cs, trace=True)
     lines = v.engine.trace
     assert v.kind == "sat" and len(lines) == 6
-    assert engine.replay_trace(calc, cs, "\n".join(lines)) == 4
+    assert checkers.replay_trace(calc, cs, "\n".join(lines)) == 4
     assert " den#1 branch#0 -> branch#2" in lines[2]
     # the split's line into branch#2 left out
     with pytest.raises(sx.TabError, match="split left unfinished"):
-        engine.replay_trace(calc, cs, "\n".join(lines[:2] + lines[3:5]))
+        checkers.replay_trace(calc, cs, "\n".join(lines[:2] + lines[3:5]))
     with pytest.raises(sx.TabError, match="ends inside a split"):
-        engine.replay_trace(calc, cs, "\n".join(lines[:2]))
+        checkers.replay_trace(calc, cs, "\n".join(lines[:2]))
     # the split's second line alone
     with pytest.raises(sx.TabError, match="start at den#0"):
-        engine.replay_trace(calc, cs, "\n".join(lines[:1] + lines[2:3]))
+        checkers.replay_trace(calc, cs, "\n".join(lines[:1] + lines[2:3]))
     # p0 taken in place although q0 is not contradicted
     in_place = [l.replace("-> branch#1", "-> branch#0").replace(
         "branch#1 ->", "branch#0 ->") for l in (lines[1], lines[3])]
     with pytest.raises(sx.TabError, match="step in place not justified"):
-        engine.replay_trace(calc, cs, "\n".join(lines[:1] + in_place
-                                                + ["close branch#0"]))
+        checkers.replay_trace(calc, cs, "\n".join(lines[:1] + in_place
+                                                  + ["close branch#0"]))
 
 
 def test_replay_rejects_a_closing_step_into_another_branch():
@@ -704,10 +736,10 @@ def test_replay_rejects_a_closing_step_into_another_branch():
     lines = engine.prove(calc, cs, trace=True).engine.trace
     assert lines == ["apply closure_nu1 {l:=i0; p:=p0} den#0 branch#0 -> "
                      "branch#0", "close branch#0"]
-    assert engine.replay_trace(calc, cs, "\n".join(lines)) == 1
+    assert checkers.replay_trace(calc, cs, "\n".join(lines)) == 1
     moved = lines[0].replace("-> branch#0", "-> branch#9")
     with pytest.raises(sx.TabError, match="closing step targets another"):
-        engine.replay_trace(calc, cs, "\n".join([moved] + lines[1:]))
+        checkers.replay_trace(calc, cs, "\n".join([moved] + lines[1:]))
 
 
 def test_replay_checks_a_closure_by_exhaustion(ipc_blocked):
@@ -721,11 +753,11 @@ def test_replay_checks_a_closure_by_exhaustion(ipc_blocked):
     assert v.kind == "unsat" and len(lines) == 8
     assert lines[6].startswith("apply and_pos {")
     assert lines[6].endswith("} den#x branch#0 -> branch#0")
-    assert engine.replay_trace(ipc_blocked, [(c, False)], "\n".join(lines)) == 7
+    assert checkers.replay_trace(ipc_blocked, [(c, False)], "\n".join(lines)) == 7
     # the first step's denominator is not contradicted on the root
     with pytest.raises(sx.TabError, match="exhaustion close not justified"):
-        engine.replay_trace(ipc_blocked, [(c, False)],
-                            lines[0].replace(" den#0 ", " den#x "))
+        checkers.replay_trace(ipc_blocked, [(c, False)],
+                              lines[0].replace(" den#0 ", " den#x "))
 
 
 def test_replay_checks_where_the_trace_ends():
@@ -736,24 +768,24 @@ def test_replay_checks_where_the_trace_ends():
     v = engine.prove(calc, cs, trace=True)
     lines = v.engine.trace
     assert v.kind == "unsat" and len(lines) == 29
-    assert engine.replay_trace(calc, cs, "\n".join(lines)) == 26
+    assert checkers.replay_trace(calc, cs, "\n".join(lines)) == 26
     # cut short, the derivation leaves its branch open
     with pytest.raises(sx.TabError, match="open"):
-        engine.replay_trace(calc, cs, "\n".join(lines[:3]))
+        checkers.replay_trace(calc, cs, "\n".join(lines[:3]))
     # no step closed branch#0 just before
     with pytest.raises(sx.TabError, match="did not close"):
-        engine.replay_trace(calc, cs, "\n".join(lines[:1] + ["close branch#0"]))
+        checkers.replay_trace(calc, cs, "\n".join(lines[:1] + ["close branch#0"]))
     # an unsat derivation has no saturated branch
     with pytest.raises(sx.TabError, match="not open"):
-        engine.replay_trace(calc, cs, "\n".join(lines + ["saturated branch#1"]))
+        checkers.replay_trace(calc, cs, "\n".join(lines + ["saturated branch#1"]))
     gen = _golden_calc_ub("so_generated.calc")
     c = parser.parse_lexpr(gen.signature, "exists(r0, one(l0))", 1)
     with open(os.path.join(GOLDEN, "so_generated_exists_one.trace")) as fh:
         trace = fh.read()
-    assert engine.replay_trace(gen, [c], trace) == 24
+    assert checkers.replay_trace(gen, [c], trace) == 24
     # a saturated line ends the trace
     with pytest.raises(sx.TabError, match="after saturated"):
-        engine.replay_trace(gen, [c], trace + lines[0] + "\n")
+        checkers.replay_trace(gen, [c], trace + lines[0] + "\n")
 
 
 def test_replay_checks_that_a_saturated_branch_is_saturated():
@@ -763,11 +795,11 @@ def test_replay_checks_that_a_saturated_branch_is_saturated():
     with open(os.path.join(GOLDEN, "so_refined_exists.trace")) as fh:
         lines = fh.read().splitlines()
     assert lines[-1] == "saturated branch#1"
-    assert engine.replay_trace(calc, [c], "\n".join(lines)) == 22
+    assert checkers.replay_trace(calc, [c], "\n".join(lines)) == 22
     # cut after three steps, branch#0 still has steps left
     cut = "\n".join(lines[:3] + ["saturated branch#0"])
     with pytest.raises(sx.TabError, match="step left"):
-        engine.replay_trace(calc, [c], cut)
+        checkers.replay_trace(calc, [c], cut)
 
 
 # (calculus, problem, golden file name, blocking depth) of the --trace and

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import checkers
 from corpus import ipc_formulas, so_concepts
 from tabsynth import (calcfile, engine, models, normalize, parser, refine,
                       synth)
@@ -412,8 +413,8 @@ def test_trace_replay(so_blocked, so_ns):
     v = eng.expand(tab)
     assert v.kind == "sat"
     text = "\n".join(eng.trace)
-    steps = engine.replay_trace(so_blocked, [pc(so_blocked, "exists(r0, p0)")],
-                                text)
+    steps = checkers.replay_trace(so_blocked, [pc(so_blocked, "exists(r0, p0)")],
+                                  text)
     assert steps == sum(1 for l in eng.trace if l.startswith("apply"))
 
 
@@ -778,7 +779,7 @@ def test_blocking_join_yields_pairs_with_a_new_marker_in_birth_order(ipc_calc):
 
 
 def test_generated_matchers_on_the_hard_cases(so_blocked, so_calc):
-    sig, rl = so_calc.signature, parser.parse_rule_literal
+    sig, rl = so_calc.signature, checkers.parse_rule_literal
     i0, i1 = sx.lconst(0, "i0"), sx.lconst(0, "i1")
     a0, b0 = sx.dconst("a0"), sx.dconst("b0")
     x, p = sx.dvar("x"), sx.lvar(1, "p")

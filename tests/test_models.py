@@ -5,6 +5,7 @@ import weakref
 
 import pytest
 
+import checkers
 from corpus import so_concepts
 from tabsynth import engine, models, normalize, parser, refine, specfile, synth
 from tabsynth import syntax as sx
@@ -68,9 +69,9 @@ def test_extraction_partition_is_congruence(so_blocked, so_ns):
 def test_evaluate_disjunction_at_point(so_spec):
     m = models.LStructure(1, spec=so_spec)
     m.nu[1] = {(pc(so_spec, "p0"), (0,))}
-    f = parser.parse_formula(so_spec.signature, "nu1(or(p0, q0), x)")
+    f = checkers.parse_formula(so_spec.signature, "nu1(or(p0, q0), x)")
     assert models.evaluate(m, f, {sx.dvar("x"): 0})
-    g = parser.parse_formula(so_spec.signature, "nu1(or(q0, q0), x)")
+    g = checkers.parse_formula(so_spec.signature, "nu1(or(q0, q0), x)")
     assert not models.evaluate(m, g, {sx.dvar("x"): 0})
 
 
@@ -84,7 +85,7 @@ def test_negative_leaves_evaluate_to_the_negation(so_spec, so_ns):
     sem.label(m, [pc(so_spec, "not(p0)")])
     for text in ("nu1(p0, x)", "nu1(not(p0), x)", "eq(x, x)", "eq(p0, q0)",
                  "false"):
-        lit = parser.parse_formula(so_spec.signature, text)
+        lit = checkers.parse_formula(so_spec.signature, text)
         assert lit.pos
         for e in range(m.size):
             want = models.evaluate(m, lit, {x: e})
@@ -113,7 +114,7 @@ def test_evaluate_persistence_violation(ipc_spec, ipc_ns):
 
 def test_evaluate_unassigned_variable(so_spec):
     m = models.LStructure(1, spec=so_spec)
-    f = parser.parse_formula(so_spec.signature, "nu1(p0, x)")
+    f = checkers.parse_formula(so_spec.signature, "nu1(p0, x)")
     with pytest.raises(sx.TabError, match="no value for domain term x"):
         models.evaluate(m, f, {})
 
@@ -629,10 +630,10 @@ def _random_formula(rng, spec, depth, leaves=SO_LEAVES):
     if depth == 0 or rng.random() < 0.35:
         roll = rng.random()
         if roll < 0.6:
-            return parser.parse_formula(sig, "nu1(%s, x)" % rng.choice(exprs))
+            return checkers.parse_formula(sig, "nu1(%s, x)" % rng.choice(exprs))
         if roll < 0.8:
-            return parser.parse_formula(sig, binary)
-        return parser.parse_formula(sig, "eq(x, y)")
+            return checkers.parse_formula(sig, binary)
+        return checkers.parse_formula(sig, "eq(x, y)")
     roll = rng.random()
     a = _random_formula(rng, spec, depth - 1, leaves)
     b = _random_formula(rng, spec, depth - 1, leaves)
@@ -747,7 +748,7 @@ def test_compiled_semantics_read_ternary_atoms():
             tuples = itertools.product(range(size), repeat=e.sort)
             assert all(bool(m.labels[e] >> i & 1) == m.holds(e.sort, e, tup)
                        for i, tup in enumerate(tuples)), e.text()
-        f = parser.parse_formula(spec.signature, rng.choice(texts))
+        f = checkers.parse_formula(spec.signature, rng.choice(texts))
         val = {v: rng.randrange(size) for v in dvars if rng.random() < 0.9}
         role = rng.choice(roles)
         inst = sx.substitute_formula(f, {t: role})

@@ -1,5 +1,6 @@
 import pytest
 
+import checkers
 from tabsynth import calcfile, normalize, refine, specfile, synth
 from tabsynth import syntax as sx
 
@@ -71,7 +72,7 @@ def test_fold_errors(so_calc):
 # -- internalization ----------------------------------------------------------
 
 def test_internalize_so_matches_refined_golden(so_refined):
-    assert synth.calculus_equal(so_refined, golden("so_refined.calc"))
+    assert checkers.calculus_equal(so_refined, golden("so_refined.calc"))
 
 
 def test_internalize_output_speaks_only_concepts(so_refined):
@@ -223,13 +224,13 @@ def test_context_roundtrip(so_calc, so_ctx):
 
 
 def test_ipc_refined_matches_golden(ipc_refined):
-    assert synth.calculus_equal(ipc_refined, golden("ipc_refined.calc"))
+    assert checkers.calculus_equal(ipc_refined, golden("ipc_refined.calc"))
 
 
 def test_refined_calc_roundtrips_through_file(so_blocked):
     text = calcfile.print_calculus(so_blocked)
     again = calcfile.parse_calculus(text)
-    assert synth.calculus_equal(so_blocked, again)
+    assert checkers.calculus_equal(so_blocked, again)
     assert again.mode == "internalized" and again.ctx is not None
     assert again.blocking.enabled
 

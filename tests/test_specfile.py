@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import checkers
 from tabsynth import calcfile, cli, normalize, specfile, synth
 from tabsynth import syntax as sx
 
@@ -35,15 +36,15 @@ def test_preset_matches_shipped_bytes(so_spec):
     text = specfile.preset_text("so")
     assert "define forall x. nu1(exists(r, p), x)" in text
     reparsed = specfile.parse_spec(text, name="so")
-    assert specfile.print_spec(reparsed) == specfile.print_spec(so_spec)
+    assert checkers.print_spec(reparsed) == checkers.print_spec(so_spec)
 
 
 @pytest.mark.parametrize("name", ["so", "ipc"])
 def test_roundtrip_print_parse(name):
     spec = specfile.preset(name)
-    text = specfile.print_spec(spec)
+    text = checkers.print_spec(spec)
     again = specfile.parse_spec(text, name=name)
-    assert specfile.print_spec(again) == text
+    assert checkers.print_spec(again) == text
     assert [d.sentence() for d in again.definitions] == \
         [d.sentence() for d in spec.definitions]
     assert again.axioms == spec.axioms
@@ -54,7 +55,7 @@ def test_tab_separates_directive_word(so_spec):
     tabbed = re.sub(r"^(\S+) ", "\\1\t", text, flags=re.M)
     assert "sorts\t3" in tabbed
     again = specfile.parse_spec(tabbed, name="so")
-    assert specfile.print_spec(again) == specfile.print_spec(so_spec)
+    assert checkers.print_spec(again) == checkers.print_spec(so_spec)
 
 
 def test_every_sentence_is_l_open(so_spec, ipc_spec):
@@ -127,14 +128,18 @@ def test_formula_negation_stays_a_formula(tmp_path):
     body = spec.definitions[0].body  # not(not(nu1(p, x)))
     assert body.op == "not" and body.subs[0].op == "not"
     assert type(body.subs[0].subs[0]) is sx.Literal and body.subs[0].subs[0].pos
-    assert specfile.print_spec(spec) == \
+    assert checkers.print_spec(spec) == \
         (GOLDEN / "negation_printed.spec").read_text(encoding="utf-8")
-    assert cli.main(["check-wd", "--spec", str(path),
-                     "--outdir", str(tmp_path)]) == 0
-    want = sorted((GOLDEN / "negation_wd").iterdir())
-    assert sorted(p.name for p in tmp_path.iterdir()) == [p.name for p in want]
-    for p in want:
-        assert (tmp_path / p.name).read_bytes() == p.read_bytes()
+    # case.spec: variables whose names differ only in case keep apart
+    for name in ("negation", "case"):
+        out = tmp_path / name
+        assert cli.main(["check-wd", "--spec", str(GOLDEN / (name + ".spec")),
+                         "--outdir", str(out)]) == 0
+        want = sorted((GOLDEN / (name + "_wd")).iterdir())
+        assert sorted(p.name for p in out.iterdir()) == [p.name for p in want]
+        for p in want:
+            assert (out / p.name).read_bytes() == p.read_bytes()
+            assert checkers.validate_tptp(p.read_text(encoding="utf-8")) >= 2
     calc = synth.synthesize(normalize.normalize(spec))
     assert calcfile.print_calculus(calc) == \
         (GOLDEN / "negation.calc").read_text(encoding="utf-8")

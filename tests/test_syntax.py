@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import checkers
 from tabsynth import calcfile, parser, specfile
 from tabsynth import syntax as sx
 
@@ -29,13 +30,13 @@ def test_interning_is_identity(so_spec):
     x = sx.dvar("x")
     lit = sx.atom(sx.nu(1), [a, x])
     assert (lit.pos, lit.pred, lit.args) == (True, sx.nu(1), (a, x))
-    assert parser.parse_formula(sig, "nu1(exists(r0, or(p0, q0)), x)") is lit
+    assert checkers.parse_formula(sig, "nu1(exists(r0, or(p0, q0)), x)") is lit
     neg = lit.negate()
     assert (neg.pos, neg.pred, neg.args) == (False, sx.nu(1), (a, x))
     assert neg.negate() is lit
     assert sx.literal(False, sx.nu(1), [a, x]) is neg
     assert sx.literal(True, sx.nu(1), (a, x)) is lit
-    assert parser.parse_rule_literal(sig, "not(nu1(exists(r0, or(p0, q0)), x))") \
+    assert checkers.parse_rule_literal(sig, "not(nu1(exists(r0, or(p0, q0)), x))") \
         is neg
     assert neg.text() == "not(nu1(exists(r0, or(p0, q0)), x))"
     with pytest.raises(sx.TabError, match="first argument of nu1 must be a sort-1"):
@@ -44,7 +45,7 @@ def test_interning_is_identity(so_spec):
 
 def test_substitute_expression(so_spec):
     sig = so_spec.signature
-    f = parser.parse_formula(sig, "nu1(exists(r, p), x)")
+    f = checkers.parse_formula(sig, "nu1(exists(r, p), x)")
     p = sx.lvar(1, "p")
     pq = parser.parse_lexpr(sig, "or(p, q)")
     got = sx.substitute_formula(f, {p: pq})
@@ -52,13 +53,13 @@ def test_substitute_expression(so_spec):
 
 
 def test_substitute_empty_is_identity(so_spec):
-    f = parser.parse_formula(so_spec.signature, "nu1(exists(r, p), x)")
+    f = checkers.parse_formula(so_spec.signature, "nu1(exists(r, p), x)")
     assert sx.substitute_formula(f, {}) == f
 
 
 def test_substitute_simultaneous(so_spec):
     sig = so_spec.signature
-    f = parser.parse_formula(sig, "nu1(or(p, q), x)")
+    f = checkers.parse_formula(sig, "nu1(or(p, q), x)")
     sub = {sx.lvar(1, "p"): parser.parse_lexpr(sig, "not(p)"),
            sx.lvar(1, "q"): parser.parse_lexpr(sig, "not(q)")}
     assert sx.formula_text(sx.substitute_formula(f, sub)) == \
@@ -98,13 +99,13 @@ def test_substitute_compositional(so_spec):
 
 def test_l_open_sentence_free_domain_variable(so_spec):
     sig = so_spec.signature
-    f = parser.parse_formula(sig, "forall y. and(nu1(exists(r, p), y), nu2(r, x, y))")
+    f = checkers.parse_formula(sig, "forall y. and(nu1(exists(r, p), y), nu2(r, x, y))")
     assert sx.free_dvars(f) == [sx.dvar("x")]
 
 
 def test_l_open_sentence_all_bound(so_spec):
     sig = so_spec.signature
-    f = parser.parse_formula(
+    f = checkers.parse_formula(
         sig, "forall y. and(nu1(exists(r, p), y), forall x. nu2(r, x, y))")
     assert sx.free_dvars(f) == []
 
@@ -112,8 +113,8 @@ def test_l_open_sentence_all_bound(so_spec):
 def test_object_variable_quantification_rejected(so_spec):
     # quantifiers bind domain variables only; binding p is a parse error
     with pytest.raises(parser.SpecSyntaxError):
-        parser.parse_formula(so_spec.signature,
-                             "forall p. forall y. nu1(exists(r, p), y)")
+        checkers.parse_formula(so_spec.signature,
+                               "forall p. forall y. nu1(exists(r, p), y)")
 
 
 RESTRICT_SPEC = """
@@ -137,8 +138,8 @@ define forall x. nu1(exists(r, p), x) <-> exists y. and(nu2(r, x, y), nu1(p, y))
 def test_restrict_keeps_only_in_carrier_instances():
     spec = specfile.parse_spec(RESTRICT_SPEC)
     sig = spec.signature
-    s = [parser.parse_formula(sig, "nu1(exists(r, p), y)"),
-         parser.parse_formula(sig, "nu1(not(p), x)")]
+    s = [checkers.parse_formula(sig, "nu1(exists(r, p), y)"),
+         checkers.parse_formula(sig, "nu1(not(p), x)")]
     x_set = [parser.parse_lexpr(sig, t)
              for t in ("r0", "p0", "p", "conj(p, p0)", "exists(r0, p0)")]
     got = sx.restrict(s, x_set)
@@ -146,7 +147,7 @@ def test_restrict_keeps_only_in_carrier_instances():
 
 
 def test_restrict_empty_carrier(so_spec):
-    f = parser.parse_formula(so_spec.signature, "nu1(not(p), x)")
+    f = checkers.parse_formula(so_spec.signature, "nu1(not(p), x)")
     assert sx.restrict([f], []) == []
 
 
@@ -156,7 +157,7 @@ def test_restrict_empty_sentences():
 
 def test_restrict_members_stay_inside(so_spec):
     sig = so_spec.signature
-    s = [parser.parse_formula(sig, "nu1(or(p, q), x)")]
+    s = [checkers.parse_formula(sig, "nu1(or(p, q), x)")]
     x_set = [parser.parse_lexpr(sig, t) for t in ("p0", "q0", "or(p0, q0)")]
     for inst in sx.restrict(s, x_set):
         for e in sx.lexprs_of_formula(inst):
@@ -165,8 +166,8 @@ def test_restrict_members_stay_inside(so_spec):
 
 def test_match_literal_one_way(so_spec):
     sig = so_spec.signature
-    pat = parser.parse_rule_literal(sig, "nu1(or(p, q), x)")
-    data = parser.parse_rule_literal(sig, "nu1(or(p0, q0), x)")
+    pat = checkers.parse_rule_literal(sig, "nu1(or(p, q), x)")
+    data = checkers.parse_rule_literal(sig, "nu1(or(p0, q0), x)")
     # the branch side is never treated as a pattern, so its domain variable
     # must first be made ground for a match
     lit = sx.substitute_literal(data, {sx.dvar("x"): sx.dconst("a0")})
@@ -175,7 +176,7 @@ def test_match_literal_one_way(so_spec):
     assert binding[sx.lvar(1, "p")].text() == "p0"
     assert binding[sx.dvar("x")].name == "a0"
     assert not sx.match_literal(
-        parser.parse_rule_literal(sig, "nu1(exists(r, p), x)"), lit, {})
+        checkers.parse_rule_literal(sig, "nu1(exists(r, p), x)"), lit, {})
 
 
 def test_compiled_substitution_looks_nodes_up_and_checks_misses(so_spec):
@@ -183,8 +184,8 @@ def test_compiled_substitution_looks_nodes_up_and_checks_misses(so_spec):
     ``substitute_literal`` gives, found in the intern table or made on a
     miss, and a miss keeps the sort checks of ``app`` and ``literal``."""
     sig = so_spec.signature
-    den = (parser.parse_rule_literal(sig, "nu1(or(p, not(q)), x)"),
-           parser.parse_rule_literal(sig, "not(nu2(r, x, y))"))
+    den = (checkers.parse_rule_literal(sig, "nu1(or(p, not(q)), x)"),
+           checkers.parse_rule_literal(sig, "not(nu2(r, x, y))"))
     instances = sx.compile_substitution(den)
     p, q, r = sx.lvar(1, "p"), sx.lvar(1, "q"), sx.lvar(2, "r")
     x, y = sx.dvar("x"), sx.dvar("y")
@@ -231,8 +232,8 @@ def test_ten_thousand_deep_term_is_walked_without_recursion(so_spec):
 def test_ten_thousand_deep_formula_is_walked_without_recursion(so_spec):
     sig = so_spec.signature
     x, p = sx.dvar("x"), sx.lvar(1, "p")
-    a = parser.parse_formula(sig, "nu1(p, x)")
-    a0 = parser.parse_formula(sig, "nu1(p0, a0)")
+    a = checkers.parse_formula(sig, "nu1(p, x)")
+    a0 = checkers.parse_formula(sig, "nu1(p0, a0)")
     f, f0 = a, a0
     for _ in range(10000):
         f = sx.formula("not", (f,))
