@@ -1,13 +1,15 @@
 """Executing a calculus: branches, rule matching, blocking, verdicts.
 
 A branch is a growing set of ground literals, kept once, in a dict from
-each literal to its index in order of arrival; two functions picked per
+each literal, in order of arrival, to its terms; two functions picked per
 engine (:func:`_reader`) read a literal's terms and the equality pair it
-states.  Rule premises are matched one-way against branch literals (no
-unification of branch terms).  The calculus is compiled whole on its first
-use into one generated round kept on the calculus (:func:`_compile_round`),
-and each rule into a :class:`RulePlan` kept on the rule: its priority,
-its variable slots, and one generated function per denominator.
+states, once, as it arrives.  The branch files each literal in an index
+under the prefixes of its key path (:func:`_path`).  Rule premises are
+matched one-way against branch literals (no unification of branch terms).
+The calculus is compiled whole on its first use into one generated round
+kept on the calculus (:func:`_compile_round`), and each rule into a
+:class:`RulePlan` kept on the rule: its priority, its variable slots, and
+one generated function per denominator.
 Generated matchers serve every production caller of ``syntax``'s
 matching; ``tests/test_engine.py`` holds them to a tree-walking reference
 matcher of its own, and the denominators to ``syntax.substitute_literal``.
@@ -89,19 +91,15 @@ def _reader(calc):
 # ---------------------------------------------------------------------------
 # branches
 
-def _coarse_key(lit):
-    return (lit.pos, lit.pred, None)
-
-
-def _head_key(lit):
-    """Fine index key when the first argument is a compound expression;
-    None otherwise (atomic data sits only in the coarse bucket)."""
+def _path(lit):
+    """The key path of a literal or a premise: its sign and predicate, then,
+    for a ``nu`` or ``holds`` literal whose first argument is compound, that
+    argument's symbol.  A branch files a literal under every prefix of its
+    path of length two or more; a premise reads its whole path."""
     p = lit.pred
-    if p[0] in ("nu", "holds") and lit.args:
-        e = lit.args[0]
-        if e.kind == "app":
-            return (lit.pos, p, e.sym)
-    return None
+    if p[0] in ("nu", "holds") and lit.args and lit.args[0].kind == "app":
+        return (lit.pos, p, lit.args[0].sym)
+    return (lit.pos, p)
 
 
 class Branch:
@@ -111,8 +109,8 @@ class Branch:
 
     def __init__(self, bid):
         self.bid = bid
-        self.literals = {}     # literal -> its index, in order of arrival
-        self.index = {}
+        self.literals = {}     # literal -> its terms, in order of arrival
+        self.index = {}        # path prefix -> [(literal, arrival index)]
         self.term_birth = {}
         self.seen_next = 0
         self.tp_count = 0
@@ -142,14 +140,14 @@ class Branch:
         """Add ``lit`` if new, read by ``eng``'s reader; whether it was new."""
         if lit in self.literals:
             return False
-        idx = self.literals[lit] = len(self.literals)
-        self.index.setdefault(_coarse_key(lit), []).append((lit, idx))
-        fine = _head_key(lit)
-        if fine is not None:
-            self.index.setdefault(fine, []).append((lit, idx))
+        idx = len(self.literals)
+        terms = self.literals[lit] = tuple(eng.terms_of(lit))
+        path = _path(lit)
+        for n in range(2, len(path) + 1):
+            self.index.setdefault(path[:n], []).append((lit, idx))
         if lit.pos and lit.pred[0] == "false":
             self.closed = True
-        for t in eng.terms_of(lit):
+        for t in terms:
             if t not in self.term_birth:
                 self.term_birth[t] = len(self.term_birth)
         pair = eng.eq_pair(lit)
@@ -234,21 +232,21 @@ def _compile_round(calc):
     the branch, so :meth:`Engine.collect` drops it.  ``early`` holds the
     blocking rule's pairs back (priority 5).
 
-    Each index bucket a premise reads is looked up once per round, with
-    whether it holds a new literal (``N<k>``) and its new literals
-    (``T<k>``).  A rule runs only when one of its buckets has a new
-    literal, as one ``for`` loop per premise, nested in premise order:
-    level ``i`` walks its bucket under the binding of the levels before
-    it, whole if an earlier level matched a new literal (``u<i>``) or a
-    later premise's bucket has one, its new literals otherwise.  Every
-    attempt is one call of ``sx.match_literal``, looked up as the round
-    starts, on one scratch binding: a failed match leaves it as it was, a
-    level removes what its premise bound before its next candidate, and
-    only an instance gets a copy.
+    Each index bucket a premise reads, its whole key path (:func:`_path`),
+    is looked up once per round, with whether it holds a new literal
+    (``N<k>``) and its new literals (``T<k>``).  A rule runs only when one
+    of its buckets has a new literal, as one ``for`` loop per premise,
+    nested in premise order: level ``i`` walks its bucket under the
+    binding of the levels before it, whole if an earlier level matched a
+    new literal (``u<i>``) or a later premise's bucket has one, its new
+    literals otherwise.  Every attempt is one call of ``sx.match_literal``,
+    looked up as the round starts, on one scratch binding: a failed match
+    leaves it as it was, a level removes what its premise bound before its
+    next candidate, and only an instance gets a copy, with the terms of its
+    matched literals from ``branch.literals`` if its rule produces terms.
     """
     g = sx.Codegen()
-    terms_of = g.const(_reader(calc)[0])
-    keys, code = {}, []  # keys: index bucket key -> k of B<k>, N<k>, T<k>
+    keys, code = {}, []  # keys: a premise's path -> k of B<k>, N<k>, T<k>
     for rule in calc.rules:
         plan = _plan(rule)
         entry = "%s, s, %s" % (plan.priority, g.const(rule))
@@ -259,8 +257,7 @@ def _compile_round(calc):
                      % entry]
             continue
         prems = rule.premises
-        ks = [keys.setdefault(_head_key(p) or _coarse_key(p), len(keys))
-              for p in prems]
+        ks = [keys.setdefault(_path(p), len(keys)) for p in prems]
         # new_in[i]: a bucket of premise i or of a later one has a new literal
         new_in = [" or ".join("N%d" % k for k in sorted(set(ks[i:])))
                   for i in range(len(ks))]
@@ -283,7 +280,7 @@ def _compile_round(calc):
                 dels.append("%s del %s" % (ind, ", ".join(
                     "b[%s]" % g.const(v) for v in new)))
         ind = " " * (len(prems) + 1)
-        terms = "tuple({%s})" % ", ".join("*%s(l%d)" % (terms_of, i)
+        terms = "tuple({%s})" % ", ".join("*lits[l%d]" % i
                                           for i in range(len(prems))) \
             if rule.produces_terms and prems else "()"
         code.append("%spush(heap, (%s, dict(b), %s)); s += 1"
@@ -292,7 +289,7 @@ def _compile_round(calc):
     bisect_, pos = g.const(bisect.bisect_left), g.const(_POSITION)
     head = ["new_from = branch.scan_upto",
             "branch.scan_upto = len(branch.literals)",
-            "index, heap = branch.index, branch.heap",
+            "lits, index, heap = branch.literals, branch.index, branch.heap",
             "match, push = %s.match_literal, %s" % (g.const(sx),
                                                     g.const(heapq.heappush)),
             "s, b = branch.seen_next, {}"]

@@ -358,8 +358,8 @@ class Semantics:
     :class:`~tabsynth.syntax.TabError` when it is reached.
 
     A compiled formula reads ``nu_n(e, t)`` as a bit of ``e``'s label in
-    ``m.labels`` (see :meth:`label`): the extension of ``e`` as an ``int``
-    over ``range(m.size) ** n`` in product order, bit ``i`` for the
+    ``m.labels`` (see :meth:`label_steps`): the extension of ``e`` as an
+    ``int`` over ``range(m.size) ** n`` in product order, bit ``i`` for the
     ``i``-th tuple.  A definition body reads nothing of the structure but
     the frame and the labels of the object expressions it names: its
     parameters, constants, and compounds of them (an individual's label is
@@ -525,24 +525,6 @@ class Semantics:
                 except sx.TabError as error:
                     ext = _Unlabelled(error)
             labels[e] = ext
-
-    def label(self, m, exprs, table=None):
-        """Label ``m`` on the closure of ``exprs`` under the induced
-        ordering: an atom gets its relation in ``m.nu``, an individual its
-        nu0 element, and a compound its extension by :meth:`plan` and
-        :meth:`label_steps`, read from ``table`` (the :meth:`table` of
-        ``m``'s size and frame) or worked out into it; a fresh table when
-        None."""
-        lower = self.ordering.lower_sets(exprs)
-        for e in lower:
-            if e.kind == "app":
-                continue
-            m.labels[e] = (m.nu0.get(e) if e.sort == 0 else
-                           _mask([t for a, t in m.nu.get(e.sort, ()) if a is e],
-                                 m.size))
-        steps, = self.plan(lower, ())
-        self.label_steps(m, steps, collections.defaultdict(dict)
-                         if table is None else table)
 
     def _extension(self, m, e):
         """The extension of compound ``e`` on ``m``, by its compiled

@@ -41,6 +41,7 @@ RESERVED_DVAR_PREFIXES = ("x", "y", "z")
 RESERVED_DCONST_PREFIXES = ("a", "b", "c")
 RESERVED_ANCHOR_PREFIX = "i"  # fresh individuals of internalized derivations
 RESERVED_WORDS = {"eq", "false"}
+MAX_SORTS = 64  # a signature keeps tables per sort: refuse more up front
 
 
 def _reserved_name(name):
@@ -92,6 +93,8 @@ class LSignature:
                  preds=None):
         if n_lsorts < 2:
             raise TabError("need at least sorts 0 (individuals) and 1 (concepts)")
+        if n_lsorts > MAX_SORTS:
+            raise TabError("at most %d sorts, not %d" % (MAX_SORTS, n_lsorts))
         self.n_lsorts = n_lsorts
         self.conns = {}
         self.var_prefixes = {s: tuple() for s in range(n_lsorts)}

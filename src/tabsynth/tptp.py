@@ -64,10 +64,6 @@ def _closed(f, lvars):
     return "( ! [%s] : ((%s) => %s) )" % (",".join(names), guards, body)
 
 
-def _sanitize(name):
-    return re.sub(r"[^a-zA-Z0-9_]", "_", name)
-
-
 def render_obligation(ob, sig):
     """The full FOF problem text for one obligation."""
     lines = ["%% obligation: %s" % ob.name]
@@ -77,28 +73,35 @@ def render_obligation(ob, sig):
     for c in sig.conns.values():
         if not c.arg_sorts:
             lines.append("fof(sort_conn_%s, axiom, sort_%d(c_%s))."
-                         % (_sanitize(c.name), c.res_sort, c.name))
+                         % (c.name, c.res_sort, c.name))
             continue
         vs = ["A%d" % i for i in range(len(c.arg_sorts))]
         guards = " & ".join("sort_%d(%s)" % (s, v) for s, v in zip(c.arg_sorts, vs))
         lines.append("fof(sort_conn_%s, axiom, ( ! [%s] : ((%s) => sort_%d(c_%s(%s))) ))."
-                     % (_sanitize(c.name), ",".join(vs), guards, c.res_sort,
+                     % (c.name, ",".join(vs), guards, c.res_sort,
                         c.name, ",".join(vs)))
     lines.append("fof(sort_nu0, axiom, ( ! [L] : (sort_0(L) => dom(nu0(L))) )).")
     for label, f, lvars in ob.axioms:
-        lines.append("fof(%s, axiom, %s)." % (_sanitize(label), _closed(f, lvars)))
+        lines.append("fof(%s, axiom, %s)." % (label, _closed(f, lvars)))
     label, f, lvars = ob.conjecture
-    lines.append("fof(%s, conjecture, %s)." % (_sanitize(label), _closed(f, lvars)))
+    lines.append("fof(%s, conjecture, %s)." % (label, _closed(f, lvars)))
     return "\n".join(lines) + "\n"
 
 
 def write_obligations(obligations, sig, outdir):
+    """One ``<name>.p`` file per obligation in ``outdir``, none unless every
+    name is ASCII, as TPTP's are."""
     import os
+    texts = [render_obligation(ob, sig) for ob in obligations]
+    for text in texts:
+        word = re.search(r"\w*[^\x00-\x7f]\w*", text)
+        if word:
+            raise sx.TabError("TPTP names are ASCII; %r is not" % word.group())
     paths = []
     os.makedirs(outdir, exist_ok=True)
-    for ob in obligations:
+    for ob, text in zip(obligations, texts):
         path = os.path.join(outdir, "%s.p" % ob.name)
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(render_obligation(ob, sig))
+            fh.write(text)
         paths.append(path)
     return paths

@@ -1,6 +1,7 @@
 import ast
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -231,6 +232,15 @@ BAD_FILES = [
     # a preset is a bundled name, never a path to another .spec file
     ("synth-preset-path", None, ["synth", "--preset", "../presets/so"],
      "unknown preset '../presets/so' (bundled: ipc, so)"),
+    # a sort count is refused before any table per sort is made
+    ("huge-sorts.spec", "sorts 99999999\nvars 1 p\n",
+     ["synth", "--spec", "{f}"], "error: at most 64 sorts, not 99999999\n"),
+    # TPTP names are ASCII: a spec whose names are not writes no file
+    ("non-ascii.spec",
+     "sorts 2\nvars 1 p\nconnective g\u00e9 1 -> 1\n"
+     "define forall x. nu1(g\u00e9(p), x) <-> nu1(p, x)\n",
+     ["check-wd", "--spec", "{f}", "--outdir", "{nodir}"],
+     "error: TPTP names are ASCII; 'sort_conn_g\u00e9' is not\n"),
     # each refusal says what failed, not only the symbol it failed on
     ("twice-and-undefined.spec",
      "sorts 2\nvars 1 p\nconnective a 1 -> 1\nconnective b 1 -> 1\n"
@@ -367,7 +377,14 @@ def _run_module(args):
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     return subprocess.run([sys.executable, "-m", "tabsynth.cli"] + args,
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env,
+                          preexec_fn=_limit_address_space)
+
+
+def _limit_address_space():
+    """A child that allocates without bound fails with a MemoryError at
+    2 GiB of address space instead of taking the machine's memory."""
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
 @pytest.mark.parametrize("name, text, args, names", BAD_FILES,
@@ -593,13 +610,14 @@ def test_every_public_name_has_a_product_caller():
     package = sorted((root / "src" / "tabsynth").glob("*.py"))
     trees = {p: ast.parse(p.read_text(encoding="utf-8"))
              for p in package + sorted((root / "perfbench").glob("*.py"))}
-    used = set()
+    used, attrs = set(), set()  # attrs: the names read as attributes
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
+                attrs.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name.rsplit(".", 1)[-1])
     unreached = []
@@ -613,6 +631,13 @@ def test_every_public_name_has_a_product_caller():
                 continue
             unreached += ["%s.%s" % (p.stem, name) for name in names
                           if not name.startswith("_") and name not in used]
+            # a public method of a top-level class is reached as an attribute
+            if isinstance(node, ast.ClassDef):
+                unreached += ["%s.%s.%s" % (p.stem, node.name, f.name)
+                              for f in node.body
+                              if isinstance(f, ast.FunctionDef)
+                              and not f.name.startswith("_")
+                              and f.name not in attrs]
     assert unreached == []
 
 

@@ -745,6 +745,32 @@ def test_no_instance_is_applied_twice_on_a_branch_line(
     assert kinds == {"sat", "unsat", "limit"} and steps[0] > 500
 
 
+def test_the_store_and_the_index_match_their_definitions(
+        monkeypatch, so_blocked, so_calc, ipc_calc, so_ns, ipc_ns):
+    """On the recorded SO runs every branch handed to ``collect`` keeps
+    each literal's terms as the reader reads them, and files it, with its
+    arrival index, under exactly the prefixes of its key path, in order."""
+    collect, branches = engine.Engine.collect, [0]
+
+    def wrapped(self, branch):
+        index = {}
+        for i, (lit, terms) in enumerate(branch.literals.items()):
+            assert terms == tuple(self.terms_of(lit)), lit.text()
+            path = engine._path(lit)
+            for n in range(2, len(path) + 1):
+                index.setdefault(path[:n], []).append((lit, i))
+        assert branch.index == index
+        branches[0] += 1
+        return collect(self, branch)
+
+    monkeypatch.setattr(engine.Engine, "collect", wrapped)
+    for calc, ns, problems, budget in _recorded_runs(
+            so_blocked, so_calc, ipc_calc, so_ns, ipc_ns)[:2]:
+        for prob in problems:
+            engine.prove(calc, prob, ns=ns, node_budget=budget)
+    assert branches[0] > 100
+
+
 def test_blocking_join_yields_pairs_with_a_new_marker_in_birth_order(ipc_calc):
     blocked = refine.attach_ub(ipc_calc, synth.UbConfig(True, 0))
     eng = engine.Engine(blocked)

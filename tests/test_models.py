@@ -1,3 +1,4 @@
+import collections
 import gc
 import itertools
 import random
@@ -14,6 +15,24 @@ from tabsynth import syntax as sx
 def pc(spec_or_calc, text, sort=1):
     sig = getattr(spec_or_calc, "signature", spec_or_calc)
     return parser.parse_lexpr(sig, text, sort)
+
+
+def _label(sem, m, exprs, table=None):
+    """Label ``m`` on the closure of ``exprs`` under the induced ordering:
+    an atom gets its relation in ``m.nu``, an individual its nu0 element,
+    and a compound its extension by ``sem.plan`` and ``sem.label_steps``,
+    read from ``table`` (the ``sem.table`` of ``m``'s size and frame) or
+    worked out into it; a fresh table when None."""
+    lower = sem.ordering.lower_sets(exprs)
+    for e in lower:
+        if e.kind == "app":
+            continue
+        m.labels[e] = (m.nu0.get(e) if e.sort == 0 else
+                       models._mask([t for a, t in m.nu.get(e.sort, ())
+                                     if a is e], m.size))
+    steps, = sem.plan(lower, ())
+    sem.label_steps(m, steps, collections.defaultdict(dict)
+                    if table is None else table)
 
 
 # -- extraction ----------------------------------------------------------------
@@ -82,7 +101,7 @@ def test_negative_leaves_evaluate_to_the_negation(so_spec, so_ns):
     m.nu[1] = {(pc(so_spec, "p0"), (0,))}
     x = sx.dvar("x")
     sem = models.semantics(so_ns)
-    sem.label(m, [pc(so_spec, "not(p0)")])
+    _label(sem, m, [pc(so_spec, "not(p0)")])
     for text in ("nu1(p0, x)", "nu1(not(p0), x)", "eq(x, x)", "eq(p0, q0)",
                  "false"):
         lit = checkers.parse_formula(so_spec.signature, text)
@@ -433,7 +452,7 @@ def test_oracle_respects_nominals(so_ns, so_spec):
 def _assert_labels_agree(sem, m, exprs, table):
     """Label ``m`` on the closure of ``exprs`` through ``table``; every label
     must agree with the reference at every tuple."""
-    sem.label(m, exprs, table)
+    _label(sem, m, exprs, table)
     m._memo.clear()
     for e in sem.ordering.lower_sets(exprs):
         if e.sort == 0:
@@ -685,7 +704,7 @@ def test_compiled_semantics_agree_with_evaluate(request, preset, leaves):
     for _ in range(1000):
         size = rng.choice((1, 2, 3))
         m = _random_structure(rng, spec, size)
-        sem.label(m, labelled)
+        _label(sem, m, labelled)
         # the background sentences, their object variables bound to the pool
         for g in ns.sb:
             lvs, run = sem.sentence(g)
@@ -704,7 +723,7 @@ def test_compiled_semantics_agree_with_evaluate(request, preset, leaves):
         if m.nu0 and rng.random() < 0.2:
             m.nu0.clear()
             m._memo.clear()
-            sem.label(m, labelled)
+            _label(sem, m, labelled)
         inst = sx.substitute_formula(f, dict(zip(lvs, objs)))
         want = _outcome(lambda: models.evaluate(m, inst, dict(val)))
         run = models._compile(f, lvs, list(val))
@@ -743,7 +762,7 @@ def test_compiled_semantics_read_ternary_atoms():
         m.nu[1] = {(p0, (e,)) for e in range(size) if rng.random() < 0.5}
         if rng.random() < 0.5:
             m.dconsts["a0"] = rng.randrange(size)
-        sem.label(m, labelled)
+        _label(sem, m, labelled)
         for e in labelled:
             tuples = itertools.product(range(size), repeat=e.sort)
             assert all(bool(m.labels[e] >> i & 1) == m.holds(e.sort, e, tup)

@@ -91,3 +91,20 @@ def test_variables_differing_only_in_case_keep_apart():
     assert "! [P,Vu_P,Vu_X] : ((sort_1(P) & sort_1(Vu_P) & sort_1(Vu_X))" in wd1
     assert "nu1(c_f(P,Vu_P),X) <=> (nu1(P,X) & ~ nu1(Vu_P,X))" in wd1
     assert "nu1(c_g(Vu_X),X)" in wd1
+
+
+@pytest.mark.parametrize("decls, word", [
+    ("vars 1 p\u00e9\nconnective g 1 -> 1\n"
+     "define forall x. nu1(g(p\u00e9), x) <-> nu1(p\u00e9, x)\n",
+     "Vu_p\u00e9"),
+    ("vars 1 p\nconnective g\u00e9 1 -> 1\n"
+     "define forall x. nu1(g\u00e9(p), x) <-> nu1(p, x)\n",
+     "sort_conn_g\u00e9")], ids=["variable", "connective"])
+def test_non_ascii_names_are_refused_before_any_file(tmp_path, decls, word):
+    # the tokenizer reads any letter, and TPTP names are ASCII
+    ns = normalize.normalize(specfile.parse_spec("sorts 2\n" + decls))
+    outdir = tmp_path / "wd"
+    with pytest.raises(sx.TabError, match="ASCII; '%s' is not" % word):
+        tptp.write_obligations(normalize.emit_wd_obligations(ns),
+                               ns.signature, str(outdir))
+    assert not outdir.exists()
