@@ -86,7 +86,7 @@ def _parse_rule_line(el, rest, lineno):
 def parse_calculus(text):
     block, head, skolems, ctx_lines, rule_lines = SignatureBlock(), {}, {}, {}, []
     warnings = []
-    at = {}  # the line of each head directive
+    at = {}  # the line of each head directive and skolem symbol
 
     def directive(lineno, word, rest):
         if block.read(word, rest):
@@ -96,7 +96,10 @@ def parse_calculus(text):
         elif word == "skolem":
             sig_part, _, ndom = rest.partition("/")
             name, *lsorts = sig_part.split()
-            skolems[name] = sx.FnSym(name, tuple(int(s) for s in lsorts), int(ndom))
+            fn = skolems[name] = sx.FnSym(name, tuple(map(int, lsorts)), int(ndom))
+            if fn.n_dom < 0:
+                raise ValueError(ndom)
+            at[fn] = lineno
         elif word == "blocking":
             parts = rest.split()
             if parts == ["off"]:
@@ -116,6 +119,10 @@ def parse_calculus(text):
 
     read_directives(text, directive)
     sig = block.signature()
+    for fn in skolems.values():
+        if not set(fn.lsorts) <= set(range(sig.n_lsorts)):
+            raise SpecSyntaxError("skolem %s takes a sort outside 0..%d"
+                                  % (fn.name, sig.max_sort), at[fn])
     ctx = None
     if ctx_lines:
         from .refine import parse_context

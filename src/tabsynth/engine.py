@@ -6,13 +6,13 @@ engine (:func:`_reader`) read a literal's terms and the equality pair it
 states, once, as it arrives.  The branch files each literal in an index
 under the prefixes of its key path (:func:`_path`).  Rule premises are
 matched one-way against branch literals (no unification of branch terms).
-The calculus is compiled whole on its first use into one generated round
-kept on the calculus (:func:`_compile_round`), and each rule into a
-:class:`RulePlan` kept on the rule: its priority, its variable slots, and
-one generated function per denominator.
-Generated matchers serve every production caller of ``syntax``'s
-matching; ``tests/test_engine.py`` holds them to a tree-walking reference
-matcher of its own, and the denominators to ``syntax.substitute_literal``.
+The calculus is compiled whole on its first use into a generated round
+kept on the calculus (:func:`_compile_round`), which matches each premise
+inline in its loop, and each rule into a :class:`RulePlan` kept on the
+rule: its priority, its variable slots, and one generated function per
+denominator.  ``tests/test_engine.py`` holds the generated matchers to a
+tree-walking reference matcher of its own, the inline round to the
+counted one, and the denominators to ``syntax.substitute_literal``.
 Each round queues only the instances that use a literal added since the
 round before (semi-naive evaluation), so every instance is queued once.  A
 step takes none, one or all of an instance's denominators
@@ -223,14 +223,14 @@ def _plan(rule):
     return plan
 
 
-def _compile_round(calc):
+def _compile_round(calc, counted):
     """The generated ``round(branch, early)`` of a calculus, kept on it
-    (``calc.round``): it queues on ``branch`` every instance that matches
-    a premise to a literal added since the round before, rule by rule in
-    calculus order, and marks the branch's literals as matched.  No such
-    instance was queued before; an applied one has a denominator wholly on
-    the branch, so :meth:`Engine.collect` drops it.  ``early`` holds the
-    blocking rule's pairs back (priority 5).
+    (``calc.round[counted]``): it queues on ``branch`` every instance that
+    matches a premise to a literal added since the round before, rule by
+    rule in calculus order, and marks the branch's literals as matched.  No
+    such instance was queued before; an applied one has a denominator
+    wholly on the branch, so :meth:`Engine.collect` drops it.  ``early``
+    holds the blocking rule's pairs back (priority 5).
 
     Each index bucket a premise reads, its whole key path (:func:`_path`),
     is looked up once per round, with whether it holds a new literal
@@ -239,11 +239,17 @@ def _compile_round(calc):
     nested in premise order: level ``i`` walks its bucket under the
     binding of the levels before it, whole if an earlier level matched a
     new literal (``u<i>``) or a later premise's bucket has one, its new
-    literals otherwise.  Every attempt is one call of ``sx.match_literal``,
-    looked up as the round starts, on one scratch binding: a failed match
-    leaves it as it was, a level removes what its premise bound before its
-    next candidate, and only an instance gets a copy, with the terms of its
-    matched literals from ``branch.literals`` if its rule produces terms.
+    literals otherwise.  An attempt runs the premise's tests
+    (``sx.emit_match``) inline: a variable the premise binds is a local,
+    one an earlier premise bound is compared to its local, and an instance
+    gets a dict of them in order of binding, and the terms of its matched
+    literals from ``branch.literals`` if its rule produces terms.
+
+    The ``counted`` round, which :meth:`Engine._discover` runs while a
+    counter wraps ``sx.match_literal``, makes each attempt one call of it
+    on one scratch binding: a failed match leaves it as it was, a level
+    removes what its premise bound before its next candidate, and an
+    instance gets a copy.
     """
     g = sx.Codegen()
     keys, code = {}, []  # keys: a premise's path -> k of B<k>, N<k>, T<k>
@@ -262,37 +268,50 @@ def _compile_round(calc):
         new_in = [" or ".join("N%d" % k for k in sorted(set(ks[i:])))
                   for i in range(len(ks))]
         code.append("if %s:" % (new_in[0] if prems else "not new_from"))
-        bound, dels = set(), []
+        bound, dels, binding = {}, [], []  # bound: variable -> its local
         for i, (p, k) in enumerate(zip(prems, ks)):
             ind = " " * (i + 1)
             whole = (["u%d" % i] if i else []) + new_in[i + 1:i + 2]
             rest = "B%d if %s else T%d" % (k, " or ".join(whole), k) \
                 if whole else "T%d" % k
-            code += ["%sfor l%d, i%d in %s:" % (ind, i, i, rest),
-                     "%s if not match(%s, l%d, b): continue"
-                     % (ind, g.const(p), i)]
+            code.append("%sfor l%d, i%d in %s:" % (ind, i, i, rest))
+            if counted:
+                code.append("%s if not match(%s, l%d, b): continue"
+                            % (ind, g.const(p), i))
+                new = [v for v in sx.lvars(p) + sx.dvars(p) if v not in bound]
+                bound.update(dict.fromkeys(new))
+                if new:
+                    dels.append("%s del %s" % (ind, ", ".join(
+                        "b[%s]" % g.const(v) for v in new)))
+            else:
+                tests, new = sx.emit_match(g, p, "l%d" % i, "continue",
+                                           "l%d" % i, bound)
+                code += ["%s %s" % (ind, t) for t in tests]
+                code += ["%s if %s.sort != %d: continue" % (ind, n, sort)
+                         for _, _, n, sort in new if sort is not None]
+                bound.update((v, n) for v, _, n, _ in new)
+                binding += ["%s: %s" % (c, n) for _, c, n, _ in new]
             if i < len(prems) - 1:
                 code.append("%s u%d = %si%d >= new_from"
                             % (ind, i + 1, "u%d or " % i if i else "", i))
-            new = [v for v in sx.lvars(p) + sx.dvars(p) if v not in bound]
-            bound.update(new)
-            if new:
-                dels.append("%s del %s" % (ind, ", ".join(
-                    "b[%s]" % g.const(v) for v in new)))
         ind = " " * (len(prems) + 1)
         terms = "tuple({%s})" % ", ".join("*lits[l%d]" % i
                                           for i in range(len(prems))) \
             if rule.produces_terms and prems else "()"
-        code.append("%spush(heap, (%s, dict(b), %s)); s += 1"
-                    % (ind, entry, terms))
+        code.append("%spush(heap, (%s, %s, %s)); s += 1" % (
+            ind, entry, "dict(b)" if counted else "{%s}" % ", ".join(binding),
+            terms))
         code += reversed(dels)
     bisect_, pos = g.const(bisect.bisect_left), g.const(_POSITION)
     head = ["new_from = branch.scan_upto",
             "branch.scan_upto = len(branch.literals)",
-            "lits, index, heap = branch.literals, branch.index, branch.heap",
-            "match, push = %s.match_literal, %s" % (g.const(sx),
-                                                    g.const(heapq.heappush)),
-            "s, b = branch.seen_next, {}"]
+            "lits, index, heap = branch.literals, branch.index, branch.heap"]
+    if counted:
+        head += ["match, push = %s.match_literal, %s"
+                 % (g.const(sx), g.const(heapq.heappush)),
+                 "s, b = branch.seen_next, {}"]
+    else:
+        head += ["push = %s" % g.const(heapq.heappush), "s = branch.seen_next"]
     for key, k in keys.items():
         head += ["B%d = index.get(%s, ())" % (k, g.const(key)),
                  "N%d = bool(B%d) and B%d[-1][1] >= new_from" % (k, k, k),
@@ -389,10 +408,12 @@ class Engine:
         literal did not exist, and a round walks each combination once.  The
         blocking rule waits behind term production until the branch has had
         ``depth`` term-producing steps."""
-        if self.calc.round is None:
-            self.calc.round = _compile_round(self.calc)
+        counted = sx.match_literal is not sx.match_expr  # a counter wraps it
+        rnd = self.calc.round[counted]
+        if rnd is None:
+            rnd = self.calc.round[counted] = _compile_round(self.calc, counted)
         early = self.blocking and branch.tp_count < self.blocking.depth
-        self.calc.round(branch, early)
+        rnd(branch, early)
 
     def collect(self, branch):
         """Queue the new instances and pick the next step.

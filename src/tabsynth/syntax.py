@@ -127,8 +127,9 @@ class LSignature:
                     raise TabError("prefix %r is reserved" % p)
                 if _reserved_name(p) or p in ("forall", "exists"):
                     raise TabError("prefix %r is a reserved word" % p)
-                if p in seen and seen[p] != s:
-                    raise TabError("prefix %r declared for two sorts" % p)
+                if p in seen:
+                    raise TabError("prefix %r declared %s" % (p, "for two sorts"
+                                   if seen[p] != s else "twice for sort %d" % s))
                 seen[p] = s
         for cname in list(self.conns) + list(self.preds):
             base, digits = _strip_digits(cname)
@@ -655,7 +656,8 @@ def match_literal(pattern, value, binding):
 
 # Expressions match through the same function.  A wrapper that counts
 # attempts by rebinding the module attribute ``match_literal`` leaves this
-# name on the original, so it counts the literal matches only.
+# name on the original, so it counts the literal matches only, and makes
+# the engine run its counted round (see ``engine._compile_round``).
 match_expr = match_literal
 
 
@@ -701,57 +703,69 @@ def _open_subterms(terms):
     return open_
 
 
-def _compile_matcher(pattern):
-    """A function ``(value, binding)`` matching ``pattern``, a literal or an
-    object expression.
+def emit_match(g, pattern, v, fail, pre="", bound=()):
+    """Lines testing that the value in local ``v`` matches ``pattern``, a
+    literal or an object expression, each running ``fail`` on a mismatch;
+    and the variables of ``pattern`` not in ``bound`` (variable -> local),
+    in preorder, as (variable, constant, local, sort to check or None).
 
     A literal's polarity, predicate and arity are tested first; an
     expression is itself the one argument, in a position that leaves its
     sort open.  Then each symbol, each ground subterm and each repeat of a
-    subterm is tested where it stands, by identity (nodes are interned).
-    Then each variable is looked up and checked, sort-checked where it is
-    unbound unless its position fixes the sort.  Only when every check has
-    passed are the unbound variables bound, in preorder.  The tests hold
-    every generated matcher to a tree-walking reference.
+    subterm or of a bound variable is tested where it stands, by identity
+    (nodes are interned), on parts unpacked into locals ``pre`` + ``t<k>``.
     """
-    g = Codegen()
-    args = (pattern,) if type(pattern) is Term else pattern.args
-    names = ["t%d" % k for k in range(len(args))]
     if type(pattern) is Term:  # the value itself is t0
-        head, code, typed = "match(t0, b)", [], False
+        args, names, code, typed = (pattern,), [v], [], False
     else:
-        head = "match(v, b)"
-        code = ["if %sv.pos: return False" % ("not " if pattern.pos else ""),
-                "if v.pred != %s: return False" % g.const(pattern.pred)]
+        args = pattern.args
+        names = ["%st%d" % (pre, k) for k in range(len(args))]
+        code = ["if %s%s.pos: %s" % ("not " if pattern.pos else "", v, fail),
+                "if %s.pred != %s: %s" % (v, g.const(pattern.pred), fail)]
         if pattern.pred[0] == "pred":  # the other predicates fix their arity
-            code.append("if len(v.args) != %d: return False" % len(args))
+            code.append("if len(%s.args) != %d: %s" % (v, len(args), fail))
         if names:
-            code.append("%s, = v.args" % ", ".join(names))
+            code.append("%s, = %s.args" % (", ".join(names), v))
         # only eq leaves the sorts of a literal's arguments open
         typed = pattern.pred != EQ
     open_ = _open_subterms(args)
     stack = [(p, n, typed) for p, n in zip(reversed(args), reversed(names))]
-    first = {}  # pattern subterm -> the local holding its first value
+    first = dict(bound)  # pattern subterm -> the local holding its first value
     variables = []
     while stack:
         p, n, typed = stack.pop()
         if p in first:
-            code.append("if %s is not %s: return False" % (n, first[p]))
+            code.append("if %s is not %s: %s" % (n, first[p], fail))
             continue
         first[p] = n
         if p.kind == "var":
-            variables.append((g.const(p), n, "x%d" % len(variables),
-                              None if typed else p.sort))
+            variables.append((p, g.const(p), n, None if typed else p.sort))
         elif p not in open_:
-            code.append("if %s is not %s: return False" % (n, g.const(p)))
+            code.append("if %s is not %s: %s" % (n, g.const(p), fail))
         else:
-            code.append("if %s.sym is not %s: return False" % (n, g.const(p.sym)))
-            subs = ["t%d" % k for k in range(len(names), len(names) + len(p.args))]
+            code.append("if %s.sym is not %s: %s" % (n, g.const(p.sym), fail))
+            subs = ["%st%d" % (pre, k)
+                    for k in range(len(names), len(names) + len(p.args))]
             names += subs
             code.append("%s, = %s.args" % (", ".join(subs), n))
             stack += [(q, m, True) for q, m in zip(reversed(p.args),
                                                     reversed(subs))]
-    for c, n, x, sort in variables:
+    return code, variables
+
+
+def _compile_matcher(pattern):
+    """A function ``(value, binding)`` matching ``pattern``, a literal or an
+    object expression: the tests of :func:`emit_match`, then each variable
+    looked up in the binding and checked, sort-checked where it is unbound
+    unless its position fixes the sort.  Only when every check has passed
+    are the unbound variables bound, in preorder.  The tests hold every
+    generated matcher to a tree-walking reference.
+    """
+    g = Codegen()
+    v = "t0" if type(pattern) is Term else "v"
+    code, variables = emit_match(g, pattern, v, "return False")
+    for k, (_, c, n, sort) in enumerate(variables):
+        x = "x%d" % k
         code.append("%s = b.get(%s)" % (x, c))
         if sort is None:
             code.append("if %s is not None and %s is not %s: return False"
@@ -760,10 +774,10 @@ def _compile_matcher(pattern):
             code += ["if %s is None:" % x,
                      " if %s.sort != %d: return False" % (n, sort),
                      "elif %s is not %s: return False" % (x, n)]
-    code += ["if %s is None: b[%s] = %s" % (x, c, n)
-             for c, n, x, _ in variables]
+    code += ["if x%d is None: b[%s] = %s" % (k, c, n)
+             for k, (_, c, n, _) in enumerate(variables)]
     code.append("return True")
-    return g.function(head, code)
+    return g.function("match(%s, b)" % v, code)
 
 
 def compile_substitution(lits):

@@ -94,7 +94,7 @@ class Calculus:
         self.spec_name = spec_name
         self.refined = refined        # any transformation applied post-synthesis
         self.warnings = tuple(warnings)  # what a refinement leaves unproven
-        self.round = None  # the engine's generated round, built on first use
+        self.round = [None, None]  # the engine's inline and counted round
         # traces name a rule by its id, and ``rule`` finds the first one: a
         # second rule with an id in use could not be told apart from it
         ids = set()

@@ -235,6 +235,23 @@ BAD_FILES = [
     # a sort count is refused before any table per sort is made
     ("huge-sorts.spec", "sorts 99999999\nvars 1 p\n",
      ["synth", "--spec", "{f}"], "error: at most 64 sorts, not 99999999\n"),
+    # a Skolem symbol's argument sorts are the calculus's, and it takes no
+    # negative count of domain arguments
+    ("skolem-sort.calc", "sorts 2\nvars 1 p\nskolem f 99 / 1\n",
+     ["prove", "--calc", "{f}", "{p0}"],
+     "error: skolem f takes a sort outside 0..1 at 3:?\n"),
+    ("skolem-domain.calc", "sorts 2\nvars 1 p\nskolem f 1 / -3\n",
+     ["prove", "--calc", "{f}", "{p0}"],
+     "error: malformed 'skolem' directive at 3:?\n"),
+    # a name family is declared once, in either reader
+    ("twice-declared.spec",
+     "sorts 2\nvars 1 p q\nvars 1 p\nconnective neg 1 -> 1\n"
+     "define forall x. nu1(neg(p), x) <-> not(nu1(p, x))\n",
+     ["synth", "--spec", "{f}"],
+     "error: prefix 'p' declared twice for sort 1\n"),
+    ("twice-declared.calc", "sorts 2\nvars 1 p p\n",
+     ["prove", "--calc", "{f}", "{p0}"],
+     "error: prefix 'p' declared twice for sort 1\n"),
     # TPTP names are ASCII: a spec whose names are not writes no file
     ("non-ascii.spec",
      "sorts 2\nvars 1 p\nconnective g\u00e9 1 -> 1\n"

@@ -173,27 +173,34 @@ def test_apply_ub_two_successors(ipc_calc):
 def test_the_round_is_built_once_per_calculus(monkeypatch, so_refined):
     """A calculus's round is generated on its first solve and kept for the
     engines after it; a calculus from ``attach_ub`` generates its own, and
-    only that one queues the blocking rule's pairs."""
-    built = []
-    compile_round = engine._compile_round
-    monkeypatch.setattr(engine, "_compile_round",
-                        lambda calc: built.append(calc) or compile_round(calc))
+    only that one queues the blocking rule's pairs.  With ``match_literal``
+    as ``syntax`` defines it, only the inline round is ever built."""
+    built, compile_round = [], engine._compile_round
+
+    def recorded(calc, counted):
+        built.append((calc, counted))
+        return compile_round(calc, counted)
+
+    monkeypatch.setattr(engine, "_compile_round", recorded)
     blocked = refine.attach_ub(so_refined, synth.UbConfig(True, 0))
-    assert blocked.round is None
+    assert blocked.round == [None, None]
     c = pc(so_refined, "exists(r0, p0)")
     first = engine.prove(blocked, [c], trace=True)
-    rnd = blocked.round
-    assert built == [blocked] and rnd is not None
+    rnd = blocked.round[False]
+    assert built == [(blocked, False)] and rnd is not None
     assert engine.prove(blocked, [c], trace=True).engine.trace == \
         first.engine.trace
-    assert built == [blocked] and blocked.round is rnd
+    assert built == [(blocked, False)] and blocked.round[False] is rnd
     deeper = refine.attach_ub(so_refined, synth.UbConfig(True, 2))
     engine.prove(deeper, [c])
-    assert built == [blocked, deeper] and deeper.round not in (None, rnd)
+    assert built == [(blocked, False), (deeper, False)] and \
+        deeper.round[False] not in (None, rnd)
     assert any(l.startswith("apply ub ") for l in first.engine.trace)
     unblocked = engine.prove(so_refined, [c], node_budget=200, trace=True)
-    assert so_refined.round not in (None, rnd)
+    assert so_refined.round[False] not in (None, rnd)
     assert not any(l.startswith("apply ub ") for l in unblocked.engine.trace)
+    assert {counted for _, counted in built} == {False} and \
+        blocked.round[True] is None
 
 
 def test_a_rule_without_premises_applies_once(so_calc):
@@ -661,6 +668,95 @@ def _queued(monkeypatch, check):
         known.update(_instance(e[2], e[3]) for e in entries)
 
     monkeypatch.setattr(engine.Engine, "_discover", wrapped)
+
+
+def _entries(heap):
+    """Heap entries in discovery order, each binding as its items in order."""
+    return [(prio, seen, rule, list(binding.items()), terms)
+            for prio, seen, rule, binding, terms in sorted(heap,
+                                                           key=lambda e: e[1])]
+
+
+def test_the_inline_and_the_counted_round_queue_the_same_instances(
+        monkeypatch, so_blocked, so_calc, ipc_calc, so_ns, ipc_ns):
+    """On the recorded runs, each round of a plain run (the inline round)
+    queues the same entries as the same round under a counting
+    ``match_literal`` (the counted round): priority, discovery number,
+    rule, binding in order and terms."""
+    pushed = []
+
+    def record(branch, known, before, entries):
+        pushed[-1].append(_entries(entries))
+
+    def run_all():
+        pushed.append([])
+        for calc, ns, problems, budget in runs:
+            for prob in problems:
+                engine.prove(calc, prob, ns=ns, node_budget=budget)
+
+    _queued(monkeypatch, record)
+    runs = _recorded_runs(so_blocked, so_calc, ipc_calc, so_ns, ipc_ns)
+    run_all()
+    counts = _counting_matcher(monkeypatch)
+    run_all()
+    inline, counted = pushed
+    assert inline == counted
+    assert sum(map(len, inline)) > 5000 and counts[0] > 10000
+
+
+def test_the_inline_round_matches_as_the_counted_round_does():
+    """A small calculus whose premises bind a variable of an earlier
+    premise, leave the sort of an eq variable open, repeat a variable, hold
+    a ground compound subterm, are negative, or take a predicate at another
+    arity than the branch's: over two rounds on a growing branch the inline
+    round queues what the counted round queues."""
+    neg, and_ = sx.Conn("not", (1,), 1), sx.Conn("and", (1, 1), 1)
+    sig = sx.LSignature(2, [neg, and_], {1: ("p", "q")}, {1: ("k",)},
+                        {"R": 2})
+    p, q, p0, q0 = (sx.lvar(1, n) for n in ("p", "q", "p0", "q0"))
+    k0, x, y = sx.lconst(1, "k0"), sx.dvar("x"), sx.dvar("y")
+    a0, b0, R = sx.dconst("a0"), sx.dconst("b0"), sx.pred("R")
+
+    def nu1(e, t):
+        return sx.atom(sx.nu(1), [e, t])
+
+    def eq(s, t):
+        return sx.atom(sx.EQ, [s, t])
+
+    rules = [("repeat", [nu1(sx.app(and_, [p, p]), x)]),
+             ("join", [nu1(sx.app(and_, [p, q]), x),
+                       nu1(sx.app(neg, [p]), x).negate()]),
+             ("eq_domain", [eq(x, y)]),
+             ("ground", [nu1(sx.app(neg, [k0]), x)]),
+             ("arity", [sx.atom(R, [x])]),
+             ("pair", [sx.atom(R, [x, y]), eq(y, x)])]
+    calc = synth.Calculus("hand", sig, [
+        synth.TableauRule(rid, "theory", prems, (), produces_terms=True)
+        for rid, prems in rules])
+    eng = engine.Engine(calc)
+    first = [nu1(sx.app(and_, [p0, p0]), a0), nu1(sx.app(and_, [p0, q0]), a0),
+             nu1(sx.app(neg, [p0]), a0), eq(p0, p0), eq(a0, a0),
+             sx.atom(R, [a0, b0]), nu1(sx.app(neg, [k0]), a0),
+             nu1(sx.app(neg, [p0]), b0)]
+    later = [nu1(sx.app(neg, [p0]), a0).negate(),
+             nu1(sx.app(neg, [q0]), b0).negate(), eq(b0, a0)]
+    branches = [engine.Branch(0), engine.Branch(0)]
+    for lits in (first, later):
+        for counted, branch in enumerate(branches):
+            for lit in lits:
+                branch.add(lit, eng)
+            engine._compile_round(calc, counted)(branch, False)
+    inline, counted = (_entries(b.heap) for b in branches)
+    assert inline == counted
+    assert [(rule.id, [(v.name, t.text()) for v, t in binding])
+            for _, _, rule, binding, _ in inline] == [
+        ("repeat", [("p", "p0"), ("x", "a0")]),
+        ("eq_domain", [("x", "a0"), ("y", "a0")]),
+        ("ground", [("x", "a0")]),
+        ("join", [("p", "p0"), ("q", "p0"), ("x", "a0")]),
+        ("join", [("p", "p0"), ("q", "q0"), ("x", "a0")]),
+        ("eq_domain", [("x", "b0"), ("y", "a0")]),
+        ("pair", [("x", "a0"), ("y", "b0")])]
 
 
 def test_generated_denominators_agree_with_substitution(
