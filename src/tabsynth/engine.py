@@ -348,6 +348,8 @@ class Engine:
         if time_budget is not None and not time_budget >= 0:  # NaN too
             raise sx.TabError("time budget must be >= 0 seconds, not %g"
                               % time_budget)
+        if search not in ("dfs", "bfs"):
+            raise sx.TabError("search must be dfs or bfs, not %r" % (search,))
         self.calc = calc
         self.ns = ns
         self.node_budget = node_budget

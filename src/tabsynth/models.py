@@ -184,71 +184,44 @@ def individual_term(e, ctx, skolems):
         for fname, conn in ctx.fn_conns.items():
             if e.sym is conn:
                 fn = skolems[fname]
-                args = list(e.args[:len(fn.lsorts)])
-                args += [individual_term(a, ctx, skolems)
-                         for a in e.args[len(fn.lsorts):]]
-                return sx.app(fn, args)
+                k = len(fn.lsorts)
+                return sx.app(fn, e.args[:k] + tuple(
+                    individual_term(a, ctx, skolems) for a in e.args[k:]))
     return sx.nu0(e)
 
 
 def detranslate(literals, ctx, skolems):
     """Rewrite internalized branch concepts back into base literals using
-    every context template that matches (all readings are entailed)."""
+    every context template that matches (all readings are entailed).  Each
+    reading is kept once, at its first position."""
     if skolems is None:
         raise sx.TabError("a context needs the calculus's skolems")
-    out = []
-
-    def term_of(e):
-        return individual_term(e, ctx, skolems)
-
-    def emit(lit):
-        if lit not in out:
-            out.append(lit)
-
+    out = {}
     for lit in literals:
         if lit.pred[0] != "holds":
-            emit(lit)
+            out[lit] = None
             continue
-        c = lit.args[0]
         # d before c: model element numbering follows this order
         for word in ("d+", "d-", "c+", "c-"):
             for key, tpl in ctx.templates[word].items():
-                m = tpl.match(c)
+                m = tpl.match(lit.args[0])
                 if not m:
                     continue
-                if word[0] == "c":
-                    # c templates, keyed by sort: an expression, then individuals
-                    pred, args = sx.nu(key), [m[0]] + [term_of(e) for e in m[1:]]
-                else:
-                    pred = sx.EQ if key == "eq" else sx.pred(key)
-                    args = [term_of(e) for e in m]
-                emit(sx.literal(word[1] == "+", pred, args))
-    return out
-
-
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def add(self, x):
-        self.parent.setdefault(x, x)
-
-    def find(self, x):
-        self.add(x)
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+                # c templates, keyed by sort, read an expression and then
+                # individuals; d templates read individuals only
+                lead = 1 if word[0] == "c" else 0
+                args = m[:lead] + tuple(individual_term(e, ctx, skolems)
+                                        for e in m[lead:])
+                pred = (sx.nu(key) if lead else
+                        sx.EQ if key == "eq" else sx.pred(key))
+                out[sx.literal(word[1] == "+", pred, args)] = None
+    return list(out)
 
 
 def extract_model(branch, ns, ctx=None, skolems=None):
-    """The structure read off an open saturated branch: elements are the
-    equality classes of the branch's ground domain terms."""
+    """The structure read off an open saturated branch, in one walk of its
+    literals (of their readings, given a context): elements are the equality
+    classes of its ground domain terms, numbered by first occurrence."""
     from .engine import Branch
     if isinstance(branch, Branch):
         if branch.closed:
@@ -258,49 +231,55 @@ def extract_model(branch, ns, ctx=None, skolems=None):
     if ctx is not None:
         literals = detranslate(literals, ctx, skolems)
 
-    terms = sx.ground_terms(literals)
-    if not terms:
-        terms.append(sx.dconst("a0"))
-    uf = _UnionFind()
-    for t in terms:
-        uf.add(t)
+    seen, exprs, rep = {}, {}, {}   # rep: a joined term -> one of its class
+
+    def root(t):
+        while rep.get(t, t) is not t:
+            t = rep[t]
+        return t
+
     for lit in literals:
+        stack = list(lit.args[::-1])
+        while stack:
+            t = stack.pop()
+            if t.sort != sx.DOMAIN:
+                exprs[t] = None
+            elif t not in seen:
+                seen[t] = None
+                stack += reversed(t.args)
         if lit.pos and lit.pred[0] == "eq" and lit.args[0].sort == sx.DOMAIN:
-            uf.union(*lit.args)
+            rep[root(lit.args[1])] = root(lit.args[0])
+    terms = [t for t in seen if sx.term_is_ground(t)] or [sx.dconst("a0")]
     classes = {}
-    for t in terms:
-        r = uf.find(t)
-        if r not in classes:
-            classes[r] = len(classes)
+    term_class = {t: classes.setdefault(root(t), len(classes)) for t in terms}
     m = LStructure(len(classes), spec=ns.spec)
-    for t in terms:
-        m.term_class[t] = classes[uf.find(t)]
+    m.term_class = term_class
+    for t, c in term_class.items():
         if t.kind == "const":
-            m.dconsts[t.name] = m.term_class[t]
+            m.dconsts[t.name] = c
         elif t.sym is sx.NU0:
-            m.nu0[t.args[0]] = m.term_class[t]
+            m.nu0[t.args[0]] = c
         else:
-            key = tuple(a if a.sort != sx.DOMAIN else m.term_class[a]
-                        for a in t.args)
-            m.funs.setdefault(t.name, {})[key] = m.term_class[t]
+            # object arguments stand for themselves
+            key = tuple(term_class.get(a, a) for a in t.args)
+            m.funs.setdefault(t.name, {})[key] = c
     for lit in literals:
         p, args = lit.pred, lit.args
-        if not lit.pos:
-            continue
-        if p[0] == "nu" and args[0].kind != "app":
-            elems = tuple(m.term_class[t] for t in args[1:])
-            m.nu.setdefault(p[1], set()).add((args[0], elems))
-        elif p[0] == "pred":
-            elems = tuple(m.term_class[t] for t in args)
-            m.preds.setdefault(p[1], set()).add(elems)
+        if lit.pos and p[0] == "nu" and args[0].kind != "app":
+            m.nu.setdefault(p[1], set()).add(
+                (args[0], tuple(term_class[t] for t in args[1:])))
+        elif lit.pos and p[0] == "pred":
+            m.preds.setdefault(p[1], set()).add(
+                tuple(term_class[t] for t in args))
     # individuals buried inside concepts also need nu0 entries so that
     # singleton concepts over them can be evaluated.  One that no branch term
     # places (it occurs only in a disjunct the branch satisfied otherwise)
     # goes to the anchor's element 0, the class of the first input's term.
-    for e in sx.lexprs_of_formula(literals):
-        if e.sort == 0 and e not in m.nu0:
-            t = sx.nu0(e) if ctx is None else individual_term(e, ctx, skolems)
-            m.nu0[e] = m.term_class.get(t, 0)
+    for x in exprs:
+        for e in x.subexprs():
+            if e.sort == 0 and e not in m.nu0:
+                t = sx.nu0(e) if ctx is None else individual_term(e, ctx, skolems)
+                m.nu0[e] = term_class.get(t, 0)
     return m
 
 

@@ -248,6 +248,30 @@ def test_oracle_structures_are_pinned(so_corpus_run, ipc_corpus_run):
     assert h.hexdigest() == ORACLE_DIGEST
 
 
+# SHA-256 over each corpus run's prover verdict and the text of the model read
+# off its open branch, SO then IPC, computed before extraction walked each
+# branch once
+PROVER_MODEL_DIGEST = \
+    "1b62522721ea38510b2374c0ad2573f58a6015f4fb55b350df35564d3c0b71e8"
+
+
+def test_prover_models_are_pinned(so_corpus_run, ipc_corpus_run, so_blocked,
+                                  ipc_blocked, so_ns, ipc_ns):
+    h = hashlib.sha256()
+    count = 0
+    for (records, _), calc, ns in ((so_corpus_run, so_blocked, so_ns),
+                                   (ipc_corpus_run, ipc_blocked, ipc_ns)):
+        for _, _, _, verdict, _ in records:
+            text = ""
+            if verdict.kind == "sat":
+                text = models.extract_model(verdict.branch, ns, ctx=calc.ctx,
+                                            skolems=calc.skolems).format()
+            h.update(("%s\n%s\0" % (verdict.kind, text)).encode("utf-8"))
+            count += 1
+    assert count == 443
+    assert h.hexdigest() == PROVER_MODEL_DIGEST
+
+
 def test_every_corpus_unsat_replays(so_corpus_run, ipc_corpus_run, so_blocked,
                                     ipc_blocked, so_ns, ipc_ns):
     # the refined calculi's refutations of the oracle's unsat problems, each

@@ -1,6 +1,7 @@
 import hashlib
 import heapq
 import os
+import re
 import subprocess
 import sys
 
@@ -38,6 +39,16 @@ def test_init_negative_root(ipc_calc, ipc_ns):
 def test_init_empty_input(so_calc):
     with pytest.raises(sx.TabError, match="no input concepts"):
         engine.Engine(so_calc).init([])
+
+
+@pytest.mark.parametrize("search", ["BFS", "breadth"])
+def test_engine_refuses_unknown_search(so_calc, search):
+    # the CLI offers only dfs and bfs, but a caller of the engine may pass
+    # any string, and one the engine does not know must not run as dfs
+    with pytest.raises(sx.TabError,
+                       match=re.escape("search must be dfs or bfs, not %r"
+                                       % search)):
+        engine.Engine(so_calc, search=search)
 
 
 def test_init_ill_sorted(so_calc):

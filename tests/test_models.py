@@ -49,6 +49,36 @@ def test_extract_model_quotients_equalities(so_ns, so_spec):
     assert m.holds(1, p0, (0,))
 
 
+def test_extract_model_numbers_classes_by_first_occurrence(so_ns, so_spec):
+    a0, b0, c0, d0 = (sx.dconst(n) for n in ("a0", "b0", "c0", "d0"))
+    p0, q0 = pc(so_spec, "p0"), pc(so_spec, "q0")
+    # terms first occur as b0, a0, d0, c0; the chain joins b0 to d0, then d0
+    # to c0, so b0's class is represented by a term that occurs after it
+    lits = [sx.atom(sx.nu(1), [p0, b0]),
+            sx.atom(sx.nu(1), [q0, a0]),
+            sx.atom(sx.EQ, [d0, b0]),
+            sx.atom(sx.EQ, [c0, d0])]
+    m = models.extract_model(lits, so_ns)
+    assert list(m.term_class.items()) == [(b0, 0), (a0, 1), (d0, 0), (c0, 0)]
+    assert m.dconsts == {"b0": 0, "a0": 1, "d0": 0, "c0": 0}
+    assert m.format() == "domain: e0 e1\nnu1 p0: e0\nnu1 q0: e1\n"
+    assert models.verify_reflection(m, lits) == []
+
+
+def test_detranslate_keeps_each_reading_once(so_blocked):
+    sig = so_blocked.signature
+    one, p = (sx.literal(True, sx.HOLDS, [pc(sig, t)])
+              for t in ("colon(i0, one(i1))", "colon(i1, p0)"))
+    i0, i1 = (sx.nu0(pc(sig, t, 0)) for t in ("i0", "i1"))
+    # a concept held twice reads as it did the first time, at that position:
+    # its d reading, then its c reading
+    lits = models.detranslate([one, p, one], so_blocked.ctx,
+                              so_blocked.skolems)
+    assert lits == [sx.atom(sx.EQ, [i0, i1]),
+                    sx.atom(sx.nu(1), [pc(sig, "one(i1)"), i0]),
+                    sx.atom(sx.nu(1), [pc(sig, "p0"), i1])]
+
+
 def test_extract_model_refuses_closed_branch(so_calc, so_ns):
     eng = engine.Engine(so_calc, ns=so_ns)
     tab = eng.init([pc(so_calc, "p0"), pc(so_calc, "not(p0)")])
